@@ -29,7 +29,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .algebras import Bimodule
 from .linalg import Matrix, parse_scalar
 from .shuffles import net_signed_shuffle_terms
-from .sparsevec import Vec, add_scaled
+from .sparsevec import Vec, add_at, add_scaled
 
 Key = Tuple[int, ...]
 
@@ -334,14 +334,6 @@ def ce_delta(f: Cochain, module: Bimodule, max_degree: Optional[int] = None) -> 
     return Cochain("ce", n + 1, dim, module.dim, values)
 
 
-def _madd(row: Vec, col: int, val: Fraction) -> None:
-    nv = row.get(col, 0) + val
-    if nv:
-        row[col] = nv
-    else:
-        del row[col]
-
-
 def _assemble(
     theory: str, module: Bimodule, degree: int, max_degree: Optional[int]
 ) -> Matrix:
@@ -367,17 +359,17 @@ def _assemble(
             col_base = rank(key) * md
             if tr is None:
                 for k in range(md):
-                    _madd(rows[row_base + k], col_base + k, coeff)
+                    add_at(rows[row_base + k], col_base + k, coeff)
             elif tr[0] == "left":
                 i = tr[1]
                 for k in range(md):
                     for j, lv in module.act_left(i, k).items():
-                        _madd(rows[row_base + j], col_base + k, coeff * lv)
+                        add_at(rows[row_base + j], col_base + k, coeff * lv)
             else:
                 i = tr[1]
                 for k in range(md):
                     for j, rv in module.act_right(k, i).items():
-                        _madd(rows[row_base + j], col_base + k, coeff * rv)
+                        add_at(rows[row_base + j], col_base + k, coeff * rv)
     return Matrix(nrows, ncols, rows)
 
 

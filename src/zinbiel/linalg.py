@@ -2,13 +2,17 @@
 
 Matrices are stored row-sparse: a list of {column: Fraction} dicts holding no
 explicit zeros. Rank uses forward elimination with leading-column pivoting;
-nullspace and constraint extraction go through the fully reduced form. All
-arithmetic is fractions.Fraction, so every result is exact, and pivot choice
-depends only on the matrix entries, so runs are deterministic.
+nullspace and constraint extraction go through the fully reduced form.
+Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each row is
+cleared of denominators and kept as a primitive integer row, and Fractions
+are built only when a reduced row is returned, so every result is an exact
+Fraction. Pivot choice depends only on the matrix entries, so runs are
+deterministic.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .sparsevec import Vec, add_scaled
@@ -39,35 +43,75 @@ def format_scalar(value: Fraction) -> str:
     return str(value)
 
 
-def _eliminate(rows: Sequence[Vec], reduce_full: bool) -> Tuple[Dict[int, Vec], List[int]]:
-    """Eliminate rows into {pivot column: row with unit pivot}.
+IntRow = Dict[int, int]
 
-    Each incoming row is reduced against the pivots found so far, keyed by its
-    current leading (smallest) column; a row that survives becomes a new pivot.
-    With reduce_full, back-substitution clears pivot columns from all other
-    pivot rows, giving the unique reduced echelon form.
+
+def _primitive(row: IntRow) -> IntRow:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {k: v // g for k, v in row.items()}
+
+
+def _cancel(row: IntRow, piv: IntRow, col: int) -> IntRow:
+    """Primitive a*row - b*piv, with a and b chosen to clear column col.
+
+    a and b are the two entries at col divided by their gcd, which keeps the
+    multipliers, and so the entries, as small as possible.
     """
-    pivots: Dict[int, Vec] = {}
-    for row in rows:
-        r = dict(row)
+    p, q = piv[col], row[col]
+    g = gcd(p, q)
+    a, b = p // g, q // g
+    if a != 1:
+        row = {k: a * v for k, v in row.items()}
+    for k, v in piv.items():
+        nv = row.get(k, 0) - b * v
+        if nv:
+            row[k] = nv
+        else:
+            del row[k]
+    return _primitive(row) if row else row
+
+
+def _eliminate(rows: Sequence[Vec], reduce_full: bool) -> Dict[int, IntRow]:
+    """Eliminate rows into {pivot column: primitive integer row}.
+
+    Each incoming nonzero row is scaled by the lcm of its denominators to a
+    primitive integer row, then reduced against the pivots found so far, keyed
+    by its current leading (smallest) column; a row that survives becomes a
+    new pivot. Every row is a rational multiple of the one Fraction
+    elimination would hold, so the pivot columns are the same. With
+    reduce_full, back-substitution clears pivot columns from all other pivot
+    rows; divided by their leads, these are the unique reduced echelon form.
+    """
+    pivots: Dict[int, IntRow] = {}
+    for row in filter(None, rows):
+        den = lcm(*[v.denominator for v in row.values()])
+        r = _primitive({k: v.numerator * (den // v.denominator) for k, v in row.items()})
         while r:
             lead = min(r)
             piv = pivots.get(lead)
             if piv is None:
-                coeff = r[lead]
-                if coeff != _ONE:
-                    inv = _ONE / coeff
-                    r = {k: v * inv for k, v in r.items()}
                 pivots[lead] = r
                 break
-            add_scaled(r, piv, -r[lead])
+            r = _cancel(r, piv, lead)
     if reduce_full:
         for lead in sorted(pivots, reverse=True):
             piv = pivots[lead]
             for other_lead, other in pivots.items():
                 if other_lead < lead and lead in other:
-                    add_scaled(other, piv, -other[lead])
-    return pivots, sorted(pivots)
+                    pivots[other_lead] = _cancel(other, piv, lead)
+    return pivots
+
+
+def _reduced(rows: Sequence[Vec]) -> List[Tuple[int, Vec]]:
+    """Reduced echelon form as (pivot column, unit-pivot Fraction row) pairs."""
+    pivots = _eliminate(rows, reduce_full=True)
+    out = []
+    for c in sorted(pivots):
+        row = pivots[c]
+        d = row[c]
+        out.append((c, {k: Fraction(v, d) for k, v in row.items()}))
+    return out
 
 
 class Matrix:
@@ -100,14 +144,18 @@ class Matrix:
         return cls(len(dense), ncols, sparse)
 
     @classmethod
-    def from_cols(cls, cols: Sequence[Union[Vec, Sequence[Fraction]]], nrows: int) -> "Matrix":
-        """Build from columns, each a sparse {row: value} dict or a dense list."""
+    def from_cols(cls, cols: Sequence[Union[Vec, Sequence[Scalar]]], nrows: int) -> "Matrix":
+        """Build from columns, each a sparse {row: value} dict or a dense list.
+
+        Entries may be ints, strings, or Fractions, as in from_rows.
+        """
         rows: List[Vec] = [dict() for _ in range(nrows)]
         for j, col in enumerate(cols):
             items = col.items() if isinstance(col, dict) else enumerate(col)
             for i, x in items:
-                if x:
-                    rows[i][j] = Fraction(x)
+                v = parse_scalar(x)
+                if v:
+                    rows[i][j] = v
         return cls(nrows, len(cols), rows)
 
     @classmethod
@@ -193,8 +241,7 @@ class Matrix:
 
     def rank(self) -> int:
         if self._rank is None:
-            pivots, _ = _eliminate(self.rows, reduce_full=False)
-            self._rank = len(pivots)
+            self._rank = len(_eliminate(self.rows, reduce_full=False))
         return self._rank
 
     def reduced_rows(self) -> List[Tuple[int, Vec]]:
@@ -203,9 +250,9 @@ class Matrix:
         Rows are scaled to a unit pivot and cleared above and below, so the
         result is the canonical reduced form of the row space.
         """
-        pivots, pivot_cols = _eliminate(self.rows, reduce_full=True)
-        self._rank = len(pivot_cols)
-        return [(c, dict(pivots[c])) for c in pivot_cols]
+        reduced = _reduced(self.rows)
+        self._rank = len(reduced)
+        return reduced
 
     def nullspace(self) -> List[List[Fraction]]:
         """Basis of the right kernel as dense vectors, one per free column.
@@ -214,9 +261,9 @@ class Matrix:
         pivot columns otherwise, so stacking them gives the standard reduced
         parameterization of the solution space.
         """
-        pivots, pivot_cols = _eliminate(self.rows, reduce_full=True)
-        self._rank = len(pivot_cols)
-        pivot_set = set(pivot_cols)
+        reduced = _reduced(self.rows)
+        self._rank = len(reduced)
+        pivot_set = {pc for pc, _ in reduced}
         zero = Fraction(0)
         basis = []
         for fc in range(self.ncols):
@@ -224,8 +271,8 @@ class Matrix:
                 continue
             vec = [zero] * self.ncols
             vec[fc] = _ONE
-            for pc in pivot_cols:
-                coeff = pivots[pc].get(fc)
+            for pc, row in reduced:
+                coeff = row.get(fc)
                 if coeff:
                     vec[pc] = -coeff
             basis.append(vec)

@@ -14,6 +14,15 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def add_at(vec: Vec, key: int, val: Fraction) -> None:
+    """vec[key] += val, in place, dropping the key if the sum is zero."""
+    nv = vec.get(key, 0) + val
+    if nv:
+        vec[key] = nv
+    else:
+        vec.pop(key, None)
+
+
 def add_scaled(acc: Vec, src: Vec, scale: Fraction = ONE) -> Vec:
     """acc += scale * src, in place. Returns acc."""
     if not scale:
@@ -25,16 +34,6 @@ def add_scaled(acc: Vec, src: Vec, scale: Fraction = ONE) -> Vec:
         else:
             acc.pop(k, None)
     return acc
-
-
-def scaled(src: Vec, scale: Fraction) -> Vec:
-    if not scale:
-        return {}
-    return {k: scale * v for k, v in src.items()}
-
-
-def from_dense(coeffs) -> Vec:
-    return {i: Fraction(c) for i, c in enumerate(coeffs) if c}
 
 
 def to_dense(vec: Vec, length: int) -> list:

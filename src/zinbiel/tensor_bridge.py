@@ -46,16 +46,9 @@ from .complexes import (
 )
 from .linalg import Matrix, format_scalar
 from .shuffles import permutation_sign
-from .sparsevec import Vec, add_scaled
+from .sparsevec import Vec, add_at, add_scaled
 
 BRACKET_BOUND_CAP = 16
-
-
-def flatten_index(g_idx: int, b_idx: int, b_dim: int) -> int:
-    return g_idx * b_dim + b_idx
-
-def unflatten_index(idx: int, b_dim: int) -> Tuple[int, int]:
-    return divmod(idx, b_dim)
 
 
 def _tensor_names(left: Sequence[str], right: Sequence[str]) -> Tuple[str, ...]:
@@ -94,10 +87,10 @@ def tensor_lie(g: FiniteAlgebra, B: FiniteAlgebra, validate: bool = True) -> Fin
                     acc: Vec = {}
                     for ga, ca in g.product(i1, i2).items():
                         for qb, cb in B.product(p1, p2).items():
-                            _sadd(acc, ga * bd + qb, ca * cb)
+                            add_at(acc, ga * bd + qb, ca * cb)
                     for ga, ca in g.product(i2, i1).items():
                         for qb, cb in B.product(p2, p1).items():
-                            _sadd(acc, ga * bd + qb, -ca * cb)
+                            add_at(acc, ga * bd + qb, -ca * cb)
                     if acc:
                         products[(i1 * bd + p1, i2 * bd + p2)] = acc
     return FiniteAlgebra(
@@ -134,10 +127,10 @@ def tensor_module(
                     acc: Vec = {}
                     for ga, ca in g.product(i1, i2).items():
                         for mk, cm in M.act_left(p, k).items():
-                            _sadd(acc, ga * md + mk, ca * cm)
+                            add_at(acc, ga * md + mk, ca * cm)
                     for ga, ca in g.product(i2, i1).items():
                         for mk, cm in M.act_right(k, p).items():
-                            _sadd(acc, ga * md + mk, -ca * cm)
+                            add_at(acc, ga * md + mk, -ca * cm)
                     if acc:
                         a_idx = i1 * bd + p
                         m_idx = i2 * md + k
@@ -150,14 +143,6 @@ def tensor_module(
         left=left,
         right=right,
     )
-
-
-def _sadd(vec: Vec, key: int, val: Fraction) -> None:
-    nv = vec.get(key, 0) + val
-    if nv:
-        vec[key] = nv
-    else:
-        vec.pop(key, None)
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +236,7 @@ def psi_apply(ctx: TensorContext, f: Cochain) -> Cochain:
                 base = ga * md
                 c2 = ca if sgn == 1 else -ca
                 for mk, cv in fv.items():
-                    _sadd(acc, base + mk, c2 * cv)
+                    add_at(acc, base + mk, c2 * cv)
         if acc:
             values[T] = acc
     return Cochain("ce", n, tdim, tmd, values)
@@ -284,16 +269,8 @@ def psi_matrix(ctx: TensorContext, degree: int) -> Matrix:
                 row_base = out_rank * tmd + ga * md
                 c2 = ca if sgn == 1 else -ca
                 for mk in range(md):
-                    _madd(rows[row_base + mk], col_base + mk, c2)
+                    add_at(rows[row_base + mk], col_base + mk, c2)
     return Matrix(nrows, ncols, rows)
-
-
-def _madd(row: Vec, col: int, val: Fraction) -> None:
-    nv = row.get(col, 0) + val
-    if nv:
-        row[col] = nv
-    else:
-        del row[col]
 
 
 @dataclass

@@ -14,27 +14,56 @@ from zinbiel.algebras import Bimodule
 from zinbiel.complexes import cochain_to_vector, dl_space_dim, dl_tuples
 
 
-def dense_rank(rows: List[List[Fraction]]) -> int:
+def dense_rref(rows: List[List[Fraction]]) -> List[Tuple[int, List[Fraction]]]:
+    """Reduced row echelon form by textbook Gauss-Jordan on dense lists.
+
+    Returns (pivot column, row) pairs, pivots ascending, each row dense with
+    a 1 at its pivot and 0 in every other pivot column.
+    """
     rows = [[Fraction(x) for x in row] for row in rows]
     if not rows:
-        return 0
+        return []
     ncols = len(rows[0])
+    pivots = []
     rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
+    for col in range(ncols):
+        if rank == len(rows):
+            break
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         lead = rows[rank][col]
+        rows[rank] = [x / lead for x in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
-                factor = rows[r][col] / lead
+                factor = rows[r][col]
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
         rank += 1
-        col += 1
-    return rank
+    return list(zip(pivots, rows))
+
+
+def dense_rank(rows: List[List[Fraction]]) -> int:
+    return len(dense_rref(rows))
+
+
+def dense_nullspace(rows: List[List[Fraction]]) -> List[List[Fraction]]:
+    """Right-kernel basis read off dense_rref: one vector per free column f,
+    with 1 at f and minus the pivot rows' entries at f on the pivot columns."""
+    ncols = len(rows[0]) if rows else 0
+    reduced = dense_rref(rows)
+    pivot_cols = {c for c, _ in reduced}
+    basis = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for c, row in reduced:
+            vec[c] = -row[f]
+        basis.append(vec)
+    return basis
 
 
 def dense_delta_matrix(

@@ -5,31 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zinbiel import Matrix, format_scalar, parse_scalar
-
-
-def dense_rank(rows):
-    """Reference rank by textbook Gauss elimination on dense lists."""
-    rows = [[Fraction(x) for x in row] for row in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col] / lead
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+from _oracles import dense_nullspace, dense_rank, dense_rref
+from zinbiel import Matrix, builtin, dl_delta_matrix, format_scalar, parse_scalar, regular
+from zinbiel.sparsevec import to_dense
 
 
 small = st.integers(-4, 4)
@@ -43,6 +21,30 @@ def matrices(max_dim=6):
             )
         )
     )
+
+
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6)),
+)
+
+
+@st.composite
+def rational_matrices(draw, max_dim=6):
+    """Rational matrices with all-zero and duplicated rows mixed in."""
+    ncols = draw(st.integers(1, max_dim))
+    rows = draw(st.lists(
+        st.lists(rationals, min_size=ncols, max_size=ncols), min_size=1, max_size=max_dim
+    ))
+    extras = draw(st.lists(st.one_of(st.none(), st.integers(0, len(rows) - 1)), max_size=3))
+    for src in extras:
+        row = [Fraction(0)] * ncols if src is None else list(rows[src])
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+def reduced_dense(m):
+    return [(c, to_dense(row, m.ncols)) for c, row in m.reduced_rows()]
 
 
 def test_parse_scalar():
@@ -103,6 +105,35 @@ def test_mul_and_hstack():
 @given(matrices())
 def test_rank_matches_dense_oracle(rows):
     assert Matrix.from_rows(rows).rank() == dense_rank(rows)
+
+
+@settings(deadline=None)
+@given(rational_matrices())
+def test_elimination_matches_dense_rref(rows):
+    m = Matrix.from_rows(rows)
+    want = dense_rref(rows)
+    assert m.rank() == len(want)
+    assert reduced_dense(m) == want
+    assert m.nullspace() == dense_nullspace(rows)
+
+
+def test_fractional_complex_rank_and_reduced_form():
+    module = regular(builtin("polyzinbiel(3)"))
+    assert dl_delta_matrix(module, 3).rank() == 204
+    d1 = dl_delta_matrix(module, 1)
+    assert (d1.nrows, d1.ncols) == (64, 16)
+    assert any(v.denominator > 1 for row in d1.rows for v in row.values())
+    assert reduced_dense(d1) == dense_rref(d1.to_dense())
+
+
+def test_from_cols_parses_like_from_rows():
+    for bad in (0.1, True):
+        with pytest.raises(TypeError):
+            Matrix.from_cols([[bad, 1]], 2)
+        with pytest.raises(TypeError):
+            Matrix.from_rows([[bad]])
+    m = Matrix.from_cols([{1: "2/3"}, [1, 0]], 2)
+    assert m.to_dense() == [[0, 1], [Fraction(2, 3), 0]]
 
 
 @settings(deadline=None)
