@@ -13,7 +13,6 @@ from .complexes import (
     cochain_to_vector,
     cohomology_dims,
     dl_delta,
-    dl_delta_lowdeg,
     dl_delta_matrix,
     dl_space_dim,
     random_dl_cochain,
@@ -70,7 +69,6 @@ __all__ = [
     "cochain_to_vector",
     "cohomology_dims",
     "dl_delta",
-    "dl_delta_lowdeg",
     "dl_delta_matrix",
     "dl_space_dim",
     "format_scalar",

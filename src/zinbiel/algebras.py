@@ -10,13 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import product as iproduct
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import Scalar, format_scalar, parse_scalar
-from .sparsevec import Vec, add_scaled
+from .sparsevec import ONE, Vec, add_scaled, to_dense
 
 Table = Dict[Tuple[int, int], Dict[int, Fraction]]
+
+_NEG = Fraction(-1)
 
 
 def _clean_table(table: Table, left_dim: int, right_dim: int, out_dim: int, label: str) -> Table:
@@ -42,11 +45,19 @@ def _parse_dense(vec: Sequence[Scalar], dim: int, label: str) -> Vec:
     return {i: f for i, x in enumerate(vec) if (f := parse_scalar(x))}
 
 
-def _to_dense(vec: Vec, dim: int) -> List[Fraction]:
-    out = [Fraction(0)] * dim
-    for k, v in vec.items():
-        out[k] = v
+def _bilinear(table: Table, x: Vec, y: Vec) -> Vec:
+    """The bilinear map with structure constants table, on sparse vectors x and y."""
+    out: Vec = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            tbl = table.get((i, j))
+            if tbl:
+                add_scaled(out, tbl, a * b)
     return out
+
+
+def _units(dim: int) -> List[Vec]:
+    return [{i: ONE} for i in range(dim)]
 
 
 @dataclass(frozen=True)
@@ -69,30 +80,15 @@ class FiniteAlgebra:
             self, "products", _clean_table(self.products, self.dim, self.dim, self.dim, "product")
         )
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.basis_names.index(name)
-        except ValueError:
-            raise KeyError(f"no basis element named {name!r}") from None
-
     def product(self, i: int, j: int) -> Vec:
         """Sparse expansion of e_i * e_j."""
         return self.products.get((i, j), {})
-
-    def mul_sparse(self, xv: Vec, yv: Vec) -> Vec:
-        out: Vec = {}
-        for i, a in xv.items():
-            for j, b in yv.items():
-                tbl = self.products.get((i, j))
-                if tbl:
-                    add_scaled(out, tbl, a * b)
-        return out
 
     def multiply(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Fraction]:
         """Product of two coefficient vectors, densely."""
         xv = _parse_dense(x, self.dim, "left factor")
         yv = _parse_dense(y, self.dim, "right factor")
-        return _to_dense(self.mul_sparse(xv, yv), self.dim)
+        return to_dense(_bilinear(self.products, xv, yv), self.dim)
 
 
 @dataclass(frozen=True)
@@ -127,23 +123,6 @@ class Bimodule:
     def act_right(self, k: int, i: int) -> Vec:
         return self.right.get((k, i), {})
 
-    def left_sparse(self, xv: Vec, mv: Vec) -> Vec:
-        out: Vec = {}
-        for i, a in xv.items():
-            for k, b in mv.items():
-                tbl = self.left.get((i, k))
-                if tbl:
-                    add_scaled(out, tbl, a * b)
-        return out
-
-    def right_sparse(self, mv: Vec, xv: Vec) -> Vec:
-        out: Vec = {}
-        for k, a in mv.items():
-            for i, b in xv.items():
-                tbl = self.right.get((k, i))
-                if tbl:
-                    add_scaled(out, tbl, a * b)
-        return out
 
 
 def regular(alg: FiniteAlgebra) -> Bimodule:
@@ -174,102 +153,102 @@ Case = Tuple[str, Tuple[str, ...], Vec, Vec]
 
 def _leibniz_cases(alg: FiniteAlgebra) -> Iterator[Case]:
     identity = "[x, [y, z]] = [[x, y], z] - [[x, z], y]"
-    e = lambda i: {i: Fraction(1)}
-    m = alg.mul_sparse
+    e = _units(alg.dim)
+    m = partial(_bilinear, alg.products)
     for i, j, k in iproduct(range(alg.dim), repeat=3):
-        lhs = m(e(i), m(e(j), e(k)))
-        rhs = dict(m(m(e(i), e(j)), e(k)))
-        add_scaled(rhs, m(m(e(i), e(k)), e(j)), Fraction(-1))
+        lhs = m(e[i], m(e[j], e[k]))
+        rhs = dict(m(m(e[i], e[j]), e[k]))
+        add_scaled(rhs, m(m(e[i], e[k]), e[j]), _NEG)
         names = (alg.basis_names[i], alg.basis_names[j], alg.basis_names[k])
         yield identity, names, lhs, rhs
 
 
 def _zinbiel_cases(alg: FiniteAlgebra) -> Iterator[Case]:
     identity = "(x . y) . z = x . (y . z) + x . (z . y)"
-    e = lambda i: {i: Fraction(1)}
-    m = alg.mul_sparse
+    e = _units(alg.dim)
+    m = partial(_bilinear, alg.products)
     for i, j, k in iproduct(range(alg.dim), repeat=3):
-        lhs = m(m(e(i), e(j)), e(k))
-        inner = dict(m(e(j), e(k)))
-        add_scaled(inner, m(e(k), e(j)))
-        rhs = m(e(i), inner)
+        lhs = m(m(e[i], e[j]), e[k])
+        inner = dict(m(e[j], e[k]))
+        add_scaled(inner, m(e[k], e[j]))
+        rhs = m(e[i], inner)
         names = (alg.basis_names[i], alg.basis_names[j], alg.basis_names[k])
         yield identity, names, lhs, rhs
 
 
 def _lie_cases(alg: FiniteAlgebra) -> Iterator[Case]:
-    e = lambda i: {i: Fraction(1)}
-    m = alg.mul_sparse
+    e = _units(alg.dim)
+    m = partial(_bilinear, alg.products)
     nm = alg.basis_names
     for i in range(alg.dim):
-        yield "[x, x] = 0", (nm[i],), m(e(i), e(i)), {}
+        yield "[x, x] = 0", (nm[i],), m(e[i], e[i]), {}
     for i, j in iproduct(range(alg.dim), repeat=2):
         if i < j:
-            lhs = dict(m(e(i), e(j)))
-            add_scaled(lhs, m(e(j), e(i)))
+            lhs = dict(m(e[i], e[j]))
+            add_scaled(lhs, m(e[j], e[i]))
             yield "[x, y] + [y, x] = 0", (nm[i], nm[j]), lhs, {}
     identity = "[[x, y], z] + [[y, z], x] + [[z, x], y] = 0"
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
             for k in range(j + 1, alg.dim):
-                lhs = dict(m(m(e(i), e(j)), e(k)))
-                add_scaled(lhs, m(m(e(j), e(k)), e(i)))
-                add_scaled(lhs, m(m(e(k), e(i)), e(j)))
+                lhs = dict(m(m(e[i], e[j]), e[k]))
+                add_scaled(lhs, m(m(e[j], e[k]), e[i]))
+                add_scaled(lhs, m(m(e[k], e[i]), e[j]))
                 yield identity, (nm[i], nm[j], nm[k]), lhs, {}
 
 
 def _zinbiel_bimodule_cases(alg: FiniteAlgebra, mod: Bimodule) -> Iterator[Case]:
-    e = lambda i: {i: Fraction(1)}
+    e = _units(max(alg.dim, mod.dim))
     an, mn = alg.basis_names, mod.basis_names
-    l, r = mod.left_sparse, mod.right_sparse
+    l, r = partial(_bilinear, mod.left), partial(_bilinear, mod.right)
     for k, i, j in iproduct(range(mod.dim), range(alg.dim), range(alg.dim)):
-        lhs = r(r(e(k), e(i)), e(j))
+        lhs = r(r(e[k], e[i]), e[j])
         inner = dict(alg.product(i, j))
         add_scaled(inner, alg.product(j, i))
-        rhs = r(e(k), inner)
+        rhs = r(e[k], inner)
         yield "(m . y) . z = m . (y . z + z . y)", (mn[k], an[i], an[j]), lhs, rhs
     for i, k, j in iproduct(range(alg.dim), range(mod.dim), range(alg.dim)):
-        lhs = r(l(e(i), e(k)), e(j))
-        rhs = dict(l(e(i), r(e(k), e(j))))
-        add_scaled(rhs, l(e(i), l(e(j), e(k))))
+        lhs = r(l(e[i], e[k]), e[j])
+        rhs = dict(l(e[i], r(e[k], e[j])))
+        add_scaled(rhs, l(e[i], l(e[j], e[k])))
         yield "(x . m) . z = x . (m . z + z . m)", (an[i], mn[k], an[j]), lhs, rhs
     for i, j, k in iproduct(range(alg.dim), range(alg.dim), range(mod.dim)):
-        lhs = l(alg.product(i, j), e(k))
-        rhs = dict(l(e(i), l(e(j), e(k))))
-        add_scaled(rhs, l(e(i), r(e(k), e(j))))
+        lhs = l(alg.product(i, j), e[k])
+        rhs = dict(l(e[i], l(e[j], e[k])))
+        add_scaled(rhs, l(e[i], r(e[k], e[j])))
         yield "(x . y) . m = x . (y . m + m . y)", (an[i], an[j], mn[k]), lhs, rhs
 
 
 def _leibniz_representation_cases(alg: FiniteAlgebra, mod: Bimodule) -> Iterator[Case]:
-    e = lambda i: {i: Fraction(1)}
+    e = _units(max(alg.dim, mod.dim))
     an, mn = alg.basis_names, mod.basis_names
-    l, r = mod.left_sparse, mod.right_sparse
+    l, r = partial(_bilinear, mod.left), partial(_bilinear, mod.right)
     for i, j, k in iproduct(range(alg.dim), range(alg.dim), range(mod.dim)):
-        lhs = l(e(i), l(e(j), e(k)))
-        rhs = dict(l(alg.product(i, j), e(k)))
-        add_scaled(rhs, r(l(e(i), e(k)), e(j)), Fraction(-1))
+        lhs = l(e[i], l(e[j], e[k]))
+        rhs = dict(l(alg.product(i, j), e[k]))
+        add_scaled(rhs, r(l(e[i], e[k]), e[j]), _NEG)
         yield "x(ym) = [x,y]m - (xm)y", (an[i], an[j], mn[k]), lhs, rhs
     for i, k, j in iproduct(range(alg.dim), range(mod.dim), range(alg.dim)):
-        lhs = l(e(i), r(e(k), e(j)))
-        rhs = dict(r(l(e(i), e(k)), e(j)))
-        add_scaled(rhs, l(alg.product(i, j), e(k)), Fraction(-1))
+        lhs = l(e[i], r(e[k], e[j]))
+        rhs = dict(r(l(e[i], e[k]), e[j]))
+        add_scaled(rhs, l(alg.product(i, j), e[k]), _NEG)
         yield "x(my) = (xm)y - [x,y]m", (an[i], mn[k], an[j]), lhs, rhs
     for k, i, j in iproduct(range(mod.dim), range(alg.dim), range(alg.dim)):
-        lhs = r(e(k), alg.product(i, j))
-        rhs = dict(r(r(e(k), e(i)), e(j)))
-        add_scaled(rhs, r(r(e(k), e(j)), e(i)), Fraction(-1))
+        lhs = r(e[k], alg.product(i, j))
+        rhs = dict(r(r(e[k], e[i]), e[j]))
+        add_scaled(rhs, r(r(e[k], e[j]), e[i]), _NEG)
         yield "m[y,z] = (my)z - (mz)y", (mn[k], an[i], an[j]), lhs, rhs
 
 
 def _lie_module_cases(alg: FiniteAlgebra, mod: Bimodule) -> Iterator[Case]:
     identity = "[x, y]v = x(yv) - y(xv)"
-    e = lambda i: {i: Fraction(1)}
+    e = _units(max(alg.dim, mod.dim))
     an, mn = alg.basis_names, mod.basis_names
-    l = mod.left_sparse
+    l = partial(_bilinear, mod.left)
     for i, j, k in iproduct(range(alg.dim), range(alg.dim), range(mod.dim)):
-        lhs = l(alg.product(i, j), e(k))
-        rhs = dict(l(e(i), l(e(j), e(k))))
-        add_scaled(rhs, l(e(j), l(e(i), e(k))), Fraction(-1))
+        lhs = l(alg.product(i, j), e[k])
+        rhs = dict(l(e[i], l(e[j], e[k])))
+        add_scaled(rhs, l(e[j], l(e[i], e[k])), _NEG)
         yield identity, (an[i], an[j], mn[k]), lhs, rhs
 
 

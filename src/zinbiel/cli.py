@@ -16,11 +16,11 @@ from .algebras import AxiomReport, Bimodule, FiniteAlgebra, check_axioms, regula
 from .catalog import builtin as catalog_builtin
 from .complexes import cohomology_dims, dl_delta_matrix
 from .fileio import (
+    algebra_from_dict,
     algebra_to_dict,
+    bimodule_from_dict,
     bimodule_to_dict,
     is_bimodule_data,
-    load_algebra,
-    load_bimodule,
     save_algebra,
     save_bimodule,
 )
@@ -76,10 +76,10 @@ def _load_operand(spec: str, dim_cap: int) -> Union[FiniteAlgebra, Bimodule]:
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise UsageError(f"cannot read {spec}: {exc}")
     try:
-        return load_bimodule(spec) if is_bimodule_data(data) else load_algebra(spec)
+        return bimodule_from_dict(data) if is_bimodule_data(data) else algebra_from_dict(data)
     except ValueError as exc:
         raise UsageError(f"{spec}: {exc}")
 

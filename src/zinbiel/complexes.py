@@ -10,10 +10,17 @@ Two cochain theories share one container type:
   strictly increasing tuples. The differential is the classical alternating
   one driven by the algebra's bracket and the module's left action.
 
-Both differentials exist in two forms: applied to a cochain, or assembled as
-an exact sparse matrix in the basis where the column of (tuple, k) sits at
-tuple_rank * module_dim + k, tuples ranked in lexicographic order (positional
-for "dl", combination order for "ce").
+Each linear map on cochains is written once, as a term generator: given one
+input argument tuple X it yields terms (coeff, Y, block), meaning that the
+basis cochain e_X (x) m_k is sent to coeff * block[k] at output tuple Y. Two
+consumers share every generator (tensor_bridge's psi uses them too):
+
+* _apply runs it over the nonzero support of a cochain, so the work follows
+  the input's support rather than the size of the output space;
+* _matrix runs it over every input tuple in basis order, so column (X, k) is
+  by construction the image of e_X (x) m_k. The basis puts (tuple, k) at
+  tuple_rank * module_dim + k, tuples ranked in lexicographic order
+  (positional for "dl", combination order for "ce").
 """
 from __future__ import annotations
 
@@ -24,12 +31,12 @@ from functools import lru_cache
 from itertools import combinations, product as iproduct
 from math import comb
 from random import Random
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .algebras import Bimodule
+from .algebras import Bimodule, FiniteAlgebra
 from .linalg import Matrix, parse_scalar
-from .shuffles import net_signed_shuffle_terms
-from .sparsevec import Vec, add_at, add_scaled
+from .shuffles import invert_permutation, net_signed_shuffle_terms
+from .sparsevec import ONE, Vec, add_at, add_scaled
 
 Key = Tuple[int, ...]
 
@@ -163,21 +170,18 @@ def _dl_rank(key: Key, dim: int) -> int:
     return r
 
 
-@lru_cache(maxsize=None)
-def _ce_rank_table(dim: int, degree: int) -> Dict[Key, int]:
-    return {key: r for r, key in enumerate(combinations(range(dim), degree))}
+def _ce_rank(key: Key, dim: int) -> int:
+    """Position of a strictly increasing tuple in combinations(range(dim), len(key))."""
+    n = len(key)
+    return comb(dim, n) - 1 - sum(comb(dim - 1 - x, n - i) for i, x in enumerate(key))
 
 
 def cochain_to_vector(f: Cochain) -> Vec:
     """Sparse coordinates of a cochain in the matrix basis order."""
-    if f.theory == "dl":
-        rank = lambda key: _dl_rank(key, f.algebra_dim)
-    else:
-        table = _ce_rank_table(f.algebra_dim, f.degree)
-        rank = table.__getitem__
+    rank = _dl_rank if f.theory == "dl" else _ce_rank
     out: Vec = {}
     for key, vec in f.values.items():
-        base = rank(key) * f.module_dim
+        base = rank(key, f.algebra_dim) * f.module_dim
         for k, v in vec.items():
             out[base + k] = v
     return out
@@ -223,70 +227,143 @@ def random_dl_cochain(
     return Cochain("dl", degree, algebra_dim, module_dim, values)
 
 
-Transform = Optional[Tuple[str, int]]
-Term = Tuple[Fraction, Key, Transform]
-
-
 @lru_cache(maxsize=None)
 def _net_terms(n: int) -> Tuple[Tuple[Fraction, Key], ...]:
-    return tuple((Fraction(c), sigma) for c, sigma in net_signed_shuffle_terms(n))
+    """Net shuffle terms (c, place): argument i of f is y_{1 + place[i]}."""
+    return tuple(
+        (Fraction(c), tuple(p - 1 for p in invert_permutation(sigma)))
+        for c, sigma in net_signed_shuffle_terms(n)
+    )
 
 
-def _dl_terms(Y: Key, module: Bimodule, n: int) -> Iterator[Term]:
-    """Terms of the degree-raising map evaluated at argument tuple Y.
+Block = Dict[int, Vec]
+Term = Tuple[Fraction, Key, Block]
+Terms = Callable[[Key], Iterable[Term]]
 
-    Each term says: take the input cochain's value on `key`, scale by the
-    coefficient, and push it through the transform (None: as is; ("left", i):
-    left action of basis element i; ("right", i): right action).
+
+def _apply(values: Dict[Key, Vec], terms: Terms) -> Dict[Key, Vec]:
+    """Image of a cochain, scattered from its nonzero support (may keep empty vectors)."""
+    out: Dict[Key, Vec] = {}
+    for X, fv in values.items():
+        for coeff, Y, block in terms(X):
+            acc = out.setdefault(Y, {})
+            for k, v in fv.items():
+                img = block.get(k)
+                if img:
+                    add_scaled(acc, img, coeff * v)
+    return out
+
+
+def _matrix(
+    in_keys: Iterable[Key],
+    in_md: int,
+    out_rank: Callable[[Key], int],
+    out_md: int,
+    nrows: int,
+    terms: Terms,
+) -> Matrix:
+    """Matrix of a map; in_keys come in basis order, so column (X, k) is the image of e_X (x) m_k."""
+    rows: List[Vec] = [dict() for _ in range(nrows)]
+    col_base = 0
+    for X in in_keys:
+        for coeff, Y, block in terms(X):
+            row_base = out_rank(Y) * out_md
+            for k, img in block.items():
+                for j, v in img.items():
+                    add_at(rows[row_base + j], col_base + k, coeff * v)
+        col_base += in_md
+    return Matrix(nrows, col_base, rows)
+
+
+def _preimages(alg: FiniteAlgebra) -> Dict[int, List[Tuple[int, int, Fraction]]]:
+    """p -> [(u, w, c)]: e_u * e_w has coefficient c on e_p."""
+    out: Dict[int, List[Tuple[int, int, Fraction]]] = {}
+    for (u, w), vec in alg.products.items():
+        for p, c in vec.items():
+            out.setdefault(p, []).append((u, w, c))
+    return out
+
+
+def _blocks(module: Bimodule) -> Tuple[Block, List[Tuple[int, Block]], List[Tuple[int, Block]]]:
+    """The identity block, and the nonzero blocks {k: x m_k} and {k: m_k x} per basis element x."""
+    md = module.dim
+    left, right = [], []
+    for x in range(module.algebra.dim):
+        lb = {k: v for k in range(md) if (v := module.act_left(x, k))}
+        rb = {k: v for k in range(md) if (v := module.act_right(k, x))}
+        if lb:
+            left.append((x, lb))
+        if rb:
+            right.append((x, rb))
+    return {k: {k: ONE} for k in range(md)}, left, right
+
+
+def _dl_generator(module: Bimodule, n: int) -> Terms:
+    """Terms of the degree n -> n+1 map of the non-symmetric complex,
+
+        (delta f)(y_0, ..., y_n) = sum over net shuffle terms (c, sigma) of
+            c * y_0 f(y_sigma(1), ..., y_sigma(n))
+          + sum_{i=1..n} (-1)^i (f(.., y_{i-1} y_i, ..) + [i >= 2] f(.., y_i y_{i-1}, ..))
+          + (-1)^(n+1) f(y_0, ..., y_{n-1}) y_n,
+
+    read from an input tuple X: the shuffle terms place X in y_1..y_n with a
+    free y_0; a product term for X[q] = p takes every e_u e_w containing e_p,
+    giving X[:q] + (u, w) + X[q+1:], and (w, u) in its place as well when
+    q >= 1; the right term appends a free y_n.
     """
-    alg = module.algebra
-    x1 = Y[0]
-    for c, sigma in _net_terms(n):
-        yield c, tuple(Y[s] for s in sigma), ("left", x1)
-    for i in range(1, n + 1):
-        s = _NEG if i % 2 else Fraction(1)
-        head, tail = Y[: i - 1], Y[i + 1:]
-        for p, c in alg.product(Y[i - 1], Y[i]).items():
-            yield s * c, head + (p,) + tail, None
-        if i >= 2:
-            for p, c in alg.product(Y[i], Y[i - 1]).items():
-                yield s * c, head + (p,) + tail, None
-    s4 = _NEG if (n + 1) % 2 else Fraction(1)
-    yield s4, Y[:n], ("right", Y[n])
+    ident, left, right = _blocks(module)
+    pre = _preimages(module.algebra)
+    shuffles = _net_terms(n)
+    last = ONE if n % 2 else _NEG
+
+    def terms(X: Key) -> Iterator[Term]:
+        for c, place in shuffles:
+            Z = tuple(X[i] for i in place)
+            for x, block in left:
+                yield c, (x,) + Z, block
+        for q in range(n):
+            head, tail = X[:q], X[q + 1:]
+            for u, w, c in pre.get(X[q], ()):
+                s = c if q % 2 else -c
+                yield s, head + (u, w) + tail, ident
+                if q:
+                    yield s, head + (w, u) + tail, ident
+        for y, block in right:
+            yield last, X + (y,), block
+
+    return terms
 
 
-def _ce_terms(Y: Key, module: Bimodule, n: int) -> Iterator[Term]:
-    """Alternating differential terms at a strictly increasing tuple Y."""
-    alg = module.algebra
-    for a in range(n + 1):
-        for b in range(a + 1, n + 1):
-            prod = alg.product(Y[a], Y[b])
-            if not prod:
-                continue
-            rest = Y[:a] + Y[a + 1: b] + Y[b + 1:]
-            s_ab = 1 if (a + b) % 2 == 0 else -1
-            for p, c in prod.items():
-                idx = bisect_left(rest, p)
-                if idx < len(rest) and rest[idx] == p:
+def _ce_generator(module: Bimodule, n: int) -> Terms:
+    """Terms of the alternating degree n -> n+1 differential,
+
+        (delta f)(y_0, ..., y_n) = sum_{a<b} (-1)^(a+b) f([y_a, y_b], y_0, ..^a..^b.., y_n)
+                                 + sum_a (-1)^a y_a f(y_0, ..^a.., y_n),
+
+    read from a strictly increasing input tuple X: a bracket term replaces
+    X[idx] = p by a pair u < w with [e_u, e_w] containing e_p and neither in
+    the rest of X, with sign (-1)^(iu + iw + 1 + idx), iu and iw being the
+    insertion points of u and w in the rest; a left term inserts an x not in
+    X at position a, with sign (-1)^a.
+    """
+    ident, left, _ = _blocks(module)
+    pre = _preimages(module.algebra)
+
+    def terms(X: Key) -> Iterator[Term]:
+        for idx, p in enumerate(X):
+            rest = X[:idx] + X[idx + 1:]
+            for u, w, c in pre.get(p, ()):
+                if u >= w or u in rest or w in rest:
                     continue
-                sgn = s_ab if idx % 2 == 0 else -s_ab
-                yield sgn * c, rest[:idx] + (p,) + rest[idx:], None
-    for a in range(n + 1):
-        s = _NEG if a % 2 else Fraction(1)
-        yield s, Y[:a] + Y[a + 1:], ("left", Y[a])
+                iu, iw = bisect_left(rest, u), bisect_left(rest, w)
+                Y = rest[:iu] + (u,) + rest[iu:iw] + (w,) + rest[iw:]
+                yield (-c if (iu + iw + 1 + idx) % 2 else c), Y, ident
+        for x, block in left:
+            if x not in X:
+                a = bisect_left(X, x)
+                yield (_NEG if a % 2 else ONE), X[:a] + (x,) + X[a:], block
 
-
-def _apply_term(acc: Vec, fv: Vec, coeff: Fraction, tr: Transform, module: Bimodule) -> None:
-    if tr is None:
-        add_scaled(acc, fv, coeff)
-    elif tr[0] == "left":
-        i = tr[1]
-        for k, v in fv.items():
-            add_scaled(acc, module.act_left(i, k), coeff * v)
-    else:
-        i = tr[1]
-        for k, v in fv.items():
-            add_scaled(acc, module.act_right(k, i), coeff * v)
+    return terms
 
 
 def _check_module(f: Cochain, module: Bimodule) -> None:
@@ -294,44 +371,24 @@ def _check_module(f: Cochain, module: Bimodule) -> None:
         raise ValueError("cochain dimensions do not match the module")
 
 
+def _delta(theory: str, f: Cochain, module: Bimodule, max_degree: Optional[int]) -> Cochain:
+    if f.theory != theory:
+        raise ValueError(f"{theory}_delta needs a '{theory}' cochain")
+    _check_module(f, module)
+    _check_degree(theory, f.degree, max_degree)
+    generator = _dl_generator if theory == "dl" else _ce_generator
+    values = _apply(f.values, generator(module, f.degree))
+    return Cochain(theory, f.degree + 1, module.algebra.dim, module.dim, values)
+
+
 def dl_delta(f: Cochain, module: Bimodule, max_degree: Optional[int] = None) -> Cochain:
     """Apply the degree-raising map of the non-symmetric complex."""
-    if f.theory != "dl":
-        raise ValueError("dl_delta needs a 'dl' cochain")
-    _check_module(f, module)
-    _check_degree("dl", f.degree, max_degree)
-    n = f.degree
-    dim = module.algebra.dim
-    values: Dict[Key, Vec] = {}
-    for Y in dl_tuples(dim, n + 1):
-        acc: Vec = {}
-        for coeff, key, tr in _dl_terms(Y, module, n):
-            fv = f.values.get(key)
-            if fv:
-                _apply_term(acc, fv, coeff, tr, module)
-        if acc:
-            values[Y] = acc
-    return Cochain("dl", n + 1, dim, module.dim, values)
+    return _delta("dl", f, module, max_degree)
 
 
 def ce_delta(f: Cochain, module: Bimodule, max_degree: Optional[int] = None) -> Cochain:
     """Apply the alternating differential; only the left action is used."""
-    if f.theory != "ce":
-        raise ValueError("ce_delta needs a 'ce' cochain")
-    _check_module(f, module)
-    _check_degree("ce", f.degree, max_degree)
-    n = f.degree
-    dim = module.algebra.dim
-    values: Dict[Key, Vec] = {}
-    for Y in ce_tuples(dim, n + 1):
-        acc: Vec = {}
-        for coeff, key, tr in _ce_terms(Y, module, n):
-            fv = f.values.get(key)
-            if fv:
-                _apply_term(acc, fv, coeff, tr, module)
-        if acc:
-            values[Y] = acc
-    return Cochain("ce", n + 1, dim, module.dim, values)
+    return _delta("ce", f, module, max_degree)
 
 
 def _assemble(
@@ -341,36 +398,11 @@ def _assemble(
     dim = module.algebra.dim
     md = module.dim
     if theory == "dl":
-        out_tuples = dl_tuples(dim, degree + 1)
-        ncols = dl_space_dim(dim, md, degree)
-        nrows = dl_space_dim(dim, md, degree + 1)
-        rank = lambda key: _dl_rank(key, dim)
-        terms = _dl_terms
+        keys, rank, space, generator = dl_tuples, _dl_rank, dl_space_dim, _dl_generator
     else:
-        out_tuples = ce_tuples(dim, degree + 1)
-        ncols = ce_space_dim(dim, md, degree)
-        nrows = ce_space_dim(dim, md, degree + 1)
-        rank = _ce_rank_table(dim, degree).__getitem__
-        terms = _ce_terms
-    rows: List[Vec] = [dict() for _ in range(nrows)]
-    for out_rank, Y in enumerate(out_tuples):
-        row_base = out_rank * md
-        for coeff, key, tr in terms(Y, module, degree):
-            col_base = rank(key) * md
-            if tr is None:
-                for k in range(md):
-                    add_at(rows[row_base + k], col_base + k, coeff)
-            elif tr[0] == "left":
-                i = tr[1]
-                for k in range(md):
-                    for j, lv in module.act_left(i, k).items():
-                        add_at(rows[row_base + j], col_base + k, coeff * lv)
-            else:
-                i = tr[1]
-                for k in range(md):
-                    for j, rv in module.act_right(k, i).items():
-                        add_at(rows[row_base + j], col_base + k, coeff * rv)
-    return Matrix(nrows, ncols, rows)
+        keys, rank, space, generator = ce_tuples, _ce_rank, ce_space_dim, _ce_generator
+    return _matrix(keys(dim, degree), md, lambda Y: rank(Y, dim), md,
+                   space(dim, md, degree + 1), generator(module, degree))
 
 
 def dl_delta_matrix(module: Bimodule, degree: int, max_degree: Optional[int] = None) -> Matrix:
@@ -380,79 +412,6 @@ def dl_delta_matrix(module: Bimodule, degree: int, max_degree: Optional[int] = N
 
 def ce_delta_matrix(module: Bimodule, degree: int, max_degree: Optional[int] = None) -> Matrix:
     return _assemble("ce", module, degree, max_degree)
-
-
-def dl_delta_lowdeg(f: Cochain, module: Bimodule) -> Cochain:
-    """Degrees 1..3 of the non-symmetric differential, written out literally.
-
-    This is an independent transcription of the low-degree formulas, kept as a
-    cross-check of the general routine; the two must agree wherever both apply.
-    """
-    if f.theory != "dl":
-        raise ValueError("dl_delta_lowdeg needs a 'dl' cochain")
-    _check_module(f, module)
-    alg = module.algebra
-    dim = alg.dim
-    n = f.degree
-
-    def F(*args: int) -> Vec:
-        return f.values.get(args, {})
-
-    def Fp(pos: int, prod: Vec, args: Key) -> Vec:
-        out: Vec = {}
-        for p, c in prod.items():
-            v = f.values.get(args[:pos] + (p,) + args[pos + 1:])
-            if v:
-                add_scaled(out, v, c)
-        return out
-
-    def L(i: int, vec: Vec) -> Vec:
-        out: Vec = {}
-        for k, v in vec.items():
-            add_scaled(out, module.act_left(i, k), v)
-        return out
-
-    def R(vec: Vec, i: int) -> Vec:
-        out: Vec = {}
-        for k, v in vec.items():
-            add_scaled(out, module.act_right(k, i), v)
-        return out
-
-    values: Dict[Key, Vec] = {}
-    if n == 1:
-        for x, y in dl_tuples(dim, 2):
-            acc = L(x, F(y))
-            add_scaled(acc, Fp(0, alg.product(x, y), (y,)), _NEG)
-            add_scaled(acc, R(F(x), y))
-            if acc:
-                values[(x, y)] = acc
-    elif n == 2:
-        for x, y, z in dl_tuples(dim, 3):
-            acc = L(x, F(y, z))
-            add_scaled(acc, L(x, F(z, y)))
-            add_scaled(acc, Fp(0, alg.product(x, y), (y, z)), _NEG)
-            add_scaled(acc, Fp(1, alg.product(y, z), (x, z)))
-            add_scaled(acc, Fp(1, alg.product(z, y), (x, z)))
-            add_scaled(acc, R(F(x, y), z), _NEG)
-            if acc:
-                values[(x, y, z)] = acc
-    elif n == 3:
-        for w, x, y, z in dl_tuples(dim, 4):
-            acc = L(w, F(x, y, z))
-            add_scaled(acc, L(w, F(y, z, x)), _NEG)
-            add_scaled(acc, L(w, F(y, x, z)))
-            add_scaled(acc, L(w, F(z, y, x)), _NEG)
-            add_scaled(acc, Fp(0, alg.product(w, x), (x, y, z)), _NEG)
-            add_scaled(acc, Fp(1, alg.product(x, y), (w, y, z)))
-            add_scaled(acc, Fp(1, alg.product(y, x), (w, y, z)))
-            add_scaled(acc, Fp(2, alg.product(y, z), (w, x, z)), _NEG)
-            add_scaled(acc, Fp(2, alg.product(z, y), (w, x, z)), _NEG)
-            add_scaled(acc, R(F(w, x, y), z))
-            if acc:
-                values[(w, x, y, z)] = acc
-    else:
-        raise ValueError("literal formulas cover degrees 1 to 3 only")
-    return Cochain("dl", n + 1, dim, module.dim, values)
 
 
 @dataclass

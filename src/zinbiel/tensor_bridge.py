@@ -16,37 +16,46 @@ cochain
         = sum over permutations s of sign(s) *
           [a_{s(1)}, ..., a_{s(n)}] (x) f(b_{s(1)}, ..., b_{s(n)}),
 
-with left-normed brackets. It intertwines the two differentials; this module
-verifies that numerically on seeded random cochains, and computes the rank
-bookkeeping that compares the two cohomologies through the quotient complex.
+with left-normed brackets. Like the differentials in complexes, psi is one
+term generator shared by its applied form and its matrix: from an input
+B-tuple it pairs up every g-tuple whose left-normed bracket is nonzero (a
+prefix with a zero bracket is never extended), so neither form looks at the
+output tuples that no term reaches. psi intertwines the two differentials;
+this module verifies that exactly on seeded random cochains, and computes the
+rank bookkeeping that compares the two cohomologies through the quotient
+complex.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebras import AxiomReport, Bimodule, FiniteAlgebra, check_axioms
 from .complexes import (
     CE_MAX_DEGREE,
     DL_MAX_DEGREE,
     Cochain,
-    _dl_rank,
+    Key,
+    Term,
+    Terms,
+    _apply,
+    _ce_rank,
+    _matrix,
+    _sort_sign,
     ce_delta,
     ce_delta_matrix,
     ce_space_dim,
-    ce_tuples,
     dl_delta,
     dl_delta_matrix,
     dl_space_dim,
+    dl_tuples,
     random_dl_cochain,
 )
 from .linalg import Matrix, format_scalar
-from .shuffles import permutation_sign
-from .sparsevec import Vec, add_at, add_scaled
+from .sparsevec import ONE, Vec, add_at, add_scaled
 
 BRACKET_BOUND_CAP = 16
 
@@ -145,16 +154,8 @@ def tensor_module(
     )
 
 
-@lru_cache(maxsize=None)
-def _perm_signs(n: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-    out = []
-    for perm in permutations(range(n)):
-        out.append((permutation_sign(tuple(p + 1 for p in perm)), perm))
-    return tuple(out)
-
-
 class TensorContext:
-    """One tensor construction with its memoized left-normed brackets."""
+    """One tensor construction: g, B, M, the Lie algebra g (x) B and its module g (x) M."""
 
     def __init__(self, g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, validate: bool = False):
         if M.algebra != B:
@@ -164,25 +165,7 @@ class TensorContext:
         self.M = M
         self.lie = tensor_lie(g, B, validate=validate)
         self.module = tensor_module(g, B, M, self.lie)
-        self._ln_cache: Dict[Tuple[int, ...], Vec] = {}
         self.bracket_bound = _bracket_length_bound(g)
-
-    def left_normed(self, seq: Tuple[int, ...]) -> Vec:
-        """[[...[x_1, x_2], ...], x_k] for basis indices of g, cached by prefix."""
-        if not seq:
-            raise ValueError("need at least one factor")
-        cached = self._ln_cache.get(seq)
-        if cached is not None:
-            return cached
-        if len(seq) == 1:
-            v: Vec = {seq[0]: Fraction(1)}
-        else:
-            v = {}
-            last = seq[-1]
-            for i, c in self.left_normed(seq[:-1]).items():
-                add_scaled(v, self.g.product(i, last), c)
-        self._ln_cache[seq] = v
-        return v
 
 
 def _bracket_length_bound(g: FiniteAlgebra, cap: int = BRACKET_BOUND_CAP) -> int:
@@ -205,72 +188,66 @@ def _bracket_length_bound(g: FiniteAlgebra, cap: int = BRACKET_BOUND_CAP) -> int
     return cap
 
 
+def _left_normed_brackets(g: FiniteAlgebra, n: int) -> List[Tuple[Key, Vec]]:
+    """Every n-tuple G of basis indices of g whose bracket [[G_1, G_2], ...] is nonzero, with it.
+
+    Built one letter at a time; a prefix whose bracket vanishes is dropped,
+    since every bracket extending it vanishes too.
+    """
+    level: List[Tuple[Key, Vec]] = [((i,), {i: ONE}) for i in range(g.dim)]
+    for _ in range(n - 1):
+        nxt = []
+        for G, v in level:
+            for j in range(g.dim):
+                w: Vec = {}
+                for i, c in v.items():
+                    add_scaled(w, g.product(i, j), c)
+                if w:
+                    nxt.append((G + (j,), w))
+        level = nxt
+    return level
+
+
+def _psi_generator(ctx: TensorContext, n: int) -> Terms:
+    """Terms of psi at degree n, read from an input B-tuple X.
+
+    Each g-tuple G with nonzero bracket L pairs up with X into the tensor
+    indices G_j * B.dim + X_j; sorted, they give the output tuple T and the
+    sign of the sorting permutation, and m_k goes to sign * L (x) m_k. A
+    repeated index drops the term, as the output is alternating.
+    """
+    bd, md = ctx.B.dim, ctx.M.dim
+    brackets = [
+        (G, {k: {ga * md + k: c for ga, c in L.items()} for k in range(md)})
+        for G, L in _left_normed_brackets(ctx.g, n)
+    ]
+
+    def terms(X: Key) -> Iterator[Term]:
+        for G, block in brackets:
+            sign, T = _sort_sign(tuple(a * bd + b for a, b in zip(G, X)))
+            if sign:
+                yield Fraction(sign), T, block
+
+    return terms
+
+
 def psi_apply(ctx: TensorContext, f: Cochain) -> Cochain:
     """The alternating image of a degree-n cochain on B under the map above."""
     if f.theory != "dl":
         raise ValueError("psi consumes 'dl' cochains")
     if f.algebra_dim != ctx.B.dim or f.module_dim != ctx.M.dim:
         raise ValueError("cochain dimensions do not match the context")
-    n = f.degree
-    tdim = ctx.lie.dim
-    tmd = ctx.module.dim
-    if n > ctx.bracket_bound:
-        return Cochain("ce", n, tdim, tmd, {})
-    bd = ctx.B.dim
-    md = ctx.M.dim
-    values: Dict[Tuple[int, ...], Vec] = {}
-    signs = _perm_signs(n)
-    for T in ce_tuples(tdim, n):
-        pairs = [divmod(t, bd) for t in T]
-        acc: Vec = {}
-        for sgn, perm in signs:
-            bs = tuple(pairs[p][1] for p in perm)
-            fv = f.values.get(bs)
-            if not fv:
-                continue
-            gs = tuple(pairs[p][0] for p in perm)
-            lv = ctx.left_normed(gs)
-            if not lv:
-                continue
-            for ga, ca in lv.items():
-                base = ga * md
-                c2 = ca if sgn == 1 else -ca
-                for mk, cv in fv.items():
-                    add_at(acc, base + mk, c2 * cv)
-        if acc:
-            values[T] = acc
-    return Cochain("ce", n, tdim, tmd, values)
+    values = _apply(f.values, _psi_generator(ctx, f.degree))
+    return Cochain("ce", f.degree, ctx.lie.dim, ctx.module.dim, values)
 
 
 def psi_matrix(ctx: TensorContext, degree: int) -> Matrix:
     """Matrix of psi at one degree, in the standard basis orders of both sides."""
     if degree < 1:
         raise ValueError("psi starts at degree 1")
-    tdim = ctx.lie.dim
-    tmd = ctx.module.dim
-    bd = ctx.B.dim
-    md = ctx.M.dim
-    nrows = ce_space_dim(tdim, tmd, degree)
-    ncols = dl_space_dim(bd, md, degree)
-    rows: List[Vec] = [dict() for _ in range(nrows)]
-    if degree > ctx.bracket_bound:
-        return Matrix(nrows, ncols, rows)
-    signs = _perm_signs(degree)
-    for out_rank, T in enumerate(ce_tuples(tdim, degree)):
-        pairs = [divmod(t, bd) for t in T]
-        for sgn, perm in signs:
-            gs = tuple(pairs[p][0] for p in perm)
-            lv = ctx.left_normed(gs)
-            if not lv:
-                continue
-            bs = tuple(pairs[p][1] for p in perm)
-            col_base = _dl_rank(bs, bd) * md
-            for ga, ca in lv.items():
-                row_base = out_rank * tmd + ga * md
-                c2 = ca if sgn == 1 else -ca
-                for mk in range(md):
-                    add_at(rows[row_base + mk], col_base + mk, c2)
-    return Matrix(nrows, ncols, rows)
+    tdim, tmd = ctx.lie.dim, ctx.module.dim
+    return _matrix(dl_tuples(ctx.B.dim, degree), ctx.M.dim, lambda T: _ce_rank(T, tdim), tmd,
+                   ce_space_dim(tdim, tmd, degree), _psi_generator(ctx, degree))
 
 
 @dataclass

@@ -6,12 +6,16 @@ is a second route to the same numbers, not speed.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 from typing import Callable, Dict, List, Tuple
 
 from zinbiel import Cochain
 from zinbiel.algebras import Bimodule
-from zinbiel.complexes import cochain_to_vector, dl_space_dim, dl_tuples
+from zinbiel.complexes import Key, _check_module, cochain_to_vector, dl_space_dim, dl_tuples
+from zinbiel.sparsevec import Vec, add_scaled
+from zinbiel.tensor_bridge import TensorContext
+
+_NEG = Fraction(-1)
 
 
 def dense_rref(rows: List[List[Fraction]]) -> List[Tuple[int, List[Fraction]]]:
@@ -168,3 +172,146 @@ def ce_delta2_adjoint(table: LieTable, dim: int, f):
         add(_bracket(table, {z: one}, ev(x, y)), Fraction(1))
         out[(x, y, z)] = term
     return out
+
+
+def dl_delta_lowdeg(f: Cochain, module: Bimodule) -> Cochain:
+    """Degrees 1..3 of the non-symmetric differential, written out literally.
+
+    This is an independent transcription of the low-degree formulas, kept as a
+    cross-check of the general routine; the two must agree wherever both apply.
+    """
+    if f.theory != "dl":
+        raise ValueError("dl_delta_lowdeg needs a 'dl' cochain")
+    _check_module(f, module)
+    alg = module.algebra
+    dim = alg.dim
+    n = f.degree
+
+    def F(*args: int) -> Vec:
+        return f.values.get(args, {})
+
+    def Fp(pos: int, prod: Vec, args: Key) -> Vec:
+        out: Vec = {}
+        for p, c in prod.items():
+            v = f.values.get(args[:pos] + (p,) + args[pos + 1:])
+            if v:
+                add_scaled(out, v, c)
+        return out
+
+    def L(i: int, vec: Vec) -> Vec:
+        out: Vec = {}
+        for k, v in vec.items():
+            add_scaled(out, module.act_left(i, k), v)
+        return out
+
+    def R(vec: Vec, i: int) -> Vec:
+        out: Vec = {}
+        for k, v in vec.items():
+            add_scaled(out, module.act_right(k, i), v)
+        return out
+
+    values: Dict[Key, Vec] = {}
+    if n == 1:
+        for x, y in dl_tuples(dim, 2):
+            acc = L(x, F(y))
+            add_scaled(acc, Fp(0, alg.product(x, y), (y,)), _NEG)
+            add_scaled(acc, R(F(x), y))
+            if acc:
+                values[(x, y)] = acc
+    elif n == 2:
+        for x, y, z in dl_tuples(dim, 3):
+            acc = L(x, F(y, z))
+            add_scaled(acc, L(x, F(z, y)))
+            add_scaled(acc, Fp(0, alg.product(x, y), (y, z)), _NEG)
+            add_scaled(acc, Fp(1, alg.product(y, z), (x, z)))
+            add_scaled(acc, Fp(1, alg.product(z, y), (x, z)))
+            add_scaled(acc, R(F(x, y), z), _NEG)
+            if acc:
+                values[(x, y, z)] = acc
+    elif n == 3:
+        for w, x, y, z in dl_tuples(dim, 4):
+            acc = L(w, F(x, y, z))
+            add_scaled(acc, L(w, F(y, z, x)), _NEG)
+            add_scaled(acc, L(w, F(y, x, z)))
+            add_scaled(acc, L(w, F(z, y, x)), _NEG)
+            add_scaled(acc, Fp(0, alg.product(w, x), (x, y, z)), _NEG)
+            add_scaled(acc, Fp(1, alg.product(x, y), (w, y, z)))
+            add_scaled(acc, Fp(1, alg.product(y, x), (w, y, z)))
+            add_scaled(acc, Fp(2, alg.product(y, z), (w, x, z)), _NEG)
+            add_scaled(acc, Fp(2, alg.product(z, y), (w, x, z)), _NEG)
+            add_scaled(acc, R(F(w, x, y), z))
+            if acc:
+                values[(w, x, y, z)] = acc
+    else:
+        raise ValueError("literal formulas cover degrees 1 to 3 only")
+    return Cochain("dl", n + 1, dim, module.dim, values)
+
+
+def _inversion_sign(seq) -> int:
+    inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
+
+
+def _alternating_value(f: Cochain, args) -> Vec:
+    """f at any argument tuple: its value at the sorted tuple times the sorting sign.
+
+    A repeated argument sorts to a tuple that is never stored, so it gives zero.
+    """
+    vec = f.values.get(tuple(sorted(args)))
+    if not vec:
+        return {}
+    sign = _inversion_sign(args)
+    return {k: sign * v for k, v in vec.items()}
+
+
+def ce_delta_gather(f: Cochain, module: Bimodule) -> Cochain:
+    """The alternating differential, literally, at every increasing output tuple:
+
+    (delta f)(y_0..y_n) = sum_{a<b} (-1)^(a+b) f([y_a, y_b], y_0..^a..^b..y_n)
+                        + sum_a (-1)^a y_a f(y_0..^a..y_n).
+    """
+    alg = module.algebra
+    n = f.degree
+    values: Dict[Tuple[int, ...], Vec] = {}
+    for Y in combinations(range(alg.dim), n + 1):
+        acc: Vec = {}
+        for a, b in combinations(range(n + 1), 2):
+            rest = Y[:a] + Y[a + 1: b] + Y[b + 1:]
+            sign = -1 if (a + b) % 2 else 1
+            for p, c in alg.product(Y[a], Y[b]).items():
+                add_scaled(acc, _alternating_value(f, (p,) + rest), sign * c)
+        for a in range(n + 1):
+            sign = -1 if a % 2 else 1
+            for k, v in _alternating_value(f, Y[:a] + Y[a + 1:]).items():
+                add_scaled(acc, module.act_left(Y[a], k), sign * v)
+        if acc:
+            values[Y] = acc
+    return Cochain("ce", n + 1, alg.dim, module.dim, values)
+
+
+def psi_gather(ctx: TensorContext, f: Cochain) -> Cochain:
+    """psi at every increasing tuple of g (x) B basis indices, literally:
+
+    psi(f)(a_1 (x) b_1, ..., a_n (x) b_n) = sum over permutations s of
+        sign(s) [[a_s(1), a_s(2)], ..., a_s(n)] (x) f(b_s(1), ..., b_s(n)).
+    """
+    g, bd, md = ctx.g, ctx.B.dim, ctx.M.dim
+    n = f.degree
+    values: Dict[Tuple[int, ...], Vec] = {}
+    for T in combinations(range(ctx.lie.dim), n):
+        pairs = [divmod(t, bd) for t in T]
+        acc: Vec = {}
+        for perm in permutations(range(n)):
+            fv = f.values.get(tuple(pairs[p][1] for p in perm))
+            if not fv:
+                continue
+            bracket = {pairs[perm[0]][0]: Fraction(1)}
+            for p in perm[1:]:
+                bracket = _bracket(g.products, bracket, {pairs[p][0]: Fraction(1)})
+            sign = _inversion_sign(perm)
+            for ga, ca in bracket.items():
+                for k, v in fv.items():
+                    add_scaled(acc, {ga * md + k: ca * v}, sign)
+        if acc:
+            values[T] = acc
+    return Cochain("ce", n, ctx.lie.dim, ctx.module.dim, values)

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
+from _oracles import dl_delta_lowdeg
 from test_free_leibniz import all_words, rewrite_bracket
 
 from zinbiel import (
@@ -19,7 +20,6 @@ from zinbiel import (
     check_axioms,
     cohomology_dims,
     dl_delta,
-    dl_delta_lowdeg,
     dl_delta_matrix,
     perturbed_b2,
     random_dl_cochain,

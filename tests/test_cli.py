@@ -263,6 +263,15 @@ def test_missing_file(capsys):
     assert "no such file" in err and "builtin:" in err
 
 
+@pytest.mark.parametrize("content", [b"[1, 2]\n", b"\xff\xfe{"], ids=["list", "not-utf8"])
+def test_malformed_file_names_its_path_once(capsys, tmp_path, content):
+    path = tmp_path / "top.json"
+    path.write_bytes(content)
+    code, _, err = run(capsys, ["check", str(path)])
+    assert code == 2
+    assert err.startswith("error: ") and err.count(str(path)) == 1
+
+
 def test_reproduce_text(capsys):
     code, out, _ = run(capsys, ["reproduce", "example-4-6"])
     assert code == 0

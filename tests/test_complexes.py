@@ -15,6 +15,7 @@ from _oracles import (
     ce_delta2_adjoint,
     dense_delta_matrix,
     dense_rank,
+    dl_delta_lowdeg,
 )
 from zinbiel import (
     Cochain,
@@ -25,7 +26,6 @@ from zinbiel import (
     cochain_to_vector,
     cohomology_dims,
     dl_delta,
-    dl_delta_lowdeg,
     dl_delta_matrix,
     dl_space_dim,
     perturbed_b2,

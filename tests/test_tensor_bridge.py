@@ -7,24 +7,27 @@ take honest ranks of what remains, and compare.
 """
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
-from _oracles import dense_rank
+from _oracles import ce_delta_gather, dense_rank, dl_delta_lowdeg, psi_gather
 from zinbiel import (
     Cochain,
     FiniteAlgebra,
     builtin,
+    ce_delta,
     ce_delta_matrix,
     check_axioms,
     cochain_to_vector,
     cohomology_dims,
+    dl_delta,
     dl_delta_matrix,
     perturbed_b2,
     random_dl_cochain,
     regular,
 )
-from zinbiel.complexes import ce_space_dim, dl_space_dim, dl_tuples
+from zinbiel.complexes import ce_space_dim, ce_tuples, dl_space_dim, dl_tuples
 from zinbiel.linalg import Matrix
 from zinbiel.sparsevec import add_scaled
 from zinbiel.tensor_bridge import (
@@ -151,6 +154,65 @@ def test_psi_matrix_columns_match_psi_apply():
     assert col == mat.ncols == 8
 
 
+# (leibniz, zinbiel, dl and psi degrees, ce degrees on the tensor module)
+ORACLE_CASES = [
+    pytest.param(g, b, degrees, ce_degrees, id=f"{g}-{b}")
+    for g, b, degrees, ce_degrees in (
+        ("leibniz2", "B2", (1, 2, 3), (0, 1, 2, 3)),
+        ("lie2", "polyzinbiel(2)", (1, 2, 3), (0, 1, 2, 3)),
+        ("freeleibniz(2,2)", "B3", (1, 2, 3), (0, 1)),
+        ("freeleibniz(2,3)", "B2", (1, 2, 3), (0, 1)),
+        ("leibniz2", "perturbed_b2", (1, 2, 3), (0, 1, 2, 3)),
+    )
+]
+
+
+def _seeded_cochain(theory, degree, dim, md, density, rng):
+    keys = dl_tuples if theory == "dl" else ce_tuples
+    values = {
+        key: {k: Fraction(rng.randint(-9, 9)) for k in range(md)}
+        for key in keys(dim, degree)
+        if rng.random() < density
+    }
+    return Cochain(theory, degree, dim, md, values)
+
+
+def _columns_match(mat, oracle, theory, degree, dim, md):
+    keys = dl_tuples if theory == "dl" else ce_tuples
+    want = [
+        cochain_to_vector(oracle(Cochain(theory, degree, dim, md, {key: {k: Fraction(1)}})))
+        for key in keys(dim, degree)
+        for k in range(md)
+    ]
+    return mat.transpose().rows == want
+
+
+@pytest.mark.parametrize("g_name,b_name,degrees,ce_degrees", ORACLE_CASES)
+def test_kernels_match_gather_oracles(g_name, b_name, degrees, ce_degrees):
+    # psi, delta_DL and delta_CE, applied to seeded dense and 10%-support
+    # cochains and as matrices column by column, against literal gather sums
+    B = perturbed_b2() if b_name == "perturbed_b2" else builtin(b_name)
+    M = regular(B)
+    ctx = TensorContext(builtin(g_name), B, M)
+    T, tdim = ctx.module, ctx.lie.dim
+    rng = Random(f"{g_name}|{b_name}")
+    for n in degrees:
+        for density in (1.0, 0.1):
+            f = _seeded_cochain("dl", n, B.dim, M.dim, density, rng)
+            assert psi_apply(ctx, f) == psi_gather(ctx, f)
+            assert dl_delta(f, M) == dl_delta_lowdeg(f, M)
+        assert _columns_match(psi_matrix(ctx, n), lambda e: psi_gather(ctx, e),
+                              "dl", n, B.dim, M.dim)
+        assert _columns_match(dl_delta_matrix(M, n), lambda e: dl_delta_lowdeg(e, M),
+                              "dl", n, B.dim, M.dim)
+    for n in ce_degrees:
+        for density in (1.0, 0.1):
+            h = _seeded_cochain("ce", n, tdim, T.dim, density, rng)
+            assert ce_delta(h, T) == ce_delta_gather(h, T)
+        assert _columns_match(ce_delta_matrix(T, n), lambda e: ce_delta_gather(e, T),
+                              "ce", n, tdim, T.dim)
+
+
 def test_embedding_ranks():
     # full column rank whenever the truncation is deep enough for the degree
     assert psi_matrix(make_ctx("freeleibniz(2,1)"), 1).rank() == 4
@@ -211,6 +273,21 @@ def test_verify_chain_map_passes(degree):
     assert report.passed and report.axioms_ok
     assert report.failed_trials == [] and report.witness is None
     assert set(report.axioms) == {"g_leibniz", "b_zinbiel", "tensor_lie", "tensor_lie_module"}
+
+
+def test_chain_map_with_both_sides_nonzero():
+    # at the criterion-2 grid's top degree both sides are zero; here psi is
+    # nonzero in degrees 3 and 4, so the identity compares real cochains
+    g, B = builtin("freeleibniz(2,4)"), builtin("B3")
+    M = regular(B)
+    report = verify_chain_map(g, B, M, 3, trials=3)
+    assert report.passed and report.axioms_ok
+    ctx = TensorContext(g, B, M)
+    f = random_dl_cochain(B.dim, M.dim, 3, Random(0))
+    lhs = ce_delta(psi_apply(ctx, f), ctx.module)
+    rhs = psi_apply(ctx, dl_delta(f, M))
+    assert lhs == rhs
+    assert len(lhs.values) == len(rhs.values) == 15
 
 
 def test_verify_chain_map_flags_broken_input():
