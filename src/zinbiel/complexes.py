@@ -25,6 +25,7 @@ consumers share every generator (tensor_bridge's psi uses them too):
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -262,8 +263,11 @@ def _matrix(
     nrows: int,
     terms: Terms,
 ) -> Matrix:
-    """Matrix of a map; in_keys come in basis order, so column (X, k) is the image of e_X (x) m_k."""
-    rows: List[Vec] = [dict() for _ in range(nrows)]
+    """Matrix of a map; in_keys come in basis order, so column (X, k) is the image of e_X (x) m_k.
+
+    Only the rows the terms reach get a dict; the rest stay EMPTY_ROW.
+    """
+    rows: Dict[int, Vec] = defaultdict(dict)
     col_base = 0
     for X in in_keys:
         for coeff, Y, block in terms(X):
@@ -272,7 +276,7 @@ def _matrix(
                 for j, v in img.items():
                     add_at(rows[row_base + j], col_base + k, coeff * v)
         col_base += in_md
-    return Matrix(nrows, col_base, rows)
+    return Matrix.from_nonempty(nrows, col_base, rows)
 
 
 def _preimages(alg: FiniteAlgebra) -> Dict[int, List[Tuple[int, int, Fraction]]]:

@@ -1,18 +1,25 @@
 """Exact linear algebra over the rationals.
 
-Matrices are stored row-sparse: a list of {column: Fraction} dicts holding no
-explicit zeros. Rank uses forward elimination with leading-column pivoting;
-nullspace and constraint extraction go through the fully reduced form.
-Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each row is
-cleared of denominators and kept as a primitive integer row, and Fractions
-are built only when a reduced row is returned, so every result is an exact
-Fraction. Pivot choice depends only on the matrix entries, so runs are
-deterministic.
+Matrices are stored row-sparse: a list of {column: Fraction} mappings holding
+no explicit zeros, one per row. Every empty row is the one shared read-only
+EMPTY_ROW, so a tall matrix with few nonzeros costs a list slot per row and a
+dict only per nonempty row. Rows are never mutated in place: writers build a
+new row and replace the old one.
+
+Rank uses forward elimination with leading-column pivoting; nullspace and
+constraint extraction go through the fully reduced form. Elimination is
+fraction-free (Bareiss, Math. Comp. 22, 1968): each row is cleared of
+denominators and kept as a primitive integer row, and Fractions are built
+only when a reduced row is returned, so every result is an exact Fraction.
+Pivot choice depends only on the matrix entries, so runs are deterministic.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .sparsevec import Vec, add_scaled
@@ -20,6 +27,16 @@ from .sparsevec import Vec, add_scaled
 Scalar = Union[int, str, Fraction]
 
 _ONE = Fraction(1)
+
+Row = Mapping[int, Fraction]
+
+# The row object of every empty row of every Matrix.
+EMPTY_ROW: Row = MappingProxyType({})
+
+
+def _nonempty(rows: Sequence[Row]) -> Iterator[Tuple[int, Row]]:
+    """(index, row) for the nonempty rows, skipping the empty ones in C."""
+    return compress(enumerate(rows), rows)
 
 
 def parse_scalar(value: Scalar) -> Fraction:
@@ -72,7 +89,7 @@ def _cancel(row: IntRow, piv: IntRow, col: int) -> IntRow:
     return _primitive(row) if row else row
 
 
-def _eliminate(rows: Sequence[Vec], reduce_full: bool) -> Dict[int, IntRow]:
+def _eliminate(rows: Sequence[Row], reduce_full: bool) -> Dict[int, IntRow]:
     """Eliminate rows into {pivot column: primitive integer row}.
 
     Each incoming nonzero row is scaled by the lcm of its denominators to a
@@ -103,7 +120,7 @@ def _eliminate(rows: Sequence[Vec], reduce_full: bool) -> Dict[int, IntRow]:
     return pivots
 
 
-def _reduced(rows: Sequence[Vec]) -> List[Tuple[int, Vec]]:
+def _reduced(rows: Sequence[Row]) -> List[Tuple[int, Vec]]:
     """Reduced echelon form as (pivot column, unit-pivot Fraction row) pairs."""
     pivots = _eliminate(rows, reduce_full=True)
     out = []
@@ -115,21 +132,40 @@ def _reduced(rows: Sequence[Vec]) -> List[Tuple[int, Vec]]:
 
 
 class Matrix:
-    """Row-sparse matrix of Fractions."""
+    """Row-sparse matrix of Fractions.
+
+    rows is a list of nrows {column: Fraction} mappings; every empty one is
+    EMPTY_ROW. A row is never mutated in place: set() and the builders write
+    fresh dicts.
+    """
 
     __slots__ = ("nrows", "ncols", "rows", "_rank")
 
-    def __init__(self, nrows: int, ncols: int, rows: Optional[List[Vec]] = None):
+    def __init__(self, nrows: int, ncols: int, rows: Optional[List[Row]] = None):
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if rows is None:
-            rows = [dict() for _ in range(nrows)]
+            rows = [EMPTY_ROW] * nrows
         elif len(rows) != nrows:
             raise ValueError(f"expected {nrows} rows, got {len(rows)}")
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
         self._rank: Optional[int] = None
+
+    @classmethod
+    def from_nonempty(cls, nrows: int, ncols: int, touched: Mapping[int, Vec]) -> "Matrix":
+        """Build from {row index: row dict}; unlisted and empty rows become EMPTY_ROW.
+
+        The row dicts are taken over, not copied.
+        """
+        rows = [EMPTY_ROW] * nrows
+        for i, row in touched.items():
+            if not 0 <= i < nrows:
+                raise ValueError(f"row index {i} out of range for {nrows} rows")
+            if row:
+                rows[i] = row
+        return cls(nrows, ncols, rows)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]], ncols: Optional[int] = None) -> "Matrix":
@@ -140,23 +176,32 @@ class Matrix:
         for row in dense:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
-        sparse = [{j: x for j, x in enumerate(row) if x} for row in dense]
+        sparse = [{j: x for j, x in enumerate(row) if x} or EMPTY_ROW for row in dense]
         return cls(len(dense), ncols, sparse)
 
     @classmethod
-    def from_cols(cls, cols: Sequence[Union[Vec, Sequence[Scalar]]], nrows: int) -> "Matrix":
-        """Build from columns, each a sparse {row: value} dict or a dense list.
+    def from_cols(cls, cols: Sequence[Union[Row, Sequence[Scalar]]], nrows: int) -> "Matrix":
+        """Build from columns, each a sparse {row: value} mapping or a dense list.
 
-        Entries may be ints, strings, or Fractions, as in from_rows.
+        Entries may be ints, strings, or Fractions, as in from_rows. A row
+        index outside 0..nrows-1, or a dense column whose length is not nrows,
+        raises ValueError.
         """
-        rows: List[Vec] = [dict() for _ in range(nrows)]
+        touched: Dict[int, Vec] = {}
         for j, col in enumerate(cols):
-            items = col.items() if isinstance(col, dict) else enumerate(col)
+            if isinstance(col, Mapping):
+                items = col.items()
+            elif len(col) != nrows:
+                raise ValueError(f"column {j} has {len(col)} entries, expected {nrows}")
+            else:
+                items = enumerate(col)
             for i, x in items:
+                if not 0 <= i < nrows:
+                    raise ValueError(f"column {j}: row index {i} out of range for {nrows} rows")
                 v = parse_scalar(x)
                 if v:
-                    rows[i][j] = v
-        return cls(nrows, len(cols), rows)
+                    touched.setdefault(i, {})[j] = v
+        return cls.from_nonempty(nrows, len(cols), touched)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -169,10 +214,12 @@ class Matrix:
     def set(self, r: int, c: int, value: Scalar) -> None:
         self._check_index(r, c)
         v = parse_scalar(value)
+        row = dict(self.rows[r])
         if v:
-            self.rows[r][c] = v
+            row[c] = v
         else:
-            self.rows[r].pop(c, None)
+            row.pop(c, None)
+        self.rows[r] = row or EMPTY_ROW
         self._rank = None
 
     def _check_index(self, r: int, c: int) -> None:
@@ -181,10 +228,10 @@ class Matrix:
 
     @property
     def num_nonzero(self) -> int:
-        return sum(len(row) for row in self.rows)
+        return sum(map(len, self.rows))
 
     def is_zero(self) -> bool:
-        return all(not row for row in self.rows)
+        return not any(self.rows)
 
     def to_dense(self) -> List[List[Fraction]]:
         zero = Fraction(0)
@@ -197,36 +244,35 @@ class Matrix:
         return out
 
     def transpose(self) -> "Matrix":
-        rows: List[Vec] = [dict() for _ in range(self.ncols)]
-        for i, row in enumerate(self.rows):
+        cols: Dict[int, Vec] = {}
+        for i, row in _nonempty(self.rows):
             for j, v in row.items():
-                rows[j][i] = v
-        return Matrix(self.ncols, self.nrows, rows)
+                cols.setdefault(j, {})[i] = v
+        return Matrix.from_nonempty(self.ncols, self.nrows, cols)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise ValueError("hstack needs equal row counts")
         shift = self.ncols
-        rows = []
-        for a, b in zip(self.rows, other.rows):
-            r = dict(a)
+        touched = {i: dict(a) for i, a in _nonempty(self.rows)}
+        for i, b in _nonempty(other.rows):
+            row = touched.setdefault(i, {})
             for c, v in b.items():
-                r[c + shift] = v
-            rows.append(r)
-        return Matrix(self.nrows, self.ncols + other.ncols, rows)
+                row[c + shift] = v
+        return Matrix.from_nonempty(self.nrows, self.ncols + other.ncols, touched)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: {self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}"
             )
-        out_rows: List[Vec] = []
-        for row in self.rows:
+        touched: Dict[int, Vec] = {}
+        for i, row in _nonempty(self.rows):
             acc: Vec = {}
             for c, v in row.items():
                 add_scaled(acc, other.rows[c], v)
-            out_rows.append(acc)
-        return Matrix(self.nrows, other.ncols, out_rows)
+            touched[i] = acc
+        return Matrix.from_nonempty(self.nrows, other.ncols, touched)
 
     def mul_vec(self, vec: Sequence[Fraction]) -> List[Fraction]:
         if len(vec) != self.ncols:

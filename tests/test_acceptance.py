@@ -26,7 +26,7 @@ from zinbiel import (
     regular,
     verify_chain_map,
 )
-from zinbiel.cli import DIFFER_LABEL, MATCH_LABEL, reproduce_example_4_6
+from zinbiel.reproduce import DIFFER_LABEL, MATCH_LABEL, reproduce_example_4_6
 from zinbiel.shuffles import leibniz_expansion, signed_shuffle_terms
 from zinbiel.tensor_bridge import (
     PsiNotInjectiveError,

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import dense_nullspace, dense_rank, dense_rref
 from zinbiel import Matrix, builtin, dl_delta_matrix, format_scalar, parse_scalar, regular
+from zinbiel.linalg import EMPTY_ROW
 from zinbiel.sparsevec import to_dense
 
 
@@ -134,6 +135,86 @@ def test_from_cols_parses_like_from_rows():
             Matrix.from_rows([[bad]])
     m = Matrix.from_cols([{1: "2/3"}, [1, 0]], 2)
     assert m.to_dense() == [[0, 1], [Fraction(2, 3), 0]]
+
+
+def test_from_cols_rejects_row_index_out_of_range():
+    for bad in (-1, 3, 5):
+        with pytest.raises(ValueError, match=rf"column 0: row index {bad} "):
+            Matrix.from_cols([{bad: 3}, {0: 1}], 3)
+
+
+def test_from_cols_rejects_dense_column_of_wrong_length():
+    for col in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match=rf"column 1 has {len(col)} entries"):
+            Matrix.from_cols([[0, 0, 1], col], 3)
+
+
+def test_empty_rows_are_shared_and_never_written_through():
+    m = Matrix(3, 5)
+    assert all(row is EMPTY_ROW for row in m.rows)
+    m.set(1, 2, "7/3")
+    assert m.get(1, 2) == Fraction(7, 3)
+    assert m.rows[0] is EMPTY_ROW and m.rows[2] is EMPTY_ROW
+    assert not EMPTY_ROW and Matrix(3, 5).is_zero()
+    m.set(1, 2, 0)
+    assert m == Matrix(3, 5)
+    assert m.rows[1] is EMPTY_ROW
+    with pytest.raises(TypeError):
+        EMPTY_ROW[0] = Fraction(1)
+
+    a = Matrix.from_rows([[1, 0], [0, 0], [0, 2]])
+    b = Matrix.from_rows([[0, 3], [0, 0], [4, 0]])
+    eye = Matrix.identity(2)
+    cols = [{0: Fraction(1)}, {2: Fraction(5)}]
+    before = (a.to_dense(), b.to_dense(), eye.to_dense(), [dict(c) for c in cols])
+    for out in (a.hstack(b), a.transpose(), a.mul(eye), Matrix.from_cols(cols, 3)):
+        for r in range(out.nrows):
+            for c in range(out.ncols):
+                out.set(r, c, r * out.ncols + c + 1)
+        assert (a.to_dense(), b.to_dense(), eye.to_dense(), cols) == before
+
+
+def _dense_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a]
+
+
+@settings(deadline=None)
+@given(rational_matrices(), st.data())
+def test_constructors_match_dense_oracle(rows, data):
+    nrows, ncols = len(rows), len(rows[0])
+    cols = [list(col) for col in zip(*rows)]
+    width = data.draw(st.integers(1, 4))
+    other = data.draw(st.lists(
+        st.lists(rationals, min_size=width, max_size=width), min_size=ncols, max_size=ncols
+    ))
+    m = Matrix.from_rows(rows)
+    sparse_cols = [{i: x for i, x in enumerate(col) if x} for col in cols]
+    built = [
+        (m, rows),
+        (m.transpose(), cols),
+        (m.hstack(Matrix.from_rows(rows[::-1])), [r + s for r, s in zip(rows, rows[::-1])]),
+        (m.mul(Matrix.from_rows(other)), _dense_mul(rows, other)),
+        (Matrix.from_cols(cols, nrows), rows),
+        (Matrix.from_cols(sparse_cols, nrows), rows),
+    ]
+    for out, want in built:
+        assert out.to_dense() == want
+        assert len(out.rows) == out.nrows
+        assert all(row is EMPTY_ROW for row in out.rows if not row)
+
+    r = data.draw(st.integers(0, nrows - 1))
+    c = data.draw(st.integers(0, ncols - 1))
+    value = data.draw(rationals)
+    edited = Matrix.from_rows(rows)
+    edited.set(r, c, value)
+    want = [list(row) for row in rows]
+    want[r][c] = value
+    assert edited.to_dense() == want
+    assert all(row is EMPTY_ROW for row in edited.rows if not row)
+    edited.set(r, c, rows[r][c])
+    assert edited == m
+    assert all(row is EMPTY_ROW for row in edited.rows if not row)
 
 
 @settings(deadline=None)

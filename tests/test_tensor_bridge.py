@@ -6,6 +6,7 @@ scratch: reduce the embedded image out of each Chevalley-Eilenberg space,
 take honest ranks of what remains, and compare.
 """
 
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -258,6 +259,27 @@ def _psi_column_rank(g_name, degree):
 @pytest.mark.parametrize("g_name", ["freeleibniz(2,4)", "freeleibniz(3,3)"])
 def test_embedding_recovers_full_rank_beyond_the_boundary(g_name):
     assert _psi_column_rank(g_name, 3) == 16
+
+
+def test_tall_sparse_psi_matrix_stays_small():
+    # 2,053,200 rows, 352 of them nonempty: every empty row is the one shared
+    # EMPTY_ROW, so the matrix, its rank and its hstack cost about one list
+    # slot per row; a dict per row would take over 250 MB here
+    ctx = make_ctx("freeleibniz(2,4)")
+    tracemalloc.start()
+    try:
+        m = psi_matrix(ctx, 3)
+        rank = m.rank()
+        stacked = m.hstack(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (m.nrows, m.ncols) == (2_053_200, 16)
+    assert rank == 16
+    assert m.num_nonzero == 536
+    assert sum(1 for row in m.rows if row) == 352
+    assert (stacked.nrows, stacked.ncols, stacked.num_nonzero) == (2_053_200, 32, 1072)
+    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_bracket_bounds():
