@@ -47,13 +47,17 @@ CE_MAX_DEGREE = 5
 _NEG = Fraction(-1)
 
 
-def _check_degree(theory: str, degree: int, max_degree: Optional[int]) -> None:
+def _check_start(theory: str, degree: int) -> None:
     lo = 1 if theory == "dl" else 0
+    if degree < lo:
+        raise ValueError(f"{theory} cochains start at degree {lo}, got {degree}")
+
+
+def _check_degree(theory: str, degree: int, max_degree: Optional[int]) -> None:
+    _check_start(theory, degree)
     cap = max_degree if max_degree is not None else (
         DL_MAX_DEGREE if theory == "dl" else CE_MAX_DEGREE
     )
-    if degree < lo:
-        raise ValueError(f"{theory} cochains start at degree {lo}, got {degree}")
     if degree > cap:
         raise ValueError(
             f"{theory} degree {degree} is over the cap {cap}; raise max_degree to allow it"
@@ -73,10 +77,7 @@ class Cochain:
     def __post_init__(self) -> None:
         if self.theory not in ("dl", "ce"):
             raise ValueError(f"theory must be 'dl' or 'ce', got {self.theory!r}")
-        if self.theory == "dl" and self.degree < 1:
-            raise ValueError("dl cochains start at degree 1")
-        if self.theory == "ce" and self.degree < 0:
-            raise ValueError("ce cochains start at degree 0")
+        _check_start(self.theory, self.degree)
         clean: Dict[Key, Vec] = {}
         for key, vec in self.values.items():
             if len(key) != self.degree:

@@ -43,6 +43,7 @@ from .complexes import (
     Terms,
     _apply,
     _ce_rank,
+    _check_degree,
     _matrix,
     _sort_sign,
     ce_delta,
@@ -320,6 +321,7 @@ def verify_chain_map(
     tensor algebra, because the equality is insensitive to some broken inputs
     while the axioms are not.
     """
+    _check_degree("dl", degree, None)
     if trials < 1:
         raise ValueError("need at least one trial")
     ctx = TensorContext(g, B, M)

@@ -6,11 +6,20 @@ is a second route to the same numbers, not speed.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations, product
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from zinbiel import Cochain
-from zinbiel.algebras import Bimodule
+from zinbiel.algebras import (
+    AxiomReport,
+    Bimodule,
+    Case,
+    FiniteAlgebra,
+    _bilinear,
+    _units,
+    _vec_display,
+)
 from zinbiel.complexes import Key, _check_module, cochain_to_vector, dl_space_dim, dl_tuples
 from zinbiel.sparsevec import Vec, add_scaled
 from zinbiel.tensor_bridge import TensorContext
@@ -315,3 +324,148 @@ def psi_gather(ctx: TensorContext, f: Cochain) -> Cochain:
         if acc:
             values[T] = acc
     return Cochain("ce", n, ctx.lie.dim, ctx.module.dim, values)
+
+
+# Full-scan axiom checks: every basis triple, in lexicographic order, with no
+# support gating. check_axioms must return exactly the same report.
+
+def _leibniz_cases(alg: FiniteAlgebra) -> Iterator[Case]:
+    identity = "[x, [y, z]] = [[x, y], z] - [[x, z], y]"
+    e = _units(alg.dim)
+    m = partial(_bilinear, alg.products)
+    for i, j, k in product(range(alg.dim), repeat=3):
+        lhs = m(e[i], m(e[j], e[k]))
+        rhs = dict(m(m(e[i], e[j]), e[k]))
+        add_scaled(rhs, m(m(e[i], e[k]), e[j]), _NEG)
+        names = (alg.basis_names[i], alg.basis_names[j], alg.basis_names[k])
+        yield identity, names, lhs, rhs
+
+
+def _zinbiel_cases(alg: FiniteAlgebra) -> Iterator[Case]:
+    identity = "(x . y) . z = x . (y . z) + x . (z . y)"
+    e = _units(alg.dim)
+    m = partial(_bilinear, alg.products)
+    for i, j, k in product(range(alg.dim), repeat=3):
+        lhs = m(m(e[i], e[j]), e[k])
+        inner = dict(m(e[j], e[k]))
+        add_scaled(inner, m(e[k], e[j]))
+        rhs = m(e[i], inner)
+        names = (alg.basis_names[i], alg.basis_names[j], alg.basis_names[k])
+        yield identity, names, lhs, rhs
+
+
+def _lie_cases(alg: FiniteAlgebra) -> Iterator[Case]:
+    e = _units(alg.dim)
+    m = partial(_bilinear, alg.products)
+    nm = alg.basis_names
+    for i in range(alg.dim):
+        yield "[x, x] = 0", (nm[i],), m(e[i], e[i]), {}
+    for i, j in product(range(alg.dim), repeat=2):
+        if i < j:
+            lhs = dict(m(e[i], e[j]))
+            add_scaled(lhs, m(e[j], e[i]))
+            yield "[x, y] + [y, x] = 0", (nm[i], nm[j]), lhs, {}
+    identity = "[[x, y], z] + [[y, z], x] + [[z, x], y] = 0"
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            for k in range(j + 1, alg.dim):
+                lhs = dict(m(m(e[i], e[j]), e[k]))
+                add_scaled(lhs, m(m(e[j], e[k]), e[i]))
+                add_scaled(lhs, m(m(e[k], e[i]), e[j]))
+                yield identity, (nm[i], nm[j], nm[k]), lhs, {}
+
+
+def _zinbiel_bimodule_cases(alg: FiniteAlgebra, mod: Bimodule) -> Iterator[Case]:
+    e = _units(max(alg.dim, mod.dim))
+    an, mn = alg.basis_names, mod.basis_names
+    l, r = partial(_bilinear, mod.left), partial(_bilinear, mod.right)
+    for k, i, j in product(range(mod.dim), range(alg.dim), range(alg.dim)):
+        lhs = r(r(e[k], e[i]), e[j])
+        inner = dict(alg.product(i, j))
+        add_scaled(inner, alg.product(j, i))
+        rhs = r(e[k], inner)
+        yield "(m . y) . z = m . (y . z + z . y)", (mn[k], an[i], an[j]), lhs, rhs
+    for i, k, j in product(range(alg.dim), range(mod.dim), range(alg.dim)):
+        lhs = r(l(e[i], e[k]), e[j])
+        rhs = dict(l(e[i], r(e[k], e[j])))
+        add_scaled(rhs, l(e[i], l(e[j], e[k])))
+        yield "(x . m) . z = x . (m . z + z . m)", (an[i], mn[k], an[j]), lhs, rhs
+    for i, j, k in product(range(alg.dim), range(alg.dim), range(mod.dim)):
+        lhs = l(alg.product(i, j), e[k])
+        rhs = dict(l(e[i], l(e[j], e[k])))
+        add_scaled(rhs, l(e[i], r(e[k], e[j])))
+        yield "(x . y) . m = x . (y . m + m . y)", (an[i], an[j], mn[k]), lhs, rhs
+
+
+def _leibniz_representation_cases(alg: FiniteAlgebra, mod: Bimodule) -> Iterator[Case]:
+    e = _units(max(alg.dim, mod.dim))
+    an, mn = alg.basis_names, mod.basis_names
+    l, r = partial(_bilinear, mod.left), partial(_bilinear, mod.right)
+    for i, j, k in product(range(alg.dim), range(alg.dim), range(mod.dim)):
+        lhs = l(e[i], l(e[j], e[k]))
+        rhs = dict(l(alg.product(i, j), e[k]))
+        add_scaled(rhs, r(l(e[i], e[k]), e[j]), _NEG)
+        yield "x(ym) = [x,y]m - (xm)y", (an[i], an[j], mn[k]), lhs, rhs
+    for i, k, j in product(range(alg.dim), range(mod.dim), range(alg.dim)):
+        lhs = l(e[i], r(e[k], e[j]))
+        rhs = dict(r(l(e[i], e[k]), e[j]))
+        add_scaled(rhs, l(alg.product(i, j), e[k]), _NEG)
+        yield "x(my) = (xm)y - [x,y]m", (an[i], mn[k], an[j]), lhs, rhs
+    for k, i, j in product(range(mod.dim), range(alg.dim), range(alg.dim)):
+        lhs = r(e[k], alg.product(i, j))
+        rhs = dict(r(r(e[k], e[i]), e[j]))
+        add_scaled(rhs, r(r(e[k], e[j]), e[i]), _NEG)
+        yield "m[y,z] = (my)z - (mz)y", (mn[k], an[i], an[j]), lhs, rhs
+
+
+def _lie_module_cases(alg: FiniteAlgebra, mod: Bimodule) -> Iterator[Case]:
+    identity = "[x, y]v = x(yv) - y(xv)"
+    e = _units(max(alg.dim, mod.dim))
+    an, mn = alg.basis_names, mod.basis_names
+    l = partial(_bilinear, mod.left)
+    for i, j, k in product(range(alg.dim), range(alg.dim), range(mod.dim)):
+        lhs = l(alg.product(i, j), e[k])
+        rhs = dict(l(e[i], l(e[j], e[k])))
+        add_scaled(rhs, l(e[j], l(e[i], e[k])), _NEG)
+        yield identity, (an[i], an[j], mn[k]), lhs, rhs
+
+
+_FULL_ALGEBRA_CHECKS = {
+    "leibniz": _leibniz_cases,
+    "zinbiel": _zinbiel_cases,
+    "lie": _lie_cases,
+}
+
+_FULL_MODULE_CHECKS = {
+    "zinbiel-bimodule": _zinbiel_bimodule_cases,
+    "leibniz-representation": _leibniz_representation_cases,
+    "lie-module": _lie_module_cases,
+}
+
+
+def full_scan_cases(
+    alg: FiniteAlgebra, which: str, module: Optional[Bimodule] = None
+) -> Iterator[Case]:
+    if which in _FULL_ALGEBRA_CHECKS:
+        return _FULL_ALGEBRA_CHECKS[which](alg)
+    return _FULL_MODULE_CHECKS[which](alg, module)
+
+
+def check_axioms_full_scan(
+    alg: FiniteAlgebra, which: str, module: Optional[Bimodule] = None
+) -> AxiomReport:
+    """check_axioms by evaluating the identity on every basis triple."""
+    value_names = alg.basis_names if which in _FULL_ALGEBRA_CHECKS else module.basis_names
+    for identity, inputs, lhs, rhs in full_scan_cases(alg, which, module):
+        if lhs != rhs:
+            return AxiomReport(
+                ok=False,
+                checked=which,
+                witness={
+                    "identity": identity,
+                    "inputs": list(inputs),
+                    "lhs": _vec_display(lhs, value_names),
+                    "rhs": _vec_display(rhs, value_names),
+                },
+            )
+    return AxiomReport(ok=True, checked=which)

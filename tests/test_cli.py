@@ -154,6 +154,22 @@ def test_verify_chain_map_fails_on_broken_product(capsys, bad_zinbiel):
     assert "  inputs: e1, e1, e2" in out
 
 
+@pytest.mark.parametrize("degree, message", [
+    ("-1", "dl cochains start at degree 1, got -1"),
+    ("9", "dl degree 9 is over the cap 4; raise max_degree to allow it"),
+])
+def test_verify_chain_map_rejects_degree_before_drawing(capsys, monkeypatch, degree, message):
+    def no_draw(*args):
+        raise AssertionError("a cochain was drawn before the degree check")
+
+    monkeypatch.setattr("zinbiel.tensor_bridge.random_dl_cochain", no_draw)
+    code, out, err = run(capsys, [
+        "verify-chain-map", "--leibniz", "builtin:leibniz2",
+        "--zinbiel", "builtin:B3", "--degree", degree,
+    ])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_les_table_reports_the_failure(capsys):
     code, out, _ = run(capsys, [
         "les", "--leibniz", "builtin:freeleibniz(2,2)",

@@ -217,6 +217,18 @@ def test_ce_cochain_rejects_repeated_indices():
         Cochain("ce", 2, 2, 2, {(1, 0): {0: Fraction(1)}})
 
 
+@pytest.mark.parametrize("theory, degree, build, message", [
+    ("dl", 0, dl_delta_matrix, "dl cochains start at degree 1, got 0"),
+    ("ce", -1, ce_delta_matrix, "ce cochains start at degree 0, got -1"),
+])
+def test_cochain_degree_message_matches_the_degree_check(theory, degree, build, message):
+    with pytest.raises(ValueError) as direct:
+        Cochain(theory, degree, 2, 2, {})
+    with pytest.raises(ValueError) as checked:
+        build(regular(builtin("B2")), degree)
+    assert str(direct.value) == str(checked.value) == message
+
+
 def test_space_dims():
     assert dl_space_dim(2, 2, 3) == 16
     assert ce_space_dim(4, 4, 2) == 24
