@@ -10,13 +10,11 @@ from .complexes import (
     ce_delta,
     ce_delta_matrix,
     ce_space_dim,
-    cochain_to_vector,
     cohomology_dims,
     dl_delta,
     dl_delta_matrix,
     dl_space_dim,
     random_dl_cochain,
-    vector_to_cochain,
 )
 from .fileio import (
     load_algebra,
@@ -26,13 +24,6 @@ from .fileio import (
 )
 from .free_leibniz import build_truncated, word_bracket, words
 from .linalg import Matrix, format_scalar, parse_scalar
-from .shuffles import (
-    leibniz_expansion,
-    net_signed_shuffle_terms,
-    permutation_sign,
-    shuffles1,
-    signed_shuffle_terms,
-)
 from .tensor_bridge import (
     ChainMapReport,
     PsiNotInjectiveError,
@@ -66,19 +57,15 @@ __all__ = [
     "ce_delta_matrix",
     "ce_space_dim",
     "check_axioms",
-    "cochain_to_vector",
     "cohomology_dims",
     "dl_delta",
     "dl_delta_matrix",
     "dl_space_dim",
     "format_scalar",
-    "leibniz_expansion",
     "les_report",
     "load_algebra",
     "load_bimodule",
-    "net_signed_shuffle_terms",
     "parse_scalar",
-    "permutation_sign",
     "perturbed_b2",
     "psi_apply",
     "psi_matrix",
@@ -86,11 +73,8 @@ __all__ = [
     "regular",
     "save_algebra",
     "save_bimodule",
-    "shuffles1",
-    "signed_shuffle_terms",
     "tensor_lie",
     "tensor_module",
-    "vector_to_cochain",
     "verify_chain_map",
     "word_bracket",
     "words",

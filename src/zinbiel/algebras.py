@@ -6,10 +6,11 @@ tables, left for a(m) and right for (m)a. Nothing here assumes which identities
 hold; check_axioms tests a named identity family and reports the first failing
 basis tuple, scanning tuples in lexicographic order so witnesses are stable.
 
-Every term of an identity is one product applied to another, so it vanishes
-unless both tables have the basis pairs it needs. The checks evaluate only the
-triples at which some term can be nonzero, found from indexes of each table's
-nonzero pairs; every skipped triple reads {} = {}, so the first witness is
+Each identity is written once, in _IDENTITIES, as signed terms, and every
+term is one product applied to another. The same terms give both where an
+identity can be nonzero (the triples reached from the nonzero entries of the
+two tables of some term) and its two sides at each such triple, read straight
+from the tables. Every skipped triple reads {} = {}, so the first witness is
 the one a scan over all triples would report.
 """
 from __future__ import annotations
@@ -17,16 +18,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from itertools import combinations, product as iproduct
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import Scalar, format_scalar, parse_scalar
-from .sparsevec import ONE, Vec, add_scaled, to_dense
+from .sparsevec import Vec, add_scaled, to_dense
 
 Table = Dict[Tuple[int, int], Dict[int, Fraction]]
-
-_NEG = Fraction(-1)
 
 
 def _clean_table(table: Table, left_dim: int, right_dim: int, out_dim: int, label: str) -> Table:
@@ -61,10 +58,6 @@ def _bilinear(table: Table, x: Vec, y: Vec) -> Vec:
             if tbl:
                 add_scaled(out, tbl, a * b)
     return out
-
-
-def _units(dim: int) -> List[Vec]:
-    return [{i: ONE} for i in range(dim)]
 
 
 @dataclass(frozen=True)
@@ -131,17 +124,9 @@ class Bimodule:
         return self.right.get((k, i), {})
 
 
-
 def regular(alg: FiniteAlgebra) -> Bimodule:
     """The algebra acting on itself by its own product on both sides."""
-    tables = {k: dict(v) for k, v in alg.products.items()}
-    return Bimodule(
-        algebra=alg,
-        dim=alg.dim,
-        basis_names=alg.basis_names,
-        left=tables,
-        right={k: dict(v) for k, v in tables.items()},
-    )
+    return Bimodule(alg, alg.dim, alg.basis_names, left=alg.products, right=alg.products)
 
 
 @dataclass
@@ -157,218 +142,145 @@ def _vec_display(vec: Vec, names: Tuple[str, ...]) -> Dict[str, str]:
 
 Case = Tuple[str, Tuple[str, ...], Vec, Vec]
 
+# A term (coeff, outer, inner, a, b, inner_left) of an identity on a basis
+# triple (t0, t1, t2) is coeff * outer(inner(t_a, t_b), t_c), or
+# coeff * outer(t_c, inner(t_a, t_b)) when inner_left is false, where c is the
+# third position. P is the algebra's product, L and R the module's left and
+# right actions. An identity is (text, kinds, lhs terms, rhs terms), and kinds
+# tags each position as algebra (A) or module (M) in the order of the inputs.
+Term = Tuple[int, str, str, int, int, bool]
+Identity = Tuple[str, str, Tuple[Term, ...], Tuple[Term, ...]]
 
-Gate = Callable[[int, int], Iterable[int]]
+_IDENTITIES: Dict[str, Tuple[Identity, ...]] = {
+    "leibniz": (
+        ("[x, [y, z]] = [[x, y], z] - [[x, z], y]", "AAA",
+         ((1, "P", "P", 1, 2, False),),
+         ((1, "P", "P", 0, 1, True), (-1, "P", "P", 0, 2, True))),
+    ),
+    "zinbiel": (
+        ("(x . y) . z = x . (y . z) + x . (z . y)", "AAA",
+         ((1, "P", "P", 0, 1, True),),
+         ((1, "P", "P", 1, 2, False), (1, "P", "P", 2, 1, False))),
+    ),
+    "lie": (
+        ("[[x, y], z] + [[y, z], x] + [[z, x], y] = 0", "AAA",
+         ((1, "P", "P", 0, 1, True), (1, "P", "P", 1, 2, True), (1, "P", "P", 2, 0, True)),
+         ()),
+    ),
+    "zinbiel-bimodule": (
+        ("(m . y) . z = m . (y . z + z . y)", "MAA",
+         ((1, "R", "R", 0, 1, True),),
+         ((1, "R", "P", 1, 2, False), (1, "R", "P", 2, 1, False))),
+        ("(x . m) . z = x . (m . z + z . m)", "AMA",
+         ((1, "R", "L", 0, 1, True),),
+         ((1, "L", "R", 1, 2, False), (1, "L", "L", 2, 1, False))),
+        ("(x . y) . m = x . (y . m + m . y)", "AAM",
+         ((1, "L", "P", 0, 1, True),),
+         ((1, "L", "L", 1, 2, False), (1, "L", "R", 2, 1, False))),
+    ),
+    "leibniz-representation": (
+        ("x(ym) = [x,y]m - (xm)y", "AAM",
+         ((1, "L", "L", 1, 2, False),),
+         ((1, "L", "P", 0, 1, True), (-1, "R", "L", 0, 2, True))),
+        ("x(my) = (xm)y - [x,y]m", "AMA",
+         ((1, "L", "R", 1, 2, False),),
+         ((1, "R", "L", 0, 1, True), (-1, "L", "P", 0, 2, True))),
+        ("m[y,z] = (my)z - (mz)y", "MAA",
+         ((1, "R", "P", 1, 2, False),),
+         ((1, "R", "R", 0, 1, True), (-1, "R", "R", 0, 2, True))),
+    ),
+    "lie-module": (
+        ("[x, y]v = x(yv) - y(xv)", "AAM",
+         ((1, "L", "P", 0, 1, True),),
+         ((1, "L", "L", 1, 2, False), (-1, "L", "L", 0, 2, False))),
+    ),
+}
+
+_MODULE_FAMILIES = ("zinbiel-bimodule", "leibniz-representation", "lie-module")
+
+AXIOM_KINDS = tuple(_IDENTITIES)
 
 
-def _index(table: Table, first: bool) -> Dict[int, Dict[int, Vec]]:
-    """table as {x: {y: table[x, y]}} when first, else as {y: {x: table[x, y]}}."""
-    out: Dict[int, Dict[int, Vec]] = defaultdict(dict)
-    for (x, y), vec in table.items():
-        if first:
-            out[x][y] = vec
-        else:
-            out[y][x] = vec
+def _support(terms: Sequence[Term], tables: Dict[str, Table]) -> List[Tuple[int, int, int]]:
+    """The triples, sorted, at which some term can be nonzero: inner has the
+    key (t_a, t_b) and outer pairs t_c with an index of that product. At any
+    other triple both sides of the identity are {}."""
+    out = set()
+    for _, outer, inner, a, b, inner_left in terms:
+        partners: Dict[int, List[int]] = defaultdict(list)  # p -> t_c
+        for x, y in tables[outer]:
+            if inner_left:
+                partners[x].append(y)
+            else:
+                partners[y].append(x)
+        c = 3 - a - b
+        for (x, y), vec in tables[inner].items():
+            for p in vec:
+                for z in partners.get(p, ()):
+                    t = [0, 0, 0]
+                    t[a], t[b], t[c] = x, y, z
+                    out.add((t[0], t[1], t[2]))
+    return sorted(out)
+
+
+def _side(terms: Sequence[Term], tables: Dict[str, Table], t: Tuple[int, int, int]) -> Vec:
+    """The sum of the terms at the basis triple t."""
+    out: Vec = {}
+    for coeff, outer, inner, a, b, inner_left in terms:
+        z = t[3 - a - b]
+        for p, v in tables[inner].get((t[a], t[b]), {}).items():
+            w = tables[outer].get((p, z) if inner_left else (z, p))
+            if w:
+                add_scaled(out, w, coeff * v)
     return out
 
 
-def _gate(outer: Table, inner: Table, a: int, b: int, inner_left: bool) -> Gate:
-    """Where one term of an identity can be nonzero.
-
-    The term is outer(inner(t_a, t_b), t_c) when inner_left, else
-    outer(t_c, inner(t_a, t_b)), on basis elements at positions a, b, c of a
-    triple (t0, t1, t2); when c is 2, (a, b) is (0, 1). The term is nonzero
-    only if inner has the key (t_a, t_b) and outer pairs t_c with some index p
-    of that product. The gate maps (t0, t1) to the t2 values that pass both.
-    """
-    if 2 not in (a, b):
-        reach = _index(outer, inner_left)  # p -> {t2: ...}
-
-        def gate(t0: int, t1: int) -> Iterable[int]:
-            return [t2 for p in inner.get((t0, t1), ()) for t2 in reach.get(p, ())]
-        return gate
-    fixed = b if a == 2 else a  # the one of positions 0, 1 that enters inner
-    free = _index(inner, a == fixed)  # t_fixed -> {t2: inner product}
-    paired = _index(outer, not inner_left)  # t_c -> {p: ...}
-
-    def gate(t0: int, t1: int) -> Iterable[int]:
-        tf, tc = (t0, t1) if fixed == 0 else (t1, t0)
-        ps = paired.get(tc)
-        if not ps:
-            return ()
-        return [t2 for t2, vec in free.get(tf, {}).items() if not ps.keys().isdisjoint(vec)]
-    return gate
-
-
-def _support(
-    pairs: Iterable[Tuple[int, int]], gates: Sequence[Gate]
-) -> Iterator[Tuple[int, int, int]]:
-    """The triples (t0, t1, t2), t2 ascending after each (t0, t1) of pairs, at
-    which at least one gated term can be nonzero. At any other triple both
-    sides of the identity are {}, so it can never be a witness."""
-    for t0, t1 in pairs:
-        hits: Set[int] = set()
-        for gate in gates:
-            hits.update(gate(t0, t1))
-        for t2 in sorted(hits):
-            yield t0, t1, t2
-
-
-def _leibniz_cases(alg: FiniteAlgebra) -> Iterator[Case]:
-    identity = "[x, [y, z]] = [[x, y], z] - [[x, z], y]"
-    e = _units(alg.dim)
+def _cases(alg: FiniteAlgebra, which: str, module: Optional[Bimodule] = None) -> Iterator[Case]:
+    """Every case of the family at which one side can be nonzero, in
+    lexicographic order of the inputs within each identity."""
     P = alg.products
-    m = partial(_bilinear, P)
-    gates = (_gate(P, P, 1, 2, False), _gate(P, P, 0, 1, True), _gate(P, P, 0, 2, True))
-    for i, j, k in _support(iproduct(range(alg.dim), repeat=2), gates):
-        lhs = m(e[i], m(e[j], e[k]))
-        rhs = dict(m(m(e[i], e[j]), e[k]))
-        add_scaled(rhs, m(m(e[i], e[k]), e[j]), _NEG)
-        names = (alg.basis_names[i], alg.basis_names[j], alg.basis_names[k])
-        yield identity, names, lhs, rhs
-
-
-def _zinbiel_cases(alg: FiniteAlgebra) -> Iterator[Case]:
-    identity = "(x . y) . z = x . (y . z) + x . (z . y)"
-    e = _units(alg.dim)
-    P = alg.products
-    m = partial(_bilinear, P)
-    gates = (_gate(P, P, 0, 1, True), _gate(P, P, 1, 2, False), _gate(P, P, 2, 1, False))
-    for i, j, k in _support(iproduct(range(alg.dim), repeat=2), gates):
-        lhs = m(m(e[i], e[j]), e[k])
-        inner = dict(m(e[j], e[k]))
-        add_scaled(inner, m(e[k], e[j]))
-        rhs = m(e[i], inner)
-        names = (alg.basis_names[i], alg.basis_names[j], alg.basis_names[k])
-        yield identity, names, lhs, rhs
-
-
-def _lie_cases(alg: FiniteAlgebra) -> Iterator[Case]:
-    e = _units(alg.dim)
-    P = alg.products
-    m = partial(_bilinear, P)
+    tables = {"P": P}
+    if module is not None:
+        tables.update(L=module.left, R=module.right)
     nm = alg.basis_names
-    for i in range(alg.dim):
-        if (i, i) in P:
-            yield "[x, x] = 0", (nm[i],), m(e[i], e[i]), {}
-    for i, j in combinations(range(alg.dim), 2):
-        if (i, j) in P or (j, i) in P:
-            lhs = dict(m(e[i], e[j]))
-            add_scaled(lhs, m(e[j], e[i]))
+    if which == "lie":
+        for i in sorted(i for i, j in P if i == j):
+            yield "[x, x] = 0", (nm[i],), P[(i, i)], {}
+        for i, j in sorted({(min(key), max(key)) for key in P if key[0] != key[1]}):
+            lhs = dict(P.get((i, j), {}))
+            add_scaled(lhs, P.get((j, i), {}))
             yield "[x, y] + [y, x] = 0", (nm[i], nm[j]), lhs, {}
-    identity = "[[x, y], z] + [[y, z], x] + [[z, x], y] = 0"
-    gates = (_gate(P, P, 0, 1, True), _gate(P, P, 1, 2, True), _gate(P, P, 2, 0, True))
-    for i, j, k in _support(combinations(range(alg.dim), 2), gates):
-        if k > j:
-            lhs = dict(m(m(e[i], e[j]), e[k]))
-            add_scaled(lhs, m(m(e[j], e[k]), e[i]))
-            add_scaled(lhs, m(m(e[k], e[i]), e[j]))
-            yield identity, (nm[i], nm[j], nm[k]), lhs, {}
-
-
-def _zinbiel_bimodule_cases(alg: FiniteAlgebra, mod: Bimodule) -> Iterator[Case]:
-    e = _units(max(alg.dim, mod.dim))
-    an, mn = alg.basis_names, mod.basis_names
-    P, L, R = alg.products, mod.left, mod.right
-    l, r = partial(_bilinear, L), partial(_bilinear, R)
-    gates = (_gate(R, R, 0, 1, True), _gate(R, P, 1, 2, False), _gate(R, P, 2, 1, False))
-    for k, i, j in _support(iproduct(range(mod.dim), range(alg.dim)), gates):
-        lhs = r(r(e[k], e[i]), e[j])
-        inner = dict(alg.product(i, j))
-        add_scaled(inner, alg.product(j, i))
-        rhs = r(e[k], inner)
-        yield "(m . y) . z = m . (y . z + z . y)", (mn[k], an[i], an[j]), lhs, rhs
-    gates = (_gate(R, L, 0, 1, True), _gate(L, R, 1, 2, False), _gate(L, L, 2, 1, False))
-    for i, k, j in _support(iproduct(range(alg.dim), range(mod.dim)), gates):
-        lhs = r(l(e[i], e[k]), e[j])
-        rhs = dict(l(e[i], r(e[k], e[j])))
-        add_scaled(rhs, l(e[i], l(e[j], e[k])))
-        yield "(x . m) . z = x . (m . z + z . m)", (an[i], mn[k], an[j]), lhs, rhs
-    gates = (_gate(L, P, 0, 1, True), _gate(L, L, 1, 2, False), _gate(L, R, 2, 1, False))
-    for i, j, k in _support(iproduct(range(alg.dim), repeat=2), gates):
-        lhs = l(alg.product(i, j), e[k])
-        rhs = dict(l(e[i], l(e[j], e[k])))
-        add_scaled(rhs, l(e[i], r(e[k], e[j])))
-        yield "(x . y) . m = x . (y . m + m . y)", (an[i], an[j], mn[k]), lhs, rhs
-
-
-def _leibniz_representation_cases(alg: FiniteAlgebra, mod: Bimodule) -> Iterator[Case]:
-    e = _units(max(alg.dim, mod.dim))
-    an, mn = alg.basis_names, mod.basis_names
-    P, L, R = alg.products, mod.left, mod.right
-    l, r = partial(_bilinear, L), partial(_bilinear, R)
-    gates = (_gate(L, L, 1, 2, False), _gate(L, P, 0, 1, True), _gate(R, L, 0, 2, True))
-    for i, j, k in _support(iproduct(range(alg.dim), repeat=2), gates):
-        lhs = l(e[i], l(e[j], e[k]))
-        rhs = dict(l(alg.product(i, j), e[k]))
-        add_scaled(rhs, r(l(e[i], e[k]), e[j]), _NEG)
-        yield "x(ym) = [x,y]m - (xm)y", (an[i], an[j], mn[k]), lhs, rhs
-    gates = (_gate(L, R, 1, 2, False), _gate(R, L, 0, 1, True), _gate(L, P, 0, 2, True))
-    for i, k, j in _support(iproduct(range(alg.dim), range(mod.dim)), gates):
-        lhs = l(e[i], r(e[k], e[j]))
-        rhs = dict(r(l(e[i], e[k]), e[j]))
-        add_scaled(rhs, l(alg.product(i, j), e[k]), _NEG)
-        yield "x(my) = (xm)y - [x,y]m", (an[i], mn[k], an[j]), lhs, rhs
-    gates = (_gate(R, P, 1, 2, False), _gate(R, R, 0, 1, True), _gate(R, R, 0, 2, True))
-    for k, i, j in _support(iproduct(range(mod.dim), range(alg.dim)), gates):
-        lhs = r(e[k], alg.product(i, j))
-        rhs = dict(r(r(e[k], e[i]), e[j]))
-        add_scaled(rhs, r(r(e[k], e[j]), e[i]), _NEG)
-        yield "m[y,z] = (my)z - (mz)y", (mn[k], an[i], an[j]), lhs, rhs
-
-
-def _lie_module_cases(alg: FiniteAlgebra, mod: Bimodule) -> Iterator[Case]:
-    identity = "[x, y]v = x(yv) - y(xv)"
-    e = _units(max(alg.dim, mod.dim))
-    an, mn = alg.basis_names, mod.basis_names
-    P, L = alg.products, mod.left
-    l = partial(_bilinear, L)
-    gates = (_gate(L, P, 0, 1, True), _gate(L, L, 1, 2, False), _gate(L, L, 0, 2, False))
-    for i, j, k in _support(iproduct(range(alg.dim), repeat=2), gates):
-        lhs = l(alg.product(i, j), e[k])
-        rhs = dict(l(e[i], l(e[j], e[k])))
-        add_scaled(rhs, l(e[j], l(e[i], e[k])), _NEG)
-        yield identity, (an[i], an[j], mn[k]), lhs, rhs
-
-
-_ALGEBRA_CHECKS = {
-    "leibniz": _leibniz_cases,
-    "zinbiel": _zinbiel_cases,
-    "lie": _lie_cases,
-}
-
-_MODULE_CHECKS = {
-    "zinbiel-bimodule": _zinbiel_bimodule_cases,
-    "leibniz-representation": _leibniz_representation_cases,
-    "lie-module": _lie_module_cases,
-}
-
-AXIOM_KINDS = tuple(_ALGEBRA_CHECKS) + tuple(_MODULE_CHECKS)
+    for identity, kinds, lhs, rhs in _IDENTITIES[which]:
+        names = [nm if kind == "A" else module.basis_names for kind in kinds]
+        for t in _support(lhs + rhs, tables):
+            if which == "lie" and not t[0] < t[1] < t[2]:
+                continue
+            inputs = (names[0][t[0]], names[1][t[1]], names[2][t[2]])
+            yield identity, inputs, _side(lhs, tables, t), _side(rhs, tables, t)
 
 
 def check_axioms(
     alg: FiniteAlgebra, which: str, module: Optional[Bimodule] = None
 ) -> AxiomReport:
-    """Test the named identity family on every basis tuple where some term of
-    it can be nonzero (at the others both sides are 0).
+    """Test the named identity family, as written in _IDENTITIES, on every
+    basis tuple where some term of it can be nonzero (at the others both
+    sides are 0), in lexicographic order.
 
     Returns the first failing tuple as a witness, with both sides expanded in
     the relevant basis. Module families require the module argument, and the
     witness names mix algebra and module basis elements in identity order.
     """
-    if which in _ALGEBRA_CHECKS:
-        cases = _ALGEBRA_CHECKS[which](alg)
-        value_names: Tuple[str, ...] = alg.basis_names
-    elif which in _MODULE_CHECKS:
+    if which in _MODULE_FAMILIES:
         if module is None:
             raise ValueError(f"axiom family {which!r} needs a module")
         if module.algebra is not alg and module.algebra != alg:
             raise ValueError("module was built over a different algebra")
-        cases = _MODULE_CHECKS[which](alg, module)
-        value_names = module.basis_names
+        value_names: Tuple[str, ...] = module.basis_names
+    elif which in _IDENTITIES:
+        value_names = alg.basis_names
     else:
         raise ValueError(f"unknown axiom family {which!r}; known: {', '.join(AXIOM_KINDS)}")
-    for identity, inputs, lhs, rhs in cases:
+    for identity, inputs, lhs, rhs in _cases(alg, which, module):
         if lhs != rhs:
             return AxiomReport(
                 ok=False,

@@ -59,9 +59,7 @@ def _check_degree(theory: str, degree: int, max_degree: Optional[int]) -> None:
         DL_MAX_DEGREE if theory == "dl" else CE_MAX_DEGREE
     )
     if degree > cap:
-        raise ValueError(
-            f"{theory} degree {degree} is over the cap {cap}; raise max_degree to allow it"
-        )
+        raise ValueError(f"{theory} degree {degree} is over the cap {cap}")
 
 
 @dataclass

@@ -27,13 +27,14 @@ complex.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .algebras import AxiomReport, Bimodule, FiniteAlgebra, check_axioms
+from .algebras import AxiomReport, Bimodule, FiniteAlgebra, Table, check_axioms
 from .complexes import (
     CE_MAX_DEGREE,
     DL_MAX_DEGREE,
@@ -73,6 +74,26 @@ def _validation_error(side: str, report: AxiomReport) -> ValueError:
     )
 
 
+def _tensor_table(g: FiniteAlgebra, S: Table, S_swap: Table, xd: int, yd: int) -> Table:
+    """[a, a'] (x) S(x, y) - [a', a] (x) S_swap(y, x), keyed (a * xd + x, a' * yd + y).
+
+    Walks only the nonzero entries of g's product against those of S and
+    S_swap; a result index is g-index * yd + S-index. Every key gets at most
+    one term from each table, added in that order, and keys come out in key
+    order; the ones that cancel to {} are dropped by the table's constructor.
+    """
+    acc: Dict[Tuple[int, int], Vec] = defaultdict(dict)
+    for sign, table, swap in ((1, S, False), (-1, S_swap, True)):
+        for (i1, i2), gv in g.products.items():
+            for (x, y), sv in table.items():
+                key = (i2 * xd + y, i1 * yd + x) if swap else (i1 * xd + x, i2 * yd + y)
+                out = acc[key]
+                for ga, ca in gv.items():
+                    for k, cb in sv.items():
+                        add_at(out, ga * yd + k, sign * ca * cb)
+    return dict(sorted(acc.items()))
+
+
 def tensor_lie(g: FiniteAlgebra, B: FiniteAlgebra, validate: bool = True) -> FiniteAlgebra:
     """The bracket above on g (x) B, with basis index (i, p) at i * B.dim + p.
 
@@ -87,27 +108,11 @@ def tensor_lie(g: FiniteAlgebra, B: FiniteAlgebra, validate: bool = True) -> Fin
         rep = check_axioms(B, "zinbiel")
         if not rep.ok:
             raise _validation_error("right factor", rep)
-    bd = B.dim
-    dim = g.dim * bd
-    products: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    for i1 in range(g.dim):
-        for p1 in range(bd):
-            for i2 in range(g.dim):
-                for p2 in range(bd):
-                    acc: Vec = {}
-                    for ga, ca in g.product(i1, i2).items():
-                        for qb, cb in B.product(p1, p2).items():
-                            add_at(acc, ga * bd + qb, ca * cb)
-                    for ga, ca in g.product(i2, i1).items():
-                        for qb, cb in B.product(p2, p1).items():
-                            add_at(acc, ga * bd + qb, -ca * cb)
-                    if acc:
-                        products[(i1 * bd + p1, i2 * bd + p2)] = acc
     return FiniteAlgebra(
         kind="lie",
-        dim=dim,
+        dim=g.dim * B.dim,
         basis_names=_tensor_names(g.basis_names, B.basis_names),
-        products=products,
+        products=_tensor_table(g, B.products, B.products, B.dim, B.dim),
     )
 
 
@@ -127,31 +132,13 @@ def tensor_module(
         raise ValueError("module must be over the Zinbiel factor")
     if lie_alg is None:
         lie_alg = tensor_lie(g, B, validate=False)
-    bd, md = B.dim, M.dim
-    left: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    right: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    for i1 in range(g.dim):
-        for p in range(bd):
-            for i2 in range(g.dim):
-                for k in range(md):
-                    acc: Vec = {}
-                    for ga, ca in g.product(i1, i2).items():
-                        for mk, cm in M.act_left(p, k).items():
-                            add_at(acc, ga * md + mk, ca * cm)
-                    for ga, ca in g.product(i2, i1).items():
-                        for mk, cm in M.act_right(k, p).items():
-                            add_at(acc, ga * md + mk, -ca * cm)
-                    if acc:
-                        a_idx = i1 * bd + p
-                        m_idx = i2 * md + k
-                        left[(a_idx, m_idx)] = acc
-                        right[(m_idx, a_idx)] = {j: -c for j, c in acc.items()}
+    left = _tensor_table(g, M.left, M.right, B.dim, M.dim)
     return Bimodule(
         algebra=lie_alg,
-        dim=g.dim * md,
+        dim=g.dim * M.dim,
         basis_names=_tensor_names(g.basis_names, M.basis_names),
         left=left,
-        right=right,
+        right={(m, a): {j: -c for j, c in vec.items()} for (a, m), vec in left.items()},
     )
 
 

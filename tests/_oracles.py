@@ -16,12 +16,12 @@ from zinbiel.algebras import (
     Bimodule,
     Case,
     FiniteAlgebra,
+    Table,
     _bilinear,
-    _units,
     _vec_display,
 )
 from zinbiel.complexes import Key, _check_module, cochain_to_vector, dl_space_dim, dl_tuples
-from zinbiel.sparsevec import Vec, add_scaled
+from zinbiel.sparsevec import ONE, Vec, add_at, add_scaled
 from zinbiel.tensor_bridge import TensorContext
 
 _NEG = Fraction(-1)
@@ -329,6 +329,10 @@ def psi_gather(ctx: TensorContext, f: Cochain) -> Cochain:
 # Full-scan axiom checks: every basis triple, in lexicographic order, with no
 # support gating. check_axioms must return exactly the same report.
 
+def _units(dim: int) -> List[Vec]:
+    return [{i: ONE} for i in range(dim)]
+
+
 def _leibniz_cases(alg: FiniteAlgebra) -> Iterator[Case]:
     identity = "[x, [y, z]] = [[x, y], z] - [[x, z], y]"
     e = _units(alg.dim)
@@ -469,3 +473,48 @@ def check_axioms_full_scan(
                 },
             )
     return AxiomReport(ok=True, checked=which)
+
+
+# Tensor structure constants over the full grid of basis pairs: the reference
+# that tensor_lie and tensor_module, which walk only nonzero entries, must match.
+
+def tensor_lie_grid(g: FiniteAlgebra, B: FiniteAlgebra) -> Table:
+    bd = B.dim
+    products: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+    for i1 in range(g.dim):
+        for p1 in range(bd):
+            for i2 in range(g.dim):
+                for p2 in range(bd):
+                    acc: Vec = {}
+                    for ga, ca in g.product(i1, i2).items():
+                        for qb, cb in B.product(p1, p2).items():
+                            add_at(acc, ga * bd + qb, ca * cb)
+                    for ga, ca in g.product(i2, i1).items():
+                        for qb, cb in B.product(p2, p1).items():
+                            add_at(acc, ga * bd + qb, -ca * cb)
+                    if acc:
+                        products[(i1 * bd + p1, i2 * bd + p2)] = acc
+    return products
+
+
+def tensor_module_grid(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule) -> Tuple[Table, Table]:
+    bd, md = B.dim, M.dim
+    left: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+    right: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+    for i1 in range(g.dim):
+        for p in range(bd):
+            for i2 in range(g.dim):
+                for k in range(md):
+                    acc: Vec = {}
+                    for ga, ca in g.product(i1, i2).items():
+                        for mk, cm in M.act_left(p, k).items():
+                            add_at(acc, ga * md + mk, ca * cm)
+                    for ga, ca in g.product(i2, i1).items():
+                        for mk, cm in M.act_right(k, p).items():
+                            add_at(acc, ga * md + mk, -ca * cm)
+                    if acc:
+                        a_idx = i1 * bd + p
+                        m_idx = i2 * md + k
+                        left[(a_idx, m_idx)] = acc
+                        right[(m_idx, a_idx)] = {j: -c for j, c in acc.items()}
+    return left, right

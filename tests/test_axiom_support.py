@@ -1,23 +1,19 @@
-"""check_axioms visits only the basis triples that touch a nonzero product.
+"""check_axioms visits only the basis triples that touch a nonzero product,
+and the tensor tables are built from the nonzero entries only.
 
 The full scan over every triple lives in _oracles.check_axioms_full_scan; the
 reports, witness included, must be identical. The work counts pin the gain so
-that a regression to the full scan fails without timing anything.
+that a regression to the full scan fails without timing anything. The tensor
+tables must equal, key order included, the ones built on the full grid.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import check_axioms_full_scan, full_scan_cases
+from _oracles import check_axioms_full_scan, full_scan_cases, tensor_lie_grid, tensor_module_grid
 from zinbiel import Bimodule, FiniteAlgebra, builtin, check_axioms, perturbed_b2, regular
-from zinbiel.algebras import (
-    _ALGEBRA_CHECKS,
-    _MODULE_CHECKS,
-    AXIOM_KINDS,
-    _leibniz_cases,
-    _lie_module_cases,
-)
-from zinbiel.tensor_bridge import TensorContext
+from zinbiel.algebras import AXIOM_KINDS, _cases
+from zinbiel.tensor_bridge import TensorContext, tensor_lie, tensor_module
 
 CATALOG = (
     "B2", "B3", "polyzinbiel(2)", "polyzinbiel(3)",
@@ -36,10 +32,7 @@ def _assert_same_reports(alg, mod):
     support skips must hold in the full scan too."""
     for which in AXIOM_KINDS:
         assert check_axioms(alg, which, mod) == check_axioms_full_scan(alg, which, mod), which
-        if which in _ALGEBRA_CHECKS:
-            cases = _ALGEBRA_CHECKS[which](alg)
-        else:
-            cases = _MODULE_CHECKS[which](alg, mod)
+        cases = _cases(alg, which, mod)
         assert _failures(cases) == _failures(full_scan_cases(alg, which, mod)), which
 
 
@@ -124,7 +117,7 @@ def test_sparse_tables_match_full_scan(structure):
 @given(antisymmetric_algebras())
 def test_antisymmetric_tables_match_full_scan(alg):
     assert check_axioms(alg, "lie") == check_axioms_full_scan(alg, "lie")
-    assert _failures(_ALGEBRA_CHECKS["lie"](alg)) == _failures(full_scan_cases(alg, "lie"))
+    assert _failures(_cases(alg, "lie")) == _failures(full_scan_cases(alg, "lie"))
 
 
 @settings(deadline=None, max_examples=100)
@@ -153,7 +146,43 @@ def test_witness_where_the_first_pair_has_no_product():
 def test_axiom_checks_visit_only_the_support():
     ctx = TensorContext(builtin("freeleibniz(2,3)"), builtin("B3"), regular(builtin("B3")))
     assert ctx.lie.dim ** 2 * ctx.module.dim == 74_088
-    assert sum(1 for _ in _lie_module_cases(ctx.lie, ctx.module)) <= 5_000
+    assert sum(1 for _ in _cases(ctx.lie, "lie-module", ctx.module)) <= 5_000
     g = builtin("freeleibniz(3,3)")
     assert g.dim ** 3 == 59_319
-    assert sum(1 for _ in _leibniz_cases(g)) <= 8_000
+    assert sum(1 for _ in _cases(g, "leibniz")) <= 8_000
+
+
+def _ordered(table):
+    return [(key, list(vec.items())) for key, vec in table.items()]
+
+
+def _assert_tensor_tables_match_grid(g, B, M):
+    lie = tensor_lie(g, B, validate=False)
+    assert _ordered(lie.products) == _ordered(tensor_lie_grid(g, B))
+    mod = tensor_module(g, B, M, lie)
+    left, right = tensor_module_grid(g, B, M)
+    assert _ordered(mod.left) == _ordered(left)
+    assert _ordered(mod.right) == _ordered(right)
+
+
+@pytest.mark.parametrize("g, b", TENSORS + (
+    ("freeleibniz(3,3)", "B2"), ("leibniz2", "perturbed_b2"),
+))
+def test_tensor_tables_match_grid(g, b):
+    B = _operand(b)
+    _assert_tensor_tables_match_grid(builtin(g), B, regular(B))
+
+
+@st.composite
+def tensor_operands(draw):
+    """A random sparse g, and a random sparse B with a bimodule over it."""
+    d = draw(st.integers(1, 4))
+    g = FiniteAlgebra("random", d, _names("g", d), draw(_tables(d, d, d)))
+    B, M = draw(sparse_structures())
+    return g, B, M
+
+
+@settings(deadline=None, max_examples=100)
+@given(tensor_operands())
+def test_sparse_tensor_tables_match_grid(operands):
+    _assert_tensor_tables_match_grid(*operands)

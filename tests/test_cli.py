@@ -111,6 +111,14 @@ def test_cohomology_module_must_match_algebra(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+def test_cohomology_rejects_degree_over_the_cap(capsys):
+    code, out, err = run(capsys, [
+        "cohomology", "--complex", "dl", "--algebra", "builtin:B2",
+        "--regular", "--degree", "9",
+    ])
+    assert (code, out, err) == (2, "", "error: dl degree 9 is over the cap 4\n")
+
+
 def test_cohomology_rejects_both_coefficient_flags(capsys, tmp_path):
     path = tmp_path / "reg.json"
     save_bimodule(regular(builtin("B2")), path)
@@ -156,7 +164,7 @@ def test_verify_chain_map_fails_on_broken_product(capsys, bad_zinbiel):
 
 @pytest.mark.parametrize("degree, message", [
     ("-1", "dl cochains start at degree 1, got -1"),
-    ("9", "dl degree 9 is over the cap 4; raise max_degree to allow it"),
+    ("9", "dl degree 9 is over the cap 4"),
 ])
 def test_verify_chain_map_rejects_degree_before_drawing(capsys, monkeypatch, degree, message):
     def no_draw(*args):

@@ -23,7 +23,6 @@ from zinbiel import (
     ce_delta,
     ce_delta_matrix,
     ce_space_dim,
-    cochain_to_vector,
     cohomology_dims,
     dl_delta,
     dl_delta_matrix,
@@ -31,9 +30,14 @@ from zinbiel import (
     perturbed_b2,
     random_dl_cochain,
     regular,
+)
+from zinbiel.complexes import (
+    DL_MAX_DEGREE,
+    ce_tuples,
+    cochain_to_vector,
+    dl_tuples,
     vector_to_cochain,
 )
-from zinbiel.complexes import DL_MAX_DEGREE, ce_tuples, dl_tuples
 from zinbiel.sparsevec import to_dense
 from zinbiel.tensor_bridge import TensorContext
 

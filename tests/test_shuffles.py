@@ -10,14 +10,14 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zinbiel import (
+from zinbiel.shuffles import (
+    invert_permutation,
     leibniz_expansion,
     net_signed_shuffle_terms,
     permutation_sign,
     shuffles1,
     signed_shuffle_terms,
 )
-from zinbiel.shuffles import invert_permutation
 
 # Signed permutation families for the first three degrees, in enumeration
 # order: identity block first, then one interior letter, then two.

@@ -20,7 +20,6 @@ from zinbiel import (
     ce_delta,
     ce_delta_matrix,
     check_axioms,
-    cochain_to_vector,
     cohomology_dims,
     dl_delta,
     dl_delta_matrix,
@@ -28,7 +27,7 @@ from zinbiel import (
     random_dl_cochain,
     regular,
 )
-from zinbiel.complexes import ce_space_dim, ce_tuples, dl_space_dim, dl_tuples
+from zinbiel.complexes import ce_space_dim, ce_tuples, cochain_to_vector, dl_tuples
 from zinbiel.linalg import Matrix
 from zinbiel.sparsevec import add_scaled
 from zinbiel.tensor_bridge import (
