@@ -42,7 +42,7 @@ def _parse_table(raw, what: str) -> Table:
             raise ValueError(f"each {what} entry must be an object")
         _require(entry, ("left", "right", "result"), f"{what} entry")
         i, j = entry["left"], entry["right"]
-        if not isinstance(i, int) or not isinstance(j, int):
+        if type(i) is not int or type(j) is not int:  # JSON true and false are not indices
             raise ValueError(f"{what} indices must be integers")
         if (i, j) in table:
             raise ValueError(f"duplicate {what} entry for ({i}, {j})")
@@ -51,12 +51,15 @@ def _parse_table(raw, what: str) -> Table:
             raise ValueError(f"{what} result must be a list of [index, coefficient] pairs")
         vec: Dict[int, object] = {}
         for pair in result:
-            if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], int)):
+            if not (isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is int):
                 raise ValueError(f"{what} result terms must be [index, coefficient] pairs")
             k, c = pair
             if k in vec:
                 raise ValueError(f"duplicate result index {k} in {what} entry ({i}, {j})")
-            vec[k] = parse_scalar(c)
+            try:
+                vec[k] = parse_scalar(c)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{what} entry ({i}, {j}), index {k}: {exc}") from None
         table[(i, j)] = vec  # type: ignore[assignment]
     return table
 
@@ -74,7 +77,7 @@ def algebra_from_dict(data: dict) -> FiniteAlgebra:
         raise ValueError("algebra data must be a JSON object")
     _require(data, ("kind", "dim", "basis", "products"), "algebra")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ValueError("algebra dim must be a positive integer")
     if not isinstance(data["kind"], str):
         raise ValueError("algebra kind must be a string")
@@ -102,7 +105,7 @@ def bimodule_from_dict(data: dict) -> Bimodule:
              "bimodule")
     alg = algebra_from_dict(data["algebra"])
     dim = data["module_dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ValueError("module_dim must be a positive integer")
     return Bimodule(
         algebra=alg,

@@ -7,11 +7,14 @@ dict only per nonempty row. Rows are never mutated in place: writers build a
 new row and replace the old one.
 
 Rank uses forward elimination with leading-column pivoting; nullspace and
-constraint extraction go through the fully reduced form. Elimination is
-fraction-free (Bareiss, Math. Comp. 22, 1968): each row is cleared of
-denominators and kept as a primitive integer row, and Fractions are built
-only when a reduced row is returned, so every result is an exact Fraction.
-Pivot choice depends only on the matrix entries, so runs are deterministic.
+constraint extraction go through the fully reduced form. A forward echelon
+can be extended in place by more rows without touching its pivot rows, so
+the rank of [A | P] is A's column echelon extended by P's columns.
+Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each row is
+cleared of denominators and kept as a primitive integer row, and Fractions
+are built only when a reduced row is returned, so every result is an exact
+Fraction. Pivot choice depends only on the matrix entries, so runs are
+deterministic.
 """
 from __future__ import annotations
 
@@ -89,7 +92,9 @@ def _cancel(row: IntRow, piv: IntRow, col: int) -> IntRow:
     return _primitive(row) if row else row
 
 
-def _eliminate(rows: Sequence[Row], reduce_full: bool) -> Dict[int, IntRow]:
+def _eliminate(
+    rows: Sequence[Row], reduce_full: bool, pivots: Optional[Dict[int, IntRow]] = None
+) -> Dict[int, IntRow]:
     """Eliminate rows into {pivot column: primitive integer row}.
 
     Each incoming nonzero row is scaled by the lcm of its denominators to a
@@ -99,8 +104,12 @@ def _eliminate(rows: Sequence[Row], reduce_full: bool) -> Dict[int, IntRow]:
     elimination would hold, so the pivot columns are the same. With
     reduce_full, back-substitution clears pivot columns from all other pivot
     rows; divided by their leads, these are the unique reduced echelon form.
+
+    Given pivots from an earlier forward pass, the rows extend that echelon in
+    place: its pivot rows are only read, and each surviving row is added as
+    a new pivot, so len(pivots) becomes the rank of both row sets together.
     """
-    pivots: Dict[int, IntRow] = {}
+    pivots = {} if pivots is None else pivots
     for row in filter(None, rows):
         den = lcm(*[v.denominator for v in row.values()])
         r = _primitive({k: v.numerator * (den // v.denominator) for k, v in row.items()})
@@ -139,7 +148,7 @@ class Matrix:
     fresh dicts.
     """
 
-    __slots__ = ("nrows", "ncols", "rows", "_rank")
+    __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, nrows: int, ncols: int, rows: Optional[List[Row]] = None):
         if nrows < 0 or ncols < 0:
@@ -151,7 +160,6 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
-        self._rank: Optional[int] = None
 
     @classmethod
     def from_nonempty(cls, nrows: int, ncols: int, touched: Mapping[int, Vec]) -> "Matrix":
@@ -220,7 +228,6 @@ class Matrix:
         else:
             row.pop(c, None)
         self.rows[r] = row or EMPTY_ROW
-        self._rank = None
 
     def _check_index(self, r: int, c: int) -> None:
         if not (0 <= r < self.nrows and 0 <= c < self.ncols):
@@ -286,9 +293,7 @@ class Matrix:
         return out
 
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = len(_eliminate(self.rows, reduce_full=False))
-        return self._rank
+        return len(_eliminate(self.rows, reduce_full=False))
 
     def reduced_rows(self) -> List[Tuple[int, Vec]]:
         """Reduced echelon form as (pivot column, row) pairs, pivots ascending.
@@ -296,9 +301,7 @@ class Matrix:
         Rows are scaled to a unit pivot and cleared above and below, so the
         result is the canonical reduced form of the row space.
         """
-        reduced = _reduced(self.rows)
-        self._rank = len(reduced)
-        return reduced
+        return _reduced(self.rows)
 
     def nullspace(self) -> List[List[Fraction]]:
         """Basis of the right kernel as dense vectors, one per free column.
@@ -308,7 +311,6 @@ class Matrix:
         parameterization of the solution space.
         """
         reduced = _reduced(self.rows)
-        self._rank = len(reduced)
         pivot_set = {pc for pc, _ in reduced}
         zero = Fraction(0)
         basis = []

@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from random import Random
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -52,11 +51,10 @@ from .complexes import (
     ce_space_dim,
     dl_delta,
     dl_delta_matrix,
-    dl_space_dim,
     dl_tuples,
     random_dl_cochain,
 )
-from .linalg import Matrix, format_scalar
+from .linalg import Matrix, _eliminate, format_scalar
 from .sparsevec import ONE, Vec, add_at, add_scaled
 
 BRACKET_BOUND_CAP = 16
@@ -145,13 +143,11 @@ def tensor_module(
 class TensorContext:
     """One tensor construction: g, B, M, the Lie algebra g (x) B and its module g (x) M."""
 
-    def __init__(self, g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, validate: bool = False):
-        if M.algebra != B:
-            raise ValueError("module must be over the Zinbiel factor")
+    def __init__(self, g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule):
         self.g = g
         self.B = B
         self.M = M
-        self.lie = tensor_lie(g, B, validate=validate)
+        self.lie = tensor_lie(g, B, validate=False)
         self.module = tensor_module(g, B, M, self.lie)
         self.bracket_bound = _bracket_length_bound(g)
 
@@ -364,6 +360,12 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
     where r_k is the rank of the induced map in degree k. The comparison only
     makes sense when psi is injective in every involved degree (1 through
     max_degree + 1); if not, a PsiNotInjectiveError is raised.
+
+    rank [A | P] is the rank of A's columns with P's, so each delta_CE^n is
+    assembled once and its columns eliminated once. Extending those pivots by
+    the columns of pz = psi_{n+1} Z, Z the DL cocycles of degree n + 1, gains
+    r_{n+1}; extending them further by psi_{n+1}, whose span holds pz, counts
+    rank [delta_CE^n | psi_{n+1}], the quotient rank in degree n plus rank psi_{n+1}.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -373,11 +375,10 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
         raise ValueError(f"max_degree can be at most {CE_MAX_DEGREE}")
     ctx = TensorContext(g, B, M)
     tdim, tmd = ctx.lie.dim, ctx.module.dim
-    bd, md = B.dim, M.dim
 
     psi_mats = {k: psi_matrix(ctx, k) for k in range(1, max_degree + 2)}
     psi_rank = {0: 0, **{k: m.rank() for k, m in psi_mats.items()}}
-    expected = {k: dl_space_dim(bd, md, k) for k in psi_mats}
+    expected = {k: m.ncols for k, m in psi_mats.items()}
     failures = [
         {"degree": k, "rank": psi_rank[k], "expected": expected[k]}
         for k in sorted(psi_mats)
@@ -392,44 +393,35 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
     if failures:
         raise PsiNotInjectiveError(failures)
 
-    dl_mats = {n: dl_delta_matrix(M, n) for n in range(1, max_degree + 2)}
-    dl_rank = {0: 0, **{n: m.rank() for n, m in dl_mats.items()}}
-    ce_mats = {n: ce_delta_matrix(ctx.module, n) for n in range(0, max_degree + 1)}
-    ce_rank = {-1: 0, **{n: m.rank() for n, m in ce_mats.items()}}
-
-    def h_dl(n: int) -> int:
-        return dl_space_dim(bd, md, n) - dl_rank[n] - dl_rank[n - 1]
-
-    def h_lie(n: int) -> int:
-        return ce_space_dim(tdim, tmd, n) - ce_rank[n] - ce_rank[n - 1]
-
-    @lru_cache(maxsize=None)
-    def rank_q(n: int) -> int:
-        return ce_mats[n].hstack(psi_mats[n + 1]).rank() - psi_rank[n + 1]
-
-    def dim_q(n: int) -> int:
-        return ce_space_dim(tdim, tmd, n) - psi_rank[n]
-
-    @lru_cache(maxsize=None)
-    def induced_rank(n: int) -> int:
-        kernel = dl_mats[n].nullspace()
-        if not kernel:
-            return 0
-        pz = psi_mats[n].mul(Matrix.from_cols(kernel, dl_space_dim(bd, md, n)))
-        return pz.hstack(ce_mats[n - 1]).rank() - ce_rank[n - 1]
+    dl_rank, ce_rank = {0: 0}, {-1: 0}
+    h_dl, h_lie, rank_q, induced_rank = {}, {}, {}, {}
+    for n in range(max_degree + 1):
+        psi = psi_mats[n + 1]
+        cocycles = dl_delta_matrix(M, n + 1).nullspace()
+        dl_rank[n + 1] = psi.ncols - len(cocycles)
+        h_dl[n + 1] = len(cocycles) - dl_rank[n]
+        # The columns of [pz | psi] first, so only they outlive the tall matrices.
+        cols = psi.mul(Matrix.from_cols(cocycles, psi.ncols)).hstack(psi).transpose().rows
+        pivots = _eliminate(ce_delta_matrix(ctx.module, n).transpose().rows, False)
+        ce_rank[n] = len(pivots)
+        h_lie[n] = ce_space_dim(tdim, tmd, n) - ce_rank[n] - ce_rank[n - 1]
+        _eliminate(cols[:len(cocycles)], False, pivots)
+        induced_rank[n + 1] = len(pivots) - ce_rank[n]
+        _eliminate(cols[len(cocycles):], False, pivots)
+        rank_q[n] = len(pivots) - psi_rank[n + 1]
 
     rows = []
     for n in range(1, max_degree + 1):
-        hq = dim_q(n) - rank_q(n) - rank_q(n - 1)
-        r_n = induced_rank(n)
-        r_next = induced_rank(n + 1)
-        rhs = (h_lie(n) - r_n) + (h_dl(n + 1) - r_next)
+        dim_q = ce_space_dim(tdim, tmd, n) - psi_rank[n]
+        hq = dim_q - rank_q[n] - rank_q[n - 1]
+        r_n, r_next = induced_rank[n], induced_rank[n + 1]
+        rhs = (h_lie[n] - r_n) + (h_dl[n + 1] - r_next)
         rows.append({
             "degree": n,
-            "h_dl": h_dl(n),
-            "h_dl_next": h_dl(n + 1),
-            "h_lie": h_lie(n),
-            "dim_quotient": dim_q(n),
+            "h_dl": h_dl[n],
+            "h_dl_next": h_dl[n + 1],
+            "h_lie": h_lie[n],
+            "dim_quotient": dim_q,
             "h_quotient": hq,
             "induced_rank": r_n,
             "induced_rank_next": r_next,

@@ -6,7 +6,7 @@ is a second route to the same numbers, not speed.
 """
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, permutations, product
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -20,9 +20,21 @@ from zinbiel.algebras import (
     _bilinear,
     _vec_display,
 )
-from zinbiel.complexes import Key, _check_module, cochain_to_vector, dl_space_dim, dl_tuples
+from zinbiel.complexes import (
+    CE_MAX_DEGREE,
+    DL_MAX_DEGREE,
+    Key,
+    _check_module,
+    ce_delta_matrix,
+    ce_space_dim,
+    cochain_to_vector,
+    dl_delta_matrix,
+    dl_space_dim,
+    dl_tuples,
+)
+from zinbiel.linalg import Matrix
 from zinbiel.sparsevec import ONE, Vec, add_at, add_scaled
-from zinbiel.tensor_bridge import TensorContext
+from zinbiel.tensor_bridge import PsiNotInjectiveError, TensorContext, psi_matrix
 
 _NEG = Fraction(-1)
 
@@ -518,3 +530,95 @@ def tensor_module_grid(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule) -> Tuple
                         left[(a_idx, m_idx)] = acc
                         right[(m_idx, a_idx)] = {j: -c for j, c in acc.items()}
     return left, right
+
+
+# les_report by the row-wise route: every rank comes from hstack(...).rank()
+# on the assembled matrices, the reference for the single column echelon of
+# each delta_CE that les_report builds.
+
+def les_report_rowwise(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int) -> dict:
+    """les_report by the row-wise route: each rank is its own elimination.
+
+    delta_CE^n is eliminated by rows for its own rank, again hstacked with
+    psi_{n+1} for the quotient differential, and again hstacked with the
+    image under psi_n of the DL cocycles for the induced map.
+    """
+    if max_degree < 1:
+        raise ValueError("max_degree must be at least 1")
+    if max_degree + 1 > DL_MAX_DEGREE:
+        raise ValueError(f"max_degree can be at most {DL_MAX_DEGREE - 1}")
+    if max_degree > CE_MAX_DEGREE:
+        raise ValueError(f"max_degree can be at most {CE_MAX_DEGREE}")
+    ctx = TensorContext(g, B, M)
+    tdim, tmd = ctx.lie.dim, ctx.module.dim
+    bd, md = B.dim, M.dim
+
+    psi_mats = {k: psi_matrix(ctx, k) for k in range(1, max_degree + 2)}
+    psi_rank = {0: 0, **{k: m.rank() for k, m in psi_mats.items()}}
+    expected = {k: dl_space_dim(bd, md, k) for k in psi_mats}
+    failures = [
+        {"degree": k, "rank": psi_rank[k], "expected": expected[k]}
+        for k in sorted(psi_mats)
+        if psi_rank[k] != expected[k]
+    ]
+    precheck = {
+        "degrees": sorted(psi_mats),
+        "psi_ranks": {k: psi_rank[k] for k in sorted(psi_mats)},
+        "expected_ranks": expected,
+        "injective": not failures,
+    }
+    if failures:
+        raise PsiNotInjectiveError(failures)
+
+    dl_mats = {n: dl_delta_matrix(M, n) for n in range(1, max_degree + 2)}
+    dl_rank = {0: 0, **{n: m.rank() for n, m in dl_mats.items()}}
+    ce_mats = {n: ce_delta_matrix(ctx.module, n) for n in range(0, max_degree + 1)}
+    ce_rank = {-1: 0, **{n: m.rank() for n, m in ce_mats.items()}}
+
+    def h_dl(n: int) -> int:
+        return dl_space_dim(bd, md, n) - dl_rank[n] - dl_rank[n - 1]
+
+    def h_lie(n: int) -> int:
+        return ce_space_dim(tdim, tmd, n) - ce_rank[n] - ce_rank[n - 1]
+
+    @lru_cache(maxsize=None)
+    def rank_q(n: int) -> int:
+        return ce_mats[n].hstack(psi_mats[n + 1]).rank() - psi_rank[n + 1]
+
+    def dim_q(n: int) -> int:
+        return ce_space_dim(tdim, tmd, n) - psi_rank[n]
+
+    @lru_cache(maxsize=None)
+    def induced_rank(n: int) -> int:
+        kernel = dl_mats[n].nullspace()
+        if not kernel:
+            return 0
+        pz = psi_mats[n].mul(Matrix.from_cols(kernel, dl_space_dim(bd, md, n)))
+        return pz.hstack(ce_mats[n - 1]).rank() - ce_rank[n - 1]
+
+    rows = []
+    for n in range(1, max_degree + 1):
+        hq = dim_q(n) - rank_q(n) - rank_q(n - 1)
+        r_n = induced_rank(n)
+        r_next = induced_rank(n + 1)
+        rhs = (h_lie(n) - r_n) + (h_dl(n + 1) - r_next)
+        rows.append({
+            "degree": n,
+            "h_dl": h_dl(n),
+            "h_dl_next": h_dl(n + 1),
+            "h_lie": h_lie(n),
+            "dim_quotient": dim_q(n),
+            "h_quotient": hq,
+            "induced_rank": r_n,
+            "induced_rank_next": r_next,
+            "identity_lhs": hq,
+            "identity_rhs": rhs,
+            "identity_holds": hq == rhs,
+        })
+    return {
+        "tensor_dim": tdim,
+        "tensor_module_dim": tmd,
+        "max_degree": max_degree,
+        "precheck": precheck,
+        "rows": rows,
+    }

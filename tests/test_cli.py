@@ -287,7 +287,21 @@ def test_missing_file(capsys):
     assert "no such file" in err and "builtin:" in err
 
 
-@pytest.mark.parametrize("content", [b"[1, 2]\n", b"\xff\xfe{"], ids=["list", "not-utf8"])
+def _one_dim_algebra(dim="1", left="0", coeff="1") -> bytes:
+    return (
+        f'{{"kind": "zinbiel", "dim": {dim}, "basis": ["e"], "products": '
+        f'[{{"left": {left}, "right": 0, "result": [[0, {coeff}]]}}]}}'
+    ).encode()
+
+
+@pytest.mark.parametrize("content", [
+    b"[1, 2]\n",
+    b"\xff\xfe{",
+    _one_dim_algebra(coeff="0.5"),
+    _one_dim_algebra(coeff="null"),
+    _one_dim_algebra(dim="true"),
+    _one_dim_algebra(left="false"),
+], ids=["list", "not-utf8", "float-coefficient", "null-coefficient", "bool-dim", "bool-index"])
 def test_malformed_file_names_its_path_once(capsys, tmp_path, content):
     path = tmp_path / "top.json"
     path.write_bytes(content)

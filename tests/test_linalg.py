@@ -1,5 +1,6 @@
 """Exact rational matrices: rank, reduction, nullspace, products."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import dense_nullspace, dense_rank, dense_rref
 from zinbiel import Matrix, builtin, dl_delta_matrix, format_scalar, parse_scalar, regular
-from zinbiel.linalg import EMPTY_ROW
+from zinbiel.linalg import EMPTY_ROW, _eliminate
 from zinbiel.sparsevec import to_dense
 
 
@@ -116,6 +117,20 @@ def test_elimination_matches_dense_rref(rows):
     assert m.rank() == len(want)
     assert reduced_dense(m) == want
     assert m.nullspace() == dense_nullspace(rows)
+
+
+@settings(deadline=None)
+@given(rational_matrices(), st.data())
+def test_extending_an_echelon_keeps_its_pivot_rows(rows, data):
+    # Rows split into A and P: extending A's forward echelon by P counts the
+    # rank of both, and writes no pivot row that A's elimination made.
+    split = data.draw(st.integers(0, len(rows)))
+    sparse = Matrix.from_rows(rows).rows
+    pivots = _eliminate(sparse[:split], False)
+    before = copy.deepcopy(pivots)
+    _eliminate(sparse[split:], False, pivots)
+    assert len(pivots) == dense_rank(rows)
+    assert all(pivots[c] == row for c, row in before.items())
 
 
 def test_fractional_complex_rank_and_reduced_form():

@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from _oracles import ce_delta_gather, dense_rank, dl_delta_lowdeg, psi_gather
+from _oracles import ce_delta_gather, dense_rank, dl_delta_lowdeg, les_report_rowwise, psi_gather
 from zinbiel import (
     Cochain,
     FiniteAlgebra,
@@ -491,6 +491,33 @@ def test_les_precheck_failure_message():
     with pytest.raises(PsiNotInjectiveError) as exc:
         les_report(builtin("freeleibniz(1,1)"), B, regular(B), max_degree=1)
     assert str(exc.value) == "embedding not injective at degree 2; LES hypothesis not met"
+
+
+def _report_or_failures(les, g_name, b_name, max_degree):
+    B = builtin(b_name)
+    try:
+        return les(builtin(g_name), B, regular(B), max_degree)
+    except PsiNotInjectiveError as exc:
+        return exc.failures
+
+
+@pytest.mark.parametrize("g_name, b_name, max_degree", [
+    ("leibniz2", "B2", 1),
+    ("leibniz2", "B2", 2),
+    ("freeleibniz(2,3)", "B2", 1),
+    ("freeleibniz(2,3)", "B2", 2),
+    ("leibniz2", "B3", 2),
+    ("lie2", "B3", 2),
+    ("freeleibniz(2,2)", "B2", 1),
+    ("freeleibniz(2,2)", "B3", 1),
+    ("freeleibniz(2,3)", "polyzinbiel(2)", 1),
+    ("lie2", "B2", 1),
+])
+def test_les_report_matches_rowwise_oracle(g_name, b_name, max_degree):
+    # One column echelon per delta_CE against three row eliminations of it:
+    # the whole report, or the precheck failures when both raise.
+    args = (g_name, b_name, max_degree)
+    assert _report_or_failures(les_report, *args) == _report_or_failures(les_report_rowwise, *args)
 
 
 def test_trivial_product_coefficients():
