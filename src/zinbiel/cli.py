@@ -9,12 +9,13 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from .algebras import AxiomReport, Bimodule, FiniteAlgebra, check_axioms, regular
 from .catalog import builtin as catalog_builtin
 from .complexes import cohomology_dims
 from .fileio import (
+    _json_text,
     algebra_from_dict,
     algebra_to_dict,
     bimodule_from_dict,
@@ -46,7 +47,7 @@ class UsageError(Exception):
 
 
 def _emit_json(data: dict) -> None:
-    sys.stdout.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_json_text(data))
 
 
 def _dim_cap(args: argparse.Namespace) -> int:
@@ -105,6 +106,15 @@ def _witness_lines(witness: Optional[dict], indent: str = "  ") -> List[str]:
     return lines
 
 
+def _print_checks(results: Iterable[Tuple[str, AxiomReport]], prefix: str = "") -> None:
+    """One 'PREFIX NAME: PASS|FAIL' line per check, each failure followed by its witness."""
+    for name, rep in results:
+        print(f"{prefix}{name}: {'PASS' if rep.ok else 'FAIL'}")
+        if not rep.ok:
+            for line in _witness_lines(rep.witness):
+                print(line)
+
+
 def _axiom_report_dict(name: str, report: AxiomReport) -> dict:
     return {
         "name": name,
@@ -114,24 +124,19 @@ def _axiom_report_dict(name: str, report: AxiomReport) -> dict:
     }
 
 
-def _check_input_axioms(
-    g: FiniteAlgebra, B: FiniteAlgebra, fmt: str
+def _input_gate(
+    checks: List[Tuple[str, FiniteAlgebra, Optional[Bimodule]]], fmt: str
 ) -> Optional[int]:
-    """Shared input gate: g must be Leibniz and B Zinbiel, else exit 1."""
-    results = [
-        ("leibniz", check_axioms(g, "leibniz")),
-        ("zinbiel", check_axioms(B, "zinbiel")),
-    ]
+    """Run every (family, algebra, module) check; exit 1 with the failures
+    (every check in JSON) unless all pass."""
+    results = [(name, check_axioms(alg, name, module)) for name, alg, module in checks]
     bad = [(n, r) for n, r in results if not r.ok]
     if not bad:
         return None
     if fmt == "json":
         _emit_json({"checks": [_axiom_report_dict(n, r) for n, r in results]})
     else:
-        for name, rep in bad:
-            print(f"input axiom {name}: FAIL")
-            for line in _witness_lines(rep.witness):
-                print(line)
+        _print_checks(bad, "input axiom ")
     return 1
 
 
@@ -161,11 +166,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             data["module_dim"] = obj.dim
         _emit_json(data)
     else:
-        for name, rep in results:
-            print(f"{name}: {'PASS' if rep.ok else 'FAIL'}")
-            if not rep.ok:
-                for line in _witness_lines(rep.witness):
-                    print(line)
+        _print_checks(results)
     return 0 if ok else 1
 
 
@@ -181,6 +182,12 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         if obj.algebra != alg:
             raise UsageError("--module was built over a different algebra")
         module = obj
+    # delta squares to zero only over an algebra and module of the complex's family
+    family = "zinbiel" if args.complex == "dl" else "lie"
+    failed = _input_gate([(family, alg, None), (_MODULE_FAMILY[family], alg, module)],
+                         args.format)
+    if failed is not None:
+        return failed
     try:
         dims = cohomology_dims(module, args.complex, args.degree)
     except ValueError as exc:
@@ -205,7 +212,7 @@ def cmd_tensor_lie(args: argparse.Namespace) -> int:
     cap = _dim_cap(args)
     g = _load_algebra_operand(args.leibniz, cap, "--leibniz")
     B = _load_algebra_operand(args.zinbiel, cap, "--zinbiel")
-    failed = _check_input_axioms(g, B, args.format)
+    failed = _input_gate([("leibniz", g, None), ("zinbiel", B, None)], args.format)
     if failed is not None:
         return failed
     lie = tensor_lie(g, B, validate=False)
@@ -239,11 +246,7 @@ def cmd_verify_chain_map(args: argparse.Namespace) -> int:
     else:
         exact = report.trials - len(report.failed_trials)
         print(f"chain map at degree {report.degree}: {exact}/{report.trials} exact")
-        for name, rep in report.axioms.items():
-            print(f"axiom {name}: {'PASS' if rep.ok else 'FAIL'}")
-            if not rep.ok:
-                for line in _witness_lines(rep.witness):
-                    print(line)
+        _print_checks(report.axioms.items(), "axiom ")
         if report.witness:
             print("first equality failure:")
             for line in _witness_lines(report.witness):
@@ -255,7 +258,7 @@ def cmd_les(args: argparse.Namespace) -> int:
     cap = _dim_cap(args)
     g = _load_algebra_operand(args.leibniz, cap, "--leibniz")
     B = _load_algebra_operand(args.zinbiel, cap, "--zinbiel")
-    failed = _check_input_axioms(g, B, args.format)
+    failed = _input_gate([("leibniz", g, None), ("zinbiel", B, None)], args.format)
     if failed is not None:
         return failed
     try:

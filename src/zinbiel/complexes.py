@@ -6,6 +6,9 @@ Two cochain theories share one container type:
   n-tuple of basis indices (no symmetry). The differential raises degree by
   one and combines a left action against a signed shuffle sum, interior
   products in both factor orders, and a right action on the last argument.
+  The shuffle sum is read off the left-normed expansion of an n-letter
+  Leibniz bracket (free_leibniz.leibniz_expansion), each word signed by its
+  expansion sign times its permutation sign: the Zinbiel-Leibniz duality.
 * theory "ce": degree n >= 0, cochains are alternating, stored only on
   strictly increasing tuples. The differential is the classical alternating
   one driven by the algebra's bracket and the module's left action.
@@ -32,11 +35,11 @@ from functools import lru_cache
 from itertools import combinations, product as iproduct
 from math import comb
 from random import Random
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from .algebras import Bimodule, FiniteAlgebra
+from .free_leibniz import leibniz_expansion
 from .linalg import Matrix, parse_scalar
-from .shuffles import invert_permutation, net_signed_shuffle_terms
 from .sparsevec import ONE, Vec, add_at, add_scaled
 
 Key = Tuple[int, ...]
@@ -53,11 +56,9 @@ def _check_start(theory: str, degree: int) -> None:
         raise ValueError(f"{theory} cochains start at degree {lo}, got {degree}")
 
 
-def _check_degree(theory: str, degree: int, max_degree: Optional[int]) -> None:
+def _check_degree(theory: str, degree: int) -> None:
     _check_start(theory, degree)
-    cap = max_degree if max_degree is not None else (
-        DL_MAX_DEGREE if theory == "dl" else CE_MAX_DEGREE
-    )
+    cap = DL_MAX_DEGREE if theory == "dl" else CE_MAX_DEGREE
     if degree > cap:
         raise ValueError(f"{theory} degree {degree} is over the cap {cap}")
 
@@ -229,10 +230,14 @@ def random_dl_cochain(
 
 @lru_cache(maxsize=None)
 def _net_terms(n: int) -> Tuple[Tuple[Fraction, Key], ...]:
-    """Net shuffle terms (c, place): argument i of f is y_{1 + place[i]}."""
+    """Shuffle terms (c, place): y_{1 + j} fills argument place[j] of f.
+
+    place is a word w of the left-normed expansion of an n-letter bracket,
+    shifted to 0-based, and c its expansion sign times sign(w).
+    """
     return tuple(
-        (Fraction(c), tuple(p - 1 for p in invert_permutation(sigma)))
-        for c, sigma in net_signed_shuffle_terms(n)
+        (Fraction(c * _sort_sign(w)[0]), tuple(p - 1 for p in w))
+        for c, w in leibniz_expansion(n)
     )
 
 
@@ -304,12 +309,14 @@ def _blocks(module: Bimodule) -> Tuple[Block, List[Tuple[int, Block]], List[Tupl
 def _dl_generator(module: Bimodule, n: int) -> Terms:
     """Terms of the degree n -> n+1 map of the non-symmetric complex,
 
-        (delta f)(y_0, ..., y_n) = sum over net shuffle terms (c, sigma) of
+        (delta f)(y_0, ..., y_n) = sum over shuffle terms (c, sigma) of
             c * y_0 f(y_sigma(1), ..., y_sigma(n))
           + sum_{i=1..n} (-1)^i (f(.., y_{i-1} y_i, ..) + [i >= 2] f(.., y_i y_{i-1}, ..))
           + (-1)^(n+1) f(y_0, ..., y_{n-1}) y_n,
 
-    read from an input tuple X: the shuffle terms place X in y_1..y_n with a
+    where sigma^-1 runs over the 2^(n-1) words of the left-normed expansion
+    of an n-letter bracket and c is that word's sign times sign(sigma). Read
+    from an input tuple X: the shuffle terms place X in y_1..y_n with a
     free y_0; a product term for X[q] = p takes every e_u e_w containing e_p,
     giving X[:q] + (u, w) + X[q+1:], and (w, u) in its place as well when
     q >= 1; the right term appends a free y_n.
@@ -374,30 +381,28 @@ def _check_module(f: Cochain, module: Bimodule) -> None:
         raise ValueError("cochain dimensions do not match the module")
 
 
-def _delta(theory: str, f: Cochain, module: Bimodule, max_degree: Optional[int]) -> Cochain:
+def _delta(theory: str, f: Cochain, module: Bimodule) -> Cochain:
     if f.theory != theory:
         raise ValueError(f"{theory}_delta needs a '{theory}' cochain")
     _check_module(f, module)
-    _check_degree(theory, f.degree, max_degree)
+    _check_degree(theory, f.degree)
     generator = _dl_generator if theory == "dl" else _ce_generator
     values = _apply(f.values, generator(module, f.degree))
     return Cochain(theory, f.degree + 1, module.algebra.dim, module.dim, values)
 
 
-def dl_delta(f: Cochain, module: Bimodule, max_degree: Optional[int] = None) -> Cochain:
+def dl_delta(f: Cochain, module: Bimodule) -> Cochain:
     """Apply the degree-raising map of the non-symmetric complex."""
-    return _delta("dl", f, module, max_degree)
+    return _delta("dl", f, module)
 
 
-def ce_delta(f: Cochain, module: Bimodule, max_degree: Optional[int] = None) -> Cochain:
+def ce_delta(f: Cochain, module: Bimodule) -> Cochain:
     """Apply the alternating differential; only the left action is used."""
-    return _delta("ce", f, module, max_degree)
+    return _delta("ce", f, module)
 
 
-def _assemble(
-    theory: str, module: Bimodule, degree: int, max_degree: Optional[int]
-) -> Matrix:
-    _check_degree(theory, degree, max_degree)
+def _assemble(theory: str, module: Bimodule, degree: int) -> Matrix:
+    _check_degree(theory, degree)
     dim = module.algebra.dim
     md = module.dim
     if theory == "dl":
@@ -408,13 +413,13 @@ def _assemble(
                    space(dim, md, degree + 1), generator(module, degree))
 
 
-def dl_delta_matrix(module: Bimodule, degree: int, max_degree: Optional[int] = None) -> Matrix:
+def dl_delta_matrix(module: Bimodule, degree: int) -> Matrix:
     """Matrix of the degree -> degree+1 map in the standard basis order."""
-    return _assemble("dl", module, degree, max_degree)
+    return _assemble("dl", module, degree)
 
 
-def ce_delta_matrix(module: Bimodule, degree: int, max_degree: Optional[int] = None) -> Matrix:
-    return _assemble("ce", module, degree, max_degree)
+def ce_delta_matrix(module: Bimodule, degree: int) -> Matrix:
+    return _assemble("ce", module, degree)
 
 
 @dataclass
@@ -427,22 +432,20 @@ class CohomologyDims:
     dim_cohomology: int
 
 
-def cohomology_dims(
-    module: Bimodule, theory: str, degree: int, max_degree: Optional[int] = None
-) -> CohomologyDims:
+def cohomology_dims(module: Bimodule, theory: str, degree: int) -> CohomologyDims:
     """Exact dimensions of cocycles, coboundaries, and their quotient."""
     if theory not in ("dl", "ce"):
         raise ValueError("theory must be 'dl' or 'ce'")
-    _check_degree(theory, degree, max_degree)
+    _check_degree(theory, degree)
     dim = module.algebra.dim
     md = module.dim
     space = dl_space_dim if theory == "dl" else ce_space_dim
-    out = _assemble(theory, module, degree, max_degree)
+    out = _assemble(theory, module, degree)
     dim_c = space(dim, md, degree)
     dim_z = dim_c - out.rank()
     first = 1 if theory == "dl" else 0
     if degree > first:
-        dim_b = _assemble(theory, module, degree - 1, max_degree).rank()
+        dim_b = _assemble(theory, module, degree - 1).rank()
     else:
         dim_b = 0
     return CohomologyDims(theory, degree, dim_c, dim_z, dim_b, dim_z - dim_b)

@@ -144,8 +144,13 @@ def _load_json(path: PathLike) -> dict:
     return data
 
 
+def _json_text(data: dict) -> str:
+    """The one canonical JSON form of files and reports: sorted keys, indent 2, final newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def _dump_json(data: dict, path: PathLike) -> None:
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(_json_text(data), encoding="utf-8")
 
 
 def load_algebra(path: PathLike) -> FiniteAlgebra:

@@ -9,11 +9,10 @@ quotient a Leibniz algebra because the word length is a grading.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from typing import Dict, Iterator, List, Tuple
 
 from .algebras import FiniteAlgebra
-from .shuffles import leibniz_expansion
 
 Word = Tuple[int, ...]
 
@@ -40,6 +39,24 @@ def word_name(word: Word, num_letters: int) -> str:
     if num_letters <= len(_LETTERS):
         return "".join(_LETTERS[i] for i in word)
     return ".".join(f"x{i + 1}" for i in word)
+
+
+def leibniz_expansion(m: int) -> List[Tuple[int, Word]]:
+    """Left-normed expansion words for a bracket with an m-letter right argument.
+
+    [u, z_1 ... z_m] = sum of sign * (u followed by z_{w(1)}, ..., z_{w(m)})
+    over the returned (sign, w) pairs, w 1-based. Term i puts i of the letters
+    2..m, reversed, before 1 and the rest after it, with sign (-1)^i; i runs
+    up from 0 and the letters after 1 in combination order. There are
+    2^(m-1) distinct words.
+    """
+    letters = range(2, m + 1)
+    out: List[Tuple[int, Word]] = []
+    for i in range(m):
+        for after in combinations(letters, m - 1 - i):
+            before = tuple(x for x in reversed(letters) if x not in after)
+            out.append((-1 if i % 2 else 1, before + (1,) + after))
+    return out
 
 
 def word_bracket(u: Word, v: Word, max_length: int) -> Dict[Word, Fraction]:

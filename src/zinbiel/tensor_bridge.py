@@ -161,10 +161,7 @@ def _bracket_length_bound(g: FiniteAlgebra, cap: int = BRACKET_BOUND_CAP) -> int
     supp = set(range(g.dim))
     k = 1
     while k < cap:
-        nxt: set = set()
-        for i in supp:
-            for j in range(g.dim):
-                nxt.update(g.product(i, j).keys())
+        nxt = {p for (i, _), v in g.products.items() if i in supp for p in v}
         if not nxt:
             return k
         supp = nxt
@@ -304,7 +301,7 @@ def verify_chain_map(
     tensor algebra, because the equality is insensitive to some broken inputs
     while the axioms are not.
     """
-    _check_degree("dl", degree, None)
+    _check_degree("dl", degree)
     if trials < 1:
         raise ValueError("need at least one trial")
     ctx = TensorContext(g, B, M)

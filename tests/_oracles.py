@@ -622,3 +622,115 @@ def les_report_rowwise(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degr
         "precheck": precheck,
         "rows": rows,
     }
+
+
+# Shuffle combinatorics: signed (s, t)-shuffles enumerated block by block and
+# inverted, the second route to the signed sum that the differential reads
+# off the left-normed expansion (free_leibniz.leibniz_expansion).
+#
+# Shuffle combinatorics and signed permutation sums.
+#
+# Conventions used throughout:
+#
+# * Permutations of {1, ..., n} are tuples w with w[i-1] = w(i), so everything
+#   here is 1-based.
+# * shuffles1(s, t) enumerates the (s, t)-shuffles of {1, ..., s+t} whose first
+#   block contains 1. Each shuffle is returned as the pair (alpha, beta) of
+#   increasing blocks, alpha of length s with alpha[0] == 1. There are
+#   C(s+t-1, t) of them, and s == 0 is rejected since the pin has nowhere to go.
+# * signed_shuffle_terms(n) and leibniz_expansion(m) both run over the same
+#   double enumeration: i = 0..n-1, then (alpha, beta) in shuffles1(n-i, i),
+#   forming the word
+#
+#       w = (beta[i-1], ..., beta[0], alpha[0], ..., alpha[n-i-1]),
+#
+#   i.e. beta reversed, then alpha. leibniz_expansion emits ((-1)^i, w);
+#   signed_shuffle_terms emits ((-1)^i * sign(w), w^{-1}). Results come out in
+#   enumeration order, which is deterministic.
+
+Perm = Tuple[int, ...]
+SignedPerm = Tuple[int, Perm]
+
+
+def _validate_permutation(perm: Perm) -> None:
+    n = len(perm)
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {perm!r}")
+
+
+def permutation_sign(perm: Perm) -> int:
+    """Sign of a 1-based permutation tuple, by inversion count."""
+    _validate_permutation(perm)
+    inversions = 0
+    for i, a in enumerate(perm):
+        for b in perm[i + 1:]:
+            if a > b:
+                inversions += 1
+    return -1 if inversions % 2 else 1
+
+
+def invert_permutation(perm: Perm) -> Perm:
+    _validate_permutation(perm)
+    inv = [0] * len(perm)
+    for pos, val in enumerate(perm, start=1):
+        inv[val - 1] = pos
+    return tuple(inv)
+
+
+def shuffles1(s: int, t: int) -> List[Tuple[Perm, Perm]]:
+    """All (s, t)-shuffles of {1, ..., s+t} with 1 pinned to the first block."""
+    if s <= 0:
+        raise ValueError("first block must be nonempty: it holds the pinned letter 1")
+    if t < 0:
+        raise ValueError("second block size must be nonnegative")
+    n = s + t
+    universe = range(2, n + 1)
+    out: List[Tuple[Perm, Perm]] = []
+    for rest in combinations(universe, s - 1):
+        alpha = (1,) + rest
+        chosen = set(rest)
+        beta = tuple(x for x in universe if x not in chosen)
+        out.append((alpha, beta))
+    return out
+
+
+def _shuffle_words(n: int) -> List[Tuple[int, Perm]]:
+    """Pairs (i, w) in enumeration order; see the module docstring for w."""
+    if n <= 0:
+        raise ValueError("need n >= 1")
+    out: List[Tuple[int, Perm]] = []
+    for i in range(n):
+        for alpha, beta in shuffles1(n - i, i):
+            out.append((i, beta[::-1] + alpha))
+    return out
+
+
+def leibniz_expansion(m: int) -> List[SignedPerm]:
+    """Left-normed expansion words for a bracket with an m-letter right argument.
+
+    [u, z_1 ... z_m] = sum of sign * (u followed by z_{w(1)}, ..., z_{w(m)})
+    over the returned (sign, w) pairs. There are 2^(m-1) of them.
+    """
+    return [(-1 if i % 2 else 1, w) for i, w in _shuffle_words(m)]
+
+
+def signed_shuffle_terms(n: int) -> List[SignedPerm]:
+    """Raw signed permutation terms ((-1)^i * sign(w), w^{-1}), in order."""
+    out: List[SignedPerm] = []
+    for i, w in _shuffle_words(n):
+        sign = permutation_sign(w)
+        if i % 2:
+            sign = -sign
+        out.append((sign, invert_permutation(w)))
+    return out
+
+
+def net_signed_shuffle_terms(n: int) -> List[SignedPerm]:
+    """signed_shuffle_terms with coefficients merged per permutation.
+
+    Zero totals are dropped; first-appearance order is kept.
+    """
+    totals: dict = {}
+    for sign, perm in signed_shuffle_terms(n):
+        totals[perm] = totals.get(perm, 0) + sign
+    return [(c, perm) for perm, c in totals.items() if c]

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from _oracles import dl_delta_lowdeg
+from _oracles import dl_delta_lowdeg, signed_shuffle_terms
 from test_free_leibniz import all_words, rewrite_bracket
 
 from zinbiel import (
@@ -26,8 +26,8 @@ from zinbiel import (
     regular,
     verify_chain_map,
 )
+from zinbiel.free_leibniz import leibniz_expansion
 from zinbiel.reproduce import DIFFER_LABEL, MATCH_LABEL, reproduce_example_4_6
-from zinbiel.shuffles import leibniz_expansion, signed_shuffle_terms
 from zinbiel.tensor_bridge import (
     PsiNotInjectiveError,
     TensorContext,

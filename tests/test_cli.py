@@ -119,6 +119,45 @@ def test_cohomology_rejects_degree_over_the_cap(capsys):
     assert (code, out, err) == (2, "", "error: dl degree 9 is over the cap 4\n")
 
 
+LIE2_DL_GATE = """\
+input axiom zinbiel: FAIL
+  identity: (x . y) . z = x . (y . z) + x . (z . y)
+  inputs: e1, e2, e2
+  lhs: e1: 1
+  rhs: 0
+input axiom zinbiel-bimodule: FAIL
+  identity: (m . y) . z = m . (y . z + z . y)
+  inputs: e1, e2, e2
+  lhs: e1: 1
+  rhs: 0
+"""
+
+B2_CE_GATE = """\
+input axiom lie: FAIL
+  identity: [x, x] = 0
+  inputs: e1
+  lhs: e2: 1
+  rhs: 0
+"""
+
+
+@pytest.mark.parametrize("complex_, algebra, degree, text, checks", [
+    # lie2 is not Zinbiel: delta^2 != 0, and the parent printed dim H^3 = -2
+    ("dl", "lie2", "3", LIE2_DL_GATE, [("zinbiel", False), ("zinbiel-bimodule", False)]),
+    # B2 is not Lie ([e1, e1] = e2), though its left action satisfies lie-module
+    ("ce", "B2", "1", B2_CE_GATE, [("lie", False), ("lie-module", True)]),
+], ids=["lie2-dl", "B2-ce"])
+def test_cohomology_gates_the_algebra_family(capsys, complex_, algebra, degree, text, checks):
+    argv = ["cohomology", "--complex", complex_, "--algebra", f"builtin:{algebra}",
+            "--regular", "--degree", degree]
+    assert run(capsys, argv) == (1, text, "")
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    assert [(c["name"], c["ok"]) for c in data["checks"]] == checks
+    assert out == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def test_cohomology_rejects_both_coefficient_flags(capsys, tmp_path):
     path = tmp_path / "reg.json"
     save_bimodule(regular(builtin("B2")), path)

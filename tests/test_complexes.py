@@ -247,9 +247,6 @@ def test_degree_caps():
         dl_delta_matrix(mod, 0)
     with pytest.raises(ValueError):
         dl_delta_matrix(mod, DL_MAX_DEGREE + 1)
-    # per-call override lifts the cap
-    assert dl_delta_matrix(mod, DL_MAX_DEGREE + 1, max_degree=9).ncols == \
-        dl_space_dim(2, 2, DL_MAX_DEGREE + 1)
     with pytest.raises(ValueError):
         cohomology_dims(mod, "ce", -1)
     with pytest.raises(ValueError):

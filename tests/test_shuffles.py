@@ -5,19 +5,23 @@ they were derived by hand from the definitions and must never drift.
 """
 
 import math
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zinbiel.shuffles import (
+from _oracles import (
     invert_permutation,
-    leibniz_expansion,
+    leibniz_expansion as shuffle_route_expansion,
     net_signed_shuffle_terms,
     permutation_sign,
     shuffles1,
     signed_shuffle_terms,
 )
+
+from zinbiel.complexes import _net_terms
+from zinbiel.free_leibniz import leibniz_expansion
 
 # Signed permutation families for the first three degrees, in enumeration
 # order: identity block first, then one interior letter, then two.
@@ -144,3 +148,20 @@ def test_all_permutations_appear_by_degree_four():
     words = {w for _, w in signed_shuffle_terms(4)}
     assert len(words) == 8
     assert words < set(permutations(range(1, 5)))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_expansion_matches_shuffle_enumeration(n):
+    # the combinations loop reproduces the shuffle-block enumeration, order included
+    assert leibniz_expansion(n) == shuffle_route_expansion(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_net_terms_match_inverted_shuffle_terms(n):
+    # the differential signs expansion words directly; the oracle route
+    # enumerates signed shuffles, inverts them, merges, and inverts back
+    expected = tuple(
+        (Fraction(c), tuple(p - 1 for p in invert_permutation(sigma)))
+        for c, sigma in net_signed_shuffle_terms(n)
+    )
+    assert _net_terms(n) == expected
