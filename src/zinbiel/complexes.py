@@ -269,7 +269,7 @@ def _matrix(
 ) -> Matrix:
     """Matrix of a map; in_keys come in basis order, so column (X, k) is the image of e_X (x) m_k.
 
-    Only the rows the terms reach get a dict; the rest stay EMPTY_ROW.
+    Only the rows the terms reach are stored; the matrix keeps no entry for the rest.
     """
     rows: Dict[int, Vec] = defaultdict(dict)
     col_base = 0
@@ -433,7 +433,14 @@ class CohomologyDims:
 
 
 def cohomology_dims(module: Bimodule, theory: str, degree: int) -> CohomologyDims:
-    """Exact dimensions of cocycles, coboundaries, and their quotient."""
+    """Exact dimensions of cocycles, coboundaries, and their quotient.
+
+    The module and its algebra must lie in the complex's family (Zinbiel for
+    "dl", Lie for "ce"); outside it delta o delta need not vanish. An input
+    whose coboundaries outnumber its cocycles raises ValueError, but that
+    catches only some inputs outside the family: the others get dimensions
+    that mean nothing.
+    """
     if theory not in ("dl", "ce"):
         raise ValueError("theory must be 'dl' or 'ce'")
     _check_degree(theory, degree)
@@ -448,4 +455,9 @@ def cohomology_dims(module: Bimodule, theory: str, degree: int) -> CohomologyDim
         dim_b = _assemble(theory, module, degree - 1).rank()
     else:
         dim_b = 0
+    if dim_b > dim_z:
+        raise ValueError(
+            f"{theory} complex, degree {degree}: dim B = {dim_b} > dim Z = {dim_z}, so "
+            "delta o delta != 0 and the input is outside the complex's family"
+        )
     return CohomologyDims(theory, degree, dim_c, dim_z, dim_b, dim_z - dim_b)

@@ -1,26 +1,28 @@
 """Exact linear algebra over the rationals.
 
-Matrices are stored row-sparse: a list of {column: Fraction} mappings holding
-no explicit zeros, one per row. Every empty row is the one shared read-only
-EMPTY_ROW, so a tall matrix with few nonzeros costs a list slot per row and a
-dict only per nonempty row. Rows are never mutated in place: writers build a
-new row and replace the old one.
+A Matrix stores only its nonempty rows, as {row index: {column: Fraction}}
+with no explicit zeros, so a tall matrix with few nonzeros costs a dict entry
+per nonempty row and nothing per empty one. Rows are never mutated in place:
+writers build a new row and replace the old one. The `rows` list, with the
+one shared read-only EMPTY_ROW in every empty slot, is built only on request.
 
 Rank uses forward elimination with leading-column pivoting; nullspace and
-constraint extraction go through the fully reduced form. A forward echelon
-can be extended in place by more rows without touching its pivot rows, so
-the rank of [A | P] is A's column echelon extended by P's columns.
+constraint extraction go through the fully reduced form. Rows are taken
+sparsest first, which limits fill-in (Markowitz, Management Sci. 3, 1957);
+the pivot columns are those of the reduced echelon form whatever the row
+order, so only the internal pivot rows depend on it. A forward echelon can be
+extended in place by more rows without touching its pivot rows, so the rank
+of [A | P] is A's column echelon extended by P's columns.
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each row is
 cleared of denominators and kept as a primitive integer row, and Fractions
 are built only when a reduced row is returned, so every result is an exact
-Fraction. Pivot choice depends only on the matrix entries, so runs are
-deterministic.
+Fraction. Pivot choice depends only on the matrix entries and the order its
+rows were stored in, so runs are deterministic.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -35,11 +37,6 @@ Row = Mapping[int, Fraction]
 
 # The row object of every empty row of every Matrix.
 EMPTY_ROW: Row = MappingProxyType({})
-
-
-def _nonempty(rows: Sequence[Row]) -> Iterator[Tuple[int, Row]]:
-    """(index, row) for the nonempty rows, skipping the empty ones in C."""
-    return compress(enumerate(rows), rows)
 
 
 def parse_scalar(value: Scalar) -> Fraction:
@@ -93,24 +90,27 @@ def _cancel(row: IntRow, piv: IntRow, col: int) -> IntRow:
 
 
 def _eliminate(
-    rows: Sequence[Row], reduce_full: bool, pivots: Optional[Dict[int, IntRow]] = None
+    rows: Iterable[Row], reduce_full: bool, pivots: Optional[Dict[int, IntRow]] = None
 ) -> Dict[int, IntRow]:
     """Eliminate rows into {pivot column: primitive integer row}.
 
-    Each incoming nonzero row is scaled by the lcm of its denominators to a
-    primitive integer row, then reduced against the pivots found so far, keyed
-    by its current leading (smallest) column; a row that survives becomes a
-    new pivot. Every row is a rational multiple of the one Fraction
-    elimination would hold, so the pivot columns are the same. With
-    reduce_full, back-substitution clears pivot columns from all other pivot
-    rows; divided by their leads, these are the unique reduced echelon form.
+    The incoming nonzero rows are taken sparsest first (a stable sort by
+    length, so ties keep their order). Each is scaled by the lcm of its
+    denominators to a primitive integer row, then reduced against the pivots
+    found so far, keyed by its current leading (smallest) column; a row that
+    survives becomes a new pivot. The pivot rows are an echelon basis of the
+    row space, and the leading columns of every echelon basis are the pivot
+    columns of the reduced echelon form, so the pivot columns do not depend
+    on the row order. With reduce_full, back-substitution clears pivot
+    columns from all other pivot rows; divided by their leads, these are the
+    unique reduced echelon form.
 
     Given pivots from an earlier forward pass, the rows extend that echelon in
     place: its pivot rows are only read, and each surviving row is added as
     a new pivot, so len(pivots) becomes the rank of both row sets together.
     """
     pivots = {} if pivots is None else pivots
-    for row in filter(None, rows):
+    for row in sorted(filter(None, rows), key=len):
         den = lcm(*[v.denominator for v in row.values()])
         r = _primitive({k: v.numerator * (den // v.denominator) for k, v in row.items()})
         while r:
@@ -129,7 +129,7 @@ def _eliminate(
     return pivots
 
 
-def _reduced(rows: Sequence[Row]) -> List[Tuple[int, Vec]]:
+def _reduced(rows: Iterable[Row]) -> List[Tuple[int, Vec]]:
     """Reduced echelon form as (pivot column, unit-pivot Fraction row) pairs."""
     pivots = _eliminate(rows, reduce_full=True)
     out = []
@@ -143,37 +143,37 @@ def _reduced(rows: Sequence[Row]) -> List[Tuple[int, Vec]]:
 class Matrix:
     """Row-sparse matrix of Fractions.
 
-    rows is a list of nrows {column: Fraction} mappings; every empty one is
-    EMPTY_ROW. A row is never mutated in place: set() and the builders write
-    fresh dicts.
+    Only the nonempty rows are stored, as {row index: {column: Fraction}}, so
+    no operation touches the empty rows of a tall matrix. A row is never
+    mutated in place: set() and the builders write fresh dicts. The rows
+    property lists every row, EMPTY_ROW in the empty slots, and is built
+    afresh on each access.
     """
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "_rows")
 
-    def __init__(self, nrows: int, ncols: int, rows: Optional[List[Row]] = None):
+    def __init__(self, nrows: int, ncols: int, rows: Optional[Sequence[Row]] = None):
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if rows is None:
-            rows = [EMPTY_ROW] * nrows
-        elif len(rows) != nrows:
+        if rows is not None and len(rows) != nrows:
             raise ValueError(f"expected {nrows} rows, got {len(rows)}")
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = rows
+        self._rows: Dict[int, Row] = {i: row for i, row in enumerate(rows or ()) if row}
 
     @classmethod
     def from_nonempty(cls, nrows: int, ncols: int, touched: Mapping[int, Vec]) -> "Matrix":
-        """Build from {row index: row dict}; unlisted and empty rows become EMPTY_ROW.
+        """Build from {row index: row dict}; empty row dicts are not stored.
 
         The row dicts are taken over, not copied.
         """
-        rows = [EMPTY_ROW] * nrows
+        m = cls(nrows, ncols)
         for i, row in touched.items():
             if not 0 <= i < nrows:
                 raise ValueError(f"row index {i} out of range for {nrows} rows")
             if row:
-                rows[i] = row
-        return cls(nrows, ncols, rows)
+                m._rows[i] = row
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]], ncols: Optional[int] = None) -> "Matrix":
@@ -213,21 +213,32 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [{i: _ONE} for i in range(n)])
+        return cls.from_nonempty(n, n, {i: {i: _ONE} for i in range(n)})
+
+    @property
+    def rows(self) -> List[Row]:
+        """All nrows rows as a new list, EMPTY_ROW in every empty slot."""
+        rows = [EMPTY_ROW] * self.nrows
+        for i, row in self._rows.items():
+            rows[i] = row
+        return rows
 
     def get(self, r: int, c: int) -> Fraction:
         self._check_index(r, c)
-        return self.rows[r].get(c, Fraction(0))
+        return self._rows.get(r, EMPTY_ROW).get(c, Fraction(0))
 
     def set(self, r: int, c: int, value: Scalar) -> None:
         self._check_index(r, c)
         v = parse_scalar(value)
-        row = dict(self.rows[r])
+        row = dict(self._rows.get(r, EMPTY_ROW))
         if v:
             row[c] = v
         else:
             row.pop(c, None)
-        self.rows[r] = row or EMPTY_ROW
+        if row:
+            self._rows[r] = row
+        else:
+            self._rows.pop(r, None)
 
     def _check_index(self, r: int, c: int) -> None:
         if not (0 <= r < self.nrows and 0 <= c < self.ncols):
@@ -235,24 +246,22 @@ class Matrix:
 
     @property
     def num_nonzero(self) -> int:
-        return sum(map(len, self.rows))
+        return sum(map(len, self._rows.values()))
 
     def is_zero(self) -> bool:
-        return not any(self.rows)
+        return not self._rows
 
     def to_dense(self) -> List[List[Fraction]]:
         zero = Fraction(0)
-        out = []
-        for row in self.rows:
-            dense = [zero] * self.ncols
+        out = [[zero] * self.ncols for _ in range(self.nrows)]
+        for i, row in self._rows.items():
             for c, v in row.items():
-                dense[c] = v
-            out.append(dense)
+                out[i][c] = v
         return out
 
     def transpose(self) -> "Matrix":
         cols: Dict[int, Vec] = {}
-        for i, row in _nonempty(self.rows):
+        for i, row in self._rows.items():
             for j, v in row.items():
                 cols.setdefault(j, {})[i] = v
         return Matrix.from_nonempty(self.ncols, self.nrows, cols)
@@ -261,8 +270,8 @@ class Matrix:
         if self.nrows != other.nrows:
             raise ValueError("hstack needs equal row counts")
         shift = self.ncols
-        touched = {i: dict(a) for i, a in _nonempty(self.rows)}
-        for i, b in _nonempty(other.rows):
+        touched = {i: dict(a) for i, a in self._rows.items()}
+        for i, b in other._rows.items():
             row = touched.setdefault(i, {})
             for c, v in b.items():
                 row[c + shift] = v
@@ -274,26 +283,26 @@ class Matrix:
                 f"shape mismatch: {self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}"
             )
         touched: Dict[int, Vec] = {}
-        for i, row in _nonempty(self.rows):
+        for i, row in self._rows.items():
             acc: Vec = {}
             for c, v in row.items():
-                add_scaled(acc, other.rows[c], v)
+                add_scaled(acc, other._rows.get(c, EMPTY_ROW), v)
             touched[i] = acc
         return Matrix.from_nonempty(self.nrows, other.ncols, touched)
 
     def mul_vec(self, vec: Sequence[Fraction]) -> List[Fraction]:
         if len(vec) != self.ncols:
             raise ValueError("vector length must equal column count")
-        out = []
-        for row in self.rows:
+        out = [Fraction(0)] * self.nrows
+        for i, row in self._rows.items():
             s = Fraction(0)
             for c, v in row.items():
                 s += v * vec[c]
-            out.append(s)
+            out[i] = s
         return out
 
     def rank(self) -> int:
-        return len(_eliminate(self.rows, reduce_full=False))
+        return len(_eliminate(self._rows.values(), reduce_full=False))
 
     def reduced_rows(self) -> List[Tuple[int, Vec]]:
         """Reduced echelon form as (pivot column, row) pairs, pivots ascending.
@@ -301,7 +310,7 @@ class Matrix:
         Rows are scaled to a unit pivot and cleared above and below, so the
         result is the canonical reduced form of the row space.
         """
-        return _reduced(self.rows)
+        return _reduced(self._rows.values())
 
     def nullspace(self) -> List[List[Fraction]]:
         """Basis of the right kernel as dense vectors, one per free column.
@@ -310,7 +319,7 @@ class Matrix:
         pivot columns otherwise, so stacking them gives the standard reduced
         parameterization of the solution space.
         """
-        reduced = _reduced(self.rows)
+        reduced = _reduced(self._rows.values())
         pivot_set = {pc for pc, _ in reduced}
         zero = Fraction(0)
         basis = []
@@ -332,7 +341,7 @@ class Matrix:
         return (
             self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self._rows == other._rows
         )
 
     def __repr__(self) -> str:

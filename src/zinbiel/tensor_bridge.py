@@ -397,14 +397,15 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
         cocycles = dl_delta_matrix(M, n + 1).nullspace()
         dl_rank[n + 1] = psi.ncols - len(cocycles)
         h_dl[n + 1] = len(cocycles) - dl_rank[n]
-        # The columns of [pz | psi] first, so only they outlive the tall matrices.
-        cols = psi.mul(Matrix.from_cols(cocycles, psi.ncols)).hstack(psi).transpose().rows
-        pivots = _eliminate(ce_delta_matrix(ctx.module, n).transpose().rows, False)
+        # The nonempty columns of [pz | psi] first, so only they outlive the tall matrices.
+        k = len(cocycles)
+        cols = psi.mul(Matrix.from_cols(cocycles, psi.ncols)).hstack(psi).transpose()._rows
+        pivots = _eliminate(ce_delta_matrix(ctx.module, n).transpose()._rows.values(), False)
         ce_rank[n] = len(pivots)
         h_lie[n] = ce_space_dim(tdim, tmd, n) - ce_rank[n] - ce_rank[n - 1]
-        _eliminate(cols[:len(cocycles)], False, pivots)
+        _eliminate([col for j, col in cols.items() if j < k], False, pivots)
         induced_rank[n + 1] = len(pivots) - ce_rank[n]
-        _eliminate(cols[len(cocycles):], False, pivots)
+        _eliminate([col for j, col in cols.items() if j >= k], False, pivots)
         rank_q[n] = len(pivots) - psi_rank[n + 1]
 
     rows = []

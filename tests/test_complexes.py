@@ -253,6 +253,13 @@ def test_degree_caps():
         cohomology_dims(mod, "hochschild", 1)
 
 
+def test_cohomology_dims_rejects_input_outside_the_family():
+    # lie2 is not Zinbiel, so delta_DL o delta_DL != 0: at degree 3 its DL
+    # coboundaries (6) would outnumber its cocycles (4), giving dim H = -2
+    with pytest.raises(ValueError, match=r"dl complex, degree 3: dim B = 6 > dim Z = 4"):
+        cohomology_dims(regular(builtin("lie2")), "dl", 3)
+
+
 def test_random_cochain_is_seed_stable():
     a = random_dl_cochain(2, 2, 2, Random(42))
     b = random_dl_cochain(2, 2, 2, Random(42))

@@ -133,6 +133,27 @@ def test_extending_an_echelon_keeps_its_pivot_rows(rows, data):
     assert all(pivots[c] == row for c, row in before.items())
 
 
+@settings(deadline=None)
+@given(rational_matrices(), st.randoms(use_true_random=False), st.data())
+def test_results_do_not_depend_on_row_order(rows, rng, data):
+    # Elimination takes rows sparsest first, so its pivot rows depend on the
+    # row order; the rank, reduced form, nullspace and extension counts must not.
+    m = Matrix.from_rows(rows)
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    p = Matrix.from_rows(shuffled)
+    want = dense_rref(rows)
+    assert m.rank() == p.rank() == len(want)
+    assert reduced_dense(m) == reduced_dense(p) == want
+    assert m.nullspace() == p.nullspace() == dense_nullspace(rows)
+
+    split = data.draw(st.integers(0, len(shuffled)))
+    a, rest = shuffled[:split], shuffled[split:]
+    pivots = _eliminate(Matrix.from_rows(a).rows, False)
+    _eliminate(Matrix.from_rows(rest).rows, False, pivots)
+    assert len(pivots) == dense_rank(rows)
+
+
 def test_fractional_complex_rank_and_reduced_form():
     module = regular(builtin("polyzinbiel(3)"))
     assert dl_delta_matrix(module, 3).rank() == 204
@@ -265,3 +286,30 @@ def test_product_against_dense(rows, brows):
         for i in range(a.nrows)
     ]
     assert got == want
+
+
+def test_rows_view_lists_the_stored_rows():
+    a = Matrix.from_rows([[1, 0], [0, 0], [0, 2], [0, 0]])
+    b = Matrix.from_rows([[0, 3], [0, 0], [4, 0], [0, 0]])
+    edited = Matrix(4, 2)
+    edited.set(2, 1, 5)
+    built = (
+        a,
+        Matrix.from_nonempty(4, 2, {3: {0: Fraction(1)}, 1: {}}),
+        Matrix.from_cols([{0: Fraction(1)}, {2: Fraction(5)}], 4),
+        a.transpose(),
+        a.hstack(b),
+        a.mul(Matrix.identity(2)),
+        edited,
+    )
+    for m in built:
+        view = m.rows
+        assert len(view) == m.nrows
+        assert all(view[i] is row for i, row in m._rows.items())
+        assert all(row is EMPTY_ROW for i, row in enumerate(view) if i not in m._rows)
+        assert all(view[i] for i in m._rows)
+        assert Matrix(m.nrows, m.ncols, view) == m
+    rows = [{1: Fraction(2)}, EMPTY_ROW, {}, {0: Fraction(-1, 3)}]
+    m = Matrix(4, 2, rows)
+    assert m.rows == rows and m.rows[0] is rows[0] and m.rows[2] is EMPTY_ROW
+    assert sorted(m._rows) == [0, 3]

@@ -261,9 +261,9 @@ def test_embedding_recovers_full_rank_beyond_the_boundary(g_name):
 
 
 def test_tall_sparse_psi_matrix_stays_small():
-    # 2,053,200 rows, 352 of them nonempty: every empty row is the one shared
-    # EMPTY_ROW, so the matrix, its rank and its hstack cost about one list
-    # slot per row; a dict per row would take over 250 MB here
+    # 2,053,200 rows, 352 of them nonempty: only the nonempty rows are stored,
+    # so the matrix, its rank and its hstack cost nothing per empty row; a
+    # dict per row would take over 250 MB here
     ctx = make_ctx("freeleibniz(2,4)")
     tracemalloc.start()
     try:
@@ -279,6 +279,23 @@ def test_tall_sparse_psi_matrix_stays_small():
     assert sum(1 for row in m.rows if row) == 352
     assert (stacked.nrows, stacked.ncols, stacked.num_nonzero) == (2_053_200, 32, 1072)
     assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def test_tallest_psi_matrix_costs_nothing_per_empty_row():
+    # 5,933,928 rows and 240 nonzeros: a list slot per row alone would take
+    # about 45 MB, and storing only the nonempty rows keeps it far below 8 MB
+    ctx = make_ctx("freeleibniz(3,3)")
+    tracemalloc.start()
+    try:
+        m = psi_matrix(ctx, 3)
+        rank = m.rank()
+        stacked = m.hstack(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (m.nrows, m.ncols, rank, m.num_nonzero) == (5_933_928, 16, 16, 240)
+    assert (stacked.nrows, stacked.ncols, stacked.num_nonzero) == (5_933_928, 32, 480)
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_bracket_bounds():
