@@ -22,8 +22,7 @@ from .fileio import (
     save_algebra,
     save_bimodule,
 )
-from .free_leibniz import build_truncated, word_bracket, words
-from .linalg import Matrix, format_scalar, parse_scalar
+from .linalg import Matrix
 from .tensor_bridge import (
     ChainMapReport,
     PsiNotInjectiveError,
@@ -51,7 +50,6 @@ __all__ = [
     "Matrix",
     "PsiNotInjectiveError",
     "TensorContext",
-    "build_truncated",
     "builtin",
     "ce_delta",
     "ce_delta_matrix",
@@ -61,11 +59,9 @@ __all__ = [
     "dl_delta",
     "dl_delta_matrix",
     "dl_space_dim",
-    "format_scalar",
     "les_report",
     "load_algebra",
     "load_bimodule",
-    "parse_scalar",
     "perturbed_b2",
     "psi_apply",
     "psi_matrix",
@@ -76,7 +72,5 @@ __all__ = [
     "tensor_lie",
     "tensor_module",
     "verify_chain_map",
-    "word_bracket",
-    "words",
     "__version__",
 ]

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .linalg import Scalar, format_scalar, parse_scalar
-from .sparsevec import Vec, add_scaled, to_dense
+from .linalg import parse_scalar
+from .sparsevec import Vec, add_scaled
 
 Table = Dict[Tuple[int, int], Dict[int, Fraction]]
 
@@ -41,23 +41,6 @@ def _clean_table(table: Table, left_dim: int, right_dim: int, out_dim: int, labe
         if entry:
             clean[(i, j)] = entry
     return clean
-
-
-def _parse_dense(vec: Sequence[Scalar], dim: int, label: str) -> Vec:
-    if len(vec) != dim:
-        raise ValueError(f"{label} must have length {dim}, got {len(vec)}")
-    return {i: f for i, x in enumerate(vec) if (f := parse_scalar(x))}
-
-
-def _bilinear(table: Table, x: Vec, y: Vec) -> Vec:
-    """The bilinear map with structure constants table, on sparse vectors x and y."""
-    out: Vec = {}
-    for i, a in x.items():
-        for j, b in y.items():
-            tbl = table.get((i, j))
-            if tbl:
-                add_scaled(out, tbl, a * b)
-    return out
 
 
 @dataclass(frozen=True)
@@ -83,12 +66,6 @@ class FiniteAlgebra:
     def product(self, i: int, j: int) -> Vec:
         """Sparse expansion of e_i * e_j."""
         return self.products.get((i, j), {})
-
-    def multiply(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Fraction]:
-        """Product of two coefficient vectors, densely."""
-        xv = _parse_dense(x, self.dim, "left factor")
-        yv = _parse_dense(y, self.dim, "right factor")
-        return to_dense(_bilinear(self.products, xv, yv), self.dim)
 
 
 @dataclass(frozen=True)
@@ -137,7 +114,7 @@ class AxiomReport:
 
 
 def _vec_display(vec: Vec, names: Tuple[str, ...]) -> Dict[str, str]:
-    return {names[k]: format_scalar(v) for k, v in sorted(vec.items())}
+    return {names[k]: str(v) for k, v in sorted(vec.items())}
 
 
 Case = Tuple[str, Tuple[str, ...], Vec, Vec]

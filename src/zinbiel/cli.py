@@ -140,6 +140,14 @@ def _input_gate(
     return 1
 
 
+def _save(save, obj, path: str) -> None:
+    """Write obj with save; a path that cannot be written is a usage error."""
+    try:
+        save(obj, path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     obj = _load_operand(args.target, _dim_cap(args))
     alg = obj.algebra if isinstance(obj, Bimodule) else obj
@@ -216,15 +224,14 @@ def cmd_tensor_lie(args: argparse.Namespace) -> int:
     if failed is not None:
         return failed
     lie = tensor_lie(g, B, validate=False)
-    data = algebra_to_dict(lie)
     if args.output:
-        save_algebra(lie, args.output)
+        _save(save_algebra, lie, args.output)
         if args.format == "json":
             _emit_json({"dim": lie.dim, "path": args.output})
         else:
             print(f"wrote lie algebra of dimension {lie.dim} to {args.output}")
     else:
-        _emit_json(data)
+        _emit_json(algebra_to_dict(lie))
     return 0
 
 
@@ -302,10 +309,7 @@ def cmd_les(args: argparse.Namespace) -> int:
 def cmd_builtin(args: argparse.Namespace) -> int:
     obj = _load_operand(f"builtin:{args.name}", _dim_cap(args))
     if args.output:
-        if isinstance(obj, Bimodule):
-            save_bimodule(obj, args.output)
-        else:
-            save_algebra(obj, args.output)
+        _save(save_bimodule if isinstance(obj, Bimodule) else save_algebra, obj, args.output)
     else:
         data = bimodule_to_dict(obj) if isinstance(obj, Bimodule) else algebra_to_dict(obj)
         _emit_json(data)

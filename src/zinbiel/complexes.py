@@ -50,8 +50,14 @@ CE_MAX_DEGREE = 5
 _NEG = Fraction(-1)
 
 
+# The first degree of each theory's cochains.
+_START = {"dl": 1, "ce": 0}
+
+
 def _check_start(theory: str, degree: int) -> None:
-    lo = 1 if theory == "dl" else 0
+    lo = _START.get(theory)
+    if lo is None:
+        raise ValueError(f"theory must be 'dl' or 'ce', got {theory!r}")
     if degree < lo:
         raise ValueError(f"{theory} cochains start at degree {lo}, got {degree}")
 
@@ -65,7 +71,10 @@ def _check_degree(theory: str, degree: int) -> None:
 
 @dataclass
 class Cochain:
-    """One multilinear map, stored as {argument tuple: sparse module vector}."""
+    """One multilinear map, stored as {argument tuple: sparse module vector}.
+
+    A validated container, without arithmetic, that the differentials and psi fill.
+    """
 
     theory: str
     degree: int
@@ -74,8 +83,6 @@ class Cochain:
     values: Dict[Key, Vec] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.theory not in ("dl", "ce"):
-            raise ValueError(f"theory must be 'dl' or 'ce', got {self.theory!r}")
         _check_start(self.theory, self.degree)
         clean: Dict[Key, Vec] = {}
         for key, vec in self.values.items():
@@ -95,41 +102,6 @@ class Cochain:
             if entry:
                 clean[key] = entry
         self.values = clean
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def evaluate(self, args: Key) -> Vec:
-        """Value on an argument tuple, resolving alternating signs for "ce"."""
-        if len(args) != self.degree:
-            raise ValueError(f"expected {self.degree} arguments, got {len(args)}")
-        if self.theory == "dl":
-            return dict(self.values.get(tuple(args), {}))
-        sign, key = _sort_sign(tuple(args))
-        if sign == 0:
-            return {}
-        vec = self.values.get(key, {})
-        if sign == 1:
-            return dict(vec)
-        return {k: -v for k, v in vec.items()}
-
-    def _compatible(self, other: "Cochain") -> None:
-        if (self.theory, self.degree, self.algebra_dim, self.module_dim) != (
-            other.theory, other.degree, other.algebra_dim, other.module_dim
-        ):
-            raise ValueError("cochains live in different spaces")
-
-    def add(self, other: "Cochain") -> "Cochain":
-        self._compatible(other)
-        values = {k: dict(v) for k, v in self.values.items()}
-        for key, vec in other.values.items():
-            add_scaled(values.setdefault(key, {}), vec)
-        return Cochain(self.theory, self.degree, self.algebra_dim, self.module_dim, values)
-
-    def scale(self, c) -> "Cochain":
-        f = parse_scalar(c)
-        values = {k: {i: f * v for i, v in vec.items()} for k, vec in self.values.items()}
-        return Cochain(self.theory, self.degree, self.algebra_dim, self.module_dim, values)
 
 
 def _sort_sign(args: Key) -> Tuple[int, Key]:
@@ -175,36 +147,6 @@ def _ce_rank(key: Key, dim: int) -> int:
     """Position of a strictly increasing tuple in combinations(range(dim), len(key))."""
     n = len(key)
     return comb(dim, n) - 1 - sum(comb(dim - 1 - x, n - i) for i, x in enumerate(key))
-
-
-def cochain_to_vector(f: Cochain) -> Vec:
-    """Sparse coordinates of a cochain in the matrix basis order."""
-    rank = _dl_rank if f.theory == "dl" else _ce_rank
-    out: Vec = {}
-    for key, vec in f.values.items():
-        base = rank(key, f.algebra_dim) * f.module_dim
-        for k, v in vec.items():
-            out[base + k] = v
-    return out
-
-
-def vector_to_cochain(
-    vec, theory: str, degree: int, algebra_dim: int, module_dim: int
-) -> Cochain:
-    """Inverse of cochain_to_vector; accepts a sparse dict or a dense list."""
-    if theory == "dl":
-        keys = list(dl_tuples(algebra_dim, degree))
-    else:
-        keys = list(ce_tuples(algebra_dim, degree))
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    values: Dict[Key, Vec] = {}
-    for idx, c in items:
-        f = parse_scalar(c)
-        if not f:
-            continue
-        key = keys[idx // module_dim]
-        values.setdefault(key, {})[idx % module_dim] = f
-    return Cochain(theory, degree, algebra_dim, module_dim, values)
 
 
 def random_dl_cochain(
@@ -441,8 +383,6 @@ def cohomology_dims(module: Bimodule, theory: str, degree: int) -> CohomologyDim
     catches only some inputs outside the family: the others get dimensions
     that mean nothing.
     """
-    if theory not in ("dl", "ce"):
-        raise ValueError("theory must be 'dl' or 'ce'")
     _check_degree(theory, degree)
     dim = module.algebra.dim
     md = module.dim
@@ -450,8 +390,7 @@ def cohomology_dims(module: Bimodule, theory: str, degree: int) -> CohomologyDim
     out = _assemble(theory, module, degree)
     dim_c = space(dim, md, degree)
     dim_z = dim_c - out.rank()
-    first = 1 if theory == "dl" else 0
-    if degree > first:
+    if degree > _START[theory]:
         dim_b = _assemble(theory, module, degree - 1).rank()
     else:
         dim_b = 0

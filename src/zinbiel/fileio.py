@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
 from .algebras import Bimodule, FiniteAlgebra, Table
-from .linalg import format_scalar, parse_scalar
+from .linalg import parse_scalar
 
 
 def _require(data: dict, keys: Tuple[str, ...], what: str) -> None:
@@ -67,7 +67,7 @@ def _parse_table(raw, what: str) -> Table:
 def _table_to_list(table: Table) -> List[dict]:
     out = []
     for (i, j) in sorted(table):
-        result = [[k, format_scalar(v)] for k, v in sorted(table[(i, j)].items())]
+        result = [[k, str(v)] for k, v in sorted(table[(i, j)].items())]
         out.append({"left": i, "right": j, "result": result})
     return out
 

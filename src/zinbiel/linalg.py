@@ -2,9 +2,10 @@
 
 A Matrix stores only its nonempty rows, as {row index: {column: Fraction}}
 with no explicit zeros, so a tall matrix with few nonzeros costs a dict entry
-per nonempty row and nothing per empty one. Rows are never mutated in place:
-writers build a new row and replace the old one. The `rows` list, with the
-one shared read-only EMPTY_ROW in every empty slot, is built only on request.
+per nonempty row and nothing per empty one. A Matrix is read-only: it is
+built once, by from_nonempty or from_cols, and every operation returns a new
+one. The `rows` list, with the one shared read-only EMPTY_ROW in every empty
+slot, is built only on request.
 
 Rank uses forward elimination with leading-column pivoting; nullspace and
 constraint extraction go through the fully reduced form. Rows are taken
@@ -53,11 +54,6 @@ def parse_scalar(value: Scalar) -> Fraction:
     raise TypeError(
         f"scalar must be an int, string, or Fraction, not {type(value).__name__}"
     )
-
-
-def format_scalar(value: Fraction) -> str:
-    """Canonical string form: "p/q" in lowest terms, or "n" for integers."""
-    return str(value)
 
 
 IntRow = Dict[int, int]
@@ -141,25 +137,23 @@ def _reduced(rows: Iterable[Row]) -> List[Tuple[int, Vec]]:
 
 
 class Matrix:
-    """Row-sparse matrix of Fractions.
+    """Read-only row-sparse matrix of Fractions.
 
     Only the nonempty rows are stored, as {row index: {column: Fraction}}, so
-    no operation touches the empty rows of a tall matrix. A row is never
-    mutated in place: set() and the builders write fresh dicts. The rows
+    no operation touches the empty rows of a tall matrix. Every operation
+    returns a new Matrix and writes into none of its inputs' rows. The rows
     property lists every row, EMPTY_ROW in the empty slots, and is built
     afresh on each access.
     """
 
     __slots__ = ("nrows", "ncols", "_rows")
 
-    def __init__(self, nrows: int, ncols: int, rows: Optional[Sequence[Row]] = None):
+    def __init__(self, nrows: int, ncols: int):
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if rows is not None and len(rows) != nrows:
-            raise ValueError(f"expected {nrows} rows, got {len(rows)}")
         self.nrows = nrows
         self.ncols = ncols
-        self._rows: Dict[int, Row] = {i: row for i, row in enumerate(rows or ()) if row}
+        self._rows: Dict[int, Row] = {}
 
     @classmethod
     def from_nonempty(cls, nrows: int, ncols: int, touched: Mapping[int, Vec]) -> "Matrix":
@@ -176,44 +170,20 @@ class Matrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Scalar]], ncols: Optional[int] = None) -> "Matrix":
-        """Build from dense row lists; entries may be ints, strings, or Fractions."""
-        dense = [[parse_scalar(x) for x in row] for row in rows]
-        if ncols is None:
-            ncols = len(dense[0]) if dense else 0
-        for row in dense:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-        sparse = [{j: x for j, x in enumerate(row) if x} or EMPTY_ROW for row in dense]
-        return cls(len(dense), ncols, sparse)
+    def from_cols(cls, cols: Sequence[Sequence[Scalar]], nrows: int) -> "Matrix":
+        """Build from dense columns; entries may be ints, strings, or Fractions.
 
-    @classmethod
-    def from_cols(cls, cols: Sequence[Union[Row, Sequence[Scalar]]], nrows: int) -> "Matrix":
-        """Build from columns, each a sparse {row: value} mapping or a dense list.
-
-        Entries may be ints, strings, or Fractions, as in from_rows. A row
-        index outside 0..nrows-1, or a dense column whose length is not nrows,
-        raises ValueError.
+        A column whose length is not nrows raises ValueError.
         """
         touched: Dict[int, Vec] = {}
         for j, col in enumerate(cols):
-            if isinstance(col, Mapping):
-                items = col.items()
-            elif len(col) != nrows:
+            if len(col) != nrows:
                 raise ValueError(f"column {j} has {len(col)} entries, expected {nrows}")
-            else:
-                items = enumerate(col)
-            for i, x in items:
-                if not 0 <= i < nrows:
-                    raise ValueError(f"column {j}: row index {i} out of range for {nrows} rows")
+            for i, x in enumerate(col):
                 v = parse_scalar(x)
                 if v:
                     touched.setdefault(i, {})[j] = v
         return cls.from_nonempty(nrows, len(cols), touched)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls.from_nonempty(n, n, {i: {i: _ONE} for i in range(n)})
 
     @property
     def rows(self) -> List[Row]:
@@ -223,41 +193,12 @@ class Matrix:
             rows[i] = row
         return rows
 
-    def get(self, r: int, c: int) -> Fraction:
-        self._check_index(r, c)
-        return self._rows.get(r, EMPTY_ROW).get(c, Fraction(0))
-
-    def set(self, r: int, c: int, value: Scalar) -> None:
-        self._check_index(r, c)
-        v = parse_scalar(value)
-        row = dict(self._rows.get(r, EMPTY_ROW))
-        if v:
-            row[c] = v
-        else:
-            row.pop(c, None)
-        if row:
-            self._rows[r] = row
-        else:
-            self._rows.pop(r, None)
-
-    def _check_index(self, r: int, c: int) -> None:
-        if not (0 <= r < self.nrows and 0 <= c < self.ncols):
-            raise IndexError(f"({r}, {c}) out of range for {self.nrows}x{self.ncols}")
-
     @property
     def num_nonzero(self) -> int:
         return sum(map(len, self._rows.values()))
 
     def is_zero(self) -> bool:
         return not self._rows
-
-    def to_dense(self) -> List[List[Fraction]]:
-        zero = Fraction(0)
-        out = [[zero] * self.ncols for _ in range(self.nrows)]
-        for i, row in self._rows.items():
-            for c, v in row.items():
-                out[i][c] = v
-        return out
 
     def transpose(self) -> "Matrix":
         cols: Dict[int, Vec] = {}
@@ -289,17 +230,6 @@ class Matrix:
                 add_scaled(acc, other._rows.get(c, EMPTY_ROW), v)
             touched[i] = acc
         return Matrix.from_nonempty(self.nrows, other.ncols, touched)
-
-    def mul_vec(self, vec: Sequence[Fraction]) -> List[Fraction]:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length must equal column count")
-        out = [Fraction(0)] * self.nrows
-        for i, row in self._rows.items():
-            s = Fraction(0)
-            for c, v in row.items():
-                s += v * vec[c]
-            out[i] = s
-        return out
 
     def rank(self) -> int:
         return len(_eliminate(self._rows.values(), reduce_full=False))
@@ -334,15 +264,6 @@ class Matrix:
                     vec[pc] = -coeff
             basis.append(vec)
         return basis
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self._rows == other._rows
-        )
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols}, {self.num_nonzero} nonzero)"

@@ -10,7 +10,6 @@ from typing import Dict, List, Tuple
 from .algebras import regular
 from .catalog import builtin as catalog_builtin
 from .complexes import cohomology_dims, dl_delta_matrix
-from .linalg import format_scalar
 
 _SUP = {0: "¹", 1: "²"}
 _SUB = {0: "₁", 1: "₂"}
@@ -32,7 +31,7 @@ def _relation_text(pivot: int, row: Dict[int, Fraction]) -> str:
         else:
             sign = "-" if coeff < 0 else ""
         mag = abs(coeff)
-        head = "" if mag == 1 else f"{format_scalar(mag)}·"
+        head = "" if mag == 1 else f"{mag}·"
         terms.append(f"{sign}{head}{_alpha_name(col)}")
     rhs = "".join(terms) or "0"
     return f"{_alpha_name(pivot)} = {rhs}"

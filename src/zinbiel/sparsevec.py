@@ -35,9 +35,3 @@ def add_scaled(acc: Vec, src: Vec, scale: Fraction = ONE) -> Vec:
             acc.pop(k, None)
     return acc
 
-
-def to_dense(vec: Vec, length: int) -> list:
-    out = [ZERO] * length
-    for k, v in vec.items():
-        out[k] = v
-    return out

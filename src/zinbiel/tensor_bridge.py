@@ -35,7 +35,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebras import AxiomReport, Bimodule, FiniteAlgebra, Table, check_axioms
 from .complexes import (
-    CE_MAX_DEGREE,
     DL_MAX_DEGREE,
     Cochain,
     Key,
@@ -54,7 +53,7 @@ from .complexes import (
     dl_tuples,
     random_dl_cochain,
 )
-from .linalg import Matrix, _eliminate, format_scalar
+from .linalg import Matrix, _eliminate
 from .sparsevec import ONE, Vec, add_at, add_scaled
 
 BRACKET_BOUND_CAP = 16
@@ -279,8 +278,8 @@ def _first_difference(ctx: TensorContext, lhs: Cochain, rhs: Cochain, trial: int
                     "trial": trial,
                     "arguments": [names[i] for i in key],
                     "component": mnames[k],
-                    "lhs": format_scalar(a),
-                    "rhs": format_scalar(b),
+                    "lhs": str(a),
+                    "rhs": str(b),
                 }
     return None
 
@@ -368,8 +367,6 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
         raise ValueError("max_degree must be at least 1")
     if max_degree + 1 > DL_MAX_DEGREE:
         raise ValueError(f"max_degree can be at most {DL_MAX_DEGREE - 1}")
-    if max_degree > CE_MAX_DEGREE:
-        raise ValueError(f"max_degree can be at most {CE_MAX_DEGREE}")
     ctx = TensorContext(g, B, M)
     tdim, tmd = ctx.lie.dim, ctx.module.dim
 

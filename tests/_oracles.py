@@ -8,7 +8,7 @@ is a second route to the same numbers, not speed.
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, permutations, product
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from zinbiel import Cochain
 from zinbiel.algebras import (
@@ -17,23 +17,23 @@ from zinbiel.algebras import (
     Case,
     FiniteAlgebra,
     Table,
-    _bilinear,
     _vec_display,
 )
 from zinbiel.complexes import (
     CE_MAX_DEGREE,
     DL_MAX_DEGREE,
     Key,
+    _ce_rank,
     _check_module,
+    _dl_rank,
     ce_delta_matrix,
     ce_space_dim,
-    cochain_to_vector,
     dl_delta_matrix,
     dl_space_dim,
     dl_tuples,
 )
-from zinbiel.linalg import Matrix
-from zinbiel.sparsevec import ONE, Vec, add_at, add_scaled
+from zinbiel.linalg import Matrix, Scalar, parse_scalar
+from zinbiel.sparsevec import ONE, ZERO, Vec, add_at, add_scaled
 from zinbiel.tensor_bridge import PsiNotInjectiveError, TensorContext, psi_matrix
 
 _NEG = Fraction(-1)
@@ -91,6 +91,55 @@ def dense_nullspace(rows: List[List[Fraction]]) -> List[List[Fraction]]:
     return basis
 
 
+# Dense views of a Matrix and a cochain, and the arithmetic the tests check
+# linearity with; the library itself never needs them.
+
+def from_rows(rows: Sequence[Sequence[Scalar]]) -> Matrix:
+    """Matrix of dense rows; entries may be ints, strings or Fractions."""
+    ncols = len(rows[0]) if rows else 0
+    return Matrix.from_nonempty(len(rows), ncols, {
+        i: {j: v for j, x in enumerate(row) if (v := parse_scalar(x))}
+        for i, row in enumerate(rows)
+    })
+
+
+def from_sparse_cols(cols: Sequence[Vec], nrows: int) -> Matrix:
+    """Matrix whose column j is the sparse vector cols[j]."""
+    return Matrix.from_nonempty(len(cols), nrows, dict(enumerate(cols))).transpose()
+
+
+def dense_vec(vec: Vec, length: int) -> List[Fraction]:
+    return [vec.get(i, ZERO) for i in range(length)]
+
+
+def to_dense(m: Matrix) -> List[List[Fraction]]:
+    return [dense_vec(row, m.ncols) for row in m.rows]
+
+
+def mul_vec(m: Matrix, vec: Sequence[Fraction]) -> List[Fraction]:
+    """m times a dense vector, densely."""
+    return [sum((v * vec[j] for j, v in row.items()), ZERO) for row in m.rows]
+
+
+def cochain_to_vector(f: Cochain) -> Vec:
+    """Sparse coordinates of a cochain in the matrix basis order."""
+    rank = _dl_rank if f.theory == "dl" else _ce_rank
+    out: Vec = {}
+    for key, vec in f.values.items():
+        base = rank(key, f.algebra_dim) * f.module_dim
+        for k, v in vec.items():
+            out[base + k] = v
+    return out
+
+
+def linear_combination(f: Cochain, g: Cochain, c: Fraction) -> Cochain:
+    """f + c g, entry by entry on the values dicts."""
+    values = {key: dict(vec) for key, vec in f.values.items()}
+    for key, vec in g.values.items():
+        add_scaled(values.setdefault(key, {}), vec, c)
+    return Cochain(f.theory, f.degree, f.algebra_dim, f.module_dim, values)
+
+
 def dense_delta_matrix(
     module: Bimodule,
     degree: int,
@@ -134,15 +183,12 @@ def ce_delta1_adjoint(table: LieTable, dim: int, f: Dict[int, Dict[int, Fraction
     out = {}
     for x in range(dim):
         for y in range(x + 1, dim):
-            term = {}
-            for k, c in _bracket(table, {x: Fraction(1)}, {y: Fraction(1)}).items():
-                for m, v in ev(k).items():
-                    term[m] = term.get(m, Fraction(0)) - c * v
-            for m, v in _bracket(table, {x: Fraction(1)}, ev(y)).items():
-                term[m] = term.get(m, Fraction(0)) + v
-            for m, v in _bracket(table, {y: Fraction(1)}, ev(x)).items():
-                term[m] = term.get(m, Fraction(0)) - v
-            out[(x, y)] = {m: v for m, v in term.items() if v}
+            term: Vec = {}
+            for k, c in _bracket(table, {x: ONE}, {y: ONE}).items():
+                add_scaled(term, ev(k), -c)
+            add_scaled(term, _bracket(table, {x: ONE}, ev(y)))
+            add_scaled(term, _bracket(table, {y: ONE}, ev(x)), _NEG)
+            out[(x, y)] = term
     return out
 
 
@@ -160,37 +206,22 @@ def ce_delta2_adjoint(table: LieTable, dim: int, f):
         return {m: -v for m, v in f.get((j, i), {}).items()}
 
     def ev_elem(vec, j):
-        out = {}
+        out: Vec = {}
         for i, a in vec.items():
-            for m, v in ev(i, j).items():
-                w = out.get(m, Fraction(0)) + a * v
-                if w:
-                    out[m] = w
-                else:
-                    out.pop(m, None)
+            add_scaled(out, ev(i, j), a)
         return out
 
     out = {}
     for x, y, z in product(range(dim), repeat=3):
         if not (x < y < z):
             continue
-        term: Dict[int, Fraction] = {}
-
-        def add(vec, sign):
-            for m, v in vec.items():
-                w = term.get(m, Fraction(0)) + sign * v
-                if w:
-                    term[m] = w
-                else:
-                    term.pop(m, None)
-
-        one = Fraction(1)
-        add(ev_elem(_bracket(table, {x: one}, {y: one}), z), Fraction(-1))
-        add(ev_elem(_bracket(table, {x: one}, {z: one}), y), Fraction(1))
-        add(ev_elem(_bracket(table, {y: one}, {z: one}), x), Fraction(-1))
-        add(_bracket(table, {x: one}, ev(y, z)), Fraction(1))
-        add(_bracket(table, {y: one}, ev(x, z)), Fraction(-1))
-        add(_bracket(table, {z: one}, ev(x, y)), Fraction(1))
+        term: Vec = {}
+        add_scaled(term, ev_elem(_bracket(table, {x: ONE}, {y: ONE}), z), _NEG)
+        add_scaled(term, ev_elem(_bracket(table, {x: ONE}, {z: ONE}), y))
+        add_scaled(term, ev_elem(_bracket(table, {y: ONE}, {z: ONE}), x), _NEG)
+        add_scaled(term, _bracket(table, {x: ONE}, ev(y, z)))
+        add_scaled(term, _bracket(table, {y: ONE}, ev(x, z)), _NEG)
+        add_scaled(term, _bracket(table, {z: ONE}, ev(x, y)))
         out[(x, y, z)] = term
     return out
 
@@ -348,7 +379,7 @@ def _units(dim: int) -> List[Vec]:
 def _leibniz_cases(alg: FiniteAlgebra) -> Iterator[Case]:
     identity = "[x, [y, z]] = [[x, y], z] - [[x, z], y]"
     e = _units(alg.dim)
-    m = partial(_bilinear, alg.products)
+    m = partial(_bracket, alg.products)
     for i, j, k in product(range(alg.dim), repeat=3):
         lhs = m(e[i], m(e[j], e[k]))
         rhs = dict(m(m(e[i], e[j]), e[k]))
@@ -360,7 +391,7 @@ def _leibniz_cases(alg: FiniteAlgebra) -> Iterator[Case]:
 def _zinbiel_cases(alg: FiniteAlgebra) -> Iterator[Case]:
     identity = "(x . y) . z = x . (y . z) + x . (z . y)"
     e = _units(alg.dim)
-    m = partial(_bilinear, alg.products)
+    m = partial(_bracket, alg.products)
     for i, j, k in product(range(alg.dim), repeat=3):
         lhs = m(m(e[i], e[j]), e[k])
         inner = dict(m(e[j], e[k]))
@@ -372,7 +403,7 @@ def _zinbiel_cases(alg: FiniteAlgebra) -> Iterator[Case]:
 
 def _lie_cases(alg: FiniteAlgebra) -> Iterator[Case]:
     e = _units(alg.dim)
-    m = partial(_bilinear, alg.products)
+    m = partial(_bracket, alg.products)
     nm = alg.basis_names
     for i in range(alg.dim):
         yield "[x, x] = 0", (nm[i],), m(e[i], e[i]), {}
@@ -394,7 +425,7 @@ def _lie_cases(alg: FiniteAlgebra) -> Iterator[Case]:
 def _zinbiel_bimodule_cases(alg: FiniteAlgebra, mod: Bimodule) -> Iterator[Case]:
     e = _units(max(alg.dim, mod.dim))
     an, mn = alg.basis_names, mod.basis_names
-    l, r = partial(_bilinear, mod.left), partial(_bilinear, mod.right)
+    l, r = partial(_bracket, mod.left), partial(_bracket, mod.right)
     for k, i, j in product(range(mod.dim), range(alg.dim), range(alg.dim)):
         lhs = r(r(e[k], e[i]), e[j])
         inner = dict(alg.product(i, j))
@@ -416,7 +447,7 @@ def _zinbiel_bimodule_cases(alg: FiniteAlgebra, mod: Bimodule) -> Iterator[Case]
 def _leibniz_representation_cases(alg: FiniteAlgebra, mod: Bimodule) -> Iterator[Case]:
     e = _units(max(alg.dim, mod.dim))
     an, mn = alg.basis_names, mod.basis_names
-    l, r = partial(_bilinear, mod.left), partial(_bilinear, mod.right)
+    l, r = partial(_bracket, mod.left), partial(_bracket, mod.right)
     for i, j, k in product(range(alg.dim), range(alg.dim), range(mod.dim)):
         lhs = l(e[i], l(e[j], e[k]))
         rhs = dict(l(alg.product(i, j), e[k]))
@@ -438,7 +469,7 @@ def _lie_module_cases(alg: FiniteAlgebra, mod: Bimodule) -> Iterator[Case]:
     identity = "[x, y]v = x(yv) - y(xv)"
     e = _units(max(alg.dim, mod.dim))
     an, mn = alg.basis_names, mod.basis_names
-    l = partial(_bilinear, mod.left)
+    l = partial(_bracket, mod.left)
     for i, j, k in product(range(alg.dim), range(alg.dim), range(mod.dim)):
         lhs = l(alg.product(i, j), e[k])
         rhs = dict(l(e[i], l(e[j], e[k])))
@@ -661,12 +692,7 @@ def _validate_permutation(perm: Perm) -> None:
 def permutation_sign(perm: Perm) -> int:
     """Sign of a 1-based permutation tuple, by inversion count."""
     _validate_permutation(perm)
-    inversions = 0
-    for i, a in enumerate(perm):
-        for b in perm[i + 1:]:
-            if a > b:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+    return _inversion_sign(perm)
 
 
 def invert_permutation(perm: Perm) -> Perm:

@@ -281,6 +281,19 @@ def test_tensor_lie_roundtrip(capsys, tmp_path):
     assert (code, out) == (0, "lie: PASS\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ["builtin", "B2"],
+    ["tensor-lie", "--leibniz", "builtin:leibniz2", "--zinbiel", "builtin:B2"],
+])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv, fmt):
+    # 1 means a failed mathematical check, so a path that cannot be written exits 2
+    for path, reason in ((tmp_path / "missing" / "x.json", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        code, out, err = run(capsys, argv + ["-o", str(path), "--format", fmt])
+        assert (code, out, err) == (2, "", f"error: cannot write {path}: {reason}\n")
+
+
 def test_tensor_lie_stdout(capsys):
     code, out, _ = run(capsys, [
         "tensor-lie", "--leibniz", "builtin:leibniz2", "--zinbiel", "builtin:B2",

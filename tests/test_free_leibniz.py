@@ -6,8 +6,8 @@ from itertools import product
 
 import pytest
 
-from zinbiel import build_truncated, check_axioms, word_bracket, words
-from zinbiel.free_leibniz import word_count, word_name
+from zinbiel import check_axioms
+from zinbiel.free_leibniz import build_truncated, word_bracket, word_count, word_name, words
 
 
 def rewrite_bracket(u, v, cap):
