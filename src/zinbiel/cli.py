@@ -52,14 +52,19 @@ def _emit_json(data: dict) -> None:
 
 def _dim_cap(args: argparse.Namespace) -> int:
     if args.dim_cap is not None:
-        return args.dim_cap
-    raw = os.environ.get(DIM_CAP_ENV)
-    if raw is not None:
+        cap, source = args.dim_cap, "--dim-cap"
+    else:
+        raw = os.environ.get(DIM_CAP_ENV)
+        if raw is None:
+            return DEFAULT_DIM_CAP
         try:
-            return int(raw)
+            cap = int(raw)
         except ValueError:
             raise UsageError(f"{DIM_CAP_ENV} must be an integer, got {raw!r}")
-    return DEFAULT_DIM_CAP
+        source = DIM_CAP_ENV
+    if cap < 1:
+        raise UsageError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def _load_operand(spec: str, dim_cap: int) -> Union[FiniteAlgebra, Bimodule]:

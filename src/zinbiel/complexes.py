@@ -24,6 +24,12 @@ consumers share every generator (tensor_bridge's psi uses them too):
   by construction the image of e_X (x) m_k. The basis puts (tuple, k) at
   tuple_rank * module_dim + k, tuples ranked in lexicographic order
   (positional for "dl", combination order for "ce").
+
+_apply reads the Fraction tables. _matrix is fed integer copies of the
+tables, each multiplied by the lcm D of their denominators: every term of
+either differential reads exactly one structure constant, so the integer
+matrix is D times the map, with the same rank, nullspace and column span.
+The public *_delta_matrix functions divide by D once per nonzero.
 """
 from __future__ import annotations
 
@@ -33,21 +39,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iproduct
-from math import comb
+from math import comb, lcm
 from random import Random
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
-from .algebras import Bimodule, FiniteAlgebra
+from .algebras import Bimodule, Table
 from .free_leibniz import leibniz_expansion
 from .linalg import Matrix, parse_scalar
-from .sparsevec import ONE, Vec, add_at, add_scaled
+from .sparsevec import Number, Vec, add_at, add_scaled
 
 Key = Tuple[int, ...]
 
 DL_MAX_DEGREE = 4
 CE_MAX_DEGREE = 5
-
-_NEG = Fraction(-1)
 
 
 # The first degree of each theory's cochains.
@@ -171,20 +175,20 @@ def random_dl_cochain(
 
 
 @lru_cache(maxsize=None)
-def _net_terms(n: int) -> Tuple[Tuple[Fraction, Key], ...]:
+def _net_terms(n: int) -> Tuple[Tuple[int, Key], ...]:
     """Shuffle terms (c, place): y_{1 + j} fills argument place[j] of f.
 
     place is a word w of the left-normed expansion of an n-letter bracket,
     shifted to 0-based, and c its expansion sign times sign(w).
     """
     return tuple(
-        (Fraction(c * _sort_sign(w)[0]), tuple(p - 1 for p in w))
+        (c * _sort_sign(w)[0], tuple(p - 1 for p in w))
         for c, w in leibniz_expansion(n)
     )
 
 
 Block = Dict[int, Vec]
-Term = Tuple[Fraction, Key, Block]
+Term = Tuple[Number, Key, Block]
 Terms = Callable[[Key], Iterable[Term]]
 
 
@@ -212,6 +216,8 @@ def _matrix(
     """Matrix of a map; in_keys come in basis order, so column (X, k) is the image of e_X (x) m_k.
 
     Only the rows the terms reach are stored; the matrix keeps no entry for the rest.
+    Entries are sums of coeff * block entry, so terms read from integer tables
+    give an integer matrix, the map times the tables' scale.
     """
     rows: Dict[int, Vec] = defaultdict(dict)
     col_base = 0
@@ -225,30 +231,63 @@ def _matrix(
     return Matrix.from_nonempty(nrows, col_base, rows)
 
 
-def _preimages(alg: FiniteAlgebra) -> Dict[int, List[Tuple[int, int, Fraction]]]:
-    """p -> [(u, w, c)]: e_u * e_w has coefficient c on e_p."""
-    out: Dict[int, List[Tuple[int, int, Fraction]]] = {}
-    for (u, w), vec in alg.products.items():
+def _scale(*tables: Table) -> int:
+    """The lcm D of the denominators of every constant in the tables."""
+    return lcm(*{c.denominator for t in tables for vec in t.values() for c in vec.values()})
+
+
+def _integral(table: Table, d: int) -> Dict[Tuple[int, int], Dict[int, int]]:
+    """d times the table, as ints; d must be a multiple of every denominator in it."""
+    return {key: {k: c.numerator * (d // c.denominator) for k, c in vec.items()}
+            for key, vec in table.items()}
+
+
+def _module_scale(module: Bimodule) -> int:
+    """D for a module: the scale of its algebra's products and its two actions together."""
+    return _scale(module.algebra.products, module.left, module.right)
+
+
+def _unscaled(m: Matrix, d: int) -> Matrix:
+    """The integer matrix m divided by d, as exact Fractions."""
+    return Matrix.from_nonempty(m.nrows, m.ncols, {
+        i: {j: Fraction(v, d) for j, v in row.items()} for i, row in m._rows.items()
+    })
+
+
+Preimages = Dict[int, List[Tuple[int, int, Number]]]
+
+
+def _tables(
+    module: Bimodule, integral: bool
+) -> Tuple[Preimages, Block, List[Tuple[int, Block]], List[Tuple[int, Block]]]:
+    """What the two generators read of a module: preimages, identity block, action blocks.
+
+    The preimages map p -> [(u, w, c)], e_u * e_w having coefficient c on e_p;
+    then come the identity block and the nonzero blocks {k: x m_k} and
+    {k: m_k x} per basis element x. With integral, every constant is
+    multiplied by _module_scale(module) and held as an int.
+    """
+    products, left, right = module.algebra.products, module.left, module.right
+    if integral:
+        d = _module_scale(module)
+        products, left, right = (_integral(t, d) for t in (products, left, right))
+    pre: Preimages = {}
+    for (u, w), vec in products.items():
         for p, c in vec.items():
-            out.setdefault(p, []).append((u, w, c))
-    return out
-
-
-def _blocks(module: Bimodule) -> Tuple[Block, List[Tuple[int, Block]], List[Tuple[int, Block]]]:
-    """The identity block, and the nonzero blocks {k: x m_k} and {k: m_k x} per basis element x."""
+            pre.setdefault(p, []).append((u, w, c))
     md = module.dim
-    left, right = [], []
+    lblocks, rblocks = [], []
     for x in range(module.algebra.dim):
-        lb = {k: v for k in range(md) if (v := module.act_left(x, k))}
-        rb = {k: v for k in range(md) if (v := module.act_right(k, x))}
+        lb = {k: v for k in range(md) if (v := left.get((x, k)))}
+        rb = {k: v for k in range(md) if (v := right.get((k, x)))}
         if lb:
-            left.append((x, lb))
+            lblocks.append((x, lb))
         if rb:
-            right.append((x, rb))
-    return {k: {k: ONE} for k in range(md)}, left, right
+            rblocks.append((x, rb))
+    return pre, {k: {k: 1} for k in range(md)}, lblocks, rblocks
 
 
-def _dl_generator(module: Bimodule, n: int) -> Terms:
+def _dl_generator(module: Bimodule, n: int, integral: bool) -> Terms:
     """Terms of the degree n -> n+1 map of the non-symmetric complex,
 
         (delta f)(y_0, ..., y_n) = sum over shuffle terms (c, sigma) of
@@ -261,12 +300,11 @@ def _dl_generator(module: Bimodule, n: int) -> Terms:
     from an input tuple X: the shuffle terms place X in y_1..y_n with a
     free y_0; a product term for X[q] = p takes every e_u e_w containing e_p,
     giving X[:q] + (u, w) + X[q+1:], and (w, u) in its place as well when
-    q >= 1; the right term appends a free y_n.
+    q >= 1; the right term appends a free y_n. integral selects the tables (see _tables).
     """
-    ident, left, right = _blocks(module)
-    pre = _preimages(module.algebra)
+    pre, ident, left, right = _tables(module, integral)
     shuffles = _net_terms(n)
-    last = ONE if n % 2 else _NEG
+    last = 1 if n % 2 else -1
 
     def terms(X: Key) -> Iterator[Term]:
         for c, place in shuffles:
@@ -286,7 +324,7 @@ def _dl_generator(module: Bimodule, n: int) -> Terms:
     return terms
 
 
-def _ce_generator(module: Bimodule, n: int) -> Terms:
+def _ce_generator(module: Bimodule, n: int, integral: bool) -> Terms:
     """Terms of the alternating degree n -> n+1 differential,
 
         (delta f)(y_0, ..., y_n) = sum_{a<b} (-1)^(a+b) f([y_a, y_b], y_0, ..^a..^b.., y_n)
@@ -296,10 +334,9 @@ def _ce_generator(module: Bimodule, n: int) -> Terms:
     X[idx] = p by a pair u < w with [e_u, e_w] containing e_p and neither in
     the rest of X, with sign (-1)^(iu + iw + 1 + idx), iu and iw being the
     insertion points of u and w in the rest; a left term inserts an x not in
-    X at position a, with sign (-1)^a.
+    X at position a, with sign (-1)^a. integral selects the tables (see _tables).
     """
-    ident, left, _ = _blocks(module)
-    pre = _preimages(module.algebra)
+    pre, ident, left, _ = _tables(module, integral)
 
     def terms(X: Key) -> Iterator[Term]:
         for idx, p in enumerate(X):
@@ -313,7 +350,7 @@ def _ce_generator(module: Bimodule, n: int) -> Terms:
         for x, block in left:
             if x not in X:
                 a = bisect_left(X, x)
-                yield (_NEG if a % 2 else ONE), X[:a] + (x,) + X[a:], block
+                yield (-1 if a % 2 else 1), X[:a] + (x,) + X[a:], block
 
     return terms
 
@@ -329,7 +366,7 @@ def _delta(theory: str, f: Cochain, module: Bimodule) -> Cochain:
     _check_module(f, module)
     _check_degree(theory, f.degree)
     generator = _dl_generator if theory == "dl" else _ce_generator
-    values = _apply(f.values, generator(module, f.degree))
+    values = _apply(f.values, generator(module, f.degree, False))
     return Cochain(theory, f.degree + 1, module.algebra.dim, module.dim, values)
 
 
@@ -344,6 +381,12 @@ def ce_delta(f: Cochain, module: Bimodule) -> Cochain:
 
 
 def _assemble(theory: str, module: Bimodule, degree: int) -> Matrix:
+    """D times the degree -> degree+1 map, as an integer matrix; D = _module_scale(module).
+
+    Each term reads one structure constant, so scaling every table by D scales
+    the matrix by D: for the ranks and kernels that cohomology_dims and
+    les_report read, D drops out.
+    """
     _check_degree(theory, degree)
     dim = module.algebra.dim
     md = module.dim
@@ -352,16 +395,16 @@ def _assemble(theory: str, module: Bimodule, degree: int) -> Matrix:
     else:
         keys, rank, space, generator = ce_tuples, _ce_rank, ce_space_dim, _ce_generator
     return _matrix(keys(dim, degree), md, lambda Y: rank(Y, dim), md,
-                   space(dim, md, degree + 1), generator(module, degree))
+                   space(dim, md, degree + 1), generator(module, degree, True))
 
 
 def dl_delta_matrix(module: Bimodule, degree: int) -> Matrix:
-    """Matrix of the degree -> degree+1 map in the standard basis order."""
-    return _assemble("dl", module, degree)
+    """Matrix of the degree -> degree+1 map in the standard basis order, in Fractions."""
+    return _unscaled(_assemble("dl", module, degree), _module_scale(module))
 
 
 def ce_delta_matrix(module: Bimodule, degree: int) -> Matrix:
-    return _assemble("ce", module, degree)
+    return _unscaled(_assemble("ce", module, degree), _module_scale(module))
 
 
 @dataclass

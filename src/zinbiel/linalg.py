@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals.
 
-A Matrix stores only its nonempty rows, as {row index: {column: Fraction}}
+A Matrix stores only its nonempty rows, as {row index: {column: value}}
 with no explicit zeros, so a tall matrix with few nonzeros costs a dict entry
-per nonempty row and nothing per empty one. A Matrix is read-only: it is
-built once, by from_nonempty or from_cols, and every operation returns a new
-one. The `rows` list, with the one shared read-only EMPTY_ROW in every empty
-slot, is built only on request.
+per nonempty row and nothing per empty one. Values are Fractions; a matrix
+built inside the package whose rank or kernel is all that is read may hold
+ints instead, a nonzero multiple of the map it stands for. A Matrix is
+read-only: it is built once, by from_nonempty or from_cols, and every
+operation returns a new one. The `rows` list, with the one shared read-only
+EMPTY_ROW in every empty slot, is built only on request.
 
 Rank uses forward elimination with leading-column pivoting; nullspace and
 constraint extraction go through the fully reduced form. Rows are taken
@@ -28,13 +30,13 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .sparsevec import Vec, add_scaled
+from .sparsevec import Number, Vec, add_scaled
 
 Scalar = Union[int, str, Fraction]
 
 _ONE = Fraction(1)
 
-Row = Mapping[int, Fraction]
+Row = Mapping[int, Number]
 
 # The row object of every empty row of every Matrix.
 EMPTY_ROW: Row = MappingProxyType({})
@@ -137,9 +139,9 @@ def _reduced(rows: Iterable[Row]) -> List[Tuple[int, Vec]]:
 
 
 class Matrix:
-    """Read-only row-sparse matrix of Fractions.
+    """Read-only row-sparse matrix of Fractions, or of ints inside the package.
 
-    Only the nonempty rows are stored, as {row index: {column: Fraction}}, so
+    Only the nonempty rows are stored, as {row index: {column: value}}, so
     no operation touches the empty rows of a tall matrix. Every operation
     returns a new Matrix and writes into none of its inputs' rows. The rows
     property lists every row, EMPTY_ROW in the empty slots, and is built

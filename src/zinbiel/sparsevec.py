@@ -1,20 +1,20 @@
-"""Sparse vectors over the rationals, stored as {index: Fraction} with no zero values.
+"""Sparse vectors, stored as {index: value} with no zero values.
 
-Every mutating helper keeps the no-zeros invariant, so two vectors are equal
-as maps iff their dicts are equal.
+Values are exact: Fractions, or ints where a whole vector is an integer
+multiple of the one it stands for (the integer assembly in complexes). The
+helpers keep ints as ints. Every mutating helper keeps the no-zeros
+invariant, so two vectors are equal as maps iff their dicts are equal.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, Union
 
-Vec = Dict[int, Fraction]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Number = Union[int, Fraction]
+Vec = Dict[int, Number]
 
 
-def add_at(vec: Vec, key: int, val: Fraction) -> None:
+def add_at(vec: Vec, key: int, val: Number) -> None:
     """vec[key] += val, in place, dropping the key if the sum is zero."""
     nv = vec.get(key, 0) + val
     if nv:
@@ -23,12 +23,12 @@ def add_at(vec: Vec, key: int, val: Fraction) -> None:
         vec.pop(key, None)
 
 
-def add_scaled(acc: Vec, src: Vec, scale: Fraction = ONE) -> Vec:
+def add_scaled(acc: Vec, src: Vec, scale: Number = 1) -> Vec:
     """acc += scale * src, in place. Returns acc."""
     if not scale:
         return acc
     for k, v in src.items():
-        nv = acc.get(k, ZERO) + scale * v
+        nv = acc.get(k, 0) + scale * v
         if nv:
             acc[k] = nv
         else:

@@ -41,20 +41,22 @@ from .complexes import (
     Term,
     Terms,
     _apply,
+    _assemble,
     _ce_rank,
     _check_degree,
+    _integral,
     _matrix,
+    _scale,
     _sort_sign,
+    _unscaled,
     ce_delta,
-    ce_delta_matrix,
     ce_space_dim,
     dl_delta,
-    dl_delta_matrix,
     dl_tuples,
     random_dl_cochain,
 )
 from .linalg import Matrix, _eliminate
-from .sparsevec import ONE, Vec, add_at, add_scaled
+from .sparsevec import Vec, add_at, add_scaled
 
 BRACKET_BOUND_CAP = 16
 
@@ -168,45 +170,50 @@ def _bracket_length_bound(g: FiniteAlgebra, cap: int = BRACKET_BOUND_CAP) -> int
     return cap
 
 
-def _left_normed_brackets(g: FiniteAlgebra, n: int) -> List[Tuple[Key, Vec]]:
+def _left_normed_brackets(g: FiniteAlgebra, n: int, integral: bool) -> List[Tuple[Key, Vec]]:
     """Every n-tuple G of basis indices of g whose bracket [[G_1, G_2], ...] is nonzero, with it.
 
     Built one letter at a time; a prefix whose bracket vanishes is dropped,
-    since every bracket extending it vanishes too.
+    since every bracket extending it vanishes too. With integral, g's
+    constants are multiplied by D_g = _scale(g.products) and held as ints, so
+    each bracket, n - 1 constants to a term, comes out D_g^(n-1) times its value.
     """
-    level: List[Tuple[Key, Vec]] = [((i,), {i: ONE}) for i in range(g.dim)]
+    products = _integral(g.products, _scale(g.products)) if integral else g.products
+    empty: Vec = {}
+    level: List[Tuple[Key, Vec]] = [((i,), {i: 1}) for i in range(g.dim)]
     for _ in range(n - 1):
         nxt = []
         for G, v in level:
             for j in range(g.dim):
                 w: Vec = {}
                 for i, c in v.items():
-                    add_scaled(w, g.product(i, j), c)
+                    add_scaled(w, products.get((i, j), empty), c)
                 if w:
                     nxt.append((G + (j,), w))
         level = nxt
     return level
 
 
-def _psi_generator(ctx: TensorContext, n: int) -> Terms:
+def _psi_generator(ctx: TensorContext, n: int, integral: bool) -> Terms:
     """Terms of psi at degree n, read from an input B-tuple X.
 
     Each g-tuple G with nonzero bracket L pairs up with X into the tensor
     indices G_j * B.dim + X_j; sorted, they give the output tuple T and the
     sign of the sorting permutation, and m_k goes to sign * L (x) m_k. A
-    repeated index drops the term, as the output is alternating.
+    repeated index drops the term, as the output is alternating. integral
+    selects the brackets (see _left_normed_brackets).
     """
     bd, md = ctx.B.dim, ctx.M.dim
     brackets = [
         (G, {k: {ga * md + k: c for ga, c in L.items()} for k in range(md)})
-        for G, L in _left_normed_brackets(ctx.g, n)
+        for G, L in _left_normed_brackets(ctx.g, n, integral)
     ]
 
     def terms(X: Key) -> Iterator[Term]:
         for G, block in brackets:
             sign, T = _sort_sign(tuple(a * bd + b for a, b in zip(G, X)))
             if sign:
-                yield Fraction(sign), T, block
+                yield sign, T, block
 
     return terms
 
@@ -217,17 +224,22 @@ def psi_apply(ctx: TensorContext, f: Cochain) -> Cochain:
         raise ValueError("psi consumes 'dl' cochains")
     if f.algebra_dim != ctx.B.dim or f.module_dim != ctx.M.dim:
         raise ValueError("cochain dimensions do not match the context")
-    values = _apply(f.values, _psi_generator(ctx, f.degree))
+    values = _apply(f.values, _psi_generator(ctx, f.degree, False))
     return Cochain("ce", f.degree, ctx.lie.dim, ctx.module.dim, values)
 
 
 def psi_matrix(ctx: TensorContext, degree: int) -> Matrix:
-    """Matrix of psi at one degree, in the standard basis orders of both sides."""
+    """Matrix of psi at one degree, in the standard basis orders of both sides, in Fractions.
+
+    Assembled from g's integer table, which gives D_g^(degree-1) times psi
+    (see _left_normed_brackets), and divided by that once per nonzero.
+    """
     if degree < 1:
         raise ValueError("psi starts at degree 1")
     tdim, tmd = ctx.lie.dim, ctx.module.dim
-    return _matrix(dl_tuples(ctx.B.dim, degree), ctx.M.dim, lambda T: _ce_rank(T, tdim), tmd,
-                   ce_space_dim(tdim, tmd, degree), _psi_generator(ctx, degree))
+    m = _matrix(dl_tuples(ctx.B.dim, degree), ctx.M.dim, lambda T: _ce_rank(T, tdim), tmd,
+                ce_space_dim(tdim, tmd, degree), _psi_generator(ctx, degree, True))
+    return _unscaled(m, _scale(ctx.g.products) ** (degree - 1))
 
 
 @dataclass
@@ -362,6 +374,8 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
     the columns of pz = psi_{n+1} Z, Z the DL cocycles of degree n + 1, gains
     r_{n+1}; extending them further by psi_{n+1}, whose span holds pz, counts
     rank [delta_CE^n | psi_{n+1}], the quotient rank in degree n plus rank psi_{n+1}.
+    Both differentials are read as the integer matrices of _assemble, nonzero
+    multiples of the maps with the same kernels and column spans.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -391,13 +405,13 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
     h_dl, h_lie, rank_q, induced_rank = {}, {}, {}, {}
     for n in range(max_degree + 1):
         psi = psi_mats[n + 1]
-        cocycles = dl_delta_matrix(M, n + 1).nullspace()
+        cocycles = _assemble("dl", M, n + 1).nullspace()
         dl_rank[n + 1] = psi.ncols - len(cocycles)
         h_dl[n + 1] = len(cocycles) - dl_rank[n]
         # The nonempty columns of [pz | psi] first, so only they outlive the tall matrices.
         k = len(cocycles)
         cols = psi.mul(Matrix.from_cols(cocycles, psi.ncols)).hstack(psi).transpose()._rows
-        pivots = _eliminate(ce_delta_matrix(ctx.module, n).transpose()._rows.values(), False)
+        pivots = _eliminate(_assemble("ce", ctx.module, n).transpose()._rows.values(), False)
         ce_rank[n] = len(pivots)
         h_lie[n] = ce_space_dim(tdim, tmd, n) - ce_rank[n] - ce_rank[n - 1]
         _eliminate([col for j, col in cols.items() if j < k], False, pivots)

@@ -28,14 +28,17 @@ from zinbiel.complexes import (
     _dl_rank,
     ce_delta_matrix,
     ce_space_dim,
+    ce_tuples,
     dl_delta_matrix,
     dl_space_dim,
     dl_tuples,
 )
 from zinbiel.linalg import Matrix, Scalar, parse_scalar
-from zinbiel.sparsevec import ONE, ZERO, Vec, add_at, add_scaled
+from zinbiel.sparsevec import Vec, add_at, add_scaled
 from zinbiel.tensor_bridge import PsiNotInjectiveError, TensorContext, psi_matrix
 
+ZERO = Fraction(0)
+ONE = Fraction(1)
 _NEG = Fraction(-1)
 
 
@@ -144,19 +147,72 @@ def dense_delta_matrix(
     module: Bimodule,
     degree: int,
     delta: Callable[[Cochain, Bimodule], Cochain],
+    theory: str = "dl",
 ) -> List[List[Fraction]]:
     """Matrix of a differential, one basis cochain at a time, densely."""
     bd = module.algebra.dim
     md = module.dim
-    nrows = dl_space_dim(bd, md, degree + 1)
+    keys, space = (dl_tuples, dl_space_dim) if theory == "dl" else (ce_tuples, ce_space_dim)
+    nrows = space(bd, md, degree + 1)
     cols = []
-    for key in dl_tuples(bd, degree):
+    for key in keys(bd, degree):
         for k in range(md):
-            basis = Cochain("dl", degree, bd, md, {key: {k: Fraction(1)}})
+            basis = Cochain(theory, degree, bd, md, {key: {k: Fraction(1)}})
             out = delta(basis, module)
             cols.append(cochain_to_vector(out))
     zero = Fraction(0)
     return [[cols[j].get(i, zero) for j in range(len(cols))] for i in range(nrows)]
+
+
+def identity(n: int) -> List[List[Fraction]]:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _inverse(P: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
+    n = len(P)
+    reduced = dense_rref([list(row) + e for row, e in zip(P, identity(n))])
+    if [c for c, _ in reduced] != list(range(n)):
+        raise ValueError("change of basis is not invertible")
+    return [row[n:] for _, row in reduced]
+
+
+def _rebased(table: Table, left: Sequence[Sequence[Fraction]], right: Sequence[Sequence[Fraction]],
+             out: Sequence[Sequence[Fraction]], t: Fraction) -> Table:
+    """t * table with its two inputs in the bases given by the columns of left and
+    right, and its result in the basis whose coordinate map is out."""
+    new: Table = {}
+    for a in range(len(left)):
+        for b in range(len(right)):
+            acc: Vec = {}
+            for (i, j), vec in table.items():
+                c = t * left[i][a] * right[j][b]
+                if c:
+                    for k, v in vec.items():
+                        for m in range(len(out)):
+                            add_at(acc, m, c * v * out[m][k])
+            if acc:
+                new[(a, b)] = acc
+    return new
+
+
+def change_basis(alg: FiniteAlgebra, P: Sequence[Sequence[Fraction]], t: Fraction) -> FiniteAlgebra:
+    """alg in the basis f_j = sum_i P[i][j] e_i, with its product times t.
+
+    Every identity family is quadratic in the product, so the result satisfies
+    the same ones as alg; with fractional P or t its constants are fractional.
+    P must be invertible.
+    """
+    products = _rebased(alg.products, P, P, _inverse(P), t)
+    return FiniteAlgebra(alg.kind, alg.dim, alg.basis_names, products)
+
+
+def change_module_basis(M: Bimodule, Q: Sequence[Sequence[Fraction]]) -> Bimodule:
+    """M in the module basis f_j = sum_i Q[i][j] m_i: the same bimodule, other constants."""
+    inv = _inverse(Q)
+    eye = identity(M.algebra.dim)
+    return Bimodule(M.algebra, M.dim, M.basis_names,
+                    left=_rebased(M.left, eye, Q, inv, ONE),
+                    right=_rebased(M.right, Q, eye, inv, ONE))
 
 
 LieTable = Dict[Tuple[int, int], Dict[int, Fraction]]

@@ -327,6 +327,18 @@ def test_dim_cap_env_must_be_integer(capsys, monkeypatch):
     assert code == 2 and "must be an integer" in err
 
 
+def test_dim_cap_below_one(capsys, monkeypatch):
+    for argv in (["builtin", "B2", "--dim-cap", "-1"],
+                 ["builtin", "polyzinbiel(3)", "--dim-cap", "0"]):
+        want = f"error: --dim-cap must be at least 1, got {argv[-1]}\n"
+        assert run(capsys, argv) == (2, "", want)
+    monkeypatch.setenv("ZINBIEL_DIM_CAP", "0")
+    assert run(capsys, ["check", "builtin:B2"]) == (
+        2, "", "error: ZINBIEL_DIM_CAP must be at least 1, got 0\n")
+    # a cap of 1 is valid; B2 is not capped at all
+    assert run(capsys, ["check", "builtin:B2", "--dim-cap", "1"]) == (0, "zinbiel: PASS\n", "")
+
+
 def test_unknown_builtin(capsys):
     code, _, err = run(capsys, ["builtin", "nonsense"])
     assert code == 2

@@ -8,18 +8,22 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import (
     ce_delta1_adjoint,
     ce_delta2_adjoint,
+    change_basis,
+    change_module_basis,
     cochain_to_vector,
     dense_delta_matrix,
+    dense_nullspace,
     dense_rank,
     dense_vec,
     dl_delta_lowdeg,
     linear_combination,
     mul_vec,
+    to_dense,
 )
 from zinbiel import (
     Cochain,
@@ -27,6 +31,7 @@ from zinbiel import (
     ce_delta,
     ce_delta_matrix,
     ce_space_dim,
+    check_axioms,
     cohomology_dims,
     dl_delta,
     dl_delta_matrix,
@@ -35,7 +40,7 @@ from zinbiel import (
     random_dl_cochain,
     regular,
 )
-from zinbiel.complexes import DL_MAX_DEGREE, ce_tuples, dl_tuples
+from zinbiel.complexes import DL_MAX_DEGREE, _assemble, _module_scale, ce_tuples, dl_tuples
 from zinbiel.tensor_bridge import TensorContext
 
 CATALOG = ("B2", "B3", "polyzinbiel(2)", "leibniz2", "lie2", "freeleibniz(2,2)")
@@ -261,3 +266,66 @@ def test_delta_is_linear(seed):
     lhs = dl_delta(linear_combination(f, g, Fraction(3)), mod)
     rhs = linear_combination(dl_delta(f, mod), dl_delta(g, mod), Fraction(3))
     assert lhs.values == rhs.values
+
+
+fractions_1_to_6 = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6))
+nonzero_fractions = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(1, 6))
+
+
+@st.composite
+def basis_changes(draw, n):
+    """P = L U, L unit lower and U upper triangular with a nonzero diagonal, so invertible.
+
+    About half of the other entries of L and U are 0, which keeps the tables
+    small enough for dense elimination.
+    """
+    entry = st.one_of(st.just(Fraction(0)), fractions_1_to_6)
+    one, zero = Fraction(1), Fraction(0)
+    L = [[draw(entry) if j < i else one if j == i else zero for j in range(n)] for i in range(n)]
+    U = [[draw(entry) if j > i else draw(nonzero_fractions) if j == i else zero for j in range(n)]
+         for i in range(n)]
+    return [[sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def fractional(draw, name):
+    """The builtin algebra in a random basis with entries n/d, d in 1..6, product times such a t."""
+    alg = builtin(name)
+    return change_basis(alg, draw(basis_changes(alg.dim)), draw(nonzero_fractions))
+
+
+def _assert_integer_assembly_matches(theory, module, degree, delta):
+    # _assemble is D times the map as ints, with the map's rank and nullspace;
+    # the public matrix is the map itself, as Fractions.
+    want = dense_delta_matrix(module, degree, delta, theory)
+    d = _module_scale(module)
+    scaled = _assemble(theory, module, degree)
+    assert all(type(v) is int for row in scaled._rows.values() for v in row.values())
+    assert to_dense(scaled) == [[d * x for x in row] for row in want]
+    kernel = dense_nullspace(want)
+    assert scaled.rank() == len(want[0]) - len(kernel)
+    assert scaled.nullspace() == kernel
+    exact = (dl_delta_matrix if theory == "dl" else ce_delta_matrix)(module, degree)
+    assert all(type(v) is Fraction for row in exact._rows.values() for v in row.values())
+    assert to_dense(exact) == want
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.sampled_from(("B2", "B3", "polyzinbiel(2)")).flatmap(fractional), st.data())
+def test_integer_dl_assembly_matches_the_fraction_route(B, data):
+    # The regular bimodule in a basis of its own, so the actions' denominators
+    # need not be the product's.
+    M = change_module_basis(regular(B), data.draw(basis_changes(B.dim)))
+    assert check_axioms(B, "zinbiel").ok and check_axioms(B, "zinbiel-bimodule", M).ok
+    assume(_module_scale(M) > 1)
+    for n in (1, 2):
+        _assert_integer_assembly_matches("dl", M, n, dl_delta)
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.sampled_from(("leibniz2", "lie2")).flatmap(fractional), fractional("B2"))
+def test_integer_ce_assembly_matches_the_fraction_route(g, B):
+    T = TensorContext(g, B, regular(B)).module
+    assume(_module_scale(T) > 1)
+    for n in (0, 1, 2):
+        _assert_integer_assembly_matches("ce", T, n, ce_delta)

@@ -160,6 +160,32 @@ def test_results_do_not_depend_on_row_order(rows, rng, data):
     assert len(pivots) == dense_rank(rows)
 
 
+def _int_matrix(rows):
+    """The matrix with int entries, as the package's integer assembly stores it."""
+    return Matrix.from_nonempty(len(rows), len(rows[0]), {
+        i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(rows)
+    })
+
+
+@settings(deadline=None)
+@given(matrices(), st.data())
+def test_int_rows_are_eliminated_without_being_written(rows, data):
+    # _cancel writes into its row in place, so elimination must work on a
+    # copy of every incoming row, an int row too.
+    m = _int_matrix(rows)
+    before = copy.deepcopy(m._rows)
+    f = from_rows(rows)
+    assert m.rank() == f.rank()
+    assert m.reduced_rows() == f.reduced_rows()
+    assert m.nullspace() == f.nullspace()
+    stored = list(m._rows.values())
+    split = data.draw(st.integers(0, len(stored)))
+    pivots = _eliminate(stored[:split], False)
+    _eliminate(stored[split:], False, pivots)
+    assert len(pivots) == dense_rank(rows)
+    assert m._rows == before
+
+
 def test_fractional_complex_rank_and_reduced_form():
     module = regular(builtin("polyzinbiel(3)"))
     assert dl_delta_matrix(module, 3).rank() == 204

@@ -14,10 +14,12 @@ import pytest
 
 from _oracles import (
     ce_delta_gather,
+    change_basis,
     cochain_to_vector,
     dense_rank,
     dl_delta_lowdeg,
     from_sparse_cols,
+    identity,
     les_report_rowwise,
     linear_combination,
     mul_vec,
@@ -519,10 +521,9 @@ def test_les_precheck_failure_message():
     assert str(exc.value) == "embedding not injective at degree 2; LES hypothesis not met"
 
 
-def _report_or_failures(les, g_name, b_name, max_degree):
-    B = builtin(b_name)
+def _report_or_failures(les, g, B, max_degree):
     try:
-        return les(builtin(g_name), B, regular(B), max_degree)
+        return les(g, B, regular(B), max_degree)
     except PsiNotInjectiveError as exc:
         return exc.failures
 
@@ -542,7 +543,27 @@ def _report_or_failures(les, g_name, b_name, max_degree):
 def test_les_report_matches_rowwise_oracle(g_name, b_name, max_degree):
     # One column echelon per delta_CE against three row eliminations of it:
     # the whole report, or the precheck failures when both raise.
-    args = (g_name, b_name, max_degree)
+    args = (builtin(g_name), builtin(b_name), max_degree)
+    assert _report_or_failures(les_report, *args) == _report_or_failures(les_report_rowwise, *args)
+
+
+def _rescaled(name, t):
+    alg = builtin(name)
+    return change_basis(alg, identity(alg.dim), t)
+
+
+@pytest.mark.parametrize("g_name", ["leibniz2", "freeleibniz(2,3)"])
+def test_psi_and_les_report_with_fractional_constants(g_name):
+    # g's product times 3/2 and B2's times 2/5. psi_n is assembled from g's
+    # integer table as 2^(n-1) psi_n and divided back; les_report reads the
+    # differentials as integer multiples of themselves.
+    g, B = _rescaled(g_name, Fraction(3, 2)), _rescaled("B2", Fraction(2, 5))
+    M = regular(B)
+    ctx = TensorContext(g, B, M)
+    for n in (1, 2, 3):
+        assert _columns_match(psi_matrix(ctx, n), lambda e: psi_gather(ctx, e),
+                              "dl", n, B.dim, M.dim)
+    args = (g, B, 1)
     assert _report_or_failures(les_report, *args) == _report_or_failures(les_report_rowwise, *args)
 
 
