@@ -331,11 +331,15 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="report format (default text)",
     )
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_format(parser)
     parser.add_argument(
         "--dim-cap", type=int, default=None, metavar="N",
         help=f"dimension cap for catalog construction "
@@ -399,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="recompute a worked example end to end")
     p.add_argument("target", choices=("example-4-6",))
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -25,11 +25,11 @@ consumers share every generator (tensor_bridge's psi uses them too):
   tuple_rank * module_dim + k, tuples ranked in lexicographic order
   (positional for "dl", combination order for "ce").
 
-_apply reads the Fraction tables. _matrix is fed integer copies of the
-tables, each multiplied by the lcm D of their denominators: every term of
-either differential reads exactly one structure constant, so the integer
-matrix is D times the map, with the same rank, nullspace and column span.
-The public *_delta_matrix functions divide by D once per nonzero.
+Every generator reads integer copies of the tables, each multiplied by the
+lcm D of their denominators. Each term reads one structure constant, so the
+terms are D times the map's, and so is _matrix's integer matrix, with the
+same rank, nullspace and column span. _apply and the public *_delta_matrix
+functions divide each output coefficient by D once, back to a Fraction.
 """
 from __future__ import annotations
 
@@ -41,12 +41,12 @@ from functools import lru_cache
 from itertools import combinations, product as iproduct
 from math import comb, lcm
 from random import Random
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
 
-from .algebras import Bimodule, Table
+from .algebras import Bimodule
 from .free_leibniz import leibniz_expansion
 from .linalg import Matrix, parse_scalar
-from .sparsevec import Number, Vec, add_at, add_scaled
+from .sparsevec import Vec, add_at, add_scaled
 
 Key = Tuple[int, ...]
 
@@ -162,15 +162,8 @@ def random_dl_cochain(
     coordinates ascending within each tuple, so a seeded Random reproduces the
     same cochain everywhere.
     """
-    values: Dict[Key, Vec] = {}
-    for key in dl_tuples(algebra_dim, degree):
-        vec = {}
-        for k in range(module_dim):
-            c = rng.randint(-9, 9)
-            if c:
-                vec[k] = Fraction(c)
-        if vec:
-            values[key] = vec
+    values = {key: {k: rng.randint(-9, 9) for k in range(module_dim)}
+              for key in dl_tuples(algebra_dim, degree)}
     return Cochain("dl", degree, algebra_dim, module_dim, values)
 
 
@@ -188,21 +181,26 @@ def _net_terms(n: int) -> Tuple[Tuple[int, Key], ...]:
 
 
 Block = Dict[int, Vec]
-Term = Tuple[Number, Key, Block]
+Term = Tuple[int, Key, Block]
 Terms = Callable[[Key], Iterable[Term]]
 
 
-def _apply(values: Dict[Key, Vec], terms: Terms) -> Dict[Key, Vec]:
-    """Image of a cochain, scattered from its nonzero support (may keep empty vectors)."""
+def _apply(values: Dict[Key, Vec], terms: Terms, scale: int) -> Dict[Key, Vec]:
+    """Image of a cochain, scattered from its nonzero support (may keep empty vectors).
+
+    The terms are scale times the map's. The input is cleared of denominators
+    by their lcm L, so ints accumulate; each output is divided once by L * scale.
+    """
+    den = _scale(values)
     out: Dict[Key, Vec] = {}
-    for X, fv in values.items():
+    for X, fv in _integral(values, den).items():
         for coeff, Y, block in terms(X):
             acc = out.setdefault(Y, {})
             for k, v in fv.items():
                 img = block.get(k)
                 if img:
                     add_scaled(acc, img, coeff * v)
-    return out
+    return _unscaled(out, den * scale)
 
 
 def _matrix(
@@ -231,12 +229,12 @@ def _matrix(
     return Matrix.from_nonempty(nrows, col_base, rows)
 
 
-def _scale(*tables: Table) -> int:
-    """The lcm D of the denominators of every constant in the tables."""
+def _scale(*tables: Dict[Key, Vec]) -> int:
+    """The lcm D of the denominators of every constant in the tables (or cochain values)."""
     return lcm(*{c.denominator for t in tables for vec in t.values() for c in vec.values()})
 
 
-def _integral(table: Table, d: int) -> Dict[Tuple[int, int], Dict[int, int]]:
+def _integral(table: Dict[Key, Vec], d: int) -> Dict[Key, Dict[int, int]]:
     """d times the table, as ints; d must be a multiple of every denominator in it."""
     return {key: {k: c.numerator * (d // c.denominator) for k, c in vec.items()}
             for key, vec in table.items()}
@@ -247,30 +245,27 @@ def _module_scale(module: Bimodule) -> int:
     return _scale(module.algebra.products, module.left, module.right)
 
 
-def _unscaled(m: Matrix, d: int) -> Matrix:
-    """The integer matrix m divided by d, as exact Fractions."""
-    return Matrix.from_nonempty(m.nrows, m.ncols, {
-        i: {j: Fraction(v, d) for j, v in row.items()} for i, row in m._rows.items()
-    })
+def _unscaled(vecs: Dict[Any, Vec], d: int) -> Dict[Any, Vec]:
+    """Integer vectors (matrix rows or cochain values) divided by d, as exact Fractions."""
+    return {i: {j: Fraction(v, d) for j, v in vec.items()} for i, vec in vecs.items()}
 
 
-Preimages = Dict[int, List[Tuple[int, int, Number]]]
+Preimages = Dict[int, List[Tuple[int, int, int]]]
 
 
 def _tables(
-    module: Bimodule, integral: bool
+    module: Bimodule,
 ) -> Tuple[Preimages, Block, List[Tuple[int, Block]], List[Tuple[int, Block]]]:
     """What the two generators read of a module: preimages, identity block, action blocks.
 
     The preimages map p -> [(u, w, c)], e_u * e_w having coefficient c on e_p;
     then come the identity block and the nonzero blocks {k: x m_k} and
-    {k: m_k x} per basis element x. With integral, every constant is
-    multiplied by _module_scale(module) and held as an int.
+    {k: m_k x} per basis element x. Every constant is multiplied by
+    D = _module_scale(module) and held as an int.
     """
-    products, left, right = module.algebra.products, module.left, module.right
-    if integral:
-        d = _module_scale(module)
-        products, left, right = (_integral(t, d) for t in (products, left, right))
+    d = _module_scale(module)
+    products, left, right = (
+        _integral(t, d) for t in (module.algebra.products, module.left, module.right))
     pre: Preimages = {}
     for (u, w), vec in products.items():
         for p, c in vec.items():
@@ -287,7 +282,7 @@ def _tables(
     return pre, {k: {k: 1} for k in range(md)}, lblocks, rblocks
 
 
-def _dl_generator(module: Bimodule, n: int, integral: bool) -> Terms:
+def _dl_generator(module: Bimodule, n: int) -> Terms:
     """Terms of the degree n -> n+1 map of the non-symmetric complex,
 
         (delta f)(y_0, ..., y_n) = sum over shuffle terms (c, sigma) of
@@ -300,9 +295,9 @@ def _dl_generator(module: Bimodule, n: int, integral: bool) -> Terms:
     from an input tuple X: the shuffle terms place X in y_1..y_n with a
     free y_0; a product term for X[q] = p takes every e_u e_w containing e_p,
     giving X[:q] + (u, w) + X[q+1:], and (w, u) in its place as well when
-    q >= 1; the right term appends a free y_n. integral selects the tables (see _tables).
+    q >= 1; the right term appends a free y_n. Terms are D times the map's (see _tables).
     """
-    pre, ident, left, right = _tables(module, integral)
+    pre, ident, left, right = _tables(module)
     shuffles = _net_terms(n)
     last = 1 if n % 2 else -1
 
@@ -324,7 +319,7 @@ def _dl_generator(module: Bimodule, n: int, integral: bool) -> Terms:
     return terms
 
 
-def _ce_generator(module: Bimodule, n: int, integral: bool) -> Terms:
+def _ce_generator(module: Bimodule, n: int) -> Terms:
     """Terms of the alternating degree n -> n+1 differential,
 
         (delta f)(y_0, ..., y_n) = sum_{a<b} (-1)^(a+b) f([y_a, y_b], y_0, ..^a..^b.., y_n)
@@ -334,9 +329,9 @@ def _ce_generator(module: Bimodule, n: int, integral: bool) -> Terms:
     X[idx] = p by a pair u < w with [e_u, e_w] containing e_p and neither in
     the rest of X, with sign (-1)^(iu + iw + 1 + idx), iu and iw being the
     insertion points of u and w in the rest; a left term inserts an x not in
-    X at position a, with sign (-1)^a. integral selects the tables (see _tables).
+    X at position a, with sign (-1)^a. Terms are D times the map's (see _tables).
     """
-    pre, ident, left, _ = _tables(module, integral)
+    pre, ident, left, _ = _tables(module)
 
     def terms(X: Key) -> Iterator[Term]:
         for idx, p in enumerate(X):
@@ -366,7 +361,7 @@ def _delta(theory: str, f: Cochain, module: Bimodule) -> Cochain:
     _check_module(f, module)
     _check_degree(theory, f.degree)
     generator = _dl_generator if theory == "dl" else _ce_generator
-    values = _apply(f.values, generator(module, f.degree, False))
+    values = _apply(f.values, generator(module, f.degree), _module_scale(module))
     return Cochain(theory, f.degree + 1, module.algebra.dim, module.dim, values)
 
 
@@ -395,16 +390,18 @@ def _assemble(theory: str, module: Bimodule, degree: int) -> Matrix:
     else:
         keys, rank, space, generator = ce_tuples, _ce_rank, ce_space_dim, _ce_generator
     return _matrix(keys(dim, degree), md, lambda Y: rank(Y, dim), md,
-                   space(dim, md, degree + 1), generator(module, degree, True))
+                   space(dim, md, degree + 1), generator(module, degree))
 
 
 def dl_delta_matrix(module: Bimodule, degree: int) -> Matrix:
     """Matrix of the degree -> degree+1 map in the standard basis order, in Fractions."""
-    return _unscaled(_assemble("dl", module, degree), _module_scale(module))
+    m = _assemble("dl", module, degree)
+    return Matrix.from_nonempty(m.nrows, m.ncols, _unscaled(m._rows, _module_scale(module)))
 
 
 def ce_delta_matrix(module: Bimodule, degree: int) -> Matrix:
-    return _unscaled(_assemble("ce", module, degree), _module_scale(module))
+    m = _assemble("ce", module, degree)
+    return Matrix.from_nonempty(m.nrows, m.ncols, _unscaled(m._rows, _module_scale(module)))
 
 
 @dataclass
@@ -426,7 +423,6 @@ def cohomology_dims(module: Bimodule, theory: str, degree: int) -> CohomologyDim
     catches only some inputs outside the family: the others get dimensions
     that mean nothing.
     """
-    _check_degree(theory, degree)
     dim = module.algebra.dim
     md = module.dim
     space = dl_space_dim if theory == "dl" else ce_space_dim

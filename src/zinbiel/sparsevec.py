@@ -1,9 +1,9 @@
 """Sparse vectors, stored as {index: value} with no zero values.
 
-Values are exact: Fractions, or ints where a whole vector is an integer
-multiple of the one it stands for (the integer assembly in complexes). The
-helpers keep ints as ints. Every mutating helper keeps the no-zeros
-invariant, so two vectors are equal as maps iff their dicts are equal.
+Values are exact: Fractions at the public boundary, ints inside the kernels,
+where the term generators read scaled integer tables. The helpers keep ints
+as ints. Every mutating helper keeps the no-zeros invariant, so two vectors
+are equal as maps iff their dicts are equal.
 """
 from __future__ import annotations
 

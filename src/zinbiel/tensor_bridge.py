@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -44,6 +43,7 @@ from .complexes import (
     _assemble,
     _ce_rank,
     _check_degree,
+    _check_module,
     _integral,
     _matrix,
     _scale,
@@ -170,15 +170,15 @@ def _bracket_length_bound(g: FiniteAlgebra, cap: int = BRACKET_BOUND_CAP) -> int
     return cap
 
 
-def _left_normed_brackets(g: FiniteAlgebra, n: int, integral: bool) -> List[Tuple[Key, Vec]]:
+def _left_normed_brackets(g: FiniteAlgebra, n: int) -> List[Tuple[Key, Vec]]:
     """Every n-tuple G of basis indices of g whose bracket [[G_1, G_2], ...] is nonzero, with it.
 
     Built one letter at a time; a prefix whose bracket vanishes is dropped,
-    since every bracket extending it vanishes too. With integral, g's
-    constants are multiplied by D_g = _scale(g.products) and held as ints, so
-    each bracket, n - 1 constants to a term, comes out D_g^(n-1) times its value.
+    since every bracket extending it vanishes too. g's constants are
+    multiplied by D_g = _scale(g.products) and held as ints, so each bracket,
+    n - 1 constants to a term, comes out D_g^(n-1) times its value.
     """
-    products = _integral(g.products, _scale(g.products)) if integral else g.products
+    products = _integral(g.products, _scale(g.products))
     empty: Vec = {}
     level: List[Tuple[Key, Vec]] = [((i,), {i: 1}) for i in range(g.dim)]
     for _ in range(n - 1):
@@ -194,19 +194,19 @@ def _left_normed_brackets(g: FiniteAlgebra, n: int, integral: bool) -> List[Tupl
     return level
 
 
-def _psi_generator(ctx: TensorContext, n: int, integral: bool) -> Terms:
+def _psi_generator(ctx: TensorContext, n: int) -> Terms:
     """Terms of psi at degree n, read from an input B-tuple X.
 
     Each g-tuple G with nonzero bracket L pairs up with X into the tensor
     indices G_j * B.dim + X_j; sorted, they give the output tuple T and the
     sign of the sorting permutation, and m_k goes to sign * L (x) m_k. A
-    repeated index drops the term, as the output is alternating. integral
-    selects the brackets (see _left_normed_brackets).
+    repeated index drops the term, as the output is alternating. The terms
+    are D_g^(n-1) times psi's (see _left_normed_brackets).
     """
     bd, md = ctx.B.dim, ctx.M.dim
     brackets = [
         (G, {k: {ga * md + k: c for ga, c in L.items()} for k in range(md)})
-        for G, L in _left_normed_brackets(ctx.g, n, integral)
+        for G, L in _left_normed_brackets(ctx.g, n)
     ]
 
     def terms(X: Key) -> Iterator[Term]:
@@ -222,10 +222,10 @@ def psi_apply(ctx: TensorContext, f: Cochain) -> Cochain:
     """The alternating image of a degree-n cochain on B under the map above."""
     if f.theory != "dl":
         raise ValueError("psi consumes 'dl' cochains")
-    if f.algebra_dim != ctx.B.dim or f.module_dim != ctx.M.dim:
-        raise ValueError("cochain dimensions do not match the context")
-    values = _apply(f.values, _psi_generator(ctx, f.degree, False))
-    return Cochain("ce", f.degree, ctx.lie.dim, ctx.module.dim, values)
+    _check_module(f, ctx.M)
+    n = f.degree
+    values = _apply(f.values, _psi_generator(ctx, n), _scale(ctx.g.products) ** (n - 1))
+    return Cochain("ce", n, ctx.lie.dim, ctx.module.dim, values)
 
 
 def psi_matrix(ctx: TensorContext, degree: int) -> Matrix:
@@ -234,12 +234,12 @@ def psi_matrix(ctx: TensorContext, degree: int) -> Matrix:
     Assembled from g's integer table, which gives D_g^(degree-1) times psi
     (see _left_normed_brackets), and divided by that once per nonzero.
     """
-    if degree < 1:
-        raise ValueError("psi starts at degree 1")
+    _check_degree("dl", degree)
     tdim, tmd = ctx.lie.dim, ctx.module.dim
     m = _matrix(dl_tuples(ctx.B.dim, degree), ctx.M.dim, lambda T: _ce_rank(T, tdim), tmd,
-                ce_space_dim(tdim, tmd, degree), _psi_generator(ctx, degree, True))
-    return _unscaled(m, _scale(ctx.g.products) ** (degree - 1))
+                ce_space_dim(tdim, tmd, degree), _psi_generator(ctx, degree))
+    d = _scale(ctx.g.products) ** (degree - 1)
+    return Matrix.from_nonempty(m.nrows, m.ncols, _unscaled(m._rows, d))
 
 
 @dataclass
@@ -276,15 +276,14 @@ class ChainMapReport:
 def _first_difference(ctx: TensorContext, lhs: Cochain, rhs: Cochain, trial: int) -> Optional[dict]:
     names = ctx.lie.basis_names
     mnames = ctx.module.basis_names
-    zero = Fraction(0)
     for key in sorted(set(lhs.values) | set(rhs.values)):
         va = lhs.values.get(key, {})
         vb = rhs.values.get(key, {})
         if va == vb:
             continue
         for k in sorted(set(va) | set(vb)):
-            a = va.get(k, zero)
-            b = vb.get(k, zero)
+            a = va.get(k, 0)
+            b = vb.get(k, 0)
             if a != b:
                 return {
                     "trial": trial,

@@ -387,6 +387,14 @@ def test_reproduce_text(capsys):
     assert "computed dim H^2 = 0, printed claim 1" in out
 
 
+def test_reproduce_takes_no_dim_cap(capsys):
+    # reproduce builds only the fixed B2 and lie2, so a cap would never be read
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "example-4-6", "--dim-cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dim-cap 5" in capsys.readouterr().err
+
+
 def test_reproduce_json(capsys):
     code, out, _ = run(capsys, ["reproduce", "example-4-6", "--format", "json"])
     assert code == 0

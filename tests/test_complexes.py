@@ -15,6 +15,7 @@ from _oracles import (
     ce_delta2_adjoint,
     change_basis,
     change_module_basis,
+    ce_delta_gather,
     cochain_to_vector,
     dense_delta_matrix,
     dense_nullspace,
@@ -41,7 +42,7 @@ from zinbiel import (
     regular,
 )
 from zinbiel.complexes import DL_MAX_DEGREE, _assemble, _module_scale, ce_tuples, dl_tuples
-from zinbiel.tensor_bridge import TensorContext
+from zinbiel.tensor_bridge import TensorContext, psi_matrix, verify_chain_map
 
 CATALOG = ("B2", "B3", "polyzinbiel(2)", "leibniz2", "lie2", "freeleibniz(2,2)")
 ZINBIEL_CATALOG = ("B2", "B3", "polyzinbiel(2)", "polyzinbiel(3)")
@@ -231,10 +232,18 @@ def test_space_dims():
 
 def test_degree_caps():
     mod = regular(builtin("B2"))
-    with pytest.raises(ValueError):
-        dl_delta_matrix(mod, 0)
-    with pytest.raises(ValueError):
-        dl_delta_matrix(mod, DL_MAX_DEGREE + 1)
+    g = builtin("leibniz2")
+    ctx = TensorContext(g, builtin("B2"), mod)
+    for degree in (0, DL_MAX_DEGREE + 1):
+        with pytest.raises(ValueError) as want:
+            dl_delta_matrix(mod, degree)
+        with pytest.raises(ValueError) as got:
+            psi_matrix(ctx, degree)
+        assert str(got.value) == str(want.value)
+    # psi_apply never sees degree 0, as no such cochain can be built (see
+    # test_cochain_degree_message_matches_the_degree_check), and takes
+    # DL_MAX_DEGREE + 1, since the chain-map check applies it to delta f.
+    assert verify_chain_map(g, ctx.B, mod, DL_MAX_DEGREE, trials=1).passed
     with pytest.raises(ValueError):
         cohomology_dims(mod, "ce", -1)
     with pytest.raises(ValueError):
@@ -294,10 +303,11 @@ def fractional(draw, name):
     return change_basis(alg, draw(basis_changes(alg.dim)), draw(nonzero_fractions))
 
 
-def _assert_integer_assembly_matches(theory, module, degree, delta):
+def _assert_integer_assembly_matches(theory, module, degree, oracle):
     # _assemble is D times the map as ints, with the map's rank and nullspace;
-    # the public matrix is the map itself, as Fractions.
-    want = dense_delta_matrix(module, degree, delta, theory)
+    # the public matrix and the applied form are the map itself, as Fractions.
+    # The oracle reads the Fraction tables.
+    want = dense_delta_matrix(module, degree, oracle, theory)
     d = _module_scale(module)
     scaled = _assemble(theory, module, degree)
     assert all(type(v) is int for row in scaled._rows.values() for v in row.values())
@@ -308,6 +318,8 @@ def _assert_integer_assembly_matches(theory, module, degree, delta):
     exact = (dl_delta_matrix if theory == "dl" else ce_delta_matrix)(module, degree)
     assert all(type(v) is Fraction for row in exact._rows.values() for v in row.values())
     assert to_dense(exact) == want
+    applied = dl_delta if theory == "dl" else ce_delta
+    assert dense_delta_matrix(module, degree, applied, theory) == want
 
 
 @settings(deadline=None, max_examples=15)
@@ -319,7 +331,7 @@ def test_integer_dl_assembly_matches_the_fraction_route(B, data):
     assert check_axioms(B, "zinbiel").ok and check_axioms(B, "zinbiel-bimodule", M).ok
     assume(_module_scale(M) > 1)
     for n in (1, 2):
-        _assert_integer_assembly_matches("dl", M, n, dl_delta)
+        _assert_integer_assembly_matches("dl", M, n, dl_delta_lowdeg)
 
 
 @settings(deadline=None, max_examples=10)
@@ -328,4 +340,4 @@ def test_integer_ce_assembly_matches_the_fraction_route(g, B):
     T = TensorContext(g, B, regular(B)).module
     assume(_module_scale(T) > 1)
     for n in (0, 1, 2):
-        _assert_integer_assembly_matches("ce", T, n, ce_delta)
+        _assert_integer_assembly_matches("ce", T, n, ce_delta_gather)

@@ -555,14 +555,25 @@ def _rescaled(name, t):
 @pytest.mark.parametrize("g_name", ["leibniz2", "freeleibniz(2,3)"])
 def test_psi_and_les_report_with_fractional_constants(g_name):
     # g's product times 3/2 and B2's times 2/5. psi_n is assembled from g's
-    # integer table as 2^(n-1) psi_n and divided back; les_report reads the
+    # integer table as 2^(n-1) psi_n and divided back, and applied to a
+    # cochain with fractional coefficients the same way; les_report reads the
     # differentials as integer multiples of themselves.
     g, B = _rescaled(g_name, Fraction(3, 2)), _rescaled("B2", Fraction(2, 5))
     M = regular(B)
     ctx = TensorContext(g, B, M)
+    rng = Random(g_name)
     for n in (1, 2, 3):
         assert _columns_match(psi_matrix(ctx, n), lambda e: psi_gather(ctx, e),
                               "dl", n, B.dim, M.dim)
+        f = Cochain("dl", n, B.dim, M.dim, {
+            key: {k: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for k in range(M.dim)}
+            for key in dl_tuples(B.dim, n)
+        })
+        before = {key: dict(vec) for key, vec in f.values.items()}
+        assert psi_apply(ctx, f) == psi_gather(ctx, f) and f.values == before
+        assert dl_delta(f, M) == dl_delta_lowdeg(f, M) and f.values == before
+    report = verify_chain_map(g, B, M, 3)
+    assert report.passed and report.axioms_ok
     args = (g, B, 1)
     assert _report_or_failures(les_report, *args) == _report_or_failures(les_report_rowwise, *args)
 
