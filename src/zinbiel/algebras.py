@@ -63,10 +63,6 @@ class FiniteAlgebra:
             self, "products", _clean_table(self.products, self.dim, self.dim, self.dim, "product")
         )
 
-    def product(self, i: int, j: int) -> Vec:
-        """Sparse expansion of e_i * e_j."""
-        return self.products.get((i, j), {})
-
 
 @dataclass(frozen=True)
 class Bimodule:
@@ -92,13 +88,6 @@ class Bimodule:
         object.__setattr__(
             self, "right", _clean_table(self.right, self.dim, adim, self.dim, "right action")
         )
-
-    def act_left(self, i: int, k: int) -> Vec:
-        """Sparse expansion of e_i acting on module element m_k from the left."""
-        return self.left.get((i, k), {})
-
-    def act_right(self, k: int, i: int) -> Vec:
-        return self.right.get((k, i), {})
 
 
 def regular(alg: FiniteAlgebra) -> Bimodule:
@@ -173,7 +162,13 @@ _IDENTITIES: Dict[str, Tuple[Identity, ...]] = {
     ),
 }
 
-_MODULE_FAMILIES = ("zinbiel-bimodule", "leibniz-representation", "lie-module")
+# The module family that goes with each algebra family.
+_MODULE_FAMILY = {
+    "zinbiel": "zinbiel-bimodule",
+    "leibniz": "leibniz-representation",
+    "lie": "lie-module",
+}
+_MODULE_FAMILIES = tuple(_MODULE_FAMILY.values())
 
 AXIOM_KINDS = tuple(_IDENTITIES)
 

@@ -11,14 +11,16 @@ Available names:
 * freeleibniz(m, N)  free Leibniz algebra on m letters, words cut at length N
 * regular(NAME)  the named algebra acting on itself, as a bimodule
 
-perturbed_b2() is B2 with the extra product e2.e2 = e1 spliced in; it breaks
-the Zinbiel identity on purpose and serves as a negative control in tests.
+B2, B3, leibniz2 and lie2 are rows of one table, _FIXED, of kind, basis
+names and products, read by one constructor. perturbed_b2() is B2 with the
+extra product e2.e2 = e1 spliced in; it breaks the Zinbiel identity on purpose
+and serves as a negative control in tests.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 from .algebras import Bimodule, FiniteAlgebra, regular
 from .free_leibniz import DEFAULT_DIM_CAP, build_truncated
@@ -33,25 +35,16 @@ BUILTIN_NAMES = (
     "regular(NAME)",
 )
 
-_ONE = Fraction(1)
+_FIXED = {
+    "B2": ("zinbiel", ("e1", "e2"), {(0, 0): {1: 1}}),
+    "B3": ("zinbiel", ("e1", "e2", "e3"), {(0, 1): {2: 1}}),
+    "leibniz2": ("leibniz", ("a", "b"), {(0, 0): {1: 1}}),
+    "lie2": ("lie", ("e1", "e2"), {(0, 1): {0: 1}, (1, 0): {0: -1}}),
+}
 
 
-def _b2() -> FiniteAlgebra:
-    return FiniteAlgebra(
-        kind="zinbiel",
-        dim=2,
-        basis_names=("e1", "e2"),
-        products={(0, 0): {1: _ONE}},
-    )
-
-
-def _b3() -> FiniteAlgebra:
-    return FiniteAlgebra(
-        kind="zinbiel",
-        dim=3,
-        basis_names=("e1", "e2", "e3"),
-        products={(0, 1): {2: _ONE}},
-    )
+def _algebra(kind: str, names: Tuple[str, ...], products: dict) -> FiniteAlgebra:
+    return FiniteAlgebra(kind, len(names), names, products)
 
 
 def _polyzinbiel(d: int) -> FiniteAlgebra:
@@ -62,40 +55,12 @@ def _polyzinbiel(d: int) -> FiniteAlgebra:
         for b in range(d + 1):
             if a + b + 1 <= d:
                 products[(a, b)] = {a + b + 1: Fraction(1, b + 1)}
-    return FiniteAlgebra(
-        kind="zinbiel",
-        dim=d + 1,
-        basis_names=tuple(f"p{a}" for a in range(d + 1)),
-        products=products,
-    )
-
-
-def _leibniz2() -> FiniteAlgebra:
-    return FiniteAlgebra(
-        kind="leibniz",
-        dim=2,
-        basis_names=("a", "b"),
-        products={(0, 0): {1: _ONE}},
-    )
-
-
-def _lie2() -> FiniteAlgebra:
-    return FiniteAlgebra(
-        kind="lie",
-        dim=2,
-        basis_names=("e1", "e2"),
-        products={(0, 1): {0: _ONE}, (1, 0): {0: -_ONE}},
-    )
+    return _algebra("zinbiel", tuple(f"p{a}" for a in range(d + 1)), products)
 
 
 def perturbed_b2() -> FiniteAlgebra:
     """B2 plus e2.e2 = e1: claims to be Zinbiel but is not."""
-    return FiniteAlgebra(
-        kind="zinbiel",
-        dim=2,
-        basis_names=("e1", "e2"),
-        products={(0, 0): {1: _ONE}, (1, 1): {0: _ONE}},
-    )
+    return _algebra("zinbiel", ("e1", "e2"), {(0, 0): {1: 1}, (1, 1): {0: 1}})
 
 
 def _int_args(arg: str, count: int, name: str) -> list:
@@ -111,9 +76,8 @@ def builtin(name: str, dim_cap: int = DEFAULT_DIM_CAP) -> Union[FiniteAlgebra, B
     m = re.fullmatch(r"([A-Za-z0-9]+)\((.*)\)", name)
     base, arg = (m.group(1), m.group(2)) if m else (name, None)
     if arg is None:
-        simple = {"B2": _b2, "B3": _b3, "leibniz2": _leibniz2, "lie2": _lie2}
-        if base in simple:
-            return simple[base]()
+        if base in _FIXED:
+            return _algebra(*_FIXED[base])
     elif base == "polyzinbiel":
         (d,) = _int_args(arg, 1, "polyzinbiel")
         alg = _polyzinbiel(d)

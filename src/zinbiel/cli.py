@@ -9,9 +9,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Iterable, List, Optional, Tuple, Union
 
-from .algebras import AxiomReport, Bimodule, FiniteAlgebra, check_axioms, regular
+from .algebras import _MODULE_FAMILY, AxiomReport, Bimodule, FiniteAlgebra, check_axioms, regular
 from .catalog import builtin as catalog_builtin
 from .complexes import cohomology_dims
 from .fileio import (
@@ -34,12 +35,6 @@ from .tensor_bridge import (
 )
 
 DIM_CAP_ENV = "ZINBIEL_DIM_CAP"
-
-_MODULE_FAMILY = {
-    "zinbiel": "zinbiel-bimodule",
-    "leibniz": "leibniz-representation",
-    "lie": "lie-module",
-}
 
 
 class UsageError(Exception):
@@ -96,6 +91,13 @@ def _load_algebra_operand(spec: str, dim_cap: int, flag: str) -> FiniteAlgebra:
     return obj
 
 
+def _load_pair(args: argparse.Namespace) -> Tuple[FiniteAlgebra, FiniteAlgebra]:
+    """The --leibniz and --zinbiel algebras, in that order."""
+    cap = _dim_cap(args)
+    return (_load_algebra_operand(args.leibniz, cap, "--leibniz"),
+            _load_algebra_operand(args.zinbiel, cap, "--zinbiel"))
+
+
 def _witness_lines(witness: Optional[dict], indent: str = "  ") -> List[str]:
     if not witness:
         return []
@@ -120,15 +122,6 @@ def _print_checks(results: Iterable[Tuple[str, AxiomReport]], prefix: str = "") 
                 print(line)
 
 
-def _axiom_report_dict(name: str, report: AxiomReport) -> dict:
-    return {
-        "name": name,
-        "ok": report.ok,
-        "checked": report.checked,
-        "witness": report.witness,
-    }
-
-
 def _input_gate(
     checks: List[Tuple[str, FiniteAlgebra, Optional[Bimodule]]], fmt: str
 ) -> Optional[int]:
@@ -139,7 +132,7 @@ def _input_gate(
     if not bad:
         return None
     if fmt == "json":
-        _emit_json({"checks": [_axiom_report_dict(n, r) for n, r in results]})
+        _emit_json({"checks": [{"name": n, **asdict(r)} for n, r in results]})
     else:
         _print_checks(bad, "input axiom ")
     return 1
@@ -173,7 +166,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             "kind": alg.kind,
             "dim": alg.dim,
             "ok": ok,
-            "checks": [_axiom_report_dict(n, r) for n, r in results],
+            "checks": [{"name": n, **asdict(r)} for n, r in results],
         }
         if isinstance(obj, Bimodule):
             data["module_dim"] = obj.dim
@@ -222,9 +215,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
 
 
 def cmd_tensor_lie(args: argparse.Namespace) -> int:
-    cap = _dim_cap(args)
-    g = _load_algebra_operand(args.leibniz, cap, "--leibniz")
-    B = _load_algebra_operand(args.zinbiel, cap, "--zinbiel")
+    g, B = _load_pair(args)
     failed = _input_gate([("leibniz", g, None), ("zinbiel", B, None)], args.format)
     if failed is not None:
         return failed
@@ -241,9 +232,7 @@ def cmd_tensor_lie(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_chain_map(args: argparse.Namespace) -> int:
-    cap = _dim_cap(args)
-    g = _load_algebra_operand(args.leibniz, cap, "--leibniz")
-    B = _load_algebra_operand(args.zinbiel, cap, "--zinbiel")
+    g, B = _load_pair(args)
     try:
         report = verify_chain_map(
             g, B, regular(B), args.degree, trials=args.trials, seed=args.seed
@@ -267,9 +256,7 @@ def cmd_verify_chain_map(args: argparse.Namespace) -> int:
 
 
 def cmd_les(args: argparse.Namespace) -> int:
-    cap = _dim_cap(args)
-    g = _load_algebra_operand(args.leibniz, cap, "--leibniz")
-    B = _load_algebra_operand(args.zinbiel, cap, "--zinbiel")
+    g, B = _load_pair(args)
     failed = _input_gate([("leibniz", g, None), ("zinbiel", B, None)], args.format)
     if failed is not None:
         return failed

@@ -127,17 +127,6 @@ def _eliminate(
     return pivots
 
 
-def _reduced(rows: Iterable[Row]) -> List[Tuple[int, Vec]]:
-    """Reduced echelon form as (pivot column, unit-pivot Fraction row) pairs."""
-    pivots = _eliminate(rows, reduce_full=True)
-    out = []
-    for c in sorted(pivots):
-        row = pivots[c]
-        d = row[c]
-        out.append((c, {k: Fraction(v, d) for k, v in row.items()}))
-    return out
-
-
 class Matrix:
     """Read-only row-sparse matrix of Fractions, or of ints inside the package.
 
@@ -242,7 +231,9 @@ class Matrix:
         Rows are scaled to a unit pivot and cleared above and below, so the
         result is the canonical reduced form of the row space.
         """
-        return _reduced(self._rows.values())
+        pivots = _eliminate(self._rows.values(), reduce_full=True)
+        return [(c, {k: Fraction(v, row[c]) for k, v in row.items()})
+                for c, row in sorted(pivots.items())]
 
     def nullspace(self) -> List[List[Fraction]]:
         """Basis of the right kernel as dense vectors, one per free column.
@@ -251,7 +242,7 @@ class Matrix:
         pivot columns otherwise, so stacking them gives the standard reduced
         parameterization of the solution space.
         """
-        reduced = _reduced(self._rows.values())
+        reduced = self.reduced_rows()
         pivot_set = {pc for pc, _ in reduced}
         zero = Fraction(0)
         basis = []

@@ -28,7 +28,7 @@ complex.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from random import Random
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -115,13 +115,8 @@ def tensor_lie(g: FiniteAlgebra, B: FiniteAlgebra, validate: bool = True) -> Fin
     )
 
 
-def tensor_module(
-    g: FiniteAlgebra,
-    B: FiniteAlgebra,
-    M: Bimodule,
-    lie_alg: Optional[FiniteAlgebra] = None,
-) -> Bimodule:
-    """g (x) M as a module over tensor_lie(g, B).
+def tensor_module(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule) -> Bimodule:
+    """g (x) M as a module over tensor_lie(g, B), which it builds without validation.
 
     Left action: (a (x) b) * (a' (x) m) = [a, a'] (x) (b m) - [a', a] (x) (m b).
     The right action is stored as its negative, matching the antisymmetry of
@@ -129,11 +124,9 @@ def tensor_module(
     """
     if M.algebra != B:
         raise ValueError("module must be over the Zinbiel factor")
-    if lie_alg is None:
-        lie_alg = tensor_lie(g, B, validate=False)
     left = _tensor_table(g, M.left, M.right, B.dim, M.dim)
     return Bimodule(
-        algebra=lie_alg,
+        algebra=tensor_lie(g, B, validate=False),
         dim=g.dim * M.dim,
         basis_names=_tensor_names(g.basis_names, M.basis_names),
         left=left,
@@ -148,26 +141,23 @@ class TensorContext:
         self.g = g
         self.B = B
         self.M = M
-        self.lie = tensor_lie(g, B, validate=False)
-        self.module = tensor_module(g, B, M, self.lie)
+        self.module = tensor_module(g, B, M)
+        self.lie = self.module.algebra
         self.bracket_bound = _bracket_length_bound(g)
 
 
-def _bracket_length_bound(g: FiniteAlgebra, cap: int = BRACKET_BOUND_CAP) -> int:
+def _bracket_length_bound(g: FiniteAlgebra) -> int:
     """Length beyond which every left-normed bracket in g is certainly zero.
 
     Tracks only index support, so it is an upper bound on the true nilpotency
     length, never an undercount; graded truncations make it exact.
     """
     supp = set(range(g.dim))
-    k = 1
-    while k < cap:
-        nxt = {p for (i, _), v in g.products.items() if i in supp for p in v}
-        if not nxt:
+    for k in range(1, BRACKET_BOUND_CAP):
+        supp = {p for (i, _), v in g.products.items() if i in supp for p in v}
+        if not supp:
             return k
-        supp = nxt
-        k += 1
-    return cap
+    return BRACKET_BOUND_CAP
 
 
 def _left_normed_brackets(g: FiniteAlgebra, n: int) -> List[Tuple[Key, Vec]]:
@@ -259,18 +249,10 @@ class ChainMapReport:
         return all(r.ok for r in self.axioms.values())
 
     def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "trials": self.trials,
-            "seed": self.seed,
-            "chain_map_holds": self.passed,
-            "failed_trials": self.failed_trials,
-            "witness": self.witness,
-            "axioms": {
-                name: {"ok": r.ok, "checked": r.checked, "witness": r.witness}
-                for name, r in self.axioms.items()
-            },
-        }
+        """The fields as plain JSON data, with passed under the key chain_map_holds."""
+        data = asdict(self)
+        data["chain_map_holds"] = data.pop("passed")
+        return data
 
 
 def _first_difference(ctx: TensorContext, lhs: Cochain, rhs: Cochain, trial: int) -> Optional[dict]:

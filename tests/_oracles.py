@@ -42,6 +42,12 @@ ONE = Fraction(1)
 _NEG = Fraction(-1)
 
 
+def entry(table: Table, i: int, j: int) -> Vec:
+    """The sparse vector a structure table holds at (i, j): e_i * e_j for an
+    algebra's products, an action's result for a module's left or right table."""
+    return table.get((i, j), {})
+
+
 def dense_rref(rows: List[List[Fraction]]) -> List[Tuple[int, List[Fraction]]]:
     """Reduced row echelon form by textbook Gauss-Jordan on dense lists.
 
@@ -309,20 +315,20 @@ def dl_delta_lowdeg(f: Cochain, module: Bimodule) -> Cochain:
     def L(i: int, vec: Vec) -> Vec:
         out: Vec = {}
         for k, v in vec.items():
-            add_scaled(out, module.act_left(i, k), v)
+            add_scaled(out, entry(module.left, i, k), v)
         return out
 
     def R(vec: Vec, i: int) -> Vec:
         out: Vec = {}
         for k, v in vec.items():
-            add_scaled(out, module.act_right(k, i), v)
+            add_scaled(out, entry(module.right, k, i), v)
         return out
 
     values: Dict[Key, Vec] = {}
     if n == 1:
         for x, y in dl_tuples(dim, 2):
             acc = L(x, F(y))
-            add_scaled(acc, Fp(0, alg.product(x, y), (y,)), _NEG)
+            add_scaled(acc, Fp(0, entry(alg.products, x, y), (y,)), _NEG)
             add_scaled(acc, R(F(x), y))
             if acc:
                 values[(x, y)] = acc
@@ -330,9 +336,9 @@ def dl_delta_lowdeg(f: Cochain, module: Bimodule) -> Cochain:
         for x, y, z in dl_tuples(dim, 3):
             acc = L(x, F(y, z))
             add_scaled(acc, L(x, F(z, y)))
-            add_scaled(acc, Fp(0, alg.product(x, y), (y, z)), _NEG)
-            add_scaled(acc, Fp(1, alg.product(y, z), (x, z)))
-            add_scaled(acc, Fp(1, alg.product(z, y), (x, z)))
+            add_scaled(acc, Fp(0, entry(alg.products, x, y), (y, z)), _NEG)
+            add_scaled(acc, Fp(1, entry(alg.products, y, z), (x, z)))
+            add_scaled(acc, Fp(1, entry(alg.products, z, y), (x, z)))
             add_scaled(acc, R(F(x, y), z), _NEG)
             if acc:
                 values[(x, y, z)] = acc
@@ -342,11 +348,11 @@ def dl_delta_lowdeg(f: Cochain, module: Bimodule) -> Cochain:
             add_scaled(acc, L(w, F(y, z, x)), _NEG)
             add_scaled(acc, L(w, F(y, x, z)))
             add_scaled(acc, L(w, F(z, y, x)), _NEG)
-            add_scaled(acc, Fp(0, alg.product(w, x), (x, y, z)), _NEG)
-            add_scaled(acc, Fp(1, alg.product(x, y), (w, y, z)))
-            add_scaled(acc, Fp(1, alg.product(y, x), (w, y, z)))
-            add_scaled(acc, Fp(2, alg.product(y, z), (w, x, z)), _NEG)
-            add_scaled(acc, Fp(2, alg.product(z, y), (w, x, z)), _NEG)
+            add_scaled(acc, Fp(0, entry(alg.products, w, x), (x, y, z)), _NEG)
+            add_scaled(acc, Fp(1, entry(alg.products, x, y), (w, y, z)))
+            add_scaled(acc, Fp(1, entry(alg.products, y, x), (w, y, z)))
+            add_scaled(acc, Fp(2, entry(alg.products, y, z), (w, x, z)), _NEG)
+            add_scaled(acc, Fp(2, entry(alg.products, z, y), (w, x, z)), _NEG)
             add_scaled(acc, R(F(w, x, y), z))
             if acc:
                 values[(w, x, y, z)] = acc
@@ -386,12 +392,12 @@ def ce_delta_gather(f: Cochain, module: Bimodule) -> Cochain:
         for a, b in combinations(range(n + 1), 2):
             rest = Y[:a] + Y[a + 1: b] + Y[b + 1:]
             sign = -1 if (a + b) % 2 else 1
-            for p, c in alg.product(Y[a], Y[b]).items():
+            for p, c in entry(alg.products, Y[a], Y[b]).items():
                 add_scaled(acc, _alternating_value(f, (p,) + rest), sign * c)
         for a in range(n + 1):
             sign = -1 if a % 2 else 1
             for k, v in _alternating_value(f, Y[:a] + Y[a + 1:]).items():
-                add_scaled(acc, module.act_left(Y[a], k), sign * v)
+                add_scaled(acc, entry(module.left, Y[a], k), sign * v)
         if acc:
             values[Y] = acc
     return Cochain("ce", n + 1, alg.dim, module.dim, values)
@@ -484,8 +490,8 @@ def _zinbiel_bimodule_cases(alg: FiniteAlgebra, mod: Bimodule) -> Iterator[Case]
     l, r = partial(_bracket, mod.left), partial(_bracket, mod.right)
     for k, i, j in product(range(mod.dim), range(alg.dim), range(alg.dim)):
         lhs = r(r(e[k], e[i]), e[j])
-        inner = dict(alg.product(i, j))
-        add_scaled(inner, alg.product(j, i))
+        inner = dict(entry(alg.products, i, j))
+        add_scaled(inner, entry(alg.products, j, i))
         rhs = r(e[k], inner)
         yield "(m . y) . z = m . (y . z + z . y)", (mn[k], an[i], an[j]), lhs, rhs
     for i, k, j in product(range(alg.dim), range(mod.dim), range(alg.dim)):
@@ -494,7 +500,7 @@ def _zinbiel_bimodule_cases(alg: FiniteAlgebra, mod: Bimodule) -> Iterator[Case]
         add_scaled(rhs, l(e[i], l(e[j], e[k])))
         yield "(x . m) . z = x . (m . z + z . m)", (an[i], mn[k], an[j]), lhs, rhs
     for i, j, k in product(range(alg.dim), range(alg.dim), range(mod.dim)):
-        lhs = l(alg.product(i, j), e[k])
+        lhs = l(entry(alg.products, i, j), e[k])
         rhs = dict(l(e[i], l(e[j], e[k])))
         add_scaled(rhs, l(e[i], r(e[k], e[j])))
         yield "(x . y) . m = x . (y . m + m . y)", (an[i], an[j], mn[k]), lhs, rhs
@@ -506,16 +512,16 @@ def _leibniz_representation_cases(alg: FiniteAlgebra, mod: Bimodule) -> Iterator
     l, r = partial(_bracket, mod.left), partial(_bracket, mod.right)
     for i, j, k in product(range(alg.dim), range(alg.dim), range(mod.dim)):
         lhs = l(e[i], l(e[j], e[k]))
-        rhs = dict(l(alg.product(i, j), e[k]))
+        rhs = dict(l(entry(alg.products, i, j), e[k]))
         add_scaled(rhs, r(l(e[i], e[k]), e[j]), _NEG)
         yield "x(ym) = [x,y]m - (xm)y", (an[i], an[j], mn[k]), lhs, rhs
     for i, k, j in product(range(alg.dim), range(mod.dim), range(alg.dim)):
         lhs = l(e[i], r(e[k], e[j]))
         rhs = dict(r(l(e[i], e[k]), e[j]))
-        add_scaled(rhs, l(alg.product(i, j), e[k]), _NEG)
+        add_scaled(rhs, l(entry(alg.products, i, j), e[k]), _NEG)
         yield "x(my) = (xm)y - [x,y]m", (an[i], mn[k], an[j]), lhs, rhs
     for k, i, j in product(range(mod.dim), range(alg.dim), range(alg.dim)):
-        lhs = r(e[k], alg.product(i, j))
+        lhs = r(e[k], entry(alg.products, i, j))
         rhs = dict(r(r(e[k], e[i]), e[j]))
         add_scaled(rhs, r(r(e[k], e[j]), e[i]), _NEG)
         yield "m[y,z] = (my)z - (mz)y", (mn[k], an[i], an[j]), lhs, rhs
@@ -527,7 +533,7 @@ def _lie_module_cases(alg: FiniteAlgebra, mod: Bimodule) -> Iterator[Case]:
     an, mn = alg.basis_names, mod.basis_names
     l = partial(_bracket, mod.left)
     for i, j, k in product(range(alg.dim), range(alg.dim), range(mod.dim)):
-        lhs = l(alg.product(i, j), e[k])
+        lhs = l(entry(alg.products, i, j), e[k])
         rhs = dict(l(e[i], l(e[j], e[k])))
         add_scaled(rhs, l(e[j], l(e[i], e[k])), _NEG)
         yield identity, (an[i], an[j], mn[k]), lhs, rhs
@@ -585,11 +591,11 @@ def tensor_lie_grid(g: FiniteAlgebra, B: FiniteAlgebra) -> Table:
             for i2 in range(g.dim):
                 for p2 in range(bd):
                     acc: Vec = {}
-                    for ga, ca in g.product(i1, i2).items():
-                        for qb, cb in B.product(p1, p2).items():
+                    for ga, ca in entry(g.products, i1, i2).items():
+                        for qb, cb in entry(B.products, p1, p2).items():
                             add_at(acc, ga * bd + qb, ca * cb)
-                    for ga, ca in g.product(i2, i1).items():
-                        for qb, cb in B.product(p2, p1).items():
+                    for ga, ca in entry(g.products, i2, i1).items():
+                        for qb, cb in entry(B.products, p2, p1).items():
                             add_at(acc, ga * bd + qb, -ca * cb)
                     if acc:
                         products[(i1 * bd + p1, i2 * bd + p2)] = acc
@@ -605,11 +611,11 @@ def tensor_module_grid(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule) -> Tuple
             for i2 in range(g.dim):
                 for k in range(md):
                     acc: Vec = {}
-                    for ga, ca in g.product(i1, i2).items():
-                        for mk, cm in M.act_left(p, k).items():
+                    for ga, ca in entry(g.products, i1, i2).items():
+                        for mk, cm in entry(M.left, p, k).items():
                             add_at(acc, ga * md + mk, ca * cm)
-                    for ga, ca in g.product(i2, i1).items():
-                        for mk, cm in M.act_right(k, p).items():
+                    for ga, ca in entry(g.products, i2, i1).items():
+                        for mk, cm in entry(M.right, k, p).items():
                             add_at(acc, ga * md + mk, -ca * cm)
                     if acc:
                         a_idx = i1 * bd + p

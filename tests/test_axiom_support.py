@@ -159,7 +159,7 @@ def _ordered(table):
 def _assert_tensor_tables_match_grid(g, B, M):
     lie = tensor_lie(g, B, validate=False)
     assert _ordered(lie.products) == _ordered(tensor_lie_grid(g, B))
-    mod = tensor_module(g, B, M, lie)
+    mod = tensor_module(g, B, M)
     left, right = tensor_module_grid(g, B, M)
     assert _ordered(mod.left) == _ordered(left)
     assert _ordered(mod.right) == _ordered(right)

@@ -201,6 +201,53 @@ def test_verify_chain_map_fails_on_broken_product(capsys, bad_zinbiel):
     assert "  inputs: e1, e1, e2" in out
 
 
+def _witness(identity):
+    return {"identity": identity, "inputs": ["e1", "e1", "e2"],
+            "lhs": {"e1": "1"}, "rhs": {}}
+
+
+ZINBIEL_FAIL = {"checked": "zinbiel", "ok": False,
+                "witness": _witness("(x . y) . z = x . (y . z) + x . (z . y)")}
+BIMODULE_FAIL = {"checked": "zinbiel-bimodule", "ok": False,
+                 "witness": _witness("(m . y) . z = m . (y . z + z . y)")}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["check", "{alg}"], {
+        "checks": [{"name": "zinbiel", **ZINBIEL_FAIL}],
+        "dim": 2, "kind": "zinbiel", "ok": False,
+    }),
+    (["check", "{mod}"], {
+        "checks": [{"name": "zinbiel", **ZINBIEL_FAIL},
+                   {"name": "zinbiel-bimodule", **BIMODULE_FAIL}],
+        "dim": 2, "kind": "zinbiel", "module_dim": 2, "ok": False,
+    }),
+    (["verify-chain-map", "--leibniz", "builtin:leibniz2", "--zinbiel", "{alg}",
+      "--degree", "2"], {
+        "axioms": {
+            "b_zinbiel": ZINBIEL_FAIL,
+            "g_leibniz": {"checked": "leibniz", "ok": True, "witness": None},
+            "tensor_lie": {"checked": "lie", "ok": True, "witness": None},
+            "tensor_lie_module": {"checked": "lie-module", "ok": True, "witness": None},
+        },
+        "chain_map_holds": True, "degree": 2, "failed_trials": [], "ok": False,
+        "seed": 0, "trials": 10, "witness": None,
+    }),
+    (["les", "--leibniz", "builtin:leibniz2", "--zinbiel", "{alg}", "--max-degree", "1"], {
+        "checks": [{"name": "leibniz", "checked": "leibniz", "ok": True, "witness": None},
+                   {"name": "zinbiel", **ZINBIEL_FAIL}],
+    }),
+], ids=["check-algebra", "check-bimodule", "verify-chain-map", "les-input-gate"])
+def test_failing_report_json_is_pinned(capsys, tmp_path, bad_zinbiel, argv, expected):
+    mod = tmp_path / "bad_regular.json"
+    save_bimodule(regular(perturbed_b2()), mod)
+    argv = [a.format(alg=bad_zinbiel, mod=mod) for a in argv] + ["--format", "json"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == expected
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("degree, message", [
     ("-1", "dl cochains start at degree 1, got -1"),
     ("9", "dl degree 9 is over the cap 4"),

@@ -18,6 +18,7 @@ from _oracles import (
     cochain_to_vector,
     dense_rank,
     dl_delta_lowdeg,
+    entry,
     from_sparse_cols,
     identity,
     les_report_rowwise,
@@ -83,16 +84,16 @@ def test_tensor_bracket_transcription(g_name, b_name):
             for i2 in range(g.dim):
                 for p2 in range(bd):
                     want = {}
-                    for ga, ca in g.product(i1, i2).items():
-                        for qb, cb in B.product(p1, p2).items():
+                    for ga, ca in entry(g.products, i1, i2).items():
+                        for qb, cb in entry(B.products, p1, p2).items():
                             k = ga * bd + qb
                             want[k] = want.get(k, Fraction(0)) + ca * cb
-                    for ga, ca in g.product(i2, i1).items():
-                        for qb, cb in B.product(p2, p1).items():
+                    for ga, ca in entry(g.products, i2, i1).items():
+                        for qb, cb in entry(B.products, p2, p1).items():
                             k = ga * bd + qb
                             want[k] = want.get(k, Fraction(0)) - ca * cb
                     want = {k: v for k, v in want.items() if v}
-                    assert lie.product(i1 * bd + p1, i2 * bd + p2) == want
+                    assert entry(lie.products, i1 * bd + p1, i2 * bd + p2) == want
 
 
 def test_tensor_names():
@@ -106,15 +107,15 @@ def test_tensor_module_over_regular_coefficients_mirrors_bracket():
     assert mod.dim == lie.dim
     for a in range(lie.dim):
         for m in range(lie.dim):
-            assert mod.act_left(a, m) == lie.product(a, m)
-            assert mod.act_right(m, a) == {k: -c for k, c in lie.product(a, m).items()}
+            assert entry(mod.left, a, m) == entry(lie.products, a, m)
+            assert entry(mod.right, m, a) == {k: -c for k, c in entry(lie.products, a, m).items()}
 
 
 @pytest.mark.parametrize("g_name,b_name", [("leibniz2", "B2"), ("freeleibniz(2,2)", "B3")])
 def test_tensor_module_satisfies_lie_module_axioms(g_name, b_name):
     g, B = builtin(g_name), builtin(b_name)
     lie = tensor_lie(g, B)
-    mod = tensor_module(g, B, regular(B), lie_alg=lie)
+    mod = tensor_module(g, B, regular(B))
     report = check_axioms(lie, "lie-module", module=mod)
     assert report.ok, report.witness
 
