@@ -50,11 +50,7 @@ def _algebra(kind: str, names: Tuple[str, ...], products: dict) -> FiniteAlgebra
 def _polyzinbiel(d: int) -> FiniteAlgebra:
     if d < 0:
         raise ValueError("polyzinbiel needs d >= 0")
-    products = {}
-    for a in range(d + 1):
-        for b in range(d + 1):
-            if a + b + 1 <= d:
-                products[(a, b)] = {a + b + 1: Fraction(1, b + 1)}
+    products = {(a, b): {a + b + 1: Fraction(1, b + 1)} for a in range(d) for b in range(d - a)}
     return _algebra("zinbiel", tuple(f"p{a}" for a in range(d + 1)), products)
 
 
@@ -80,10 +76,9 @@ def builtin(name: str, dim_cap: int = DEFAULT_DIM_CAP) -> Union[FiniteAlgebra, B
             return _algebra(*_FIXED[base])
     elif base == "polyzinbiel":
         (d,) = _int_args(arg, 1, "polyzinbiel")
-        alg = _polyzinbiel(d)
-        if alg.dim > dim_cap:
-            raise ValueError(f"polyzinbiel({d}) has dimension {alg.dim}, over the cap {dim_cap}")
-        return alg
+        if d + 1 > dim_cap:  # before the O(d^2) table is built
+            raise ValueError(f"polyzinbiel({d}) has dimension {d + 1}, over the cap {dim_cap}")
+        return _polyzinbiel(d)
     elif base == "freeleibniz":
         letters, length = _int_args(arg, 2, "freeleibniz")
         return build_truncated(letters, length, dim_cap=dim_cap)

@@ -6,7 +6,6 @@ uses --format json; identical invocations produce byte-identical JSON.
 """
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict
@@ -17,6 +16,7 @@ from .catalog import builtin as catalog_builtin
 from .complexes import cohomology_dims
 from .fileio import (
     _json_text,
+    _load,
     algebra_from_dict,
     algebra_to_dict,
     bimodule_from_dict,
@@ -74,14 +74,12 @@ def _load_operand(spec: str, dim_cap: int) -> Union[FiniteAlgebra, Bimodule]:
             f"no such file: {spec} (catalog entries need the builtin: prefix)"
         )
     try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        return _load(spec, lambda data: (
+            bimodule_from_dict if is_bimodule_data(data) else algebra_from_dict)(data))
+    except OSError as exc:
         raise UsageError(f"cannot read {spec}: {exc}")
-    try:
-        return bimodule_from_dict(data) if is_bimodule_data(data) else algebra_from_dict(data)
     except ValueError as exc:
-        raise UsageError(f"{spec}: {exc}")
+        raise UsageError(str(exc))
 
 
 def _load_algebra_operand(spec: str, dim_cap: int, flag: str) -> FiniteAlgebra:

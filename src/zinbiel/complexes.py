@@ -13,23 +13,27 @@ Two cochain theories share one container type:
   strictly increasing tuples. The differential is the classical alternating
   one driven by the algebra's bracket and the module's left action.
 
-Each linear map on cochains is written once, as a term generator: given one
-input argument tuple X it yields terms (coeff, Y, block), meaning that the
-basis cochain e_X (x) m_k is sent to coeff * block[k] at output tuple Y. Two
-consumers share every generator (tensor_bridge's psi uses them too):
+Each linear map on cochains is one _Map value: its source and target
+spaces, a term generator and a scale. A space is (theory, degree, algebra
+dim, module dim), the leading fields of a Cochain. Given one input argument
+tuple X the generator yields terms (coeff, Y, block), meaning that the basis
+cochain e_X (x) m_k is sent to coeff * block[k] at output tuple Y. Two
+consumers read only the map (tensor_bridge's psi is a _Map too):
 
-* _apply runs it over the nonzero support of a cochain, so the work follows
-  the input's support rather than the size of the output space;
-* _matrix runs it over every input tuple in basis order, so column (X, k) is
-  by construction the image of e_X (x) m_k. The basis puts (tuple, k) at
+* _apply runs the terms over the nonzero support of a cochain, so the work
+  follows the input's support rather than the size of the output space;
+* _matrix runs them over every source tuple in basis order, so column (X, k)
+  is by construction the image of e_X (x) m_k. The basis puts (tuple, k) at
   tuple_rank * module_dim + k, tuples ranked in lexicographic order
-  (positional for "dl", combination order for "ce").
+  (positional for "dl", combination order for "ce"); _THEORY holds each
+  theory's tuples, rank and space size, with its start degree and cap.
 
 Every generator reads integer copies of the tables, each multiplied by the
-lcm D of their denominators. Each term reads one structure constant, so the
-terms are D times the map's, and so is _matrix's integer matrix, with the
-same rank, nullspace and column span. _apply and the public *_delta_matrix
-functions divide each output coefficient by D once, back to a Fraction.
+lcm D of their denominators, which its constructor computes once and stores
+as the map's scale. Each term reads one structure constant, so the terms are
+D times the map's, and so is _matrix's integer matrix, with the same rank,
+nullspace and column span. _apply and _exact (the public matrices) divide
+each output coefficient by the scale once, back to a Fraction.
 """
 from __future__ import annotations
 
@@ -41,7 +45,7 @@ from functools import lru_cache
 from itertools import combinations, product as iproduct
 from math import comb, lcm
 from random import Random
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .algebras import Bimodule
 from .free_leibniz import leibniz_expansion
@@ -54,21 +58,17 @@ DL_MAX_DEGREE = 4
 CE_MAX_DEGREE = 5
 
 
-# The first degree of each theory's cochains.
-_START = {"dl": 1, "ce": 0}
-
-
 def _check_start(theory: str, degree: int) -> None:
-    lo = _START.get(theory)
-    if lo is None:
+    if theory not in _THEORY:
         raise ValueError(f"theory must be 'dl' or 'ce', got {theory!r}")
+    lo = _THEORY[theory][0]
     if degree < lo:
         raise ValueError(f"{theory} cochains start at degree {lo}, got {degree}")
 
 
 def _check_degree(theory: str, degree: int) -> None:
     _check_start(theory, degree)
-    cap = DL_MAX_DEGREE if theory == "dl" else CE_MAX_DEGREE
+    cap = _THEORY[theory][1]
     if degree > cap:
         raise ValueError(f"{theory} degree {degree} is over the cap {cap}")
 
@@ -153,6 +153,13 @@ def _ce_rank(key: Key, dim: int) -> int:
     return comb(dim, n) - 1 - sum(comb(dim - 1 - x, n - i) for i, x in enumerate(key))
 
 
+# Per theory: (start degree, degree cap, tuples in basis order, rank of a tuple, space size).
+_THEORY = {
+    "dl": (1, DL_MAX_DEGREE, dl_tuples, _dl_rank, dl_space_dim),
+    "ce": (0, CE_MAX_DEGREE, ce_tuples, _ce_rank, ce_space_dim),
+}
+
+
 def random_dl_cochain(
     algebra_dim: int, module_dim: int, degree: int, rng: Random
 ) -> Cochain:
@@ -183,50 +190,70 @@ def _net_terms(n: int) -> Tuple[Tuple[int, Key], ...]:
 Block = Dict[int, Vec]
 Term = Tuple[int, Key, Block]
 Terms = Callable[[Key], Iterable[Term]]
+Space = Tuple[str, int, int, int]  # (theory, degree, algebra dim, module dim)
 
 
-def _apply(values: Dict[Key, Vec], terms: Terms, scale: int) -> Dict[Key, Vec]:
-    """Image of a cochain, scattered from its nonzero support (may keep empty vectors).
+class _Map(NamedTuple):
+    """A linear map from source to target cochains; its terms are scale times its own, in ints."""
 
-    The terms are scale times the map's. The input is cleared of denominators
-    by their lcm L, so ints accumulate; each output is divided once by L * scale.
+    source: Space
+    target: Space
+    terms: Terms
+    scale: int
+
+
+def _check_input(name: str, f: Cochain, theory: str, module: Bimodule) -> None:
+    """Raise unless f is a theory cochain over module; called before a map is built at f.degree."""
+    want = (theory, module.algebra.dim, module.dim)
+    if (f.theory, f.algebra_dim, f.module_dim) != want:
+        raise ValueError(
+            f"{name} needs a {theory} cochain with algebra dim {want[1]} and module dim "
+            f"{want[2]}, got {f.theory} with {f.algebra_dim} and {f.module_dim}")
+
+
+def _apply(m: _Map, f: Cochain) -> Cochain:
+    """The image of f, scattered from its nonzero support; f lies in m.source (see _check_input).
+
+    The input is cleared of denominators by their lcm L, so ints accumulate;
+    each output is divided once by L * m.scale.
     """
-    den = _scale(values)
+    den = _scale(f.values)
     out: Dict[Key, Vec] = {}
-    for X, fv in _integral(values, den).items():
-        for coeff, Y, block in terms(X):
+    for X, fv in _integral(f.values, den).items():
+        for coeff, Y, block in m.terms(X):
             acc = out.setdefault(Y, {})
             for k, v in fv.items():
                 img = block.get(k)
                 if img:
                     add_scaled(acc, img, coeff * v)
-    return _unscaled(out, den * scale)
+    return Cochain(*m.target, _unscaled(out, den * m.scale))
 
 
-def _matrix(
-    in_keys: Iterable[Key],
-    in_md: int,
-    out_rank: Callable[[Key], int],
-    out_md: int,
-    nrows: int,
-    terms: Terms,
-) -> Matrix:
-    """Matrix of a map; in_keys come in basis order, so column (X, k) is the image of e_X (x) m_k.
+def _matrix(m: _Map) -> Matrix:
+    """The integer matrix of m, m.scale times the map's; column (X, k) is the image of e_X (x) m_k.
 
     Only the rows the terms reach are stored; the matrix keeps no entry for the rest.
-    Entries are sums of coeff * block entry, so terms read from integer tables
-    give an integer matrix, the map times the tables' scale.
     """
+    theory, degree, dim, md = m.source
+    out_theory, out_degree, out_dim, out_md = m.target
+    tuples = _THEORY[theory][2]
+    rank, size = _THEORY[out_theory][3:]
     rows: Dict[int, Vec] = defaultdict(dict)
     col_base = 0
-    for X in in_keys:
-        for coeff, Y, block in terms(X):
-            row_base = out_rank(Y) * out_md
+    for X in tuples(dim, degree):
+        for coeff, Y, block in m.terms(X):
+            row_base = rank(Y, out_dim) * out_md
             for k, img in block.items():
                 for j, v in img.items():
                     add_at(rows[row_base + j], col_base + k, coeff * v)
-        col_base += in_md
-    return Matrix.from_nonempty(nrows, col_base, rows)
+        col_base += md
+    return Matrix.from_nonempty(size(out_dim, out_md, out_degree), col_base, rows)
+
+
+def _exact(m: _Map) -> Matrix:
+    """The matrix of m itself, in Fractions: _matrix divided by the scale once per nonzero."""
+    ints = _matrix(m)
+    return Matrix.from_nonempty(ints.nrows, ints.ncols, _unscaled(ints._rows, m.scale))
 
 
 def _scale(*tables: Dict[Key, Vec]) -> int:
@@ -240,49 +267,16 @@ def _integral(table: Dict[Key, Vec], d: int) -> Dict[Key, Dict[int, int]]:
             for key, vec in table.items()}
 
 
-def _module_scale(module: Bimodule) -> int:
-    """D for a module: the scale of its algebra's products and its two actions together."""
-    return _scale(module.algebra.products, module.left, module.right)
-
-
 def _unscaled(vecs: Dict[Any, Vec], d: int) -> Dict[Any, Vec]:
     """Integer vectors (matrix rows or cochain values) divided by d, as exact Fractions."""
     return {i: {j: Fraction(v, d) for j, v in vec.items()} for i, vec in vecs.items()}
 
 
 Preimages = Dict[int, List[Tuple[int, int, int]]]
+Blocks = List[Tuple[int, Block]]
 
 
-def _tables(
-    module: Bimodule,
-) -> Tuple[Preimages, Block, List[Tuple[int, Block]], List[Tuple[int, Block]]]:
-    """What the two generators read of a module: preimages, identity block, action blocks.
-
-    The preimages map p -> [(u, w, c)], e_u * e_w having coefficient c on e_p;
-    then come the identity block and the nonzero blocks {k: x m_k} and
-    {k: m_k x} per basis element x. Every constant is multiplied by
-    D = _module_scale(module) and held as an int.
-    """
-    d = _module_scale(module)
-    products, left, right = (
-        _integral(t, d) for t in (module.algebra.products, module.left, module.right))
-    pre: Preimages = {}
-    for (u, w), vec in products.items():
-        for p, c in vec.items():
-            pre.setdefault(p, []).append((u, w, c))
-    md = module.dim
-    lblocks, rblocks = [], []
-    for x in range(module.algebra.dim):
-        lb = {k: v for k in range(md) if (v := left.get((x, k)))}
-        rb = {k: v for k in range(md) if (v := right.get((k, x)))}
-        if lb:
-            lblocks.append((x, lb))
-        if rb:
-            rblocks.append((x, rb))
-    return pre, {k: {k: 1} for k in range(md)}, lblocks, rblocks
-
-
-def _dl_generator(module: Bimodule, n: int) -> Terms:
+def _dl_generator(n: int, pre: Preimages, ident: Block, left: Blocks, right: Blocks) -> Terms:
     """Terms of the degree n -> n+1 map of the non-symmetric complex,
 
         (delta f)(y_0, ..., y_n) = sum over shuffle terms (c, sigma) of
@@ -295,9 +289,8 @@ def _dl_generator(module: Bimodule, n: int) -> Terms:
     from an input tuple X: the shuffle terms place X in y_1..y_n with a
     free y_0; a product term for X[q] = p takes every e_u e_w containing e_p,
     giving X[:q] + (u, w) + X[q+1:], and (w, u) in its place as well when
-    q >= 1; the right term appends a free y_n. Terms are D times the map's (see _tables).
+    q >= 1; the right term appends a free y_n.
     """
-    pre, ident, left, right = _tables(module)
     shuffles = _net_terms(n)
     last = 1 if n % 2 else -1
 
@@ -319,7 +312,7 @@ def _dl_generator(module: Bimodule, n: int) -> Terms:
     return terms
 
 
-def _ce_generator(module: Bimodule, n: int) -> Terms:
+def _ce_generator(n: int, pre: Preimages, ident: Block, left: Blocks, right: Blocks) -> Terms:
     """Terms of the alternating degree n -> n+1 differential,
 
         (delta f)(y_0, ..., y_n) = sum_{a<b} (-1)^(a+b) f([y_a, y_b], y_0, ..^a..^b.., y_n)
@@ -329,9 +322,8 @@ def _ce_generator(module: Bimodule, n: int) -> Terms:
     X[idx] = p by a pair u < w with [e_u, e_w] containing e_p and neither in
     the rest of X, with sign (-1)^(iu + iw + 1 + idx), iu and iw being the
     insertion points of u and w in the rest; a left term inserts an x not in
-    X at position a, with sign (-1)^a. Terms are D times the map's (see _tables).
+    X at position a, with sign (-1)^a. The right action is not read.
     """
-    pre, ident, left, _ = _tables(module)
 
     def terms(X: Key) -> Iterator[Term]:
         for idx, p in enumerate(X):
@@ -350,19 +342,41 @@ def _ce_generator(module: Bimodule, n: int) -> Terms:
     return terms
 
 
-def _check_module(f: Cochain, module: Bimodule) -> None:
-    if f.algebra_dim != module.algebra.dim or f.module_dim != module.dim:
-        raise ValueError("cochain dimensions do not match the module")
+def _delta_map(theory: str, module: Bimodule, n: int) -> _Map:
+    """The degree n -> n+1 differential of a theory, with coefficients in module.
+
+    Its generator reads the preimages p -> [(u, w, c)], e_u * e_w having
+    coefficient c on e_p, the identity block, and the nonzero blocks
+    {k: x m_k} and {k: m_k x} per basis element x. Every constant is
+    multiplied by D, the lcm of the denominators of the algebra's products
+    and the module's two actions together, and held as an int.
+    """
+    _check_degree(theory, n)
+    tables = (module.algebra.products, module.left, module.right)
+    d = _scale(*tables)
+    products, left, right = (_integral(t, d) for t in tables)
+    pre: Preimages = {}
+    for (u, w), vec in products.items():
+        for p, c in vec.items():
+            pre.setdefault(p, []).append((u, w, c))
+    md = module.dim
+    lblocks, rblocks = [], []
+    for x in range(module.algebra.dim):
+        lb = {k: v for k in range(md) if (v := left.get((x, k)))}
+        rb = {k: v for k in range(md) if (v := right.get((k, x)))}
+        if lb:
+            lblocks.append((x, lb))
+        if rb:
+            rblocks.append((x, rb))
+    generator = _dl_generator if theory == "dl" else _ce_generator
+    terms = generator(n, pre, {k: {k: 1} for k in range(md)}, lblocks, rblocks)
+    dims = (module.algebra.dim, md)
+    return _Map((theory, n, *dims), (theory, n + 1, *dims), terms, d)
 
 
 def _delta(theory: str, f: Cochain, module: Bimodule) -> Cochain:
-    if f.theory != theory:
-        raise ValueError(f"{theory}_delta needs a '{theory}' cochain")
-    _check_module(f, module)
-    _check_degree(theory, f.degree)
-    generator = _dl_generator if theory == "dl" else _ce_generator
-    values = _apply(f.values, generator(module, f.degree), _module_scale(module))
-    return Cochain(theory, f.degree + 1, module.algebra.dim, module.dim, values)
+    _check_input(f"{theory}_delta", f, theory, module)
+    return _apply(_delta_map(theory, module, f.degree), f)
 
 
 def dl_delta(f: Cochain, module: Bimodule) -> Cochain:
@@ -376,32 +390,22 @@ def ce_delta(f: Cochain, module: Bimodule) -> Cochain:
 
 
 def _assemble(theory: str, module: Bimodule, degree: int) -> Matrix:
-    """D times the degree -> degree+1 map, as an integer matrix; D = _module_scale(module).
+    """D times the degree -> degree+1 map, as an integer matrix (D its _delta_map's scale).
 
     Each term reads one structure constant, so scaling every table by D scales
     the matrix by D: for the ranks and kernels that cohomology_dims and
     les_report read, D drops out.
     """
-    _check_degree(theory, degree)
-    dim = module.algebra.dim
-    md = module.dim
-    if theory == "dl":
-        keys, rank, space, generator = dl_tuples, _dl_rank, dl_space_dim, _dl_generator
-    else:
-        keys, rank, space, generator = ce_tuples, _ce_rank, ce_space_dim, _ce_generator
-    return _matrix(keys(dim, degree), md, lambda Y: rank(Y, dim), md,
-                   space(dim, md, degree + 1), generator(module, degree))
+    return _matrix(_delta_map(theory, module, degree))
 
 
 def dl_delta_matrix(module: Bimodule, degree: int) -> Matrix:
     """Matrix of the degree -> degree+1 map in the standard basis order, in Fractions."""
-    m = _assemble("dl", module, degree)
-    return Matrix.from_nonempty(m.nrows, m.ncols, _unscaled(m._rows, _module_scale(module)))
+    return _exact(_delta_map("dl", module, degree))
 
 
 def ce_delta_matrix(module: Bimodule, degree: int) -> Matrix:
-    m = _assemble("ce", module, degree)
-    return Matrix.from_nonempty(m.nrows, m.ncols, _unscaled(m._rows, _module_scale(module)))
+    return _exact(_delta_map("ce", module, degree))
 
 
 @dataclass
@@ -423,16 +427,10 @@ def cohomology_dims(module: Bimodule, theory: str, degree: int) -> CohomologyDim
     catches only some inputs outside the family: the others get dimensions
     that mean nothing.
     """
-    dim = module.algebra.dim
-    md = module.dim
-    space = dl_space_dim if theory == "dl" else ce_space_dim
     out = _assemble(theory, module, degree)
-    dim_c = space(dim, md, degree)
+    dim_c = out.ncols
     dim_z = dim_c - out.rank()
-    if degree > _START[theory]:
-        dim_b = _assemble(theory, module, degree - 1).rank()
-    else:
-        dim_b = 0
+    dim_b = _assemble(theory, module, degree - 1).rank() if degree > _THEORY[theory][0] else 0
     if dim_b > dim_z:
         raise ValueError(
             f"{theory} complex, degree {degree}: dim B = {dim_b} > dim Z = {dim_z}, so "

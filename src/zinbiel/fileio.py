@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Any, Callable, Dict, List, Tuple, TypeVar, Union
 
 from .algebras import Bimodule, FiniteAlgebra, Table
 from .linalg import parse_scalar
@@ -131,17 +131,23 @@ def is_bimodule_data(data: dict) -> bool:
 
 
 PathLike = Union[str, Path]
+T = TypeVar("T")
 
 
-def _load_json(path: PathLike) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
+def _load(path: PathLike, parse: Callable[[Any], T]) -> T:
+    """parse applied to the JSON data in the file at path; every ValueError names the path.
+
+    Bad UTF-8 or bad JSON reads "cannot read PATH: ...", a structure error
+    "PATH: ..."; an OSError is raised as it is.
+    """
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: top level must be a JSON object")
-    return data
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    try:
+        return parse(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _json_text(data: dict) -> str:
@@ -154,7 +160,7 @@ def _dump_json(data: dict, path: PathLike) -> None:
 
 
 def load_algebra(path: PathLike) -> FiniteAlgebra:
-    return algebra_from_dict(_load_json(path))
+    return _load(path, algebra_from_dict)
 
 
 def save_algebra(alg: FiniteAlgebra, path: PathLike) -> None:
@@ -162,7 +168,7 @@ def save_algebra(alg: FiniteAlgebra, path: PathLike) -> None:
 
 
 def load_bimodule(path: PathLike) -> Bimodule:
-    return bimodule_from_dict(_load_json(path))
+    return _load(path, bimodule_from_dict)
 
 
 def save_bimodule(mod: Bimodule, path: PathLike) -> None:

@@ -16,14 +16,15 @@ cochain
         = sum over permutations s of sign(s) *
           [a_{s(1)}, ..., a_{s(n)}] (x) f(b_{s(1)}, ..., b_{s(n)}),
 
-with left-normed brackets. Like the differentials in complexes, psi is one
-term generator shared by its applied form and its matrix: from an input
-B-tuple it pairs up every g-tuple whose left-normed bracket is nonzero (a
-prefix with a zero bracket is never extended), so neither form looks at the
-output tuples that no term reaches. psi intertwines the two differentials;
-this module verifies that exactly on seeded random cochains, and computes the
-rank bookkeeping that compares the two cohomologies through the quotient
-complex.
+with left-normed brackets. Like the differentials in complexes, psi at each
+degree is one map, _psi_map: its source and target spaces, a term generator
+and the scale D_g^(n-1) of its integer terms, read by both its applied form
+and its matrix. From an input B-tuple the generator pairs up every g-tuple
+whose left-normed bracket is nonzero (a prefix with a zero bracket is never
+extended), so neither form looks at the output tuples that no term reaches.
+psi intertwines the two differentials; this module verifies that exactly on
+seeded random cochains, and computes the rank bookkeeping that compares the
+two cohomologies through the quotient complex.
 """
 from __future__ import annotations
 
@@ -38,21 +39,18 @@ from .complexes import (
     Cochain,
     Key,
     Term,
-    Terms,
     _apply,
     _assemble,
-    _ce_rank,
     _check_degree,
-    _check_module,
+    _check_input,
+    _exact,
     _integral,
-    _matrix,
+    _Map,
     _scale,
     _sort_sign,
-    _unscaled,
     ce_delta,
     ce_space_dim,
     dl_delta,
-    dl_tuples,
     random_dl_cochain,
 )
 from .linalg import Matrix, _eliminate
@@ -160,15 +158,23 @@ def _bracket_length_bound(g: FiniteAlgebra) -> int:
     return BRACKET_BOUND_CAP
 
 
-def _left_normed_brackets(g: FiniteAlgebra, n: int) -> List[Tuple[Key, Vec]]:
-    """Every n-tuple G of basis indices of g whose bracket [[G_1, G_2], ...] is nonzero, with it.
+def _psi_map(ctx: TensorContext, n: int) -> _Map:
+    """psi at degree n, from dl cochains on B in M to ce cochains on g (x) B in g (x) M.
 
-    Built one letter at a time; a prefix whose bracket vanishes is dropped,
-    since every bracket extending it vanishes too. g's constants are
-    multiplied by D_g = _scale(g.products) and held as ints, so each bracket,
-    n - 1 constants to a term, comes out D_g^(n-1) times its value.
+    Every n-tuple G of basis indices of g whose left-normed bracket
+    L = [[G_1, G_2], ...] is nonzero is built one letter at a time; a prefix
+    whose bracket vanishes is dropped, since every bracket extending it
+    vanishes too. Read from an input B-tuple X, G pairs up with X into the
+    tensor indices G_j * B.dim + X_j; sorted, they give the output tuple T and
+    the sign of the sorting permutation, and m_k goes to sign * L (x) m_k. A
+    repeated index drops the term, as the output is alternating. g's
+    constants are multiplied by D_g, the lcm of their denominators, and held
+    as ints, so each bracket, n - 1 constants to a term, is D_g^(n-1) times
+    its value: the map's scale.
     """
-    products = _integral(g.products, _scale(g.products))
+    g, bd, md = ctx.g, ctx.B.dim, ctx.M.dim
+    d = _scale(g.products)
+    products = _integral(g.products, d)
     empty: Vec = {}
     level: List[Tuple[Key, Vec]] = [((i,), {i: 1}) for i in range(g.dim)]
     for _ in range(n - 1):
@@ -181,23 +187,8 @@ def _left_normed_brackets(g: FiniteAlgebra, n: int) -> List[Tuple[Key, Vec]]:
                 if w:
                     nxt.append((G + (j,), w))
         level = nxt
-    return level
-
-
-def _psi_generator(ctx: TensorContext, n: int) -> Terms:
-    """Terms of psi at degree n, read from an input B-tuple X.
-
-    Each g-tuple G with nonzero bracket L pairs up with X into the tensor
-    indices G_j * B.dim + X_j; sorted, they give the output tuple T and the
-    sign of the sorting permutation, and m_k goes to sign * L (x) m_k. A
-    repeated index drops the term, as the output is alternating. The terms
-    are D_g^(n-1) times psi's (see _left_normed_brackets).
-    """
-    bd, md = ctx.B.dim, ctx.M.dim
-    brackets = [
-        (G, {k: {ga * md + k: c for ga, c in L.items()} for k in range(md)})
-        for G, L in _left_normed_brackets(ctx.g, n)
-    ]
+    brackets = [(G, {k: {ga * md + k: c for ga, c in L.items()} for k in range(md)})
+                for G, L in level]
 
     def terms(X: Key) -> Iterator[Term]:
         for G, block in brackets:
@@ -205,31 +196,19 @@ def _psi_generator(ctx: TensorContext, n: int) -> Terms:
             if sign:
                 yield sign, T, block
 
-    return terms
+    return _Map(("dl", n, bd, md), ("ce", n, ctx.lie.dim, ctx.module.dim), terms, d ** (n - 1))
 
 
 def psi_apply(ctx: TensorContext, f: Cochain) -> Cochain:
     """The alternating image of a degree-n cochain on B under the map above."""
-    if f.theory != "dl":
-        raise ValueError("psi consumes 'dl' cochains")
-    _check_module(f, ctx.M)
-    n = f.degree
-    values = _apply(f.values, _psi_generator(ctx, n), _scale(ctx.g.products) ** (n - 1))
-    return Cochain("ce", n, ctx.lie.dim, ctx.module.dim, values)
+    _check_input("psi_apply", f, "dl", ctx.M)
+    return _apply(_psi_map(ctx, f.degree), f)
 
 
 def psi_matrix(ctx: TensorContext, degree: int) -> Matrix:
-    """Matrix of psi at one degree, in the standard basis orders of both sides, in Fractions.
-
-    Assembled from g's integer table, which gives D_g^(degree-1) times psi
-    (see _left_normed_brackets), and divided by that once per nonzero.
-    """
+    """Matrix of psi at one degree, in the standard basis orders of both sides, in Fractions."""
     _check_degree("dl", degree)
-    tdim, tmd = ctx.lie.dim, ctx.module.dim
-    m = _matrix(dl_tuples(ctx.B.dim, degree), ctx.M.dim, lambda T: _ce_rank(T, tdim), tmd,
-                ce_space_dim(tdim, tmd, degree), _psi_generator(ctx, degree))
-    d = _scale(ctx.g.products) ** (degree - 1)
-    return Matrix.from_nonempty(m.nrows, m.ncols, _unscaled(m._rows, d))
+    return _exact(_psi_map(ctx, degree))
 
 
 @dataclass

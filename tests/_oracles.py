@@ -24,7 +24,6 @@ from zinbiel.complexes import (
     DL_MAX_DEGREE,
     Key,
     _ce_rank,
-    _check_module,
     _dl_rank,
     ce_delta_matrix,
     ce_space_dim,
@@ -286,6 +285,11 @@ def ce_delta2_adjoint(table: LieTable, dim: int, f):
         add_scaled(term, _bracket(table, {z: ONE}, ev(x, y)))
         out[(x, y, z)] = term
     return out
+
+
+def _check_module(f: Cochain, module: Bimodule) -> None:
+    if f.algebra_dim != module.algebra.dim or f.module_dim != module.dim:
+        raise ValueError("cochain dimensions do not match the module")
 
 
 def dl_delta_lowdeg(f: Cochain, module: Bimodule) -> Cochain:

@@ -147,6 +147,27 @@ def test_fraction_coefficients_survive_the_file(tmp_path):
     assert entry(load_algebra(path).products, 0, 1) == {2: Fraction(1, 2)}
 
 
+@pytest.mark.parametrize("load", [load_algebra, load_bimodule])
+def test_load_errors_name_the_path_once(tmp_path, load):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff{}")
+    with pytest.raises(ValueError) as bad_utf8:
+        load(path)
+    assert str(bad_utf8.value) == (
+        f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte")
+    data = algebra_to_dict(builtin("B2"))
+    data["products"][0]["result"][0][1] = 0.5
+    if load is load_bimodule:
+        data = {**bimodule_to_dict(regular(builtin("B2"))), "algebra": data}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValueError) as bad_scalar:
+        load(path)
+    assert str(bad_scalar.value) == (
+        f"{path}: product entry (0, 0), index 1: "
+        "scalar must be an int, string, or Fraction, not float")
+
+
 def test_regular_actions_mirror_the_product():
     alg = builtin("B3")
     mod = regular(alg)

@@ -359,6 +359,15 @@ def test_dim_cap_flag(capsys):
     assert err == "error: truncated free algebra needs dimension 6, over the cap 3\n"
 
 
+def test_polyzinbiel_cap_is_checked_before_the_table(capsys, monkeypatch):
+    def no_table(d):
+        raise AssertionError("the polyzinbiel table was built before the cap check")
+
+    monkeypatch.setattr("zinbiel.catalog._polyzinbiel", no_table)
+    assert run(capsys, ["builtin", "polyzinbiel(4800)", "--dim-cap", "3"]) == (
+        2, "", "error: polyzinbiel(4800) has dimension 4801, over the cap 3\n")
+
+
 def test_dim_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("ZINBIEL_DIM_CAP", "3")
     code, _, err = run(capsys, ["check", "builtin:freeleibniz(2,2)"])

@@ -41,8 +41,8 @@ from zinbiel import (
     random_dl_cochain,
     regular,
 )
-from zinbiel.complexes import DL_MAX_DEGREE, _assemble, _module_scale, ce_tuples, dl_tuples
-from zinbiel.tensor_bridge import TensorContext, psi_matrix, verify_chain_map
+from zinbiel.complexes import DL_MAX_DEGREE, _assemble, _delta_map, ce_tuples, dl_tuples
+from zinbiel.tensor_bridge import TensorContext, psi_apply, psi_matrix, verify_chain_map
 
 CATALOG = ("B2", "B3", "polyzinbiel(2)", "leibniz2", "lie2", "freeleibniz(2,2)")
 ZINBIEL_CATALOG = ("B2", "B3", "polyzinbiel(2)", "polyzinbiel(3)")
@@ -222,6 +222,31 @@ def test_cochain_degree_message_matches_the_degree_check(theory, degree, build, 
     assert str(direct.value) == str(checked.value) == message
 
 
+@pytest.mark.parametrize("apply, theory, f", [
+    (dl_delta, "dl", Cochain("ce", 0, 2, 2, {})),
+    (dl_delta, "dl", Cochain("dl", 1, 3, 2, {})),
+    (ce_delta, "ce", Cochain("dl", 1, 2, 2, {})),
+    (ce_delta, "ce", Cochain("ce", 1, 2, 3, {})),
+    (psi_apply, "dl", Cochain("ce", 1, 2, 2, {})),
+    (psi_apply, "dl", Cochain("dl", 2, 2, 1, {})),
+])
+def test_applied_maps_check_their_input_before_building(monkeypatch, apply, theory, f):
+    def no_map(*args):
+        raise AssertionError("a map was built before the input check")
+
+    monkeypatch.setattr("zinbiel.complexes._delta_map", no_map)
+    monkeypatch.setattr("zinbiel.tensor_bridge._psi_map", no_map)
+    mod = regular(builtin("B2"))
+    with pytest.raises(ValueError) as err:
+        if apply is psi_apply:
+            psi_apply(TensorContext(builtin("leibniz2"), mod.algebra, mod), f)
+        else:
+            apply(f, mod)
+    assert str(err.value) == (
+        f"{apply.__name__} needs a {theory} cochain with algebra dim 2 and module dim 2, "
+        f"got {f.theory} with {f.algebra_dim} and {f.module_dim}")
+
+
 def test_space_dims():
     assert dl_space_dim(2, 2, 3) == 16
     assert ce_space_dim(4, 4, 2) == 24
@@ -308,7 +333,7 @@ def _assert_integer_assembly_matches(theory, module, degree, oracle):
     # the public matrix and the applied form are the map itself, as Fractions.
     # The oracle reads the Fraction tables.
     want = dense_delta_matrix(module, degree, oracle, theory)
-    d = _module_scale(module)
+    d = _delta_map(theory, module, degree).scale
     scaled = _assemble(theory, module, degree)
     assert all(type(v) is int for row in scaled._rows.values() for v in row.values())
     assert to_dense(scaled) == [[d * x for x in row] for row in want]
@@ -329,7 +354,7 @@ def test_integer_dl_assembly_matches_the_fraction_route(B, data):
     # need not be the product's.
     M = change_module_basis(regular(B), data.draw(basis_changes(B.dim)))
     assert check_axioms(B, "zinbiel").ok and check_axioms(B, "zinbiel-bimodule", M).ok
-    assume(_module_scale(M) > 1)
+    assume(_delta_map("dl", M, 1).scale > 1)
     for n in (1, 2):
         _assert_integer_assembly_matches("dl", M, n, dl_delta_lowdeg)
 
@@ -338,6 +363,6 @@ def test_integer_dl_assembly_matches_the_fraction_route(B, data):
 @given(st.sampled_from(("leibniz2", "lie2")).flatmap(fractional), fractional("B2"))
 def test_integer_ce_assembly_matches_the_fraction_route(g, B):
     T = TensorContext(g, B, regular(B)).module
-    assume(_module_scale(T) > 1)
+    assume(_delta_map("ce", T, 0).scale > 1)
     for n in (0, 1, 2):
         _assert_integer_assembly_matches("ce", T, n, ce_delta_gather)
