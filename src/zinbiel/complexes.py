@@ -226,7 +226,15 @@ def _apply(m: _Map, f: Cochain) -> Cochain:
                 img = block.get(k)
                 if img:
                     add_scaled(acc, img, coeff * v)
-    return Cochain(*m.target, _unscaled(out, den * m.scale))
+    return _trusted(m.target, _unscaled(out, den * m.scale))
+
+
+def _trusted(space: Space, values: Dict[Key, Vec]) -> Cochain:
+    """A Cochain of values a map produced, nonzero Fractions at keys of space, not re-checked."""
+    f = object.__new__(Cochain)
+    f.theory, f.degree, f.algebra_dim, f.module_dim = space
+    f.values = values
+    return f
 
 
 def _matrix(m: _Map) -> Matrix:
@@ -268,8 +276,8 @@ def _integral(table: Dict[Key, Vec], d: int) -> Dict[Key, Dict[int, int]]:
 
 
 def _unscaled(vecs: Dict[Any, Vec], d: int) -> Dict[Any, Vec]:
-    """Integer vectors (matrix rows or cochain values) divided by d, as exact Fractions."""
-    return {i: {j: Fraction(v, d) for j, v in vec.items()} for i, vec in vecs.items()}
+    """The nonempty integer vectors (matrix rows or cochain values) divided by d, as Fractions."""
+    return {i: {j: Fraction(v, d) for j, v in vec.items()} for i, vec in vecs.items() if vec}
 
 
 Preimages = Dict[int, List[Tuple[int, int, int]]]

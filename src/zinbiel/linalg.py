@@ -9,13 +9,18 @@ read-only: it is built once, by from_nonempty or from_cols, and every
 operation returns a new one. The `rows` list, with the one shared read-only
 EMPTY_ROW in every empty slot, is built only on request.
 
-Rank uses forward elimination with leading-column pivoting; nullspace and
-constraint extraction go through the fully reduced form. Rows are taken
-sparsest first, which limits fill-in (Markowitz, Management Sci. 3, 1957);
-the pivot columns are those of the reduced echelon form whatever the row
-order, so only the internal pivot rows depend on it. A forward echelon can be
-extended in place by more rows without touching its pivot rows, so the rank
-of [A | P] is A's column echelon extended by P's columns.
+Rank does not depend on the order of elimination, so rank eliminates the
+matrix's columns, with its rows renumbered sparsest first (_sparsest_first,
+_columns): a row that one column alone touches gets one of the smallest
+labels, so that column leads there and becomes a pivot without arithmetic.
+This is a static fill-in heuristic (Markowitz, Management Sci. 3, 1957) that
+peels singletons as structured Gaussian elimination does (LaMacchia and
+Odlyzko, CRYPTO '90). Nullspace and constraint extraction keep the rows and
+go through the fully reduced form, whose pivot columns do not depend on the
+order the rows are taken in (sparsest first). A forward echelon can be
+extended in place by more rows without touching its pivot rows, so under one
+row numbering the rank of [A | P] is A's column echelon extended by P's
+columns.
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each row is
 cleared of denominators and kept as a primitive integer row, and Fractions
 are built only when a reduced row is returned, so every result is an exact
@@ -127,6 +132,23 @@ def _eliminate(
     return pivots
 
 
+def _sparsest_first(rows: Mapping[int, Row]) -> List[int]:
+    """The indices of the stored rows, fewest entries first, ties in stored order."""
+    return sorted(rows, key=lambda i: len(rows[i]))
+
+
+def _columns(rows: Mapping[int, Row], order: Iterable[int]) -> Dict[int, Dict[int, Number]]:
+    """{column: {p: value}} of the rows, row order[p] renamed p; rows not in order are dropped.
+
+    The column dicts are new; the rows are only read.
+    """
+    cols: Dict[int, Dict[int, Number]] = {}
+    for p, i in enumerate(order):
+        for j, v in rows.get(i, EMPTY_ROW).items():
+            cols.setdefault(j, {})[p] = v
+    return cols
+
+
 class Matrix:
     """Read-only row-sparse matrix of Fractions, or of ints inside the package.
 
@@ -191,13 +213,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not self._rows
 
-    def transpose(self) -> "Matrix":
-        cols: Dict[int, Vec] = {}
-        for i, row in self._rows.items():
-            for j, v in row.items():
-                cols.setdefault(j, {})[i] = v
-        return Matrix.from_nonempty(self.ncols, self.nrows, cols)
-
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise ValueError("hstack needs equal row counts")
@@ -223,7 +238,9 @@ class Matrix:
         return Matrix.from_nonempty(self.nrows, other.ncols, touched)
 
     def rank(self) -> int:
-        return len(_eliminate(self._rows.values(), reduce_full=False))
+        """The rank, from the columns, with the rows renumbered sparsest first."""
+        cols = _columns(self._rows, _sparsest_first(self._rows))
+        return len(_eliminate(cols.values(), reduce_full=False))
 
     def reduced_rows(self) -> List[Tuple[int, Vec]]:
         """Reduced echelon form as (pivot column, row) pairs, pivots ascending.

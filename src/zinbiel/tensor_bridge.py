@@ -53,7 +53,7 @@ from .complexes import (
     dl_delta,
     random_dl_cochain,
 )
-from .linalg import Matrix, _eliminate
+from .linalg import Matrix, _columns, _eliminate, _sparsest_first
 from .sparsevec import Vec, add_at, add_scaled
 
 BRACKET_BOUND_CAP = 16
@@ -334,6 +334,9 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
     the columns of pz = psi_{n+1} Z, Z the DL cocycles of degree n + 1, gains
     r_{n+1}; extending them further by psi_{n+1}, whose span holds pz, counts
     rank [delta_CE^n | psi_{n+1}], the quotient rank in degree n plus rank psi_{n+1}.
+    All three sets of columns share one numbering of the CE^(n+1)
+    coordinates, delta_CE^n's nonempty rows sparsest first and then the other
+    rows pz and psi touch, so the pivots stay valid as they are extended.
     Both differentials are read as the integer matrices of _assemble, nonzero
     multiples of the maps with the same kernels and column spans.
     """
@@ -368,10 +371,15 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
         cocycles = _assemble("dl", M, n + 1).nullspace()
         dl_rank[n + 1] = psi.ncols - len(cocycles)
         h_dl[n + 1] = len(cocycles) - dl_rank[n]
-        # The nonempty columns of [pz | psi] first, so only they outlive the tall matrices.
+        # [pz | psi] first, then delta_CE^n, whose rows are dropped once it is in columns.
         k = len(cocycles)
-        cols = psi.mul(Matrix.from_cols(cocycles, psi.ncols)).hstack(psi).transpose()._rows
-        pivots = _eliminate(_assemble("ce", ctx.module, n).transpose()._rows.values(), False)
+        pp = psi.mul(Matrix.from_cols(cocycles, psi.ncols)).hstack(psi)._rows
+        ce = _assemble("ce", ctx.module, n)._rows
+        order = _sparsest_first(ce)
+        order += [i for i in pp if i not in ce]
+        ce = _columns(ce, order)
+        pivots = _eliminate(ce.values(), False)
+        cols = _columns(pp, order)
         ce_rank[n] = len(pivots)
         h_lie[n] = ce_space_dim(tdim, tmd, n) - ce_rank[n] - ce_rank[n - 1]
         _eliminate([col for j, col in cols.items() if j < k], False, pivots)

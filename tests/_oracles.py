@@ -32,7 +32,7 @@ from zinbiel.complexes import (
     dl_space_dim,
     dl_tuples,
 )
-from zinbiel.linalg import Matrix, Scalar, parse_scalar
+from zinbiel.linalg import Matrix, Scalar, _eliminate, parse_scalar
 from zinbiel.sparsevec import Vec, add_at, add_scaled
 from zinbiel.tensor_bridge import PsiNotInjectiveError, TensorContext, psi_matrix
 
@@ -113,7 +113,7 @@ def from_rows(rows: Sequence[Sequence[Scalar]]) -> Matrix:
 
 def from_sparse_cols(cols: Sequence[Vec], nrows: int) -> Matrix:
     """Matrix whose column j is the sparse vector cols[j]."""
-    return Matrix.from_nonempty(len(cols), nrows, dict(enumerate(cols))).transpose()
+    return transpose(Matrix.from_nonempty(len(cols), nrows, dict(enumerate(cols))))
 
 
 def dense_vec(vec: Vec, length: int) -> List[Fraction]:
@@ -122,6 +122,15 @@ def dense_vec(vec: Vec, length: int) -> List[Fraction]:
 
 def to_dense(m: Matrix) -> List[List[Fraction]]:
     return [dense_vec(row, m.ncols) for row in m.rows]
+
+
+def transpose(m: Matrix) -> Matrix:
+    """m's transpose, entry by entry from the full rows view, without linalg._columns."""
+    cols: Dict[int, Vec] = {}
+    for i, row in enumerate(m.rows):
+        for j, v in row.items():
+            cols.setdefault(j, {})[i] = v
+    return Matrix.from_nonempty(m.ncols, m.nrows, cols)
 
 
 def mul_vec(m: Matrix, vec: Sequence[Fraction]) -> List[Fraction]:
@@ -629,9 +638,15 @@ def tensor_module_grid(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule) -> Tuple
     return left, right
 
 
-# les_report by the row-wise route: every rank comes from hstack(...).rank()
-# on the assembled matrices, the reference for the single column echelon of
-# each delta_CE that les_report builds.
+# les_report by the row-wise route: every rank is a row elimination in the
+# canonical order of the assembled matrix or of hstack(...), the reference for
+# the single column echelon of each delta_CE that les_report builds with its
+# rows renumbered sparsest first.
+
+def row_rank(m: Matrix) -> int:
+    """The rank by eliminating m's rows as stored, not by Matrix.rank's column route."""
+    return len(_eliminate(m.rows, False))
+
 
 def les_report_rowwise(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int) -> dict:
     """les_report by the row-wise route: each rank is its own elimination.
@@ -651,7 +666,7 @@ def les_report_rowwise(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degr
     bd, md = B.dim, M.dim
 
     psi_mats = {k: psi_matrix(ctx, k) for k in range(1, max_degree + 2)}
-    psi_rank = {0: 0, **{k: m.rank() for k, m in psi_mats.items()}}
+    psi_rank = {0: 0, **{k: row_rank(m) for k, m in psi_mats.items()}}
     expected = {k: dl_space_dim(bd, md, k) for k in psi_mats}
     failures = [
         {"degree": k, "rank": psi_rank[k], "expected": expected[k]}
@@ -668,9 +683,9 @@ def les_report_rowwise(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degr
         raise PsiNotInjectiveError(failures)
 
     dl_mats = {n: dl_delta_matrix(M, n) for n in range(1, max_degree + 2)}
-    dl_rank = {0: 0, **{n: m.rank() for n, m in dl_mats.items()}}
+    dl_rank = {0: 0, **{n: row_rank(m) for n, m in dl_mats.items()}}
     ce_mats = {n: ce_delta_matrix(ctx.module, n) for n in range(0, max_degree + 1)}
-    ce_rank = {-1: 0, **{n: m.rank() for n, m in ce_mats.items()}}
+    ce_rank = {-1: 0, **{n: row_rank(m) for n, m in ce_mats.items()}}
 
     def h_dl(n: int) -> int:
         return dl_space_dim(bd, md, n) - dl_rank[n] - dl_rank[n - 1]
@@ -680,7 +695,7 @@ def les_report_rowwise(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degr
 
     @lru_cache(maxsize=None)
     def rank_q(n: int) -> int:
-        return ce_mats[n].hstack(psi_mats[n + 1]).rank() - psi_rank[n + 1]
+        return row_rank(ce_mats[n].hstack(psi_mats[n + 1])) - psi_rank[n + 1]
 
     def dim_q(n: int) -> int:
         return ce_space_dim(tdim, tmd, n) - psi_rank[n]
@@ -691,7 +706,7 @@ def les_report_rowwise(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degr
         if not kernel:
             return 0
         pz = psi_mats[n].mul(Matrix.from_cols(kernel, dl_space_dim(bd, md, n)))
-        return pz.hstack(ce_mats[n - 1]).rank() - ce_rank[n - 1]
+        return row_rank(pz.hstack(ce_mats[n - 1])) - ce_rank[n - 1]
 
     rows = []
     for n in range(1, max_degree + 1):

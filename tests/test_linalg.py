@@ -4,7 +4,7 @@ import copy
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import (
     dense_nullspace,
@@ -14,9 +14,11 @@ from _oracles import (
     from_rows,
     mul_vec,
     to_dense,
+    transpose,
 )
-from zinbiel import Matrix, builtin, dl_delta_matrix, regular
-from zinbiel.linalg import EMPTY_ROW, _eliminate, parse_scalar
+from zinbiel import Matrix, builtin, dl_delta_matrix, linalg, regular
+from zinbiel.complexes import _assemble
+from zinbiel.linalg import EMPTY_ROW, _columns, _eliminate, _sparsest_first, parse_scalar
 
 
 small = st.integers(-4, 4)
@@ -50,6 +52,11 @@ def rational_matrices(draw, max_dim=6):
         row = [Fraction(0)] * ncols if src is None else list(rows[src])
         rows.insert(draw(st.integers(0, len(rows))), row)
     return rows
+
+
+def _column_matrix(m):
+    """m's columns, as _columns builds them in the identity row order, stored as rows."""
+    return Matrix.from_nonempty(m.ncols, m.nrows, _columns(m._rows, range(m.nrows)))
 
 
 def reduced_dense(m):
@@ -161,7 +168,7 @@ def test_results_do_not_depend_on_row_order(rows, rng, data):
 
 
 def _int_matrix(rows):
-    """The matrix with int entries, as the package's integer assembly stores it."""
+    """The matrix with its entries stored as given, ints as the integer assembly keeps them."""
     return Matrix.from_nonempty(len(rows), len(rows[0]), {
         i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(rows)
     })
@@ -226,7 +233,7 @@ def test_empty_rows_are_shared_and_never_written_through():
     eye = from_rows([[1, 0], [0, 1]])
     cols = [[1, 0, 0], [0, 0, 5]]
     before = (to_dense(a), to_dense(b), to_dense(eye), [list(c) for c in cols])
-    for out in (a.hstack(b), a.transpose(), a.mul(eye), Matrix.from_cols(cols, 3)):
+    for out in (a.hstack(b), _column_matrix(a), a.mul(eye), Matrix.from_cols(cols, 3)):
         for r, row in out._rows.items():
             for c in range(out.ncols):
                 row[c] = Fraction(r * out.ncols + c + 1)
@@ -250,7 +257,7 @@ def test_constructors_match_dense_oracle(rows, data):
     m = from_rows(rows)
     built = [
         (m, rows),
-        (m.transpose(), cols),
+        (_column_matrix(m), cols),
         (m.hstack(from_rows(rows[::-1])), [r + s for r, s in zip(rows, rows[::-1])]),
         (m.mul(from_rows(other)), _dense_mul(rows, other)),
         (Matrix.from_cols(cols, nrows), rows),
@@ -265,7 +272,7 @@ def test_constructors_match_dense_oracle(rows, data):
 @given(matrices())
 def test_rank_of_transpose(rows):
     m = from_rows(rows)
-    assert m.rank() == m.transpose().rank()
+    assert m.rank() == transpose(m).rank()
 
 
 @settings(deadline=None)
@@ -303,7 +310,7 @@ def test_rows_view_lists_the_stored_rows():
         a,
         Matrix.from_nonempty(4, 2, {3: {0: Fraction(1)}, 1: {}}),
         Matrix.from_cols([[1, 0, 0, 0], [0, 0, 5, 0]], 4),
-        a.transpose(),
+        _column_matrix(a),
         a.hstack(b),
         a.mul(from_rows([[1, 0], [0, 1]])),
     )
@@ -318,3 +325,70 @@ def test_rows_view_lists_the_stored_rows():
     m = Matrix.from_nonempty(4, 2, dict(enumerate(rows)))
     assert m.rows == rows and m.rows[0] is rows[0] and m.rows[2] is EMPTY_ROW
     assert sorted(m._rows) == [0, 3]
+
+
+@st.composite
+def tall_sparse(draw, nrows=None):
+    """Dense rows of an up to 40x12 int or Fraction matrix, at least 80 % zeros.
+
+    Empty rows, rows with one nonzero and a repeated column are mixed in.
+    """
+    ncols = draw(st.integers(1, 12))
+    nrows = nrows or draw(st.integers(ncols, 40))
+    values = draw(st.sampled_from([
+        st.integers(-4, 4).filter(bool),
+        st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 6)),
+    ]))
+    rows = [[0] * ncols for _ in range(nrows)]
+    cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    for i, j in draw(st.lists(cells, max_size=nrows * ncols // 10)):
+        rows[i][j] = draw(values)
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, ncols - 1),
+                                            st.integers(0, ncols - 1)), max_size=1)):
+        for row in rows:
+            row[dst] = row[src]
+    for i in draw(st.lists(st.integers(0, nrows - 1), max_size=3)):
+        if not any(rows[i]):
+            rows[i][draw(st.integers(0, ncols - 1))] = draw(values)
+    assume(sum(map(bool, sum(rows, []))) <= nrows * ncols // 5)
+    return rows
+
+
+@settings(deadline=None)
+@given(tall_sparse())
+def test_column_rank_of_tall_sparse_matrices(rows):
+    m = _int_matrix(rows)
+    assert m.rank() == dense_rank(rows) == len(m.reduced_rows())
+
+
+@settings(deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(tall_sparse(n), tall_sparse(n))))
+def test_column_echelon_extends_under_a_shared_row_order(pair):
+    # les_report renumbers rows by A's sparsest-first order, then P's other
+    # rows, eliminates A's columns and extends those pivots by P's columns.
+    a_rows, p_rows = pair
+    a, p = _int_matrix(a_rows), _int_matrix(p_rows)
+    order = _sparsest_first(a._rows)
+    order += [i for i in p._rows if i not in a._rows]
+    pivots = _eliminate(_columns(a._rows, order).values(), False)
+    assert len(pivots) == dense_rank(a_rows)
+    _eliminate(_columns(p._rows, order).values(), False, pivots)
+    assert len(pivots) == dense_rank([r + s for r, s in zip(a_rows, p_rows)])
+
+
+def test_column_rank_of_dl_degree_4_cancels_little(monkeypatch):
+    # Renumbering rows sparsest first makes most columns pivots without
+    # arithmetic: about 3,500 cancellations, against 22,738 in the stored
+    # row order.
+    calls = 0
+    cancel = linalg._cancel
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return cancel(*args)
+
+    monkeypatch.setattr(linalg, "_cancel", counted)
+    m = _assemble("dl", regular(builtin("polyzinbiel(3)")), 4)
+    assert m.rank() == 819
+    assert calls <= 5000

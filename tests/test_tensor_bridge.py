@@ -26,6 +26,7 @@ from _oracles import (
     mul_vec,
     psi_gather,
     to_dense,
+    transpose,
 )
 from zinbiel import (
     Cochain,
@@ -198,7 +199,7 @@ def _columns_match(mat, oracle, theory, degree, dim, md):
         for key in keys(dim, degree)
         for k in range(md)
     ]
-    return mat.transpose().rows == want
+    return transpose(mat).rows == want
 
 
 @pytest.mark.parametrize("g_name,b_name,degrees,ce_degrees", ORACLE_CASES)
@@ -434,7 +435,7 @@ class QuotientScratch:
 
     @staticmethod
     def reduced_cols(mat):
-        return mat.transpose().reduced_rows()
+        return transpose(mat).reduced_rows()
 
     @staticmethod
     def residual(vec, reduced):
