@@ -38,7 +38,6 @@ each output coefficient by the scale once, back to a Fraction.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -50,7 +49,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Tu
 from .algebras import Bimodule
 from .free_leibniz import leibniz_expansion
 from .linalg import Matrix, parse_scalar
-from .sparsevec import Vec, add_at, add_scaled
+from .sparsevec import Vec, add_scaled
 
 Key = Tuple[int, ...]
 
@@ -240,28 +239,39 @@ def _trusted(space: Space, values: Dict[Key, Vec]) -> Cochain:
 def _matrix(m: _Map) -> Matrix:
     """The integer matrix of m, m.scale times the map's; column (X, k) is the image of e_X (x) m_k.
 
-    Only the rows the terms reach are stored; the matrix keeps no entry for the rest.
+    The md columns of each source tuple X are accumulated from X's terms,
+    and each drops its zeros once, when X is done; only nonempty columns
+    are stored.
     """
     theory, degree, dim, md = m.source
     out_theory, out_degree, out_dim, out_md = m.target
     tuples = _THEORY[theory][2]
     rank, size = _THEORY[out_theory][3:]
-    rows: Dict[int, Vec] = defaultdict(dict)
+    cols: Dict[int, Vec] = {}
     col_base = 0
     for X in tuples(dim, degree):
+        acc: List[Vec] = [{} for _ in range(md)]
         for coeff, Y, block in m.terms(X):
             row_base = rank(Y, out_dim) * out_md
             for k, img in block.items():
+                col = acc[k]
+                get = col.get
                 for j, v in img.items():
-                    add_at(rows[row_base + j], col_base + k, coeff * v)
+                    i = row_base + j
+                    col[i] = get(i, 0) + coeff * v
+        for k, col in enumerate(acc):
+            if 0 in col.values():
+                col = {i: v for i, v in col.items() if v}
+            if col:
+                cols[col_base + k] = col
         col_base += md
-    return Matrix.from_nonempty(size(out_dim, out_md, out_degree), col_base, rows)
+    return Matrix._of(size(out_dim, out_md, out_degree), col_base, cols)
 
 
 def _exact(m: _Map) -> Matrix:
-    """The matrix of m itself, in Fractions: _matrix divided by the scale once per nonzero."""
+    """The matrix of m itself, in Fractions: each nonzero of _matrix divided by the scale."""
     ints = _matrix(m)
-    return Matrix.from_nonempty(ints.nrows, ints.ncols, _unscaled(ints._rows, m.scale))
+    return Matrix._of(ints.nrows, ints.ncols, _unscaled(ints._cols, m.scale))
 
 
 def _scale(*tables: Dict[Key, Vec]) -> int:
@@ -276,7 +286,7 @@ def _integral(table: Dict[Key, Vec], d: int) -> Dict[Key, Dict[int, int]]:
 
 
 def _unscaled(vecs: Dict[Any, Vec], d: int) -> Dict[Any, Vec]:
-    """The nonempty integer vectors (matrix rows or cochain values) divided by d, as Fractions."""
+    """The nonempty integer vectors (matrix columns or cochain values) over d, as Fractions."""
     return {i: {j: Fraction(v, d) for j, v in vec.items()} for i, vec in vecs.items() if vec}
 
 

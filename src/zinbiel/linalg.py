@@ -1,36 +1,45 @@
 """Exact linear algebra over the rationals.
 
-A Matrix stores only its nonempty rows, as {row index: {column: value}}
+A Matrix stores only its nonempty columns, as {column index: {row: value}}
 with no explicit zeros, so a tall matrix with few nonzeros costs a dict entry
-per nonempty row and nothing per empty one. Values are Fractions; a matrix
-built inside the package whose rank or kernel is all that is read may hold
-ints instead, a nonzero multiple of the map it stands for. A Matrix is
+per nonzero and nothing per empty row or column. Values are Fractions; a
+matrix built inside the package whose rank or kernel is all that is read may
+hold ints instead, a nonzero multiple of the map it stands for. Columns are
+the orientation in which the package assembles a map (column X is the image
+of the basis vector e_X) and in which rank eliminates it. A Matrix is
 read-only: it is built once, by from_nonempty or from_cols, and every
-operation returns a new one. The `rows` list, with the one shared read-only
-EMPTY_ROW in every empty slot, is built only on request.
+operation returns a new one, which may share its inputs' column dicts. The
+`rows` list, with the one shared read-only EMPTY_ROW in every empty slot, is
+transposed from the columns only on request.
 
 Rank does not depend on the order of elimination, so rank eliminates the
-matrix's columns, with its rows renumbered sparsest first (_sparsest_first,
-_columns): a row that one column alone touches gets one of the smallest
-labels, so that column leads there and becomes a pivot without arithmetic.
-This is a static fill-in heuristic (Markowitz, Management Sci. 3, 1957) that
-peels singletons as structured Gaussian elimination does (LaMacchia and
-Odlyzko, CRYPTO '90). Nullspace and constraint extraction keep the rows and
-go through the fully reduced form, whose pivot columns do not depend on the
-order the rows are taken in (sparsest first). A forward echelon can be
-extended in place by more rows without touching its pivot rows, so under one
-row numbering the rank of [A | P] is A's column echelon extended by P's
-columns.
-Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each row is
-cleared of denominators and kept as a primitive integer row, and Fractions
-are built only when a reduced row is returned, so every result is an exact
-Fraction. Pivot choice depends only on the matrix entries and the order its
-rows were stored in, so runs are deterministic.
+columns, with the rows renumbered sparsest first: a count of how many
+columns touch each row orders them, ties in the order the columns first
+touch them (_sparsest_labels). A row that one column alone touches gets one
+of the smallest labels, so that column leads there and becomes a pivot
+without arithmetic. This is a static fill-in heuristic (Markowitz,
+Management Sci. 3, 1957) that peels singletons as structured Gaussian
+elimination does (LaMacchia and Odlyzko, CRYPTO '90). Nullspace and
+constraint extraction transpose the columns once into rows and go through
+the fully reduced form, whose pivot columns do not depend on the order the
+rows are taken in (sparsest first). A forward echelon can be extended in
+place by more vectors without touching its pivot vectors, so under one row
+numbering the rank of [A | P] is A's column echelon extended by P's columns.
+
+Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968). _prepared is
+the one place where denominators are cleared: it turns each vector into a
+fresh primitive integer vector, relabelled on the way if asked, and
+_eliminate takes such vectors over. Fractions are built only when a reduced
+row is returned, so every result is an exact Fraction. Pivot choice depends
+only on the matrix entries and the order its columns were stored in, so runs
+are deterministic.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -76,7 +85,8 @@ def _cancel(row: IntRow, piv: IntRow, col: int) -> IntRow:
     """Primitive a*row - b*piv, with a and b chosen to clear column col.
 
     a and b are the two entries at col divided by their gcd, which keeps the
-    multipliers, and so the entries, as small as possible.
+    multipliers, and so the entries, as small as possible. The row may be
+    written in place.
     """
     p, q = piv[col], row[col]
     g = gcd(p, q)
@@ -92,30 +102,57 @@ def _cancel(row: IntRow, piv: IntRow, col: int) -> IntRow:
     return _primitive(row) if row else row
 
 
+def _sparsest_labels(cols: Iterable[Row]) -> Dict[int, int]:
+    """{row: label} for every row the columns touch: 0, 1, ... from the fewest columns up.
+
+    Rows touched by equally many columns keep the order the columns first
+    touch them in.
+    """
+    count = Counter(chain.from_iterable(cols))
+    return {i: p for p, i in enumerate(sorted(count, key=count.__getitem__))}
+
+
+def _prepared(vecs: Iterable[Row], label: Optional[Mapping[int, int]] = None) -> List[IntRow]:
+    """Fresh primitive integer vectors of the nonempty vecs, in order; the vecs are only read.
+
+    Each vec is multiplied by the lcm of its denominators and divided by the
+    gcd of the results, and its key k becomes label[k] when a label is given.
+    This is the only place where denominators are cleared.
+    """
+    out = []
+    for vec in vecs:
+        if not vec:
+            continue
+        den = lcm(*[v.denominator for v in vec.values()])
+        vals = [v.numerator * (den // v.denominator) for v in vec.values()]
+        keys = vec if label is None else map(label.__getitem__, vec)
+        out.append(_primitive(dict(zip(keys, vals))))
+    return out
+
+
 def _eliminate(
-    rows: Iterable[Row], reduce_full: bool, pivots: Optional[Dict[int, IntRow]] = None
+    vecs: Iterable[IntRow], reduce_full: bool, pivots: Optional[Dict[int, IntRow]] = None
 ) -> Dict[int, IntRow]:
-    """Eliminate rows into {pivot column: primitive integer row}.
+    """Eliminate fresh primitive integer vectors into {pivot key: primitive integer vector}.
 
-    The incoming nonzero rows are taken sparsest first (a stable sort by
-    length, so ties keep their order). Each is scaled by the lcm of its
-    denominators to a primitive integer row, then reduced against the pivots
-    found so far, keyed by its current leading (smallest) column; a row that
-    survives becomes a new pivot. The pivot rows are an echelon basis of the
-    row space, and the leading columns of every echelon basis are the pivot
-    columns of the reduced echelon form, so the pivot columns do not depend
-    on the row order. With reduce_full, back-substitution clears pivot
-    columns from all other pivot rows; divided by their leads, these are the
-    unique reduced echelon form.
+    The vectors are those of _prepared, nonempty and read by nobody else:
+    they are taken over, written in place and kept as pivots. They are taken
+    sparsest first (a stable sort by length, so ties keep their order), and
+    each is reduced against the pivots found so far, keyed by its current
+    leading (smallest) key; a vector that survives becomes a new pivot. The
+    pivots are an echelon basis of the span, and the leading keys of every
+    echelon basis are the pivot columns of the reduced echelon form, so the
+    pivot keys do not depend on the order. With reduce_full,
+    back-substitution clears pivot keys from all other pivot vectors;
+    divided by their leads, these are the unique reduced echelon form.
 
-    Given pivots from an earlier forward pass, the rows extend that echelon in
-    place: its pivot rows are only read, and each surviving row is added as
-    a new pivot, so len(pivots) becomes the rank of both row sets together.
+    Given pivots from an earlier forward pass, the vectors extend that
+    echelon in place: its pivots are only read, and each surviving vector
+    is added as a new pivot, so len(pivots) becomes the rank of both sets
+    together.
     """
     pivots = {} if pivots is None else pivots
-    for row in sorted(filter(None, rows), key=len):
-        den = lcm(*[v.denominator for v in row.values()])
-        r = _primitive({k: v.numerator * (den // v.denominator) for k, v in row.items()})
+    for r in sorted(vecs, key=len):
         while r:
             lead = min(r)
             piv = pivots.get(lead)
@@ -132,55 +169,58 @@ def _eliminate(
     return pivots
 
 
-def _sparsest_first(rows: Mapping[int, Row]) -> List[int]:
-    """The indices of the stored rows, fewest entries first, ties in stored order."""
-    return sorted(rows, key=lambda i: len(rows[i]))
-
-
-def _columns(rows: Mapping[int, Row], order: Iterable[int]) -> Dict[int, Dict[int, Number]]:
-    """{column: {p: value}} of the rows, row order[p] renamed p; rows not in order are dropped.
-
-    The column dicts are new; the rows are only read.
-    """
-    cols: Dict[int, Dict[int, Number]] = {}
-    for p, i in enumerate(order):
-        for j, v in rows.get(i, EMPTY_ROW).items():
-            cols.setdefault(j, {})[p] = v
-    return cols
+def _transposed(cols: Mapping[int, Row]) -> Dict[int, Vec]:
+    """{row: {column: value}} of the columns, in new dicts; the columns are only read."""
+    rows: Dict[int, Vec] = {}
+    for j, col in cols.items():
+        for i, v in col.items():
+            rows.setdefault(i, {})[j] = v
+    return rows
 
 
 class Matrix:
-    """Read-only row-sparse matrix of Fractions, or of ints inside the package.
+    """Read-only column-sparse matrix of Fractions, or of ints inside the package.
 
-    Only the nonempty rows are stored, as {row index: {column: value}}, so
-    no operation touches the empty rows of a tall matrix. Every operation
-    returns a new Matrix and writes into none of its inputs' rows. The rows
-    property lists every row, EMPTY_ROW in the empty slots, and is built
-    afresh on each access.
+    Only the nonempty columns are stored, as {column index: {row: value}},
+    so no operation touches the empty rows or columns of a sparse matrix.
+    Every operation returns a new Matrix and writes into none of its
+    inputs' columns; hstack shares them. The rows property lists every row,
+    EMPTY_ROW in the empty slots, transposed afresh on each access.
     """
 
-    __slots__ = ("nrows", "ncols", "_rows")
+    __slots__ = ("nrows", "ncols", "_cols")
 
     def __init__(self, nrows: int, ncols: int):
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.nrows = nrows
         self.ncols = ncols
-        self._rows: Dict[int, Row] = {}
+        self._cols: Dict[int, Row] = {}
+
+    @classmethod
+    def _of(cls, nrows: int, ncols: int, cols: Dict[int, Row]) -> "Matrix":
+        """Take over {column: nonempty column dict}, unchecked: indices in range, no zeros."""
+        m = cls(nrows, ncols)
+        m._cols = cols
+        return m
 
     @classmethod
     def from_nonempty(cls, nrows: int, ncols: int, touched: Mapping[int, Vec]) -> "Matrix":
-        """Build from {row index: row dict}; empty row dicts are not stored.
+        """Build from {row index: row dict}, transposed once into columns.
 
-        The row dicts are taken over, not copied.
+        The row dicts are only read; empty ones and zero values are not stored.
         """
-        m = cls(nrows, ncols)
+        cols: Dict[int, Vec] = {}
         for i, row in touched.items():
             if not 0 <= i < nrows:
                 raise ValueError(f"row index {i} out of range for {nrows} rows")
-            if row:
-                m._rows[i] = row
-        return m
+            for j, v in row.items():
+                if not 0 <= j < ncols:
+                    raise ValueError(
+                        f"column index {j} in row {i} out of range for {ncols} columns")
+                if v:
+                    cols.setdefault(j, {})[i] = v
+        return cls._of(nrows, ncols, dict(sorted(cols.items())))
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[Scalar]], nrows: int) -> "Matrix":
@@ -188,59 +228,59 @@ class Matrix:
 
         A column whose length is not nrows raises ValueError.
         """
-        touched: Dict[int, Vec] = {}
+        built: Dict[int, Row] = {}
         for j, col in enumerate(cols):
             if len(col) != nrows:
                 raise ValueError(f"column {j} has {len(col)} entries, expected {nrows}")
-            for i, x in enumerate(col):
-                v = parse_scalar(x)
-                if v:
-                    touched.setdefault(i, {})[j] = v
-        return cls.from_nonempty(nrows, len(cols), touched)
+            vec = {i: v for i, x in enumerate(col) if (v := parse_scalar(x))}
+            if vec:
+                built[j] = vec
+        return cls._of(nrows, len(cols), built)
 
     @property
     def rows(self) -> List[Row]:
-        """All nrows rows as a new list, EMPTY_ROW in every empty slot."""
+        """All nrows rows as a new list of new dicts, EMPTY_ROW in every empty slot."""
         rows = [EMPTY_ROW] * self.nrows
-        for i, row in self._rows.items():
+        for i, row in _transposed(self._cols).items():
             rows[i] = row
         return rows
 
     @property
     def num_nonzero(self) -> int:
-        return sum(map(len, self._rows.values()))
+        return sum(map(len, self._cols.values()))
 
     def is_zero(self) -> bool:
-        return not self._rows
+        return not self._cols
 
     def hstack(self, other: "Matrix") -> "Matrix":
+        """[self | other], sharing both operands' column dicts."""
         if self.nrows != other.nrows:
             raise ValueError("hstack needs equal row counts")
         shift = self.ncols
-        touched = {i: dict(a) for i, a in self._rows.items()}
-        for i, b in other._rows.items():
-            row = touched.setdefault(i, {})
-            for c, v in b.items():
-                row[c + shift] = v
-        return Matrix.from_nonempty(self.nrows, self.ncols + other.ncols, touched)
+        cols = dict(self._cols)
+        for j, col in other._cols.items():
+            cols[j + shift] = col
+        return Matrix._of(self.nrows, self.ncols + other.ncols, cols)
 
     def mul(self, other: "Matrix") -> "Matrix":
+        """self times other: column j is the sum over c of other[c, j] * self[:, c]."""
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: {self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}"
             )
-        touched: Dict[int, Vec] = {}
-        for i, row in self._rows.items():
+        cols: Dict[int, Row] = {}
+        for j, bcol in other._cols.items():
             acc: Vec = {}
-            for c, v in row.items():
-                add_scaled(acc, other._rows.get(c, EMPTY_ROW), v)
-            touched[i] = acc
-        return Matrix.from_nonempty(self.nrows, other.ncols, touched)
+            for c, v in bcol.items():
+                add_scaled(acc, self._cols.get(c, EMPTY_ROW), v)
+            if acc:
+                cols[j] = acc
+        return Matrix._of(self.nrows, other.ncols, cols)
 
     def rank(self) -> int:
         """The rank, from the columns, with the rows renumbered sparsest first."""
-        cols = _columns(self._rows, _sparsest_first(self._rows))
-        return len(_eliminate(cols.values(), reduce_full=False))
+        cols = self._cols.values()
+        return len(_eliminate(_prepared(cols, _sparsest_labels(cols)), reduce_full=False))
 
     def reduced_rows(self) -> List[Tuple[int, Vec]]:
         """Reduced echelon form as (pivot column, row) pairs, pivots ascending.
@@ -248,7 +288,8 @@ class Matrix:
         Rows are scaled to a unit pivot and cleared above and below, so the
         result is the canonical reduced form of the row space.
         """
-        pivots = _eliminate(self._rows.values(), reduce_full=True)
+        rows = _prepared(_transposed(self._cols).values())
+        pivots = _eliminate(rows, reduce_full=True)
         return [(c, {k: Fraction(v, row[c]) for k, v in row.items()})
                 for c, row in sorted(pivots.items())]
 

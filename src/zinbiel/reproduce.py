@@ -10,7 +10,6 @@ from typing import Dict, List, Tuple
 from .algebras import regular
 from .catalog import builtin as catalog_builtin
 from .complexes import cohomology_dims, dl_delta_matrix
-from .linalg import _columns
 
 _SUP = {0: "¹", 1: "²"}
 _SUB = {0: "₁", 1: "₂"}
@@ -85,8 +84,7 @@ def reproduce_example_4_6() -> Tuple[List[str], dict]:
 
     # Coboundary side: columns of the degree-1 differential, indexed by the
     # 1-cochain parameters g^k_i (coefficient of e_k in g(e_i)).
-    cols = _columns(d1._rows, range(d1.nrows))
-    g11, g21, g12, g22 = (cols.get(j, {}) for j in range(d1.ncols))
+    g11, g21, g12, g22 = (d1._cols.get(j, {}) for j in range(d1.ncols))
     dependent = {k: -Fraction(2) * v for k, v in g22.items()}
     coboundary_match = (
         dim_b == 2 and not g21 and g11 == dependent

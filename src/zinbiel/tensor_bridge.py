@@ -46,6 +46,7 @@ from .complexes import (
     _exact,
     _integral,
     _Map,
+    _matrix,
     _scale,
     _sort_sign,
     ce_delta,
@@ -53,7 +54,7 @@ from .complexes import (
     dl_delta,
     random_dl_cochain,
 )
-from .linalg import Matrix, _columns, _eliminate, _sparsest_first
+from .linalg import Matrix, _eliminate, _prepared, _sparsest_labels
 from .sparsevec import Vec, add_at, add_scaled
 
 BRACKET_BOUND_CAP = 16
@@ -335,10 +336,12 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
     r_{n+1}; extending them further by psi_{n+1}, whose span holds pz, counts
     rank [delta_CE^n | psi_{n+1}], the quotient rank in degree n plus rank psi_{n+1}.
     All three sets of columns share one numbering of the CE^(n+1)
-    coordinates, delta_CE^n's nonempty rows sparsest first and then the other
-    rows pz and psi touch, so the pivots stay valid as they are extended.
-    Both differentials are read as the integer matrices of _assemble, nonzero
-    multiples of the maps with the same kernels and column spans.
+    coordinates: the rows of delta_CE^n, sparsest first by how many of its
+    columns touch them, then the other rows [pz | psi] touches, in the order
+    its columns first touch them. Every column is relabelled under it as it
+    is prepared, so the pivots stay valid as they are extended. psi and both
+    differentials are read as the integer matrices of _matrix, nonzero
+    multiples of the maps with the same ranks, kernels and column spans.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -347,7 +350,7 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
     ctx = TensorContext(g, B, M)
     tdim, tmd = ctx.lie.dim, ctx.module.dim
 
-    psi_mats = {k: psi_matrix(ctx, k) for k in range(1, max_degree + 2)}
+    psi_mats = {k: _matrix(_psi_map(ctx, k)) for k in range(1, max_degree + 2)}
     psi_rank = {0: 0, **{k: m.rank() for k, m in psi_mats.items()}}
     expected = {k: m.ncols for k, m in psi_mats.items()}
     failures = [
@@ -371,20 +374,19 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
         cocycles = _assemble("dl", M, n + 1).nullspace()
         dl_rank[n + 1] = psi.ncols - len(cocycles)
         h_dl[n + 1] = len(cocycles) - dl_rank[n]
-        # [pz | psi] first, then delta_CE^n, whose rows are dropped once it is in columns.
         k = len(cocycles)
-        pp = psi.mul(Matrix.from_cols(cocycles, psi.ncols)).hstack(psi)._rows
-        ce = _assemble("ce", ctx.module, n)._rows
-        order = _sparsest_first(ce)
-        order += [i for i in pp if i not in ce]
-        ce = _columns(ce, order)
-        pivots = _eliminate(ce.values(), False)
-        cols = _columns(pp, order)
+        pp = psi.mul(Matrix.from_cols(cocycles, psi.ncols)).hstack(psi)._cols
+        ce = _assemble("ce", ctx.module, n)._cols.values()
+        label = _sparsest_labels(ce)
+        for col in pp.values():
+            for i in col:
+                label.setdefault(i, len(label))
+        pivots = _eliminate(_prepared(ce, label), False)
         ce_rank[n] = len(pivots)
         h_lie[n] = ce_space_dim(tdim, tmd, n) - ce_rank[n] - ce_rank[n - 1]
-        _eliminate([col for j, col in cols.items() if j < k], False, pivots)
+        _eliminate(_prepared((col for j, col in pp.items() if j < k), label), False, pivots)
         induced_rank[n + 1] = len(pivots) - ce_rank[n]
-        _eliminate([col for j, col in cols.items() if j >= k], False, pivots)
+        _eliminate(_prepared((col for j, col in pp.items() if j >= k), label), False, pivots)
         rank_q[n] = len(pivots) - psi_rank[n + 1]
 
     rows = []

@@ -8,6 +8,7 @@ is a second route to the same numbers, not speed.
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, permutations, product
+from math import gcd, lcm
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from zinbiel import Cochain
@@ -125,7 +126,7 @@ def to_dense(m: Matrix) -> List[List[Fraction]]:
 
 
 def transpose(m: Matrix) -> Matrix:
-    """m's transpose, entry by entry from the full rows view, without linalg._columns."""
+    """m's transpose, entry by entry from the full rows view."""
     cols: Dict[int, Vec] = {}
     for i, row in enumerate(m.rows):
         for j, v in row.items():
@@ -644,8 +645,19 @@ def tensor_module_grid(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule) -> Tuple
 # rows renumbered sparsest first.
 
 def row_rank(m: Matrix) -> int:
-    """The rank by eliminating m's rows as stored, not by Matrix.rank's column route."""
-    return len(_eliminate(m.rows, False))
+    """The rank by eliminating m's rows in row order, not by Matrix.rank's column route.
+
+    Each row is cleared of denominators and made primitive here, not by
+    linalg._prepared, before _eliminate takes it over.
+    """
+    rows = []
+    for row in m.rows:
+        if row:
+            den = lcm(*(v.denominator for v in row.values()))
+            ints = {j: int(v * den) for j, v in row.items()}
+            g = gcd(*ints.values())
+            rows.append({j: v // g for j, v in ints.items()})
+    return len(_eliminate(rows, False))
 
 
 def les_report_rowwise(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int) -> dict:

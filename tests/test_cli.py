@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, output wording, and file round-trips."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -464,10 +467,18 @@ def test_reproduce_json(capsys):
     assert out == json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.skipif(shutil.which("zinbiel") is None, reason="script not on PATH")
 def test_console_script():
+    # The installed script when it is on PATH, else the module it runs, from
+    # this checkout's src.
+    if shutil.which("zinbiel"):
+        cmd, env = ["zinbiel"], None
+    else:
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        cmd = [sys.executable, "-m", "zinbiel.cli"]
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
-        ["zinbiel", "check", "builtin:B2"], capture_output=True, text=True
+        cmd + ["check", "builtin:B2"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert proc.stdout == "zinbiel: PASS\n"

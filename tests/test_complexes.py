@@ -335,13 +335,13 @@ def _assert_integer_assembly_matches(theory, module, degree, oracle):
     want = dense_delta_matrix(module, degree, oracle, theory)
     d = _delta_map(theory, module, degree).scale
     scaled = _assemble(theory, module, degree)
-    assert all(type(v) is int for row in scaled._rows.values() for v in row.values())
+    assert all(type(v) is int for col in scaled._cols.values() for v in col.values())
     assert to_dense(scaled) == [[d * x for x in row] for row in want]
     kernel = dense_nullspace(want)
     assert scaled.rank() == len(want[0]) - len(kernel)
     assert scaled.nullspace() == kernel
     exact = (dl_delta_matrix if theory == "dl" else ce_delta_matrix)(module, degree)
-    assert all(type(v) is Fraction for row in exact._rows.values() for v in row.values())
+    assert all(type(v) is Fraction for col in exact._cols.values() for v in col.values())
     assert to_dense(exact) == want
     applied = dl_delta if theory == "dl" else ce_delta
     assert dense_delta_matrix(module, degree, applied, theory) == want

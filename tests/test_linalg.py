@@ -18,7 +18,7 @@ from _oracles import (
 )
 from zinbiel import Matrix, builtin, dl_delta_matrix, linalg, regular
 from zinbiel.complexes import _assemble
-from zinbiel.linalg import EMPTY_ROW, _columns, _eliminate, _sparsest_first, parse_scalar
+from zinbiel.linalg import EMPTY_ROW, _eliminate, _prepared, _sparsest_labels, parse_scalar
 
 
 small = st.integers(-4, 4)
@@ -55,8 +55,8 @@ def rational_matrices(draw, max_dim=6):
 
 
 def _column_matrix(m):
-    """m's columns, as _columns builds them in the identity row order, stored as rows."""
-    return Matrix.from_nonempty(m.ncols, m.nrows, _columns(m._rows, range(m.nrows)))
+    """m's transpose: its stored columns, read as the rows of a new Matrix."""
+    return Matrix.from_nonempty(m.ncols, m.nrows, m._cols)
 
 
 def reduced_dense(m):
@@ -139,9 +139,9 @@ def test_extending_an_echelon_keeps_its_pivot_rows(rows, data):
     # rank of both, and writes no pivot row that A's elimination made.
     split = data.draw(st.integers(0, len(rows)))
     sparse = from_rows(rows).rows
-    pivots = _eliminate(sparse[:split], False)
+    pivots = _eliminate(_prepared(sparse[:split]), False)
     before = copy.deepcopy(pivots)
-    _eliminate(sparse[split:], False, pivots)
+    _eliminate(_prepared(sparse[split:]), False, pivots)
     assert len(pivots) == dense_rank(rows)
     assert all(pivots[c] == row for c, row in before.items())
 
@@ -162,8 +162,8 @@ def test_results_do_not_depend_on_row_order(rows, rng, data):
 
     split = data.draw(st.integers(0, len(shuffled)))
     a, rest = shuffled[:split], shuffled[split:]
-    pivots = _eliminate(from_rows(a).rows, False)
-    _eliminate(from_rows(rest).rows, False, pivots)
+    pivots = _eliminate(_prepared(from_rows(a).rows), False)
+    _eliminate(_prepared(from_rows(rest).rows), False, pivots)
     assert len(pivots) == dense_rank(rows)
 
 
@@ -177,20 +177,27 @@ def _int_matrix(rows):
 @settings(deadline=None)
 @given(matrices(), st.data())
 def test_int_rows_are_eliminated_without_being_written(rows, data):
-    # _cancel writes into its row in place, so elimination must work on a
-    # copy of every incoming row, an int row too.
-    m = _int_matrix(rows)
-    before = copy.deepcopy(m._rows)
+    # _cancel writes into its vector in place, so every elimination must work
+    # on fresh prepared copies: of int columns too, and of the column dicts
+    # that hstack shares with its operands.
+    split = data.draw(st.integers(0, len(rows[0])))
+    a = _int_matrix([row[:split] for row in rows])
+    b = _int_matrix([row[split:] for row in rows])
+    m = a.hstack(b)
+    assert all(m._cols[j + a.ncols] is col for j, col in b._cols.items())
+    assert all(m._cols[j] is col for j, col in a._cols.items())
+    before = copy.deepcopy((a._cols, b._cols))
     f = from_rows(rows)
     assert m.rank() == f.rank()
     assert m.reduced_rows() == f.reduced_rows()
     assert m.nullspace() == f.nullspace()
-    stored = list(m._rows.values())
-    split = data.draw(st.integers(0, len(stored)))
-    pivots = _eliminate(stored[:split], False)
-    _eliminate(stored[split:], False, pivots)
+    assert (a._cols, b._cols) == before
+    stored = list(m._cols.values())
+    cut = data.draw(st.integers(0, len(stored)))
+    pivots = _eliminate(_prepared(stored[:cut]), False)
+    _eliminate(_prepared(stored[cut:]), False, pivots)
     assert len(pivots) == dense_rank(rows)
-    assert m._rows == before
+    assert (a._cols, b._cols) == before
 
 
 def test_fractional_complex_rank_and_reduced_form():
@@ -227,17 +234,29 @@ def test_empty_rows_are_shared_and_never_written_through():
     with pytest.raises(TypeError):
         EMPTY_ROW[0] = Fraction(1)
 
-    # Writing into an output's stored rows changes none of its inputs.
+    # Writing into an output's stored columns, or into the dicts of any rows
+    # view, changes none of its inputs. hstack is the exception by design:
+    # it shares its operands' read-only column dicts, and writes nothing.
     a = from_rows([[1, 0], [0, 0], [0, 2]])
     b = from_rows([[0, 3], [0, 0], [4, 0]])
     eye = from_rows([[1, 0], [0, 1]])
     cols = [[1, 0, 0], [0, 0, 5]]
+    dense_rows = [[0, 1], [0, 0], [2, 0]]
     before = (to_dense(a), to_dense(b), to_dense(eye), [list(c) for c in cols])
-    for out in (a.hstack(b), _column_matrix(a), a.mul(eye), Matrix.from_cols(cols, 3)):
-        for r, row in out._rows.items():
-            for c in range(out.ncols):
-                row[c] = Fraction(r * out.ncols + c + 1)
+    h = a.hstack(b)
+    assert [h._cols[j] for j in (0, 1, 2, 3)] == [a._cols[0], a._cols[1], b._cols[0], b._cols[1]]
+    assert h._cols[3] is b._cols[1]
+    outs = (_column_matrix(a), a.mul(eye), Matrix.from_cols(cols, 3), from_rows(dense_rows))
+    for out in outs:
+        for c, col in out._cols.items():
+            for r in range(out.nrows):
+                col[r] = Fraction(r * out.ncols + c + 1)
+        for m in (a, b, eye, out):
+            for r, row in enumerate(m.rows):
+                if row:
+                    row[0] = Fraction(-r - 1)
         assert (to_dense(a), to_dense(b), to_dense(eye), cols) == before
+    assert dense_rows == [[0, 1], [0, 0], [2, 0]]
 
 
 def _dense_mul(a, b):
@@ -317,14 +336,36 @@ def test_rows_view_lists_the_stored_rows():
     for m in built:
         view = m.rows
         assert len(view) == m.nrows
-        assert all(view[i] is row for i, row in m._rows.items())
-        assert all(row is EMPTY_ROW for i, row in enumerate(view) if i not in m._rows)
-        assert all(view[i] for i in m._rows)
+        entries = {(i, j): v for j, col in m._cols.items() for i, v in col.items()}
+        assert {(i, j): v for i, row in enumerate(view) for j, v in row.items()} == entries
+        assert all(col for col in m._cols.values())
+        assert all(row is EMPTY_ROW for i, row in enumerate(view)
+                   if all(i not in col for col in m._cols.values()))
+        assert m.num_nonzero == len(entries)
+        assert all(a is not b for a, b in zip(view, m.rows) if a)
         assert Matrix.from_nonempty(m.nrows, m.ncols, dict(enumerate(view))).rows == view
     rows = [{1: Fraction(2)}, EMPTY_ROW, {}, {0: Fraction(-1, 3)}]
     m = Matrix.from_nonempty(4, 2, dict(enumerate(rows)))
-    assert m.rows == rows and m.rows[0] is rows[0] and m.rows[2] is EMPTY_ROW
-    assert sorted(m._rows) == [0, 3]
+    assert m.rows == rows and m.rows[1] is EMPTY_ROW and m.rows[2] is EMPTY_ROW
+    assert m._cols == {0: {3: Fraction(-1, 3)}, 1: {0: Fraction(2)}}
+
+
+def test_from_nonempty_rejects_indices_out_of_range():
+    with pytest.raises(ValueError, match="row index 2 out of range for 2 rows"):
+        Matrix.from_nonempty(2, 2, {2: {0: 1}})
+    for j in (5, -1, 2):
+        with pytest.raises(ValueError, match=rf"column index {j} in row 1 out of range for 2"):
+            Matrix.from_nonempty(2, 2, {0: {1: 1}, 1: {j: 2}})
+    # Kept, these columns would give rank 2 and a 2-vector kernel at once.
+    with pytest.raises(ValueError, match="column index 5 in row 0"):
+        Matrix.from_nonempty(2, 2, {0: {5: 1}, 1: {-1: 2}})
+
+
+def test_rows_are_labelled_sparsest_first_then_by_first_touch():
+    cols = [{5: 1, 2: 1}, {2: 1, 7: 1}, {7: 1, 9: 1, 5: 1}, {9: 1, 7: 1}]
+    # counts: 5 twice, 2 twice, 7 three times, 9 twice; first touched 5, 2, 7, 9
+    assert _sparsest_labels(cols) == {5: 0, 2: 1, 9: 2, 7: 3}
+    assert _sparsest_labels([]) == {}
 
 
 @st.composite
@@ -364,21 +405,24 @@ def test_column_rank_of_tall_sparse_matrices(rows):
 @settings(deadline=None)
 @given(st.integers(1, 40).flatmap(lambda n: st.tuples(tall_sparse(n), tall_sparse(n))))
 def test_column_echelon_extends_under_a_shared_row_order(pair):
-    # les_report renumbers rows by A's sparsest-first order, then P's other
-    # rows, eliminates A's columns and extends those pivots by P's columns.
+    # les_report labels rows sparsest first by A's column counts, then P's
+    # other rows in first-touch order, eliminates A's columns and extends
+    # those pivots by P's columns.
     a_rows, p_rows = pair
     a, p = _int_matrix(a_rows), _int_matrix(p_rows)
-    order = _sparsest_first(a._rows)
-    order += [i for i in p._rows if i not in a._rows]
-    pivots = _eliminate(_columns(a._rows, order).values(), False)
+    label = _sparsest_labels(a._cols.values())
+    for col in p._cols.values():
+        for i in col:
+            label.setdefault(i, len(label))
+    pivots = _eliminate(_prepared(a._cols.values(), label), False)
     assert len(pivots) == dense_rank(a_rows)
-    _eliminate(_columns(p._rows, order).values(), False, pivots)
+    _eliminate(_prepared(p._cols.values(), label), False, pivots)
     assert len(pivots) == dense_rank([r + s for r, s in zip(a_rows, p_rows)])
 
 
 def test_column_rank_of_dl_degree_4_cancels_little(monkeypatch):
-    # Renumbering rows sparsest first makes most columns pivots without
-    # arithmetic: about 3,500 cancellations, against 22,738 in the stored
+    # Labelling rows sparsest first makes most columns pivots without
+    # arithmetic: about 3,100 cancellations, against 22,738 in the stored
     # row order.
     calls = 0
     cancel = linalg._cancel

@@ -558,8 +558,8 @@ def _rescaled(name, t):
 def test_psi_and_les_report_with_fractional_constants(g_name):
     # g's product times 3/2 and B2's times 2/5. psi_n is assembled from g's
     # integer table as 2^(n-1) psi_n and divided back, and applied to a
-    # cochain with fractional coefficients the same way; les_report reads the
-    # differentials as integer multiples of themselves.
+    # cochain with fractional coefficients the same way; les_report reads psi
+    # and the differentials as integer multiples of themselves.
     g, B = _rescaled(g_name, Fraction(3, 2)), _rescaled("B2", Fraction(2, 5))
     M = regular(B)
     ctx = TensorContext(g, B, M)
