@@ -44,7 +44,7 @@ from functools import lru_cache
 from itertools import combinations, product as iproduct
 from math import comb, lcm
 from random import Random
-from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Set, Tuple
 
 from .algebras import Bimodule
 from .free_leibniz import leibniz_expansion
@@ -439,6 +439,18 @@ class CohomologyDims:
 def cohomology_dims(module: Bimodule, theory: str, degree: int) -> CohomologyDims:
     """Exact dimensions of cocycles, coboundaries, and their quotient.
 
+    Above the start degree the coboundaries are eliminated first, and their
+    pivots clear columns of delta^n before it is ranked (clearing: Chen and
+    Kerber, "Persistent homology computation with a twist", EuroCG 2011;
+    Bauer, Kerber and Reininghaus, "Clear and Compress", TopoInVis 2014).
+    Each pivot of delta^(n-1)'s column echelon leads at one row, an index of
+    C^n, and the pivots with the unit vectors at the other indices form a
+    basis of C^n. If delta^n o delta^(n-1) = 0, delta^n kills the pivots, so
+    its rank is the rank of its columns at the other indices. That
+    hypothesis is certified, not assumed: the integer product of the two
+    matrices must be zero. When it is not, the cleared set is empty and
+    every column is ranked, as with no clearing at all.
+
     The module and its algebra must lie in the complex's family (Zinbiel for
     "dl", Lie for "ce"); outside it delta o delta need not vanish. An input
     whose coboundaries outnumber its cocycles raises ValueError, but that
@@ -446,9 +458,17 @@ def cohomology_dims(module: Bimodule, theory: str, degree: int) -> CohomologyDim
     that mean nothing.
     """
     out = _assemble(theory, module, degree)
+    leads: List[int] = []
+    cleared: Set[int] = set()
+    if degree > _THEORY[theory][0]:
+        into = _assemble(theory, module, degree - 1)
+        leads = into._lead_rows()
+        if out.mul(into).is_zero():
+            cleared = set(leads)
+    kept = {j: col for j, col in out._cols.items() if j not in cleared}
     dim_c = out.ncols
-    dim_z = dim_c - out.rank()
-    dim_b = _assemble(theory, module, degree - 1).rank() if degree > _THEORY[theory][0] else 0
+    dim_z = dim_c - Matrix._of(out.nrows, dim_c, kept).rank()
+    dim_b = len(leads)
     if dim_b > dim_z:
         raise ValueError(
             f"{theory} complex, degree {degree}: dim B = {dim_b} > dim Z = {dim_z}, so "

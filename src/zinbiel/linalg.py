@@ -26,6 +26,16 @@ rows are taken in (sparsest first). A forward echelon can be extended in
 place by more vectors without touching its pivot vectors, so under one row
 numbering the rank of [A | P] is A's column echelon extended by P's columns.
 
+Rank is the count of that echelon's lead rows (_lead_rows), which are read
+for clearing too (Chen and Kerber, "Persistent homology computation with a
+twist", EuroCG 2011; Bauer, Kerber and Reininghaus, "Clear and Compress",
+TopoInVis 2014). Each pivot is zero before its lead, so the pivots of
+delta^(n-1) with the unit vectors at the other rows are a basis of C^n. If
+delta^n o delta^(n-1) = 0, delta^n kills the pivots, and its rank is that of
+its columns at the rows where no pivot leads. complexes.cohomology_dims
+certifies that product as exactly zero before it clears anything; when it is
+not, the cleared set is empty and every column is ranked.
+
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968). _prepared is
 the one place where denominators are cleared: it turns each vector into a
 fresh primitive integer vector, relabelled on the way if asked, and
@@ -279,8 +289,19 @@ class Matrix:
 
     def rank(self) -> int:
         """The rank, from the columns, with the rows renumbered sparsest first."""
+        return len(self._lead_rows())
+
+    def _lead_rows(self) -> List[int]:
+        """The row at which each pivot of rank's column echelon leads, as a row index.
+
+        Each pivot is zero at every row labelled before its lead, so the
+        pivots and the unit vectors at the other rows form a basis of the
+        space of all nrows coordinates.
+        """
         cols = self._cols.values()
-        return len(_eliminate(_prepared(cols, _sparsest_labels(cols)), reduce_full=False))
+        label = _sparsest_labels(cols)
+        row_of = list(label)
+        return [row_of[p] for p in _eliminate(_prepared(cols, label), reduce_full=False)]
 
     def reduced_rows(self) -> List[Tuple[int, Vec]]:
         """Reduced echelon form as (pivot column, row) pairs, pivots ascending.

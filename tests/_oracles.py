@@ -660,6 +660,21 @@ def row_rank(m: Matrix) -> int:
     return len(_eliminate(rows, False))
 
 
+def cohomology_dims_full(module: Bimodule, theory: str, degree: int) -> Tuple[int, int, int, int]:
+    """(dim C, dim Z, dim B, dim H), each rank taken by row_rank on every column.
+
+    The reference for cohomology_dims, which ranks delta^n only on the
+    columns that delta^(n-1)'s pivots leave: here nothing is cleared or
+    certified, and outside the complex's family dim H may come out negative.
+    """
+    matrix = dl_delta_matrix if theory == "dl" else ce_delta_matrix
+    out = matrix(module, degree)
+    dim_z = out.ncols - row_rank(out)
+    start = 1 if theory == "dl" else 0
+    dim_b = row_rank(matrix(module, degree - 1)) if degree > start else 0
+    return out.ncols, dim_z, dim_b, dim_z - dim_b
+
+
 def les_report_rowwise(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int) -> dict:
     """les_report by the row-wise route: each rank is its own elimination.
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output wording, and file round-trips."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -82,6 +83,23 @@ def test_cohomology_json_output(capsys):
         "--regular", "--degree", "2", "--format", "json",
     ])
     assert (code, out) == (0, COHOMOLOGY_JSON)
+
+
+# The bytes the benchmark's dl_cohomology operations pin (perfbench/workloads.py).
+@pytest.mark.parametrize("algebra, zbh, digest", [
+    ("polyzinbiel(3)", [205, 204, 1],
+     "3be24d68675c1c359a00864fc6fc92af4a52da4cb5f4ab155ed260b1a223f8f9"),
+    ("B3", [65, 57, 8], "577f2dc202365447d14a83e4823a7380cbf8d1f94c00710c9a2eaec155b2416f"),
+])
+def test_cohomology_json_bytes_are_pinned(capsys, algebra, zbh, digest):
+    code, out, _ = run(capsys, [
+        "cohomology", "--complex", "dl", "--algebra", f"builtin:{algebra}",
+        "--regular", "--degree", "4", "--format", "json",
+    ])
+    assert code == 0
+    data = json.loads(out)
+    assert [data["dim_Z"], data["dim_B"], data["dim_H"]] == zbh
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_cohomology_text_output(capsys):
