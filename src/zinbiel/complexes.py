@@ -286,7 +286,7 @@ def _integral(table: Dict[Key, Vec], d: int) -> Dict[Key, Dict[int, int]]:
 
 
 def _unscaled(vecs: Dict[Any, Vec], d: int) -> Dict[Any, Vec]:
-    """The nonempty integer vectors (matrix columns or cochain values) over d, as Fractions."""
+    """The nonempty integer vectors (columns, cochain values, table rows) over d, as Fractions."""
     return {i: {j: Fraction(v, d) for j, v in vec.items()} for i, vec in vecs.items() if vec}
 
 
@@ -307,16 +307,23 @@ def _dl_generator(n: int, pre: Preimages, ident: Block, left: Blocks, right: Blo
     from an input tuple X: the shuffle terms place X in y_1..y_n with a
     free y_0; a product term for X[q] = p takes every e_u e_w containing e_p,
     giving X[:q] + (u, w) + X[q+1:], and (w, u) in its place as well when
-    q >= 1; the right term appends a free y_n.
+    q >= 1; the right term appends a free y_n. When X repeats a letter,
+    several words place it as the same Z: their signs are summed into one net
+    coefficient per Z, in the order the words first reach it, and a Z whose
+    coefficient cancels yields no term, before the left blocks are expanded.
     """
     shuffles = _net_terms(n)
     last = 1 if n % 2 else -1
 
     def terms(X: Key) -> Iterator[Term]:
+        net: Dict[Key, int] = {}
         for c, place in shuffles:
-            Z = tuple(X[i] for i in place)
-            for x, block in left:
-                yield c, (x,) + Z, block
+            Z = tuple(map(X.__getitem__, place))
+            net[Z] = net.get(Z, 0) + c
+        for Z, c in net.items():
+            if c:
+                for x, block in left:
+                    yield c, (x,) + Z, block
         for q in range(n):
             head, tail = X[:q], X[q + 1:]
             for u, w, c in pre.get(X[q], ()):
@@ -365,7 +372,8 @@ def _delta_map(theory: str, module: Bimodule, n: int) -> _Map:
 
     Its generator reads the preimages p -> [(u, w, c)], e_u * e_w having
     coefficient c on e_p, the identity block, and the nonzero blocks
-    {k: x m_k} and {k: m_k x} per basis element x. Every constant is
+    {k: x m_k} and {k: m_k x} per basis element x, gathered from the nonzero
+    entries of the two action tables, x ascending. Every constant is
     multiplied by D, the lcm of the denominators of the algebra's products
     and the module's two actions together, and held as an int.
     """
@@ -377,17 +385,16 @@ def _delta_map(theory: str, module: Bimodule, n: int) -> _Map:
     for (u, w), vec in products.items():
         for p, c in vec.items():
             pre.setdefault(p, []).append((u, w, c))
+    lblocks: Dict[int, Block] = {}
+    rblocks: Dict[int, Block] = {}
+    for (x, k), v in left.items():
+        lblocks.setdefault(x, {})[k] = v
+    for (k, x), v in right.items():
+        rblocks.setdefault(x, {})[k] = v
     md = module.dim
-    lblocks, rblocks = [], []
-    for x in range(module.algebra.dim):
-        lb = {k: v for k in range(md) if (v := left.get((x, k)))}
-        rb = {k: v for k in range(md) if (v := right.get((k, x)))}
-        if lb:
-            lblocks.append((x, lb))
-        if rb:
-            rblocks.append((x, rb))
     generator = _dl_generator if theory == "dl" else _ce_generator
-    terms = generator(n, pre, {k: {k: 1} for k in range(md)}, lblocks, rblocks)
+    terms = generator(n, pre, {k: {k: 1} for k in range(md)},
+                      sorted(lblocks.items()), sorted(rblocks.items()))
     dims = (module.algebra.dim, md)
     return _Map((theory, n, *dims), (theory, n + 1, *dims), terms, d)
 

@@ -36,13 +36,16 @@ its columns at the rows where no pivot leads. complexes.cohomology_dims
 certifies that product as exactly zero before it clears anything; when it is
 not, the cleared set is empty and every column is ranked.
 
-Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968). _prepared is
-the one place where denominators are cleared: it turns each vector into a
-fresh primitive integer vector, relabelled on the way if asked, and
-_eliminate takes such vectors over. Fractions are built only when a reduced
-row is returned, so every result is an exact Fraction. Pivot choice depends
-only on the matrix entries and the order its columns were stored in, so runs
-are deterministic.
+Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968). _prepared
+turns each vector into a fresh primitive integer vector, relabelled on the
+way if asked, and _eliminate takes such vectors over. Every column holds one
+number type (the constructors parse every public entry into a Fraction, and
+the integer assembly and mul of integer inputs keep ints), so the type of a
+vector's first value tells _prepared whether it has denominators to clear:
+an int vector is only divided by its gcd. Fractions are built only when a
+reduced row is returned, so every result is an exact Fraction. Pivot choice
+depends only on the matrix entries and the order its columns were stored in,
+so runs are deterministic.
 """
 from __future__ import annotations
 
@@ -125,16 +128,19 @@ def _sparsest_labels(cols: Iterable[Row]) -> Dict[int, int]:
 def _prepared(vecs: Iterable[Row], label: Optional[Mapping[int, int]] = None) -> List[IntRow]:
     """Fresh primitive integer vectors of the nonempty vecs, in order; the vecs are only read.
 
-    Each vec is multiplied by the lcm of its denominators and divided by the
-    gcd of the results, and its key k becomes label[k] when a label is given.
-    This is the only place where denominators are cleared.
+    Each vec is divided by the gcd of its entries, and its key k becomes
+    label[k] when a label is given. Only a vec of Fractions has denominators
+    to clear: it is first multiplied by their lcm. A vec's values are all of
+    one type, so its first value says which it is.
     """
     out = []
     for vec in vecs:
         if not vec:
             continue
-        den = lcm(*[v.denominator for v in vec.values()])
-        vals = [v.numerator * (den // v.denominator) for v in vec.values()]
+        vals: Iterable[Number] = vec.values()
+        if isinstance(next(iter(vals)), Fraction):
+            den = lcm(*[v.denominator for v in vals])
+            vals = [v.numerator * (den // v.denominator) for v in vals]
         keys = vec if label is None else map(label.__getitem__, vec)
         out.append(_primitive(dict(zip(keys, vals))))
     return out
@@ -218,17 +224,19 @@ class Matrix:
     def from_nonempty(cls, nrows: int, ncols: int, touched: Mapping[int, Vec]) -> "Matrix":
         """Build from {row index: row dict}, transposed once into columns.
 
-        The row dicts are only read; empty ones and zero values are not stored.
+        Entries may be ints, strings, or Fractions, and are stored as
+        Fractions (parse_scalar). The row dicts are only read; empty ones and
+        zero values are not stored.
         """
         cols: Dict[int, Vec] = {}
         for i, row in touched.items():
             if not 0 <= i < nrows:
                 raise ValueError(f"row index {i} out of range for {nrows} rows")
-            for j, v in row.items():
+            for j, x in row.items():
                 if not 0 <= j < ncols:
                     raise ValueError(
                         f"column index {j} in row {i} out of range for {ncols} columns")
-                if v:
+                if v := parse_scalar(x):
                     cols.setdefault(j, {})[i] = v
         return cls._of(nrows, ncols, dict(sorted(cols.items())))
 

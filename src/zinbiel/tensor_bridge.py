@@ -49,6 +49,7 @@ from .complexes import (
     _matrix,
     _scale,
     _sort_sign,
+    _unscaled,
     ce_delta,
     ce_space_dim,
     dl_delta,
@@ -78,18 +79,24 @@ def _tensor_table(g: FiniteAlgebra, S: Table, S_swap: Table, xd: int, yd: int) -
     Walks only the nonzero entries of g's product against those of S and
     S_swap; a result index is g-index * yd + S-index. Every key gets at most
     one term from each table, added in that order, and keys come out in key
-    order; the ones that cancel to {} are dropped by the table's constructor.
+    order, less the ones that cancel to {}. The products accumulate as ints,
+    from g's table scaled by D_g and the two S tables by D_S (the lcm of each
+    side's denominators), and each nonzero result becomes one Fraction,
+    divided by D_g * D_S.
     """
+    dg, ds = _scale(g.products), _scale(S, S_swap)
+    gp = _integral(g.products, dg)
     acc: Dict[Tuple[int, int], Vec] = defaultdict(dict)
     for sign, table, swap in ((1, S, False), (-1, S_swap, True)):
-        for (i1, i2), gv in g.products.items():
+        table = _integral(table, ds)
+        for (i1, i2), gv in gp.items():
             for (x, y), sv in table.items():
                 key = (i2 * xd + y, i1 * yd + x) if swap else (i1 * xd + x, i2 * yd + y)
                 out = acc[key]
                 for ga, ca in gv.items():
                     for k, cb in sv.items():
                         add_at(out, ga * yd + k, sign * ca * cb)
-    return dict(sorted(acc.items()))
+    return _unscaled(dict(sorted(acc.items())), dg * ds)
 
 
 def tensor_lie(g: FiniteAlgebra, B: FiniteAlgebra, validate: bool = True) -> FiniteAlgebra:

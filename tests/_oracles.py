@@ -24,8 +24,15 @@ from zinbiel.complexes import (
     CE_MAX_DEGREE,
     DL_MAX_DEGREE,
     Key,
+    Term,
+    Terms,
+    _ce_generator,
     _ce_rank,
     _dl_rank,
+    _integral,
+    _Map,
+    _net_terms,
+    _scale,
     ce_delta_matrix,
     ce_space_dim,
     ce_tuples,
@@ -33,7 +40,7 @@ from zinbiel.complexes import (
     dl_space_dim,
     dl_tuples,
 )
-from zinbiel.linalg import Matrix, Scalar, _eliminate, parse_scalar
+from zinbiel.linalg import Matrix, Scalar, _eliminate
 from zinbiel.sparsevec import Vec, add_at, add_scaled
 from zinbiel.tensor_bridge import PsiNotInjectiveError, TensorContext, psi_matrix
 
@@ -107,8 +114,7 @@ def from_rows(rows: Sequence[Sequence[Scalar]]) -> Matrix:
     """Matrix of dense rows; entries may be ints, strings or Fractions."""
     ncols = len(rows[0]) if rows else 0
     return Matrix.from_nonempty(len(rows), ncols, {
-        i: {j: v for j, x in enumerate(row) if (v := parse_scalar(x))}
-        for i, row in enumerate(rows)
+        i: dict(enumerate(row)) for i, row in enumerate(rows)
     })
 
 
@@ -177,6 +183,59 @@ def dense_delta_matrix(
             cols.append(cochain_to_vector(out))
     zero = Fraction(0)
     return [[cols[j].get(i, zero) for j in range(len(cols))] for i in range(nrows)]
+
+
+def _dl_generator_unmerged(n: int, pre, ident, left, right) -> Terms:
+    """The DL terms with every shuffle word yielded on its own, unmerged.
+
+    complexes._dl_generator sums the words that place an input with a
+    repeated letter as the same Z; here each of the 2^(n-1) words is
+    expanded against the left blocks, and the consumers do the summing.
+    """
+    shuffles = _net_terms(n)
+    last = 1 if n % 2 else -1
+
+    def terms(X: Key) -> Iterator[Term]:
+        for c, place in shuffles:
+            Z = tuple(X[i] for i in place)
+            for x, block in left:
+                yield c, (x,) + Z, block
+        for q in range(n):
+            head, tail = X[:q], X[q + 1:]
+            for u, w, c in pre.get(X[q], ()):
+                s = c if q % 2 else -c
+                yield s, head + (u, w) + tail, ident
+                if q:
+                    yield s, head + (w, u) + tail, ident
+        for y, block in right:
+            yield last, X + (y,), block
+
+    return terms
+
+
+def delta_map_probed(theory: str, module: Bimodule, n: int) -> _Map:
+    """complexes._delta_map, with its action blocks probed at every (x, k) pair
+    and, for "dl", the unmerged shuffle terms."""
+    tables = (module.algebra.products, module.left, module.right)
+    d = _scale(*tables)
+    products, left, right = (_integral(t, d) for t in tables)
+    pre: Dict[int, List[Tuple[int, int, int]]] = {}
+    for (u, w), vec in products.items():
+        for p, c in vec.items():
+            pre.setdefault(p, []).append((u, w, c))
+    md = module.dim
+    lblocks, rblocks = [], []
+    for x in range(module.algebra.dim):
+        lb = {k: v for k in range(md) if (v := left.get((x, k)))}
+        rb = {k: v for k in range(md) if (v := right.get((k, x)))}
+        if lb:
+            lblocks.append((x, lb))
+        if rb:
+            rblocks.append((x, rb))
+    generator = _dl_generator_unmerged if theory == "dl" else _ce_generator
+    terms = generator(n, pre, {k: {k: 1} for k in range(md)}, lblocks, rblocks)
+    dims = (module.algebra.dim, md)
+    return _Map((theory, n, *dims), (theory, n + 1, *dims), terms, d)
 
 
 def identity(n: int) -> List[List[Fraction]]:

@@ -10,7 +10,14 @@ tables must equal, key order included, the ones built on the full grid.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import check_axioms_full_scan, full_scan_cases, tensor_lie_grid, tensor_module_grid
+from _oracles import (
+    change_module_basis,
+    check_axioms_full_scan,
+    full_scan_cases,
+    tensor_lie_grid,
+    tensor_module_grid,
+)
+from _strategies import basis_changes, fractional
 from zinbiel import Bimodule, FiniteAlgebra, builtin, check_axioms, perturbed_b2, regular
 from zinbiel.algebras import AXIOM_KINDS, _cases
 from zinbiel.tensor_bridge import TensorContext, tensor_lie, tensor_module
@@ -167,10 +174,21 @@ def _assert_tensor_tables_match_grid(g, B, M):
 
 @pytest.mark.parametrize("g, b", TENSORS + (
     ("freeleibniz(3,3)", "B2"), ("leibniz2", "perturbed_b2"),
+    ("leibniz2", "polyzinbiel(3)"), ("freeleibniz(2,3)", "polyzinbiel(3)"),
 ))
 def test_tensor_tables_match_grid(g, b):
     B = _operand(b)
     _assert_tensor_tables_match_grid(builtin(g), B, regular(B))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.sampled_from(("leibniz2", "lie2", "freeleibniz(2,2)")).flatmap(fractional),
+       st.sampled_from(("B2", "B3", "polyzinbiel(2)")).flatmap(fractional), st.data())
+def test_fractional_tensor_tables_match_grid(g, B, data):
+    # g and B in random bases with fractional constants, and the module in
+    # one of its own, so D_g, D_B and the actions' lcm all differ from 1.
+    M = change_module_basis(regular(B), data.draw(basis_changes(B.dim)))
+    _assert_tensor_tables_match_grid(g, B, M)
 
 
 @st.composite

@@ -102,6 +102,53 @@ def test_cohomology_json_bytes_are_pinned(capsys, algebra, zbh, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# The bytes the benchmark's les and verify-chain-map operations pin
+# (perfbench/workloads.py), with the values each one reads.
+@pytest.mark.parametrize("g, b, psi_ranks, identity, digest", [
+    ("freeleibniz(2,4)", "B2", {"1": 4, "2": 8}, [[1683, 1683, True]],
+     "7d5207c2db8c5a1bebd92ee9794011c320e9666b2c8d138bdd521c26c30c901d"),
+    ("freeleibniz(3,3)", "B2", {"1": 4, "2": 8}, [[3271, 3271, True]],
+     "6e0b318a015dd8ddb9d30fe3b60303c4a4e4fe17982dfcd0a96cde838287b98c"),
+    ("freeleibniz(2,3)", "B2", {"1": 4, "2": 8}, [[438, 438, True]],
+     "21ab62b9216a037c3fccddd1f95112c1324d6ed102ccb434af4c35edcab1072e"),
+])
+def test_les_json_bytes_are_pinned(capsys, g, b, psi_ranks, identity, digest):
+    code, out, _ = run(capsys, [
+        "les", "--leibniz", f"builtin:{g}", "--zinbiel", f"builtin:{b}",
+        "--max-degree", "1", "--format", "json",
+    ])
+    assert code == 0
+    data = json.loads(out)
+    assert data["precheck"]["psi_ranks"] == psi_ranks
+    assert [[r["identity_lhs"], r["identity_rhs"], r["identity_holds"]]
+            for r in data["rows"]] == identity
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("g, b, degree, digest", [
+    ("freeleibniz(2,3)", "B3", 3,
+     "1f250da2d47145240a471aa0b141a8e21112baa74d48d05016ed5d612c448adc"),
+    ("freeleibniz(2,3)", "polyzinbiel(2)", 3,
+     "1f250da2d47145240a471aa0b141a8e21112baa74d48d05016ed5d612c448adc"),
+    ("leibniz2", "B2", 2, "8907310c29f13fd75ad90a0e478067795ac67f82decdabb8f5dfd11ca887f258"),
+])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_chain_map_json_bytes_are_pinned(capsys, g, b, degree, digest, seed):
+    # One trial; the payload echoes the seed, which the digest reads as 0.
+    code, out, _ = run(capsys, [
+        "verify-chain-map", "--leibniz", f"builtin:{g}", "--zinbiel", f"builtin:{b}",
+        "--degree", str(degree), "--trials", "1", "--seed", str(seed), "--format", "json",
+    ])
+    assert code == 0
+    data = json.loads(out)
+    assert data["seed"] == seed and data["chain_map_holds"] is True
+    assert all(report["ok"] for report in data["axioms"].values())
+    seed_line = f'"seed": {seed},'
+    assert seed_line in out
+    text = out.replace(seed_line, '"seed": 0,', 1)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 def test_cohomology_text_output(capsys):
     code, out, _ = run(capsys, [
         "cohomology", "--complex", "dl", "--algebra", "builtin:B2",

@@ -14,11 +14,11 @@ from hypothesis import assume, given, settings, strategies as st
 from _oracles import (
     ce_delta1_adjoint,
     ce_delta2_adjoint,
-    change_basis,
     change_module_basis,
     ce_delta_gather,
     cochain_to_vector,
     cohomology_dims_full,
+    delta_map_probed,
     dense_delta_matrix,
     dense_nullspace,
     dense_rank,
@@ -28,6 +28,7 @@ from _oracles import (
     mul_vec,
     to_dense,
 )
+from _strategies import basis_changes, fractional
 from zinbiel import (
     Cochain,
     builtin,
@@ -44,7 +45,15 @@ from zinbiel import (
     regular,
 )
 from zinbiel import linalg
-from zinbiel.complexes import DL_MAX_DEGREE, _assemble, _delta_map, ce_tuples, dl_tuples
+from zinbiel.complexes import (
+    DL_MAX_DEGREE,
+    _apply,
+    _assemble,
+    _delta_map,
+    _matrix,
+    ce_tuples,
+    dl_tuples,
+)
 from zinbiel.tensor_bridge import TensorContext, psi_apply, psi_matrix, verify_chain_map
 
 CATALOG = ("B2", "B3", "polyzinbiel(2)", "leibniz2", "lie2", "freeleibniz(2,2)")
@@ -305,32 +314,6 @@ def test_delta_is_linear(seed):
     assert lhs.values == rhs.values
 
 
-fractions_1_to_6 = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6))
-nonzero_fractions = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(1, 6))
-
-
-@st.composite
-def basis_changes(draw, n):
-    """P = L U, L unit lower and U upper triangular with a nonzero diagonal, so invertible.
-
-    About half of the other entries of L and U are 0, which keeps the tables
-    small enough for dense elimination.
-    """
-    entry = st.one_of(st.just(Fraction(0)), fractions_1_to_6)
-    one, zero = Fraction(1), Fraction(0)
-    L = [[draw(entry) if j < i else one if j == i else zero for j in range(n)] for i in range(n)]
-    U = [[draw(entry) if j > i else draw(nonzero_fractions) if j == i else zero for j in range(n)]
-         for i in range(n)]
-    return [[sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-@st.composite
-def fractional(draw, name):
-    """The builtin algebra in a random basis with entries n/d, d in 1..6, product times such a t."""
-    alg = builtin(name)
-    return change_basis(alg, draw(basis_changes(alg.dim)), draw(nonzero_fractions))
-
-
 def _assert_integer_assembly_matches(theory, module, degree, oracle):
     # _assemble is D times the map as ints, with the map's rank and nullspace;
     # the public matrix and the applied form are the map itself, as Fractions.
@@ -346,6 +329,8 @@ def _assert_integer_assembly_matches(theory, module, degree, oracle):
     exact = (dl_delta_matrix if theory == "dl" else ce_delta_matrix)(module, degree)
     assert all(type(v) is Fraction for col in exact._cols.values() for v in col.values())
     assert to_dense(exact) == want
+    assert exact.rank() == scaled.rank() and exact._lead_rows() == scaled._lead_rows()
+    assert exact.nullspace() == kernel
     applied = dl_delta if theory == "dl" else ce_delta
     assert dense_delta_matrix(module, degree, applied, theory) == want
 
@@ -369,6 +354,56 @@ def test_integer_ce_assembly_matches_the_fraction_route(g, B):
     assume(_delta_map("ce", T, 0).scale > 1)
     for n in (0, 1, 2):
         _assert_integer_assembly_matches("ce", T, n, ce_delta_gather)
+
+
+def _fractional_cochain(theory, degree, dim, md, rng):
+    tuples = dl_tuples if theory == "dl" else ce_tuples
+    return Cochain(theory, degree, dim, md, {
+        key: {k: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for k in range(md)}
+        for key in tuples(dim, degree)
+    })
+
+
+def _assert_terms_match_probed_unmerged(theory, module, degrees):
+    # The map's blocks come from the actions' nonzeros and its DL shuffle
+    # words are merged per output tuple; the oracle probes every (x, k) pair
+    # and yields every word on its own. Matrix and applied form must agree.
+    rng = Random(repr(module.algebra.products))
+    for n in degrees:
+        fast, slow = _delta_map(theory, module, n), delta_map_probed(theory, module, n)
+        assert fast.scale == slow.scale
+        assert _matrix(fast)._cols == _matrix(slow)._cols, n
+        f = _fractional_cochain(theory, n, module.algebra.dim, module.dim, rng)
+        assert _apply(fast, f) == _apply(slow, f), n
+
+
+@pytest.mark.parametrize("theory, name", [
+    *(("dl", name) for name in ZINBIEL_CATALOG),
+    ("ce", "lie2"), ("ce", "freeleibniz(2,2)"),
+])
+def test_terms_match_the_probed_unmerged_route(theory, name):
+    degrees = (1, 2, 3, 4) if theory == "dl" else (0, 1, 2)
+    _assert_terms_match_probed_unmerged(theory, regular(builtin(name)), degrees)
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.sampled_from(("B2", "B3", "polyzinbiel(2)")).flatmap(fractional), st.data())
+def test_terms_match_the_probed_unmerged_route_in_any_basis(B, data):
+    M = change_module_basis(regular(B), data.draw(basis_changes(B.dim)))
+    _assert_terms_match_probed_unmerged("dl", M, (1, 2, 3, 4))
+
+
+def test_merged_shuffle_words_yield_fewer_terms():
+    # On delta_DL^4 of regular(polyzinbiel(3)), summing the shuffle words
+    # that place an input with a repeated letter as the same tuple, and
+    # dropping the sums that cancel, leaves 6,984 of the 9,600 terms.
+    M = regular(builtin("polyzinbiel(3)"))
+
+    def count(m):
+        return sum(1 for X in dl_tuples(M.algebra.dim, 4) for _ in m.terms(X))
+
+    assert count(_delta_map("dl", M, 4)) == 6_984
+    assert count(delta_map_probed("dl", M, 4)) == 9_600
 
 
 def _dims(module, theory, degree):

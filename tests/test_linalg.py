@@ -2,23 +2,27 @@
 
 import copy
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import (
+    change_basis,
     dense_nullspace,
     dense_rank,
     dense_rref,
     dense_vec,
     from_rows,
+    identity,
     mul_vec,
     to_dense,
     transpose,
 )
-from zinbiel import Matrix, builtin, dl_delta_matrix, linalg, regular
-from zinbiel.complexes import _assemble
+from zinbiel import Matrix, TensorContext, builtin, dl_delta_matrix, linalg, regular
+from zinbiel.complexes import _assemble, _delta_map, _exact, _matrix
 from zinbiel.linalg import EMPTY_ROW, _eliminate, _prepared, _sparsest_labels, parse_scalar
+from zinbiel.tensor_bridge import _psi_map
 
 
 small = st.integers(-4, 4)
@@ -169,9 +173,9 @@ def test_results_do_not_depend_on_row_order(rows, rng, data):
 
 def _int_matrix(rows):
     """The matrix with its entries stored as given, ints as the integer assembly keeps them."""
-    return Matrix.from_nonempty(len(rows), len(rows[0]), {
-        i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(rows)
-    })
+    cols = {j: col for j in range(len(rows[0]))
+            if (col := {i: row[j] for i, row in enumerate(rows) if row[j]})}
+    return Matrix._of(len(rows), len(rows[0]), cols)
 
 
 @settings(deadline=None)
@@ -217,6 +221,89 @@ def test_from_cols_parses_like_from_rows():
             from_rows([[bad]])
     m = Matrix.from_cols([[0, "2/3"], [1, 0]], 2)
     assert to_dense(m) == [[0, 1], [Fraction(2, 3), 0]]
+
+
+def test_from_nonempty_parses_like_from_cols():
+    m = Matrix.from_nonempty(2, 2, {0: {0: "1/2"}, 1: {1: 3, 0: " 0 "}})
+    assert m._cols == {0: {0: Fraction(1, 2)}, 1: {1: Fraction(3)}}
+    assert m.rank() == 2
+    for bad in (0.5, True, False):
+        with pytest.raises(TypeError):
+            Matrix.from_nonempty(2, 2, {0: {0: bad}})
+    with pytest.raises(ValueError, match="not a rational scalar"):
+        Matrix.from_nonempty(2, 2, {0: {0: "x"}})
+
+
+def _values(m):
+    return [v for col in m._cols.values() for v in col.values()]
+
+
+def test_columns_hold_one_number_type():
+    # _prepared reads a column's first value for the type of all of them:
+    # public matrices hold Fractions only, and the integer assembly and its
+    # products ints only.
+    a, b = from_rows([[1, 2], [0, 3]]), Matrix.from_cols([[1, 0], [2, "1/3"]], 2)
+    public = (a, b, a.mul(b), a.hstack(b), Matrix.from_nonempty(2, 1, {1: {0: 4}}),
+              dl_delta_matrix(regular(builtin("B3")), 2))
+    for m in public:
+        assert _values(m) and all(type(v) is Fraction for v in _values(m))
+    B = builtin("polyzinbiel(2)")
+    ctx = TensorContext(builtin("lie2"), B, regular(B))
+    psi = _matrix(_psi_map(ctx, 2))
+    scaled = (_assemble("dl", ctx.M, 2), psi, psi.mul(_assemble("dl", ctx.M, 1)))
+    for m in scaled:
+        assert _values(m) and all(type(v) is int for v in _values(m))
+
+
+int_columns = st.lists(st.dictionaries(st.integers(0, 30), st.integers(-6, 6).filter(bool),
+                                       max_size=6), max_size=8)
+
+
+@settings(deadline=None)
+@given(int_columns, st.builds(Fraction, st.integers(1, 6), st.integers(1, 6)),
+       st.one_of(st.none(), st.permutations(range(31))))
+def test_integer_columns_prepare_like_their_fraction_multiples(cols, t, perm):
+    # An int column is only divided by its gcd; t times it, in Fractions, is
+    # cleared of denominators first. Both reach _eliminate as the same
+    # fresh primitive int vectors, relabelled alike.
+    label = None if perm is None else dict(enumerate(perm))
+    before = copy.deepcopy(cols)
+    ints = _prepared(cols, label)
+    fracs = _prepared([{k: t * v for k, v in col.items()} for col in cols], label)
+    assert ints == fracs
+    nonempty = [col for col in cols if col]
+    assert len(ints) == len(nonempty)
+    for r, col in zip(ints, nonempty):
+        assert r is not col
+        assert all(type(v) is int for v in r.values()) and gcd(*r.values()) == 1
+        assert list(r) == [k if label is None else label[k] for k in col]
+    assert cols == before
+
+
+def _twin(kind, n):
+    """delta_DL^n of regular(polyzinbiel(3)), or delta_CE^n or psi_n of g (x) polyzinbiel(2),
+    g being leibniz2 with its product times 3/2."""
+    if kind == "dl":
+        return _delta_map("dl", regular(builtin("polyzinbiel(3)")), n)
+    g = change_basis(builtin("leibniz2"), identity(2), Fraction(3, 2))
+    B = builtin("polyzinbiel(2)")
+    ctx = TensorContext(g, B, regular(B))
+    return _delta_map("ce", ctx.module, n) if kind == "ce" else _psi_map(ctx, n)
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("dl", 1), ("dl", 2), ("dl", 3), ("ce", 0), ("ce", 1), ("psi", 2), ("psi", 3),
+])
+def test_integer_matrix_eliminates_like_its_exact_twin(kind, n):
+    # _matrix is m.scale times _exact; every column is primitive after
+    # _prepared, so the two eliminations are the same.
+    m = _twin(kind, n)
+    assert m.scale > 1
+    ints, exact = _matrix(m), _exact(m)
+    assert ints.rank() == exact.rank()
+    assert ints._lead_rows() == exact._lead_rows()
+    assert ints.nullspace() == exact.nullspace()
+    assert ints.reduced_rows() == exact.reduced_rows()
 
 
 def test_from_cols_rejects_dense_column_of_wrong_length():
