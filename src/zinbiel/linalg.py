@@ -7,10 +7,11 @@ matrix built inside the package whose rank or kernel is all that is read may
 hold ints instead, a nonzero multiple of the map it stands for. Columns are
 the orientation in which the package assembles a map (column X is the image
 of the basis vector e_X) and in which rank eliminates it. A Matrix is
-read-only: it is built once, by from_nonempty or from_cols, and every
-operation returns a new one, which may share its inputs' column dicts. The
-`rows` list, with the one shared read-only EMPTY_ROW in every empty slot, is
-transposed from the columns only on request.
+read-only: it is built once, by from_nonempty or the package's integer
+assembly, and every operation returns a new one, which may share its
+inputs' column dicts. The `rows` list, with the one shared read-only
+EMPTY_ROW in every empty slot, is transposed from the columns only on
+request.
 
 Rank does not depend on the order of elimination, so rank eliminates the
 columns, with the rows renumbered sparsest first: a count of how many
@@ -55,7 +56,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .sparsevec import Number, Vec, add_scaled
 
@@ -239,21 +240,6 @@ class Matrix:
                 if v := parse_scalar(x):
                     cols.setdefault(j, {})[i] = v
         return cls._of(nrows, ncols, dict(sorted(cols.items())))
-
-    @classmethod
-    def from_cols(cls, cols: Sequence[Sequence[Scalar]], nrows: int) -> "Matrix":
-        """Build from dense columns; entries may be ints, strings, or Fractions.
-
-        A column whose length is not nrows raises ValueError.
-        """
-        built: Dict[int, Row] = {}
-        for j, col in enumerate(cols):
-            if len(col) != nrows:
-                raise ValueError(f"column {j} has {len(col)} entries, expected {nrows}")
-            vec = {i: v for i, x in enumerate(col) if (v := parse_scalar(x))}
-            if vec:
-                built[j] = vec
-        return cls._of(nrows, len(cols), built)
 
     @property
     def rows(self) -> List[Row]:

@@ -55,7 +55,7 @@ from .complexes import (
     dl_delta,
     random_dl_cochain,
 )
-from .linalg import Matrix, _eliminate, _prepared, _sparsest_labels
+from .linalg import EMPTY_ROW, Matrix, _eliminate, _prepared, _sparsest_labels
 from .sparsevec import Vec, add_at, add_scaled
 
 BRACKET_BOUND_CAP = 16
@@ -337,18 +337,22 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
     makes sense when psi is injective in every involved degree (1 through
     max_degree + 1); if not, a PsiNotInjectiveError is raised.
 
-    rank [A | P] is the rank of A's columns with P's, so each delta_CE^n is
-    assembled once and its columns eliminated once. Extending those pivots by
-    the columns of pz = psi_{n+1} Z, Z the DL cocycles of degree n + 1, gains
-    r_{n+1}; extending them further by psi_{n+1}, whose span holds pz, counts
-    rank [delta_CE^n | psi_{n+1}], the quotient rank in degree n plus rank psi_{n+1}.
-    All three sets of columns share one numbering of the CE^(n+1)
-    coordinates: the rows of delta_CE^n, sparsest first by how many of its
-    columns touch them, then the other rows [pz | psi] touches, in the order
-    its columns first touch them. Every column is relabelled under it as it
-    is prepared, so the pivots stay valid as they are extended. psi and both
-    differentials are read as the integer matrices of _matrix, nonzero
-    multiples of the maps with the same ranks, kernels and column spans.
+    The ranks are read off the mapping cone of psi (Weibel, An Introduction
+    to Homological Algebra, 1.5), S_n = [[delta_CE^n, psi_{n+1}],
+    [0, delta_DL^(n+1)]]: delta_CE^n's columns are eliminated once, and
+    those pivots extended once by the other columns, C_n. rank S_n is
+    rank [delta_CE^n | psi_{n+1} Z] + rank delta_DL^(n+1), Z the DL
+    cocycles of degree n + 1, which gives r_{n+1}. Every CE^(n+1) row is
+    numbered before every DL^(n+2) row and a pivot is zero before its lead,
+    so the pivots that lead on a CE row count rank [delta_CE^n | psi_{n+1}],
+    the quotient rank in degree n plus rank psi_{n+1}. Neither count needs
+    psi injective; the identity they feed does, hence the precheck. The CE
+    rows are delta_CE^n's, sparsest first by how many of its columns touch
+    them, then the others psi_{n+1} touches, in first-touch order; each
+    column is relabelled as it is prepared, so the pivots stay valid as
+    they are extended. psi and both differentials are the integer matrices
+    of _matrix, nonzero multiples of the maps: scaling a block's rows and
+    columns changes no rank, nor which rows the pivots lead on.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -378,23 +382,32 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
     h_dl, h_lie, rank_q, induced_rank = {}, {}, {}, {}
     for n in range(max_degree + 1):
         psi = psi_mats[n + 1]
-        cocycles = _assemble("dl", M, n + 1).nullspace()
-        dl_rank[n + 1] = psi.ncols - len(cocycles)
-        h_dl[n + 1] = len(cocycles) - dl_rank[n]
-        k = len(cocycles)
-        pp = psi.mul(Matrix.from_cols(cocycles, psi.ncols)).hstack(psi)._cols
-        ce = _assemble("ce", ctx.module, n)._cols.values()
-        label = _sparsest_labels(ce)
-        for col in pp.values():
+        dl = _assemble("dl", M, n + 1)
+        # A kernel's length and an hstack, where dl.rank() and the two column
+        # sets would do, because perfbench/tracer.py needs both spans.
+        dim_z = len(dl.nullspace())
+        dl_rank[n + 1] = psi.ncols - dim_z
+        h_dl[n + 1] = dim_z - dl_rank[n]
+        ce = _assemble("ce", ctx.module, n)
+        # C_n's column j is psi's over delta_DL's, delta_DL's row i at row off + i.
+        off, nrows = ce.nrows, ce.nrows + dl.nrows
+        cone = {j: {**col, **{off + i: v for i, v in dl._cols.get(j, EMPTY_ROW).items()}}
+                for j, col in psi._cols.items()}
+        s = Matrix._of(nrows, ce.ncols, ce._cols).hstack(Matrix._of(nrows, psi.ncols, cone))._cols
+        # CE rows are labelled below top, DL rows from top up: a pivot leading on a DL
+        # row before some CE row could be nonzero there, and rank_q would come out short.
+        label = _sparsest_labels(ce._cols.values())
+        for col in psi._cols.values():
             for i in col:
                 label.setdefault(i, len(label))
-        pivots = _eliminate(_prepared(ce, label), False)
+        top = len(label)
+        label.update((i, top + i - off) for i in range(off, nrows))
+        pivots = _eliminate(_prepared((col for j, col in s.items() if j < ce.ncols), label), False)
         ce_rank[n] = len(pivots)
         h_lie[n] = ce_space_dim(tdim, tmd, n) - ce_rank[n] - ce_rank[n - 1]
-        _eliminate(_prepared((col for j, col in pp.items() if j < k), label), False, pivots)
-        induced_rank[n + 1] = len(pivots) - ce_rank[n]
-        _eliminate(_prepared((col for j, col in pp.items() if j >= k), label), False, pivots)
-        rank_q[n] = len(pivots) - psi_rank[n + 1]
+        _eliminate(_prepared((col for j, col in s.items() if j >= ce.ncols), label), False, pivots)
+        induced_rank[n + 1] = len(pivots) - ce_rank[n] - dl_rank[n + 1]
+        rank_q[n] = sum(p < top for p in pivots) - psi_rank[n + 1]
 
     rows = []
     for n in range(1, max_degree + 1):

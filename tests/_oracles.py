@@ -118,6 +118,14 @@ def from_rows(rows: Sequence[Sequence[Scalar]]) -> Matrix:
     })
 
 
+def from_cols(cols: Sequence[Sequence[Scalar]], nrows: int) -> Matrix:
+    """Matrix of dense columns, each nrows long; entries may be ints, strings or Fractions."""
+    assert all(len(col) == nrows for col in cols)
+    return Matrix.from_nonempty(nrows, len(cols), {
+        i: {j: col[i] for j, col in enumerate(cols)} for i in range(nrows)
+    })
+
+
 def from_sparse_cols(cols: Sequence[Vec], nrows: int) -> Matrix:
     """Matrix whose column j is the sparse vector cols[j]."""
     return transpose(Matrix.from_nonempty(len(cols), nrows, dict(enumerate(cols))))
@@ -791,7 +799,7 @@ def les_report_rowwise(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degr
         kernel = dl_mats[n].nullspace()
         if not kernel:
             return 0
-        pz = psi_mats[n].mul(Matrix.from_cols(kernel, dl_space_dim(bd, md, n)))
+        pz = psi_mats[n].mul(from_cols(kernel, dl_space_dim(bd, md, n)))
         return row_rank(pz.hstack(ce_mats[n - 1])) - ce_rank[n - 1]
 
     rows = []

@@ -125,6 +125,22 @@ def test_les_json_bytes_are_pinned(capsys, g, b, psi_ranks, identity, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_les_max_degree_two_json_bytes_are_pinned(capsys):
+    # The cheapest input whose psi is injective through degree 3, so the
+    # report has a degree-2 row; that row misses the identity by one.
+    code, out, _ = run(capsys, [
+        "les", "--leibniz", "builtin:freeleibniz(2,4)", "--zinbiel", "builtin:B2",
+        "--max-degree", "2", "--format", "json",
+    ])
+    assert code == 1
+    data = json.loads(out)
+    assert data["precheck"]["psi_ranks"] == {"1": 4, "2": 8, "3": 16}
+    assert [[r["identity_lhs"], r["identity_rhs"], r["identity_holds"]]
+            for r in data["rows"]] == [[1683, 1683, True], [36581, 36580, False]]
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == "62c587c7d5d693880aeb7a3f1be3c1af42ad8f83b0fa1ac38103cbcaae03b454")
+
+
 @pytest.mark.parametrize("g, b, degree, digest", [
     ("freeleibniz(2,3)", "B3", 3,
      "1f250da2d47145240a471aa0b141a8e21112baa74d48d05016ed5d612c448adc"),

@@ -19,6 +19,7 @@ from _oracles import (
     dense_rank,
     dl_delta_lowdeg,
     entry,
+    from_cols,
     from_sparse_cols,
     identity,
     les_report_rowwise,
@@ -41,9 +42,10 @@ from zinbiel import (
     perturbed_b2,
     random_dl_cochain,
     regular,
+    tensor_bridge,
 )
 from zinbiel.complexes import ce_space_dim, ce_tuples, dl_tuples
-from zinbiel.linalg import Matrix
+from zinbiel.linalg import Matrix, _prepared
 from zinbiel.sparsevec import add_scaled
 from zinbiel.tensor_bridge import (
     PsiNotInjectiveError,
@@ -499,7 +501,7 @@ def test_identity_gap_is_the_boundary_leak(scratch):
     # dimension between them is exactly the defect in the frozen row
     d1, p2 = scratch.ce[1], scratch.psi[2]
     pre_image = scratch.dim_c1 - (d1.hstack(p2).rank() - p2.rank())
-    z2 = Matrix.from_cols(scratch.dl[2].nullspace(), 8)
+    z2 = from_cols(scratch.dl[2].nullspace(), 8)
     pz2 = p2.mul(z2)
     pre_cocycle = scratch.dim_c1 - (d1.hstack(pz2).rank() - pz2.rank())
     assert (pre_image, pre_cocycle) == (117, 116)
@@ -541,12 +543,30 @@ def _report_or_failures(les, g, B, max_degree):
     ("freeleibniz(2,2)", "B3", 1),
     ("freeleibniz(2,3)", "polyzinbiel(2)", 1),
     ("lie2", "B2", 1),
+    ("freeleibniz(2,2)", "polyzinbiel(3)", 1),
+    ("freeleibniz(3,2)", "polyzinbiel(2)", 1),
 ])
 def test_les_report_matches_rowwise_oracle(g_name, b_name, max_degree):
     # One column echelon per delta_CE against three row eliminations of it:
     # the whole report, or the precheck failures when both raise.
     args = (builtin(g_name), builtin(b_name), max_degree)
     assert _report_or_failures(les_report, *args) == _report_or_failures(les_report_rowwise, *args)
+
+
+def test_les_report_prepares_only_ints(monkeypatch):
+    # The cone's blocks are the integer matrices of psi and both
+    # differentials; no Fraction column reaches the elimination.
+    seen = []
+
+    def spy(vecs, label=None):
+        vecs = list(vecs)
+        seen.extend(v for vec in vecs for v in vec.values())
+        return _prepared(vecs, label)
+
+    monkeypatch.setattr(tensor_bridge, "_prepared", spy)
+    B = builtin("polyzinbiel(2)")
+    les_report(builtin("freeleibniz(2,3)"), B, regular(B), 1)
+    assert seen and all(type(v) is int for v in seen)
 
 
 def _rescaled(name, t):
