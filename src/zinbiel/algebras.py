@@ -27,6 +27,11 @@ Table = Dict[Tuple[int, int], Dict[int, Fraction]]
 
 
 def _clean_table(table: Table, left_dim: int, right_dim: int, out_dim: int, label: str) -> Table:
+    """The table with its indices range-checked and its values parsed, zeros dropped.
+
+    A value that already is a Fraction, as in every table the package
+    computes, is kept as it is rather than parsed again.
+    """
     clean: Table = {}
     for (i, j), tbl in table.items():
         if not (0 <= i < left_dim and 0 <= j < right_dim):
@@ -35,7 +40,7 @@ def _clean_table(table: Table, left_dim: int, right_dim: int, out_dim: int, labe
         for k, c in tbl.items():
             if not (0 <= k < out_dim):
                 raise ValueError(f"{label} result index {k} out of range")
-            f = parse_scalar(c)
+            f = c if type(c) is Fraction else parse_scalar(c)
             if f:
                 entry[k] = f
         if entry:

@@ -17,8 +17,11 @@ Each linear map on cochains is one _Map value: its source and target
 spaces, a term generator and a scale. A space is (theory, degree, algebra
 dim, module dim), the leading fields of a Cochain. Given one input argument
 tuple X the generator yields terms (coeff, Y, block), meaning that the basis
-cochain e_X (x) m_k is sent to coeff * block[k] at output tuple Y. Two
-consumers read only the map (tensor_bridge's psi is a _Map too):
+cochain e_X (x) m_k is sent to coeff * (image of m_k in block) at output
+tuple Y. A block is built once per map (_block): one tuple of (k, j, v)
+triples, the image of m_k having v at output coordinate j, listed k by k.
+Two consumers read only the map (tensor_bridge's psi is a _Map too), each
+streaming a term's triples in one loop:
 
 * _apply runs the terms over the nonzero support of a cochain, so the work
   follows the input's support rather than the size of the output space;
@@ -49,7 +52,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Se
 from .algebras import Bimodule
 from .free_leibniz import leibniz_expansion
 from .linalg import Matrix, parse_scalar
-from .sparsevec import Vec, add_scaled
+from .sparsevec import Vec
 
 Key = Tuple[int, ...]
 
@@ -186,7 +189,14 @@ def _net_terms(n: int) -> Tuple[Tuple[int, Key], ...]:
     )
 
 
-Block = Dict[int, Vec]
+Block = Tuple[Tuple[int, int, int], ...]
+
+
+def _block(images: Dict[int, Vec]) -> Block:
+    """The block of {k: image of m_k}: its (k, j, v) triples, k by k, each image in its order."""
+    return tuple((k, j, v) for k, img in images.items() for j, v in img.items())
+
+
 Term = Tuple[int, Key, Block]
 Terms = Callable[[Key], Iterable[Term]]
 Space = Tuple[str, int, int, int]  # (theory, degree, algebra dim, module dim)
@@ -214,17 +224,23 @@ def _apply(m: _Map, f: Cochain) -> Cochain:
     """The image of f, scattered from its nonzero support; f lies in m.source (see _check_input).
 
     The input is cleared of denominators by their lcm L, so ints accumulate;
-    each output is divided once by L * m.scale.
+    a block's triple (k, j, v) adds to output coordinate j only where the
+    input has a nonzero at k. Each output drops its zeros once, at the end,
+    and is divided by L * m.scale.
     """
     den = _scale(f.values)
     out: Dict[Key, Vec] = {}
     for X, fv in _integral(f.values, den).items():
+        get = fv.get
         for coeff, Y, block in m.terms(X):
             acc = out.setdefault(Y, {})
-            for k, v in fv.items():
-                img = block.get(k)
-                if img:
-                    add_scaled(acc, img, coeff * v)
+            for k, j, v in block:
+                x = get(k)
+                if x:
+                    acc[j] = acc.get(j, 0) + coeff * v * x
+    for Y, acc in out.items():
+        if 0 in acc.values():
+            out[Y] = {j: v for j, v in acc.items() if v}
     return _trusted(m.target, _unscaled(out, den * m.scale))
 
 
@@ -239,9 +255,10 @@ def _trusted(space: Space, values: Dict[Key, Vec]) -> Cochain:
 def _matrix(m: _Map) -> Matrix:
     """The integer matrix of m, m.scale times the map's; column (X, k) is the image of e_X (x) m_k.
 
-    The md columns of each source tuple X are accumulated from X's terms,
-    and each drops its zeros once, when X is done; only nonempty columns
-    are stored.
+    The md columns of each source tuple X are accumulated from the block
+    triples of X's terms, and each drops its zeros once, when X is done;
+    only nonempty columns are stored. A column lists its rows in the order
+    its terms first reach them.
     """
     theory, degree, dim, md = m.source
     out_theory, out_degree, out_dim, out_md = m.target
@@ -253,12 +270,10 @@ def _matrix(m: _Map) -> Matrix:
         acc: List[Vec] = [{} for _ in range(md)]
         for coeff, Y, block in m.terms(X):
             row_base = rank(Y, out_dim) * out_md
-            for k, img in block.items():
+            for k, j, v in block:
                 col = acc[k]
-                get = col.get
-                for j, v in img.items():
-                    i = row_base + j
-                    col[i] = get(i, 0) + coeff * v
+                i = row_base + j
+                col[i] = col.get(i, 0) + coeff * v
         for k, col in enumerate(acc):
             if 0 in col.values():
                 col = {i: v for i, v in col.items() if v}
@@ -373,9 +388,10 @@ def _delta_map(theory: str, module: Bimodule, n: int) -> _Map:
     Its generator reads the preimages p -> [(u, w, c)], e_u * e_w having
     coefficient c on e_p, the identity block, and the nonzero blocks
     {k: x m_k} and {k: m_k x} per basis element x, gathered from the nonzero
-    entries of the two action tables, x ascending. Every constant is
-    multiplied by D, the lcm of the denominators of the algebra's products
-    and the module's two actions together, and held as an int.
+    entries of the two action tables, x ascending; each block is built once,
+    as its triples. Every constant is multiplied by D, the lcm of the
+    denominators of the algebra's products and the module's two actions
+    together, and held as an int.
     """
     _check_degree(theory, n)
     tables = (module.algebra.products, module.left, module.right)
@@ -385,16 +401,17 @@ def _delta_map(theory: str, module: Bimodule, n: int) -> _Map:
     for (u, w), vec in products.items():
         for p, c in vec.items():
             pre.setdefault(p, []).append((u, w, c))
-    lblocks: Dict[int, Block] = {}
-    rblocks: Dict[int, Block] = {}
+    lblocks: Dict[int, Dict[int, Vec]] = {}
+    rblocks: Dict[int, Dict[int, Vec]] = {}
     for (x, k), v in left.items():
         lblocks.setdefault(x, {})[k] = v
     for (k, x), v in right.items():
         rblocks.setdefault(x, {})[k] = v
     md = module.dim
     generator = _dl_generator if theory == "dl" else _ce_generator
-    terms = generator(n, pre, {k: {k: 1} for k in range(md)},
-                      sorted(lblocks.items()), sorted(rblocks.items()))
+    terms = generator(n, pre, _block({k: {k: 1} for k in range(md)}),
+                      [(x, _block(b)) for x, b in sorted(lblocks.items())],
+                      [(x, _block(b)) for x, b in sorted(rblocks.items())])
     dims = (module.algebra.dim, md)
     return _Map((theory, n, *dims), (theory, n + 1, *dims), terms, d)
 

@@ -130,9 +130,10 @@ def _prepared(vecs: Iterable[Row], label: Optional[Mapping[int, int]] = None) ->
     """Fresh primitive integer vectors of the nonempty vecs, in order; the vecs are only read.
 
     Each vec is divided by the gcd of its entries, and its key k becomes
-    label[k] when a label is given. Only a vec of Fractions has denominators
-    to clear: it is first multiplied by their lcm. A vec's values are all of
-    one type, so its first value says which it is.
+    label[k] when a label is given, both in the one dict built for it. Only
+    a vec of Fractions has denominators to clear: it is first multiplied by
+    their lcm. A vec's values are all of one type, so its first value says
+    which it is.
     """
     out = []
     for vec in vecs:
@@ -142,8 +143,9 @@ def _prepared(vecs: Iterable[Row], label: Optional[Mapping[int, int]] = None) ->
         if isinstance(next(iter(vals)), Fraction):
             den = lcm(*[v.denominator for v in vals])
             vals = [v.numerator * (den // v.denominator) for v in vals]
+        g = gcd(*vals)
         keys = vec if label is None else map(label.__getitem__, vec)
-        out.append(_primitive(dict(zip(keys, vals))))
+        out.append(dict(zip(keys, vals)) if g == 1 else {k: v // g for k, v in zip(keys, vals)})
     return out
 
 

@@ -20,8 +20,9 @@ with left-normed brackets. Like the differentials in complexes, psi at each
 degree is one map, _psi_map: its source and target spaces, a term generator
 and the scale D_g^(n-1) of its integer terms, read by both its applied form
 and its matrix. From an input B-tuple the generator pairs up every g-tuple
-whose left-normed bracket is nonzero (a prefix with a zero bracket is never
-extended), so neither form looks at the output tuples that no term reaches.
+whose left-normed bracket is nonzero (a prefix is extended only by the right
+factors of g's nonzero products, and one with a zero bracket never), so
+neither form looks at the output tuples that no term reaches.
 psi intertwines the two differentials; this module verifies that exactly on
 seeded random cochains, and computes the rank bookkeeping that compares the
 two cohomologies through the quotient complex.
@@ -41,6 +42,7 @@ from .complexes import (
     Term,
     _apply,
     _assemble,
+    _block,
     _check_degree,
     _check_input,
     _exact,
@@ -170,7 +172,10 @@ def _psi_map(ctx: TensorContext, n: int) -> _Map:
     """psi at degree n, from dl cochains on B in M to ce cochains on g (x) B in g (x) M.
 
     Every n-tuple G of basis indices of g whose left-normed bracket
-    L = [[G_1, G_2], ...] is nonzero is built one letter at a time; a prefix
+    L = [[G_1, G_2], ...] is nonzero is built one letter at a time, in
+    lexicographic order, from g's nonzero products indexed by left factor:
+    a prefix's bracket v extends by j only where some e_i in v has a nonzero
+    product e_i * e_j, so each level reads only those products, and a prefix
     whose bracket vanishes is dropped, since every bracket extending it
     vanishes too. Read from an input B-tuple X, G pairs up with X into the
     tensor indices G_j * B.dim + X_j; sorted, they give the output tuple T and
@@ -182,20 +187,20 @@ def _psi_map(ctx: TensorContext, n: int) -> _Map:
     """
     g, bd, md = ctx.g, ctx.B.dim, ctx.M.dim
     d = _scale(g.products)
-    products = _integral(g.products, d)
-    empty: Vec = {}
+    by_left: Dict[int, List[Tuple[int, Vec]]] = {}
+    for (i, j), vec in _integral(g.products, d).items():
+        by_left.setdefault(i, []).append((j, vec))
     level: List[Tuple[Key, Vec]] = [((i,), {i: 1}) for i in range(g.dim)]
     for _ in range(n - 1):
         nxt = []
         for G, v in level:
-            for j in range(g.dim):
-                w: Vec = {}
-                for i, c in v.items():
-                    add_scaled(w, products.get((i, j), empty), c)
-                if w:
-                    nxt.append((G + (j,), w))
+            ext: Dict[int, Vec] = {}
+            for i, c in v.items():
+                for j, vec in by_left.get(i, ()):
+                    add_scaled(ext.setdefault(j, {}), vec, c)
+            nxt.extend((G + (j,), ext[j]) for j in sorted(ext) if ext[j])
         level = nxt
-    brackets = [(G, {k: {ga * md + k: c for ga, c in L.items()} for k in range(md)})
+    brackets = [(G, _block({k: {ga * md + k: c for ga, c in L.items()} for k in range(md)}))
                 for G, L in level]
 
     def terms(X: Key) -> Iterator[Term]:

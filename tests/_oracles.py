@@ -26,6 +26,8 @@ from zinbiel.complexes import (
     Key,
     Term,
     Terms,
+    _THEORY,
+    _block,
     _ce_generator,
     _ce_rank,
     _dl_rank,
@@ -33,6 +35,7 @@ from zinbiel.complexes import (
     _Map,
     _net_terms,
     _scale,
+    _sort_sign,
     ce_delta_matrix,
     ce_space_dim,
     ce_tuples,
@@ -241,9 +244,81 @@ def delta_map_probed(theory: str, module: Bimodule, n: int) -> _Map:
         if rb:
             rblocks.append((x, rb))
     generator = _dl_generator_unmerged if theory == "dl" else _ce_generator
-    terms = generator(n, pre, {k: {k: 1} for k in range(md)}, lblocks, rblocks)
+    terms = generator(n, pre, _block({k: {k: 1} for k in range(md)}),
+                      [(x, _block(b)) for x, b in lblocks], [(x, _block(b)) for x, b in rblocks])
     dims = (module.algebra.dim, md)
     return _Map((theory, n, *dims), (theory, n + 1, *dims), terms, d)
+
+
+def column_entries(m: Matrix) -> List[Tuple[int, List[Tuple[int, Scalar]]]]:
+    """Each stored column with its entries, both in stored order."""
+    return [(j, list(col.items())) for j, col in m._cols.items()]
+
+
+def matrix_nested(m: _Map) -> Matrix:
+    """complexes._matrix of a map whose blocks are left as the {k: image of
+    m_k} dicts they are built from (complexes._block as the identity), by a
+    nested walk of each block k by k, then each image's entries."""
+    theory, degree, dim, md = m.source
+    out_theory, out_degree, out_dim, out_md = m.target
+    tuples = _THEORY[theory][2]
+    rank, size = _THEORY[out_theory][3:]
+    cols: Dict[int, Vec] = {}
+    col_base = 0
+    for X in tuples(dim, degree):
+        acc: List[Vec] = [{} for _ in range(md)]
+        for coeff, Y, block in m.terms(X):
+            row_base = rank(Y, out_dim) * out_md
+            for k, img in block.items():
+                col = acc[k]
+                for j, v in img.items():
+                    i = row_base + j
+                    col[i] = col.get(i, 0) + coeff * v
+        for k, col in enumerate(acc):
+            col = {i: v for i, v in col.items() if v}
+            if col:
+                cols[col_base + k] = col
+        col_base += md
+    return Matrix._of(size(out_dim, out_md, out_degree), col_base, cols)
+
+
+def left_normed_probed(g: FiniteAlgebra, n: int) -> Tuple[List[Tuple[Key, Vec]], int]:
+    """The n-tuples G with a nonzero left-normed bracket of g's integer table
+    (g's products times the lcm of their denominators), with the brackets, in
+    lexicographic order; each prefix is tried against every right factor j.
+    Also returns the number of (prefix, j) pairs so probed."""
+    products = _integral(g.products, _scale(g.products))
+    level: List[Tuple[Key, Vec]] = [((i,), {i: 1}) for i in range(g.dim)]
+    probes = 0
+    for _ in range(n - 1):
+        nxt = []
+        for G, v in level:
+            for j in range(g.dim):
+                probes += 1
+                w: Vec = {}
+                for i, c in v.items():
+                    add_scaled(w, products.get((i, j), {}), c)
+                if w:
+                    nxt.append((G + (j,), w))
+        level = nxt
+    return level, probes
+
+
+def psi_map_probed(ctx: TensorContext, n: int) -> _Map:
+    """tensor_bridge._psi_map, with its brackets grown by probing every right
+    factor of every prefix (left_normed_probed)."""
+    g, bd, md = ctx.g, ctx.B.dim, ctx.M.dim
+    brackets = [(G, _block({k: {ga * md + k: c for ga, c in L.items()} for k in range(md)}))
+                for G, L in left_normed_probed(g, n)[0]]
+
+    def terms(X: Key) -> Iterator[Term]:
+        for G, block in brackets:
+            sign, T = _sort_sign(tuple(a * bd + b for a, b in zip(G, X)))
+            if sign:
+                yield sign, T, block
+
+    return _Map(("dl", n, bd, md), ("ce", n, ctx.lie.dim, ctx.module.dim), terms,
+                _scale(g.products) ** (n - 1))
 
 
 def identity(n: int) -> List[List[Fraction]]:

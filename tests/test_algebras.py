@@ -104,6 +104,18 @@ def test_table_validation():
         FiniteAlgebra("zinbiel", 2, ("a",), {})
 
 
+def test_fraction_values_are_range_checked_and_kept():
+    # A Fraction is kept as it is, not parsed again, but its result index is
+    # still checked and a zero is still dropped.
+    half = Fraction(1, 2)
+    alg = FiniteAlgebra("zinbiel", 2, ("a", "b"),
+                        {(0, 1): {0: half, 1: Fraction(0)}, (1, 1): {0: Fraction(0)}})
+    assert alg.products == {(0, 1): {0: half}}
+    assert alg.products[(0, 1)][0] is half
+    with pytest.raises(ValueError, match="result index 2 out of range"):
+        FiniteAlgebra("zinbiel", 2, ("a", "b"), {(0, 1): {2: half}})
+
+
 def test_algebra_roundtrip(tmp_path):
     for name in CATALOG_ZINBIEL + CATALOG_LEIBNIZ:
         alg = builtin(name)

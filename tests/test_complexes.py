@@ -17,6 +17,7 @@ from _oracles import (
     change_module_basis,
     ce_delta_gather,
     cochain_to_vector,
+    column_entries,
     cohomology_dims_full,
     delta_map_probed,
     dense_delta_matrix,
@@ -25,6 +26,7 @@ from _oracles import (
     dense_vec,
     dl_delta_lowdeg,
     linear_combination,
+    matrix_nested,
     mul_vec,
     to_dense,
 )
@@ -44,7 +46,7 @@ from zinbiel import (
     random_dl_cochain,
     regular,
 )
-from zinbiel import linalg
+from zinbiel import complexes, linalg, tensor_bridge
 from zinbiel.complexes import (
     DL_MAX_DEGREE,
     _apply,
@@ -54,7 +56,7 @@ from zinbiel.complexes import (
     ce_tuples,
     dl_tuples,
 )
-from zinbiel.tensor_bridge import TensorContext, psi_apply, psi_matrix, verify_chain_map
+from zinbiel.tensor_bridge import TensorContext, _psi_map, psi_apply, psi_matrix, verify_chain_map
 
 CATALOG = ("B2", "B3", "polyzinbiel(2)", "leibniz2", "lie2", "freeleibniz(2,2)")
 ZINBIEL_CATALOG = ("B2", "B3", "polyzinbiel(2)", "polyzinbiel(3)")
@@ -404,6 +406,35 @@ def test_merged_shuffle_words_yield_fewer_terms():
 
     assert count(_delta_map("dl", M, 4)) == 6_984
     assert count(delta_map_probed("dl", M, 4)) == 9_600
+
+
+def _stream_map(kind, n):
+    """delta_CE^n of fl(2,2)(x)B2, delta_DL^n of regular(polyzinbiel(3)), psi_n of fl(2,4)(x)B2."""
+    if kind == "dl":
+        return _delta_map("dl", regular(builtin("polyzinbiel(3)")), n)
+    B = builtin("B2")
+    g = builtin("freeleibniz(2,2)" if kind == "ce" else "freeleibniz(2,4)")
+    ctx = TensorContext(g, B, regular(B))
+    return _delta_map("ce", ctx.module, n) if kind == "ce" else _psi_map(ctx, n)
+
+
+@pytest.mark.parametrize("kind, n", [
+    *(("ce", n) for n in (0, 1, 2)),
+    *(("dl", n) for n in (1, 2, 3, 4)),
+    *(("psi", n) for n in (1, 2, 3)),
+])
+def test_flat_stream_matches_the_nested_walk(kind, n, monkeypatch):
+    # _matrix streams each block's (k, j, v) triples in one loop; the oracle
+    # walks the same map built with its blocks left as {k: image of m_k}
+    # dicts, k by k. Every column must list the same rows in the same order,
+    # so the sparsest-first labels, their first-touch ties and the pivots
+    # that rank finds do not move.
+    m = _stream_map(kind, n)
+    with monkeypatch.context() as patch:
+        for module in (complexes, tensor_bridge):
+            patch.setattr(module, "_block", lambda images: images)
+        nested = _stream_map(kind, n)
+    assert column_entries(_matrix(m)) == column_entries(matrix_nested(nested))
 
 
 def _dims(module, theory, degree):

@@ -11,24 +11,30 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _oracles import (
     ce_delta_gather,
     change_basis,
+    change_module_basis,
     cochain_to_vector,
+    column_entries,
     dense_rank,
     dl_delta_lowdeg,
     entry,
     from_cols,
     from_sparse_cols,
     identity,
+    left_normed_probed,
     les_report_rowwise,
     linear_combination,
     mul_vec,
     psi_gather,
+    psi_map_probed,
     to_dense,
     transpose,
 )
+from _strategies import basis_changes, fractional
 from zinbiel import (
     Cochain,
     FiniteAlgebra,
@@ -44,12 +50,14 @@ from zinbiel import (
     regular,
     tensor_bridge,
 )
-from zinbiel.complexes import ce_space_dim, ce_tuples, dl_tuples
-from zinbiel.linalg import Matrix, _prepared
+from zinbiel import algebras, complexes, fileio, linalg
+from zinbiel.complexes import _apply, _matrix, ce_space_dim, ce_tuples, dl_tuples
+from zinbiel.linalg import Matrix, _prepared, parse_scalar
 from zinbiel.sparsevec import add_scaled
 from zinbiel.tensor_bridge import (
     PsiNotInjectiveError,
     TensorContext,
+    _psi_map,
     les_report,
     psi_apply,
     psi_matrix,
@@ -171,6 +179,87 @@ def test_psi_matrix_columns_match_psi_apply():
     assert col == mat.ncols == 8
 
 
+def _operand(name):
+    return perturbed_b2() if name == "perturbed_b2" else builtin(name)
+
+
+def _assert_psi_matches_probed(ctx, degrees):
+    # _psi_map grows each bracket only by the right factors of g's nonzero
+    # products; the oracle tries every right factor of every prefix. Same
+    # terms in the same order: equal columns, entry order included, and
+    # equal images of a cochain with fractional coefficients.
+    rng = Random(repr(ctx.g.products))
+    bd, md = ctx.B.dim, ctx.M.dim
+    for n in degrees:
+        fast, slow = _psi_map(ctx, n), psi_map_probed(ctx, n)
+        assert fast.scale == slow.scale
+        assert column_entries(_matrix(fast)) == column_entries(_matrix(slow)), n
+        f = Cochain("dl", n, bd, md, {
+            key: {k: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for k in range(md)}
+            for key in dl_tuples(bd, n)
+        })
+        assert _apply(fast, f) == _apply(slow, f), n
+
+
+@pytest.mark.parametrize("g_name, b_name", [
+    *((g, b) for g in LEIBNIZ_FACTORS for b in ZINBIEL_FACTORS),
+    ("freeleibniz(2,3)", "B2"), ("freeleibniz(3,3)", "B2"), ("leibniz2", "perturbed_b2"),
+])
+def test_psi_matches_the_probed_route(g_name, b_name):
+    B = _operand(b_name)
+    _assert_psi_matches_probed(TensorContext(builtin(g_name), B, regular(B)), (1, 2, 3))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.sampled_from(LEIBNIZ_FACTORS).flatmap(fractional),
+       st.sampled_from(ZINBIEL_FACTORS).flatmap(fractional), st.data())
+def test_psi_matches_the_probed_route_in_any_basis(g, B, data):
+    # g and B in random bases with fractional constants, so D_g differs from
+    # 1 and a bracket can cancel to zero after several products are added.
+    M = change_module_basis(regular(B), data.draw(basis_changes(B.dim)))
+    _assert_psi_matches_probed(TensorContext(g, B, M), (1, 2, 3))
+
+
+def test_psi_brackets_read_only_nonzero_products(monkeypatch):
+    # psi_3 of fl(3,3)(x)B2: growing the brackets from g's nonzero products
+    # reads 81 of them (one add_scaled each), where trying every right
+    # factor of every nonzero prefix probes 3,627 (prefix, factor) pairs.
+    ctx = make_ctx("freeleibniz(3,3)", "B2")
+    reads = 0
+
+    def counted(*args):
+        nonlocal reads
+        reads += 1
+        return add_scaled(*args)
+
+    monkeypatch.setattr(tensor_bridge, "add_scaled", counted)
+    _psi_map(ctx, 3)
+    assert reads == 81
+    assert left_normed_probed(ctx.g, 3)[1] == 3_627
+
+
+def test_tensor_context_parses_no_scalar(monkeypatch):
+    # The algebra and the module keep the Fractions _tensor_table just made
+    # as they are: their indices are range-checked, but nothing is parsed.
+    g, B = builtin("freeleibniz(3,3)"), builtin("B2")
+    M = regular(B)
+    calls = 0
+
+    def counted(value):
+        nonlocal calls
+        calls += 1
+        return parse_scalar(value)
+
+    for module in (algebras, complexes, fileio, linalg):
+        monkeypatch.setattr(module, "parse_scalar", counted)
+    ctx = TensorContext(g, B, M)
+    assert calls == 0
+    assert (ctx.lie.dim, ctx.module.dim) == (78, 78)
+    tables = (ctx.lie.products, ctx.module.left, ctx.module.right)
+    assert all(type(c) is Fraction and c
+               for t in tables for vec in t.values() for c in vec.values())
+
+
 # (leibniz, zinbiel, dl and psi degrees, ce degrees on the tensor module)
 ORACLE_CASES = [
     pytest.param(g, b, degrees, ce_degrees, id=f"{g}-{b}")
@@ -208,7 +297,7 @@ def _columns_match(mat, oracle, theory, degree, dim, md):
 def test_kernels_match_gather_oracles(g_name, b_name, degrees, ce_degrees):
     # psi, delta_DL and delta_CE, applied to seeded dense and 10%-support
     # cochains and as matrices column by column, against literal gather sums
-    B = perturbed_b2() if b_name == "perturbed_b2" else builtin(b_name)
+    B = _operand(b_name)
     M = regular(B)
     ctx = TensorContext(builtin(g_name), B, M)
     T, tdim = ctx.module, ctx.lie.dim
