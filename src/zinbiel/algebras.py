@@ -27,19 +27,19 @@ Table = Dict[Tuple[int, int], Dict[int, Fraction]]
 
 
 def _clean_table(table: Table, left_dim: int, right_dim: int, out_dim: int, label: str) -> Table:
-    """The table with its indices range-checked and its values parsed, zeros dropped.
+    """The table with its indices checked to be ints in range and its values parsed, zeros dropped.
 
     A value that already is a Fraction, as in every table the package
     computes, is kept as it is rather than parsed again.
     """
     clean: Table = {}
     for (i, j), tbl in table.items():
-        if not (0 <= i < left_dim and 0 <= j < right_dim):
-            raise ValueError(f"{label} key ({i}, {j}) out of range")
+        if not (type(i) is type(j) is int and 0 <= i < left_dim and 0 <= j < right_dim):
+            raise ValueError(f"{label} key ({i!r}, {j!r}) out of range")
         entry: Dict[int, Fraction] = {}
         for k, c in tbl.items():
-            if not (0 <= k < out_dim):
-                raise ValueError(f"{label} result index {k} out of range")
+            if not (type(k) is int and 0 <= k < out_dim):
+                raise ValueError(f"{label} result index {k!r} out of range")
             f = c if type(c) is Fraction else parse_scalar(c)
             if f:
                 entry[k] = f
@@ -58,8 +58,8 @@ class FiniteAlgebra:
     products: Table
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("algebra dimension must be at least 1")
+        if type(self.dim) is not int or self.dim < 1:
+            raise ValueError("algebra dimension must be a positive int")
         if len(self.basis_names) != self.dim:
             raise ValueError("basis name count must equal dim")
         if len(set(self.basis_names)) != self.dim:
@@ -80,8 +80,8 @@ class Bimodule:
     right: Table = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("module dimension must be at least 1")
+        if type(self.dim) is not int or self.dim < 1:
+            raise ValueError("module dimension must be a positive int")
         if len(self.basis_names) != self.dim:
             raise ValueError("module basis name count must equal dim")
         if len(set(self.basis_names)) != self.dim:

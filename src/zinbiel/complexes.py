@@ -89,19 +89,21 @@ class Cochain:
     values: Dict[Key, Vec] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if any(type(x) is not int for x in (self.degree, self.algebra_dim, self.module_dim)):
+            raise ValueError("cochain degree and dims must be ints")
         _check_start(self.theory, self.degree)
         clean: Dict[Key, Vec] = {}
         for key, vec in self.values.items():
             if len(key) != self.degree:
                 raise ValueError(f"key {key!r} has length {len(key)}, expected {self.degree}")
-            if any(not (0 <= i < self.algebra_dim) for i in key):
+            if any(type(i) is not int or not 0 <= i < self.algebra_dim for i in key):
                 raise ValueError(f"key {key!r} out of range for dim {self.algebra_dim}")
             if self.theory == "ce" and any(a >= b for a, b in zip(key, key[1:])):
                 raise ValueError(f"ce keys must be strictly increasing, got {key!r}")
             entry: Vec = {}
             for k, c in vec.items():
-                if not (0 <= k < self.module_dim):
-                    raise ValueError(f"module index {k} out of range")
+                if type(k) is not int or not 0 <= k < self.module_dim:
+                    raise ValueError(f"module index {k!r} out of range")
                 f = parse_scalar(c)
                 if f:
                     entry[k] = f

@@ -22,10 +22,11 @@ without arithmetic. This is a static fill-in heuristic (Markowitz,
 Management Sci. 3, 1957) that peels singletons as structured Gaussian
 elimination does (LaMacchia and Odlyzko, CRYPTO '90). Nullspace and
 constraint extraction transpose the columns once into rows and go through
-the fully reduced form, whose pivot columns do not depend on the order the
-rows are taken in (sparsest first). A forward echelon can be extended in
-place by more vectors without touching its pivot vectors, so under one row
-numbering the rank of [A | P] is A's column echelon extended by P's columns.
+the fully reduced form, back-substituted from the rows' forward echelon,
+whose pivot columns do not depend on the order the rows are taken in
+(sparsest first). A forward echelon can be extended in place by more
+vectors without touching its pivot vectors, so under one row numbering the
+rank of [A | P] is A's column echelon extended by P's columns.
 
 Rank is the count of that echelon's lead rows (_lead_rows), which are read
 for clearing too (Chen and Kerber, "Persistent homology computation with a
@@ -37,16 +38,17 @@ its columns at the rows where no pivot leads. complexes.cohomology_dims
 certifies that product as exactly zero before it clears anything; when it is
 not, the cleared set is empty and every column is ranked.
 
-Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968). _prepared
-turns each vector into a fresh primitive integer vector, relabelled on the
-way if asked, and _eliminate takes such vectors over. Every column holds one
-number type (the constructors parse every public entry into a Fraction, and
-the integer assembly and mul of integer inputs keep ints), so the type of a
-vector's first value tells _prepared whether it has denominators to clear:
-an int vector is only divided by its gcd. Fractions are built only when a
-reduced row is returned, so every result is an exact Fraction. Pivot choice
-depends only on the matrix entries and the order its columns were stored in,
-so runs are deterministic.
+Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968), and
+_eliminate is its one entry: it reads the caller's vectors, never writes
+them, and turns each into a fresh primitive integer vector, relabelled if
+asked, only as it comes to reduce it, so a copy outlives that step only as
+a pivot. Every column holds one number type (the constructors parse every
+public entry into a Fraction, and the integer assembly and mul of integer
+inputs keep ints), so the type of a vector's first value tells whether it
+has denominators to clear: an int vector is only divided by its gcd.
+Fractions are built only when a reduced row is returned, so every result
+is an exact Fraction. Pivot choice depends only on the matrix entries and
+the order its columns were stored in, so runs are deterministic.
 """
 from __future__ import annotations
 
@@ -116,62 +118,51 @@ def _cancel(row: IntRow, piv: IntRow, col: int) -> IntRow:
     return _primitive(row) if row else row
 
 
-def _sparsest_labels(cols: Iterable[Row]) -> Dict[int, int]:
+def _sparsest_labels(cols: Iterable[Row], then: Iterable[Iterable[int]] = ()) -> Dict[int, int]:
     """{row: label} for every row the columns touch: 0, 1, ... from the fewest columns up.
 
     Rows touched by equally many columns keep the order the columns first
-    touch them in.
+    touch them in. The rows that only the vectors of then touch take the
+    next labels, in the order those vectors first touch them.
     """
     count = Counter(chain.from_iterable(cols))
-    return {i: p for p, i in enumerate(sorted(count, key=count.__getitem__))}
+    label = {i: p for p, i in enumerate(sorted(count, key=count.__getitem__))}
+    for i in chain.from_iterable(then):
+        label.setdefault(i, len(label))
+    return label
 
 
-def _prepared(vecs: Iterable[Row], label: Optional[Mapping[int, int]] = None) -> List[IntRow]:
-    """Fresh primitive integer vectors of the nonempty vecs, in order; the vecs are only read.
+def _eliminate(
+    vecs: Iterable[Row], label: Optional[Mapping[int, int]] = None,
+    pivots: Optional[Dict[int, IntRow]] = None,
+) -> Dict[int, IntRow]:
+    """The forward echelon of vecs, as {pivot key: primitive integer vector}; vecs are only read.
 
-    Each vec is divided by the gcd of its entries, and its key k becomes
-    label[k] when a label is given, both in the one dict built for it. Only
-    a vec of Fractions has denominators to clear: it is first multiplied by
-    their lcm. A vec's values are all of one type, so its first value says
-    which it is.
+    The vectors are taken sparsest first (a stable sort by length, so ties
+    keep their order). Just before it is reduced, each nonempty one becomes
+    a fresh primitive integer vector: a vector of Fractions is multiplied by
+    the lcm of its denominators (its values are all of one type, so its
+    first value says which it is), every vector is divided by its gcd, and
+    its key k becomes label[k] when a label is given. It is reduced against
+    the pivots found so far, keyed by its current leading (smallest) key,
+    and kept as a new pivot if it survives. The pivots are an echelon basis
+    of the span, and the leading keys of every echelon basis are the pivot
+    columns of the reduced echelon form, so the pivot keys do not depend on
+    the order.
+
+    Given pivots from an earlier pass, the vectors extend that echelon in
+    place: its pivots are only read, and each surviving vector is added as
+    a new pivot, so len(pivots) becomes the rank of both sets together.
     """
-    out = []
-    for vec in vecs:
-        if not vec:
-            continue
+    pivots = {} if pivots is None else pivots
+    for vec in sorted(filter(None, vecs), key=len):
         vals: Iterable[Number] = vec.values()
         if isinstance(next(iter(vals)), Fraction):
             den = lcm(*[v.denominator for v in vals])
             vals = [v.numerator * (den // v.denominator) for v in vals]
         g = gcd(*vals)
         keys = vec if label is None else map(label.__getitem__, vec)
-        out.append(dict(zip(keys, vals)) if g == 1 else {k: v // g for k, v in zip(keys, vals)})
-    return out
-
-
-def _eliminate(
-    vecs: Iterable[IntRow], reduce_full: bool, pivots: Optional[Dict[int, IntRow]] = None
-) -> Dict[int, IntRow]:
-    """Eliminate fresh primitive integer vectors into {pivot key: primitive integer vector}.
-
-    The vectors are those of _prepared, nonempty and read by nobody else:
-    they are taken over, written in place and kept as pivots. They are taken
-    sparsest first (a stable sort by length, so ties keep their order), and
-    each is reduced against the pivots found so far, keyed by its current
-    leading (smallest) key; a vector that survives becomes a new pivot. The
-    pivots are an echelon basis of the span, and the leading keys of every
-    echelon basis are the pivot columns of the reduced echelon form, so the
-    pivot keys do not depend on the order. With reduce_full,
-    back-substitution clears pivot keys from all other pivot vectors;
-    divided by their leads, these are the unique reduced echelon form.
-
-    Given pivots from an earlier forward pass, the vectors extend that
-    echelon in place: its pivots are only read, and each surviving vector
-    is added as a new pivot, so len(pivots) becomes the rank of both sets
-    together.
-    """
-    pivots = {} if pivots is None else pivots
-    for r in sorted(vecs, key=len):
+        r = dict(zip(keys, vals)) if g == 1 else {k: v // g for k, v in zip(keys, vals)}
         while r:
             lead = min(r)
             piv = pivots.get(lead)
@@ -179,12 +170,6 @@ def _eliminate(
                 pivots[lead] = r
                 break
             r = _cancel(r, piv, lead)
-    if reduce_full:
-        for lead in sorted(pivots, reverse=True):
-            piv = pivots[lead]
-            for other_lead, other in pivots.items():
-                if other_lead < lead and lead in other:
-                    pivots[other_lead] = _cancel(other, piv, lead)
     return pivots
 
 
@@ -210,8 +195,8 @@ class Matrix:
     __slots__ = ("nrows", "ncols", "_cols")
 
     def __init__(self, nrows: int, ncols: int):
-        if nrows < 0 or ncols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        if type(nrows) is not int or type(ncols) is not int or nrows < 0 or ncols < 0:
+            raise ValueError("matrix dimensions must be nonnegative ints")
         self.nrows = nrows
         self.ncols = ncols
         self._cols: Dict[int, Row] = {}
@@ -228,17 +213,18 @@ class Matrix:
         """Build from {row index: row dict}, transposed once into columns.
 
         Entries may be ints, strings, or Fractions, and are stored as
-        Fractions (parse_scalar). The row dicts are only read; empty ones and
-        zero values are not stored.
+        Fractions (parse_scalar). Every index must be an int in range, so a
+        bool or a float is refused. The row dicts are only read; empty ones
+        and zero values are not stored.
         """
         cols: Dict[int, Vec] = {}
         for i, row in touched.items():
-            if not 0 <= i < nrows:
-                raise ValueError(f"row index {i} out of range for {nrows} rows")
+            if type(i) is not int or not 0 <= i < nrows:
+                raise ValueError(f"row index {i!r} out of range for {nrows} rows")
             for j, x in row.items():
-                if not 0 <= j < ncols:
+                if type(j) is not int or not 0 <= j < ncols:
                     raise ValueError(
-                        f"column index {j} in row {i} out of range for {ncols} columns")
+                        f"column index {j!r} in row {i} out of range for {ncols} columns")
                 if v := parse_scalar(x):
                     cols.setdefault(j, {})[i] = v
         return cls._of(nrows, ncols, dict(sorted(cols.items())))
@@ -297,16 +283,21 @@ class Matrix:
         cols = self._cols.values()
         label = _sparsest_labels(cols)
         row_of = list(label)
-        return [row_of[p] for p in _eliminate(_prepared(cols, label), reduce_full=False)]
+        return [row_of[p] for p in _eliminate(cols, label)]
 
     def reduced_rows(self) -> List[Tuple[int, Vec]]:
         """Reduced echelon form as (pivot column, row) pairs, pivots ascending.
 
-        Rows are scaled to a unit pivot and cleared above and below, so the
-        result is the canonical reduced form of the row space.
+        Back-substitution clears each pivot column from the other rows of
+        the rows' forward echelon, and each row is scaled to a unit pivot, so
+        the result is the canonical reduced form of the row space.
         """
-        rows = _prepared(_transposed(self._cols).values())
-        pivots = _eliminate(rows, reduce_full=True)
+        pivots = _eliminate(_transposed(self._cols).values())
+        for lead in sorted(pivots, reverse=True):
+            piv = pivots[lead]
+            for other_lead, other in pivots.items():
+                if other_lead < lead and lead in other:
+                    pivots[other_lead] = _cancel(other, piv, lead)
         return [(c, {k: Fraction(v, row[c]) for k, v in row.items()})
                 for c, row in sorted(pivots.items())]
 

@@ -57,7 +57,7 @@ from .complexes import (
     dl_delta,
     random_dl_cochain,
 )
-from .linalg import EMPTY_ROW, Matrix, _eliminate, _prepared, _sparsest_labels
+from .linalg import EMPTY_ROW, Matrix, _eliminate, _sparsest_labels
 from .sparsevec import Vec, add_at, add_scaled
 
 BRACKET_BOUND_CAP = 16
@@ -353,9 +353,10 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
     the quotient rank in degree n plus rank psi_{n+1}. Neither count needs
     psi injective; the identity they feed does, hence the precheck. The CE
     rows are delta_CE^n's, sparsest first by how many of its columns touch
-    them, then the others psi_{n+1} touches, in first-touch order; each
-    column is relabelled as it is prepared, so the pivots stay valid as
-    they are extended. psi and both differentials are the integer matrices
+    them, then the others psi_{n+1} touches, in first-touch order
+    (_sparsest_labels); _eliminate relabels each column under that one
+    numbering as it reduces it, so the pivots stay valid as they are
+    extended. psi and both differentials are the integer matrices
     of _matrix, nonzero multiples of the maps: scaling a block's rows and
     columns changes no rank, nor which rows the pivots lead on.
     """
@@ -399,18 +400,14 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
         cone = {j: {**col, **{off + i: v for i, v in dl._cols.get(j, EMPTY_ROW).items()}}
                 for j, col in psi._cols.items()}
         s = Matrix._of(nrows, ce.ncols, ce._cols).hstack(Matrix._of(nrows, psi.ncols, cone))._cols
-        # CE rows are labelled below top, DL rows from top up: a pivot leading on a DL
-        # row before some CE row could be nonzero there, and rank_q would come out short.
-        label = _sparsest_labels(ce._cols.values())
-        for col in psi._cols.values():
-            for i in col:
-                label.setdefault(i, len(label))
-        top = len(label)
-        label.update((i, top + i - off) for i in range(off, nrows))
-        pivots = _eliminate(_prepared((col for j, col in s.items() if j < ce.ncols), label), False)
+        # CE rows are labelled below top, DL rows from top up in index order: a pivot leading
+        # on a DL row before some CE row could be nonzero there, and rank_q would come out short.
+        label = _sparsest_labels(ce._cols.values(), then=(*psi._cols.values(), range(off, nrows)))
+        top = len(label) - dl.nrows
+        pivots = _eliminate((col for j, col in s.items() if j < ce.ncols), label)
         ce_rank[n] = len(pivots)
         h_lie[n] = ce_space_dim(tdim, tmd, n) - ce_rank[n] - ce_rank[n - 1]
-        _eliminate(_prepared((col for j, col in s.items() if j >= ce.ncols), label), False, pivots)
+        _eliminate((col for j, col in s.items() if j >= ce.ncols), label, pivots)
         induced_rank[n + 1] = len(pivots) - ce_rank[n] - dl_rank[n + 1]
         rank_q[n] = sum(p < top for p in pivots) - psi_rank[n + 1]
 

@@ -789,8 +789,8 @@ def tensor_module_grid(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule) -> Tuple
 def row_rank(m: Matrix) -> int:
     """The rank by eliminating m's rows in row order, not by Matrix.rank's column route.
 
-    Each row is cleared of denominators and made primitive here, not by
-    linalg._prepared, before _eliminate takes it over.
+    Each row is cleared of denominators and made primitive here, so this
+    route does not lean on _eliminate's own clearing.
     """
     rows = []
     for row in m.rows:
@@ -799,7 +799,7 @@ def row_rank(m: Matrix) -> int:
             ints = {j: int(v * den) for j, v in row.items()}
             g = gcd(*ints.values())
             rows.append({j: v // g for j, v in ints.items()})
-    return len(_eliminate(rows, False))
+    return len(_eliminate(rows))
 
 
 def cohomology_dims_full(module: Bimodule, theory: str, degree: int) -> Tuple[int, int, int, int]:

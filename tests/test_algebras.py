@@ -102,6 +102,24 @@ def test_table_validation():
         FiniteAlgebra("zinbiel", 2, ("a", "b"), {(0, 5): {0: Fraction(1)}})
     with pytest.raises(ValueError):
         FiniteAlgebra("zinbiel", 2, ("a",), {})
+    # 0.5 and True compare like indices in range, so only a type test stops them.
+    one = Fraction(1)
+    for key, result, message in [
+        ((0.5, 0), 0, r"product key \(0.5, 0\) out of range"),
+        ((0, True), 0, r"product key \(0, True\) out of range"),
+        ((0, 1), False, "product result index False out of range"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            FiniteAlgebra("zinbiel", 2, ("a", "b"), {key: {result: one}})
+    with pytest.raises(ValueError, match="algebra dimension must be a positive int"):
+        FiniteAlgebra("zinbiel", 2.0, ("a", "b"), {})
+    B2 = builtin("B2")
+    with pytest.raises(ValueError, match="module dimension must be a positive int"):
+        Bimodule(B2, True, ("m",))
+    with pytest.raises(ValueError, match=r"left action key \(1.0, 0\) out of range"):
+        Bimodule(B2, 1, ("m",), left={(1.0, 0): {0: one}})
+    with pytest.raises(ValueError, match="right action result index 0.0 out of range"):
+        Bimodule(B2, 1, ("m",), right={(0, 1): {0.0: one}})
 
 
 def test_fraction_values_are_range_checked_and_kept():

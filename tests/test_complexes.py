@@ -224,6 +224,19 @@ def test_ce_cochain_rejects_repeated_indices():
         Cochain("ce", 2, 2, 2, {(1, 0): {0: Fraction(1)}})
 
 
+def test_cochain_indices_and_dims_must_be_ints():
+    # Kept, the key (0.5,) would reach dl_delta and come out as (0, 0.5) and (0.5, 0).
+    with pytest.raises(ValueError, match=r"key \(0.5,\) out of range for dim 2"):
+        dl_delta(Cochain("dl", 1, 2, 2, {(0.5,): {0: 1}}), regular(builtin("B2")))
+    with pytest.raises(ValueError, match=r"key \(True, 0\) out of range for dim 2"):
+        Cochain("dl", 2, 2, 2, {(True, 0): {0: 1}})
+    with pytest.raises(ValueError, match="module index False out of range"):
+        Cochain("ce", 1, 2, 2, {(0,): {False: 1}})
+    for args in ((1.0, 2, 2), (1, 2.0, 2), (1, 2, True)):
+        with pytest.raises(ValueError, match="cochain degree and dims must be ints"):
+            Cochain("dl", *args, {})
+
+
 @pytest.mark.parametrize("theory, degree, build, message", [
     ("dl", 0, dl_delta_matrix, "dl cochains start at degree 1, got 0"),
     ("ce", -1, ce_delta_matrix, "ce cochains start at degree 0, got -1"),

@@ -22,7 +22,7 @@ from _oracles import (
 )
 from zinbiel import Matrix, TensorContext, builtin, dl_delta_matrix, linalg, regular
 from zinbiel.complexes import _assemble, _delta_map, _exact, _matrix
-from zinbiel.linalg import EMPTY_ROW, _eliminate, _prepared, _sparsest_labels, parse_scalar
+from zinbiel.linalg import EMPTY_ROW, _eliminate, _sparsest_labels, parse_scalar
 from zinbiel.tensor_bridge import _psi_map
 
 
@@ -144,9 +144,9 @@ def test_extending_an_echelon_keeps_its_pivot_rows(rows, data):
     # rank of both, and writes no pivot row that A's elimination made.
     split = data.draw(st.integers(0, len(rows)))
     sparse = from_rows(rows).rows
-    pivots = _eliminate(_prepared(sparse[:split]), False)
+    pivots = _eliminate(sparse[:split])
     before = copy.deepcopy(pivots)
-    _eliminate(_prepared(sparse[split:]), False, pivots)
+    _eliminate(sparse[split:], pivots=pivots)
     assert len(pivots) == dense_rank(rows)
     assert all(pivots[c] == row for c, row in before.items())
 
@@ -167,8 +167,8 @@ def test_results_do_not_depend_on_row_order(rows, rng, data):
 
     split = data.draw(st.integers(0, len(shuffled)))
     a, rest = shuffled[:split], shuffled[split:]
-    pivots = _eliminate(_prepared(from_rows(a).rows), False)
-    _eliminate(_prepared(from_rows(rest).rows), False, pivots)
+    pivots = _eliminate(from_rows(a).rows)
+    _eliminate(from_rows(rest).rows, pivots=pivots)
     assert len(pivots) == dense_rank(rows)
 
 
@@ -182,9 +182,9 @@ def _int_matrix(rows):
 @settings(deadline=None)
 @given(matrices(), st.data())
 def test_int_rows_are_eliminated_without_being_written(rows, data):
-    # _cancel writes into its vector in place, so every elimination must work
-    # on fresh prepared copies: of int columns too, and of the column dicts
-    # that hstack shares with its operands.
+    # _cancel writes into its vector in place, so _eliminate must reduce
+    # fresh copies of what it is given: of int columns too, and of the
+    # column dicts that hstack shares with its operands.
     split = data.draw(st.integers(0, len(rows[0])))
     a = _int_matrix([row[:split] for row in rows])
     b = _int_matrix([row[split:] for row in rows])
@@ -199,8 +199,8 @@ def test_int_rows_are_eliminated_without_being_written(rows, data):
     assert (a._cols, b._cols) == before
     stored = list(m._cols.values())
     cut = data.draw(st.integers(0, len(stored)))
-    pivots = _eliminate(_prepared(stored[:cut]), False)
-    _eliminate(_prepared(stored[cut:]), False, pivots)
+    pivots = _eliminate(stored[:cut])
+    _eliminate(stored[cut:], pivots=pivots)
     assert len(pivots) == dense_rank(rows)
     assert (a._cols, b._cols) == before
 
@@ -230,7 +230,7 @@ def _values(m):
 
 
 def test_columns_hold_one_number_type():
-    # _prepared reads a column's first value for the type of all of them:
+    # _eliminate reads a column's first value for the type of all of them:
     # public matrices hold Fractions only, and the integer assembly and its
     # products ints only.
     a, b = from_rows([[1, 2], [0, 3]]), from_cols([[1, 0], [2, "1/3"]], 2)
@@ -253,22 +253,23 @@ int_columns = st.lists(st.dictionaries(st.integers(0, 30), st.integers(-6, 6).fi
 @settings(deadline=None)
 @given(int_columns, st.builds(Fraction, st.integers(1, 6), st.integers(1, 6)),
        st.one_of(st.none(), st.permutations(range(31))))
-def test_integer_columns_prepare_like_their_fraction_multiples(cols, t, perm):
+def test_integer_columns_eliminate_like_their_fraction_multiples(cols, t, perm):
     # An int column is only divided by its gcd; t times it, in Fractions, is
-    # cleared of denominators first. Both reach _eliminate as the same
-    # fresh primitive int vectors, relabelled alike.
+    # cleared of denominators first. Both are reduced as the same fresh
+    # primitive int vectors, relabelled alike, so they give the same pivots,
+    # and neither input is written.
     label = None if perm is None else dict(enumerate(perm))
-    before = copy.deepcopy(cols)
-    ints = _prepared(cols, label)
-    fracs = _prepared([{k: t * v for k, v in col.items()} for col in cols], label)
-    assert ints == fracs
-    nonempty = [col for col in cols if col]
-    assert len(ints) == len(nonempty)
-    for r, col in zip(ints, nonempty):
-        assert r is not col
+    fracs = [{k: t * v for k, v in col.items()} for col in cols]
+    before = copy.deepcopy((cols, fracs))
+    ints = _eliminate(cols, label)
+    assert ints == _eliminate(fracs, label)
+    assert (cols, fracs) == before
+    assert len(ints) == dense_rank([[col.get(k, 0) for k in range(31)] for col in cols])
+    keys = {k if label is None else label[k] for col in cols for k in col}
+    for lead, r in ints.items():
+        assert all(r is not col for col in cols)
+        assert min(r) == lead and set(r) <= keys
         assert all(type(v) is int for v in r.values()) and gcd(*r.values()) == 1
-        assert list(r) == [k if label is None else label[k] for k in col]
-    assert cols == before
 
 
 def _twin(kind, n):
@@ -286,8 +287,8 @@ def _twin(kind, n):
     ("dl", 1), ("dl", 2), ("dl", 3), ("ce", 0), ("ce", 1), ("psi", 2), ("psi", 3),
 ])
 def test_integer_matrix_eliminates_like_its_exact_twin(kind, n):
-    # _matrix is m.scale times _exact; every column is primitive after
-    # _prepared, so the two eliminations are the same.
+    # _matrix is m.scale times _exact; _eliminate makes every column
+    # primitive before reducing it, so the two eliminations are the same.
     m = _twin(kind, n)
     assert m.scale > 1
     ints, exact = _matrix(m), _exact(m)
@@ -425,12 +426,20 @@ def test_rows_view_lists_the_stored_rows():
 def test_from_nonempty_rejects_indices_out_of_range():
     with pytest.raises(ValueError, match="row index 2 out of range for 2 rows"):
         Matrix.from_nonempty(2, 2, {2: {0: 1}})
-    for j in (5, -1, 2):
+    for j in (5, -1, 2, True, 0.0):
         with pytest.raises(ValueError, match=rf"column index {j} in row 1 out of range for 2"):
             Matrix.from_nonempty(2, 2, {0: {1: 1}, 1: {j: 2}})
     # Kept, these columns would give rank 2 and a 2-vector kernel at once.
     with pytest.raises(ValueError, match="column index 5 in row 0"):
         Matrix.from_nonempty(2, 2, {0: {5: 1}, 1: {-1: 2}})
+    # 0.5 compares like a row in range; kept, it would give a one-row matrix rank 2.
+    with pytest.raises(ValueError, match="row index 0.5 out of range for 1 rows"):
+        Matrix.from_nonempty(1, 2, {0: {0: 1}, 0.5: {1: 1}})
+    for dims in ((2.0, 2), (2, True)):
+        with pytest.raises(ValueError, match="matrix dimensions must be nonnegative ints"):
+            Matrix(*dims)
+        with pytest.raises(ValueError, match="matrix dimensions must be nonnegative ints"):
+            Matrix.from_nonempty(*dims, {})
 
 
 def test_rows_are_labelled_sparsest_first_then_by_first_touch():
@@ -438,6 +447,11 @@ def test_rows_are_labelled_sparsest_first_then_by_first_touch():
     # counts: 5 twice, 2 twice, 7 three times, 9 twice; first touched 5, 2, 7, 9
     assert _sparsest_labels(cols) == {5: 0, 2: 1, 9: 2, 7: 3}
     assert _sparsest_labels([]) == {}
+    # The rows only then touches follow, first-touched first, after the others.
+    then = [{9: 1, 4: 1}, {3: 1, 4: 1}, range(20, 22)]
+    assert _sparsest_labels(cols, then=then) == {5: 0, 2: 1, 9: 2, 7: 3, 4: 4, 3: 5,
+                                                 20: 6, 21: 7}
+    assert _sparsest_labels([], then=then) == {9: 0, 4: 1, 3: 2, 20: 3, 21: 4}
 
 
 @st.composite
@@ -482,13 +496,10 @@ def test_column_echelon_extends_under_a_shared_row_order(pair):
     # those pivots by P's columns.
     a_rows, p_rows = pair
     a, p = _int_matrix(a_rows), _int_matrix(p_rows)
-    label = _sparsest_labels(a._cols.values())
-    for col in p._cols.values():
-        for i in col:
-            label.setdefault(i, len(label))
-    pivots = _eliminate(_prepared(a._cols.values(), label), False)
+    label = _sparsest_labels(a._cols.values(), then=p._cols.values())
+    pivots = _eliminate(a._cols.values(), label)
     assert len(pivots) == dense_rank(a_rows)
-    _eliminate(_prepared(p._cols.values(), label), False, pivots)
+    _eliminate(p._cols.values(), label, pivots)
     assert len(pivots) == dense_rank([r + s for r, s in zip(a_rows, p_rows)])
 
 

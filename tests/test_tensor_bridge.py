@@ -52,7 +52,7 @@ from zinbiel import (
 )
 from zinbiel import algebras, complexes, fileio, linalg
 from zinbiel.complexes import _apply, _matrix, ce_space_dim, ce_tuples, dl_tuples
-from zinbiel.linalg import Matrix, _prepared, parse_scalar
+from zinbiel.linalg import Matrix, _eliminate, parse_scalar
 from zinbiel.sparsevec import add_scaled
 from zinbiel.tensor_bridge import (
     PsiNotInjectiveError,
@@ -642,20 +642,38 @@ def test_les_report_matches_rowwise_oracle(g_name, b_name, max_degree):
     assert _report_or_failures(les_report, *args) == _report_or_failures(les_report_rowwise, *args)
 
 
-def test_les_report_prepares_only_ints(monkeypatch):
+def test_les_report_eliminates_only_ints(monkeypatch):
     # The cone's blocks are the integer matrices of psi and both
     # differentials; no Fraction column reaches the elimination.
     seen = []
 
-    def spy(vecs, label=None):
+    def spy(vecs, label=None, pivots=None):
         vecs = list(vecs)
         seen.extend(v for vec in vecs for v in vec.values())
-        return _prepared(vecs, label)
+        return _eliminate(vecs, label, pivots)
 
-    monkeypatch.setattr(tensor_bridge, "_prepared", spy)
+    monkeypatch.setattr(tensor_bridge, "_eliminate", spy)
     B = builtin("polyzinbiel(2)")
     les_report(builtin("freeleibniz(2,3)"), B, regular(B), 1)
     assert seen and all(type(v) is int for v in seen)
+
+
+def test_les_report_cone_cancels_little(monkeypatch):
+    # The cone's CE rows sparsest first, then psi's other rows by first
+    # touch, then the DL rows: 1,116 cancellations on this input.
+    calls = 0
+    cancel = linalg._cancel
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return cancel(*args)
+
+    monkeypatch.setattr(linalg, "_cancel", counted)
+    B = builtin("B2")
+    report = les_report(builtin("freeleibniz(2,4)"), B, regular(B), 1)
+    assert report["rows"][0]["identity_holds"]
+    assert calls <= 1500
 
 
 def _rescaled(name, t):
