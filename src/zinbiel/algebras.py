@@ -2,9 +2,12 @@
 
 An algebra is a structure-constant table over the rationals: products maps a
 basis pair (i, j) to the sparse expansion of e_i * e_j. A bimodule carries two
-tables, left for a(m) and right for (m)a. Nothing here assumes which identities
-hold; check_axioms tests a named identity family and reports the first failing
-basis tuple, scanning tuples in lexicographic order so witnesses are stable.
+tables, left for a(m) and right for (m)a. The constructors check the basis
+(dim a positive int, dim distinct string names), that every key is a pair of
+ints in range, and each expansion through sparsevec.parse_vec, the package's
+one entry rule. Nothing here assumes which identities hold; check_axioms tests a
+named identity family and reports the first failing basis tuple, scanning
+tuples in lexicographic order so witnesses are stable.
 
 Each identity is written once, in _IDENTITIES, as signed terms, and every
 term is one product applied to another. The same terms give both where an
@@ -20,32 +23,29 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .linalg import parse_scalar
-from .sparsevec import Vec, add_scaled
+from .sparsevec import Vec, add_scaled, parse_vec
 
 Table = Dict[Tuple[int, int], Dict[int, Fraction]]
 
 
 def _clean_table(table: Table, left_dim: int, right_dim: int, out_dim: int, label: str) -> Table:
-    """The table with its indices checked to be ints in range and its values parsed, zeros dropped.
-
-    A value that already is a Fraction, as in every table the package
-    computes, is kept as it is rather than parsed again.
-    """
+    """The table, its keys checked to be int pairs in range, each vector through parse_vec."""
     clean: Table = {}
+    what = f"{label} result"
     for (i, j), tbl in table.items():
         if not (type(i) is type(j) is int and 0 <= i < left_dim and 0 <= j < right_dim):
             raise ValueError(f"{label} key ({i!r}, {j!r}) out of range")
-        entry: Dict[int, Fraction] = {}
-        for k, c in tbl.items():
-            if not (type(k) is int and 0 <= k < out_dim):
-                raise ValueError(f"{label} result index {k!r} out of range")
-            f = c if type(c) is Fraction else parse_scalar(c)
-            if f:
-                entry[k] = f
-        if entry:
+        if entry := parse_vec(tbl, out_dim, what):
             clean[(i, j)] = entry
     return clean
+
+
+def _check_basis(dim: int, names: Tuple[str, ...], what: str) -> None:
+    """dim must be a positive int, and names dim distinct strings."""
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"{what} dimension must be a positive int")
+    if not (len(names) == dim and all(type(s) is str for s in names) and len(set(names)) == dim):
+        raise ValueError(f"{what} basis names must be {dim} distinct strings")
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,7 @@ class FiniteAlgebra:
     products: Table
 
     def __post_init__(self) -> None:
-        if type(self.dim) is not int or self.dim < 1:
-            raise ValueError("algebra dimension must be a positive int")
-        if len(self.basis_names) != self.dim:
-            raise ValueError("basis name count must equal dim")
-        if len(set(self.basis_names)) != self.dim:
-            raise ValueError("basis names must be distinct")
+        _check_basis(self.dim, self.basis_names, "algebra")
         object.__setattr__(
             self, "products", _clean_table(self.products, self.dim, self.dim, self.dim, "product")
         )
@@ -80,12 +75,7 @@ class Bimodule:
     right: Table = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if type(self.dim) is not int or self.dim < 1:
-            raise ValueError("module dimension must be a positive int")
-        if len(self.basis_names) != self.dim:
-            raise ValueError("module basis name count must equal dim")
-        if len(set(self.basis_names)) != self.dim:
-            raise ValueError("module basis names must be distinct")
+        _check_basis(self.dim, self.basis_names, "module")
         adim = self.algebra.dim
         object.__setattr__(
             self, "left", _clean_table(self.left, adim, self.dim, self.dim, "left action")

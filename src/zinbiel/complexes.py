@@ -51,8 +51,8 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Se
 
 from .algebras import Bimodule
 from .free_leibniz import leibniz_expansion
-from .linalg import Matrix, parse_scalar
-from .sparsevec import Vec
+from .linalg import Matrix
+from .sparsevec import Vec, parse_vec
 
 Key = Tuple[int, ...]
 
@@ -63,6 +63,8 @@ CE_MAX_DEGREE = 5
 def _check_start(theory: str, degree: int) -> None:
     if theory not in _THEORY:
         raise ValueError(f"theory must be 'dl' or 'ce', got {theory!r}")
+    if type(degree) is not int:
+        raise ValueError(f"{theory} degree must be an int, got {degree!r}")
     lo = _THEORY[theory][0]
     if degree < lo:
         raise ValueError(f"{theory} cochains start at degree {lo}, got {degree}")
@@ -100,14 +102,7 @@ class Cochain:
                 raise ValueError(f"key {key!r} out of range for dim {self.algebra_dim}")
             if self.theory == "ce" and any(a >= b for a, b in zip(key, key[1:])):
                 raise ValueError(f"ce keys must be strictly increasing, got {key!r}")
-            entry: Vec = {}
-            for k, c in vec.items():
-                if type(k) is not int or not 0 <= k < self.module_dim:
-                    raise ValueError(f"module index {k!r} out of range")
-                f = parse_scalar(c)
-                if f:
-                    entry[k] = f
-            if entry:
+            if entry := parse_vec(vec, self.module_dim, "module"):
                 clean[key] = entry
         self.values = clean
 

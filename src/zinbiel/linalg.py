@@ -42,13 +42,14 @@ Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968), and
 _eliminate is its one entry: it reads the caller's vectors, never writes
 them, and turns each into a fresh primitive integer vector, relabelled if
 asked, only as it comes to reduce it, so a copy outlives that step only as
-a pivot. Every column holds one number type (the constructors parse every
-public entry into a Fraction, and the integer assembly and mul of integer
-inputs keep ints), so the type of a vector's first value tells whether it
-has denominators to clear: an int vector is only divided by its gcd.
-Fractions are built only when a reduced row is returned, so every result
-is an exact Fraction. Pivot choice depends only on the matrix entries and
-the order its columns were stored in, so runs are deterministic.
+a pivot. Every column holds one number type (from_nonempty stores every
+public entry as a Fraction, through the package's one entry rule,
+sparsevec.parse_vec, and the integer assembly and mul of integer inputs
+keep ints), so the type of a vector's first value tells whether it has
+denominators to clear: an int vector is only divided by its gcd. Fractions
+are built only when a reduced row is returned, so every result is an exact
+Fraction. Pivot choice depends only on the matrix entries and the order its
+columns were stored in, so runs are deterministic.
 """
 from __future__ import annotations
 
@@ -58,11 +59,10 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from .sparsevec import Number, Vec, add_scaled
-
-Scalar = Union[int, str, Fraction]
+# parse_scalar lives in sparsevec; code that imports it from linalg still finds it.
+from .sparsevec import Number, Vec, add_scaled, parse_scalar, parse_vec
 
 _ONE = Fraction(1)
 
@@ -70,22 +70,6 @@ Row = Mapping[int, Number]
 
 # The row object of every empty row of every Matrix.
 EMPTY_ROW: Row = MappingProxyType({})
-
-
-def parse_scalar(value: Scalar) -> Fraction:
-    """Exact rational from an int, a Fraction, or a string like "-3/7" or "5"."""
-    if isinstance(value, bool):
-        raise TypeError("scalar must be an int, string, or Fraction, not bool")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational scalar: {value!r}") from exc
-    raise TypeError(
-        f"scalar must be an int, string, or Fraction, not {type(value).__name__}"
-    )
 
 
 IntRow = Dict[int, int]
@@ -212,22 +196,17 @@ class Matrix:
     def from_nonempty(cls, nrows: int, ncols: int, touched: Mapping[int, Vec]) -> "Matrix":
         """Build from {row index: row dict}, transposed once into columns.
 
-        Entries may be ints, strings, or Fractions, and are stored as
-        Fractions (parse_scalar). Every index must be an int in range, so a
-        bool or a float is refused. The row dicts are only read; empty ones
-        and zero values are not stored.
+        Each row index must be an int in range, and each row goes through
+        sparsevec.parse_vec: its column indices ints in range, its values
+        ints, strings or Fractions, stored as Fractions, zeros dropped. The
+        row dicts are only read.
         """
-        cols: Dict[int, Vec] = {}
+        rows: Dict[int, Vec] = {}
         for i, row in touched.items():
             if type(i) is not int or not 0 <= i < nrows:
                 raise ValueError(f"row index {i!r} out of range for {nrows} rows")
-            for j, x in row.items():
-                if type(j) is not int or not 0 <= j < ncols:
-                    raise ValueError(
-                        f"column index {j!r} in row {i} out of range for {ncols} columns")
-                if v := parse_scalar(x):
-                    cols.setdefault(j, {})[i] = v
-        return cls._of(nrows, ncols, dict(sorted(cols.items())))
+            rows[i] = parse_vec(row, ncols, f"row {i} column")
+        return cls._of(nrows, ncols, dict(sorted(_transposed(rows).items())))
 
     @property
     def rows(self) -> List[Row]:

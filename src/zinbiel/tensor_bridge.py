@@ -286,6 +286,8 @@ def verify_chain_map(
     while the axioms are not.
     """
     _check_degree("dl", degree)
+    if type(trials) is not int:
+        raise ValueError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
     ctx = TensorContext(g, B, M)
@@ -360,6 +362,8 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
     of _matrix, nonzero multiples of the maps: scaling a block's rows and
     columns changes no rank, nor which rows the pivots lead on.
     """
+    if type(max_degree) is not int:
+        raise ValueError(f"max_degree must be an int, got {max_degree!r}")
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     if max_degree + 1 > DL_MAX_DEGREE:

@@ -43,8 +43,8 @@ from zinbiel.complexes import (
     dl_space_dim,
     dl_tuples,
 )
-from zinbiel.linalg import Matrix, Scalar, _eliminate
-from zinbiel.sparsevec import Vec, add_at, add_scaled
+from zinbiel.linalg import Matrix, _eliminate
+from zinbiel.sparsevec import Scalar, Vec, add_at, add_scaled
 from zinbiel.tensor_bridge import PsiNotInjectiveError, TensorContext, psi_matrix
 
 ZERO = Fraction(0)

@@ -18,7 +18,12 @@ from zinbiel import (
     save_algebra,
     save_bimodule,
 )
-from zinbiel.fileio import algebra_from_dict, algebra_to_dict, bimodule_to_dict
+from zinbiel.fileio import (
+    algebra_from_dict,
+    algebra_to_dict,
+    bimodule_from_dict,
+    bimodule_to_dict,
+)
 
 CATALOG_ZINBIEL = ("B2", "B3", "polyzinbiel(2)", "polyzinbiel(3)")
 CATALOG_LEIBNIZ = ("leibniz2", "freeleibniz(2,2)", "freeleibniz(2,3)", "lie2")
@@ -168,6 +173,31 @@ def test_duplicate_product_entries_rejected():
     data["products"].append(dict(data["products"][0]))
     with pytest.raises(ValueError):
         algebra_from_dict(data)
+
+
+def test_file_shape_is_checked_and_the_rest_left_to_the_constructors():
+    # A JSON list or object cannot be a key, so the reader refuses it; every
+    # other dim, name or index is checked by FiniteAlgebra and Bimodule.
+    data = algebra_to_dict(builtin("B2"))
+    for edit, message in [
+        (lambda d: d["products"][0].update(left=[0]), "product indices must be integers"),
+        (lambda d: d["products"][0]["result"][0].__setitem__(0, {}),
+         r"product result terms must be \[index, coefficient\] pairs"),
+        (lambda d: d.update(dim=2.0), "algebra dimension must be a positive int"),
+        (lambda d: d.update(basis=["e1", 2]), "algebra basis names must be 2 distinct strings"),
+        (lambda d: d.update(basis="e1"), "algebra basis must be a list of strings"),
+        (lambda d: d["products"][0].update(left=True),
+         r"product key \(True, 0\) out of range"),
+        (lambda d: d["products"][0]["result"][0].__setitem__(0, 1.0),
+         "product result index 1.0 out of range"),
+    ]:
+        bad = json.loads(json.dumps(data))
+        edit(bad)
+        with pytest.raises(ValueError, match=message):
+            algebra_from_dict(bad)
+    mod = bimodule_to_dict(regular(builtin("B2")))
+    with pytest.raises(ValueError, match="module dimension must be a positive int"):
+        bimodule_from_dict({**mod, "module_dim": "2"})
 
 
 def test_fraction_coefficients_survive_the_file(tmp_path):

@@ -20,7 +20,17 @@ from _oracles import (
     to_dense,
     transpose,
 )
-from zinbiel import Matrix, TensorContext, builtin, dl_delta_matrix, linalg, regular
+from zinbiel import (
+    Bimodule,
+    Cochain,
+    FiniteAlgebra,
+    Matrix,
+    TensorContext,
+    builtin,
+    dl_delta_matrix,
+    linalg,
+    regular,
+)
 from zinbiel.complexes import _assemble, _delta_map, _exact, _matrix
 from zinbiel.linalg import EMPTY_ROW, _eliminate, _sparsest_labels, parse_scalar
 from zinbiel.tensor_bridge import _psi_map
@@ -76,6 +86,27 @@ def test_parse_scalar():
         parse_scalar(True)
     with pytest.raises(ValueError):
         parse_scalar("x")
+
+
+# Each builder stores one sparse vector of length 2 and returns what it kept.
+ENTRY_RULE_BUILDERS = {
+    "FiniteAlgebra": lambda vec: FiniteAlgebra("zinbiel", 2, ("a", "b"), {(0, 1): vec}).products,
+    "Bimodule": lambda vec: Bimodule(builtin("B2"), 2, ("m", "n"), left={(0, 1): vec}).left,
+    "Cochain": lambda vec: Cochain("dl", 1, 2, 2, {(0,): vec}).values,
+    "Matrix.from_nonempty": lambda vec: Matrix.from_nonempty(1, 2, {0: vec})._cols,
+}
+
+
+@pytest.mark.parametrize("build", ENTRY_RULE_BUILDERS.values(), ids=ENTRY_RULE_BUILDERS)
+def test_one_entry_rule(build):
+    # True and 1.0 compare like the index 1, so only a type test stops them.
+    for index in (True, 1.0, 2, -1):
+        with pytest.raises(ValueError, match=f"index {index} out of range"):
+            build({index: 1})
+    half = Fraction(1, 2)
+    kept = [v for vec in build({1: half, 0: Fraction(0)}).values() for v in vec.values()]
+    assert len(kept) == 1 and kept[0] is half
+    assert build({0: 0, 1: "0/3"}) == {}
 
 
 def test_rank_fixed():
@@ -427,10 +458,10 @@ def test_from_nonempty_rejects_indices_out_of_range():
     with pytest.raises(ValueError, match="row index 2 out of range for 2 rows"):
         Matrix.from_nonempty(2, 2, {2: {0: 1}})
     for j in (5, -1, 2, True, 0.0):
-        with pytest.raises(ValueError, match=rf"column index {j} in row 1 out of range for 2"):
+        with pytest.raises(ValueError, match=rf"row 1 column index {j} out of range for 2"):
             Matrix.from_nonempty(2, 2, {0: {1: 1}, 1: {j: 2}})
     # Kept, these columns would give rank 2 and a 2-vector kernel at once.
-    with pytest.raises(ValueError, match="column index 5 in row 0"):
+    with pytest.raises(ValueError, match="row 0 column index 5 out of range"):
         Matrix.from_nonempty(2, 2, {0: {5: 1}, 1: {-1: 2}})
     # 0.5 compares like a row in range; kept, it would give a one-row matrix rank 2.
     with pytest.raises(ValueError, match="row index 0.5 out of range for 1 rows"):

@@ -50,7 +50,7 @@ from zinbiel import (
     regular,
     tensor_bridge,
 )
-from zinbiel import algebras, complexes, fileio, linalg
+from zinbiel import fileio, linalg, sparsevec
 from zinbiel.complexes import _apply, _matrix, ce_space_dim, ce_tuples, dl_tuples
 from zinbiel.linalg import Matrix, _eliminate, parse_scalar
 from zinbiel.sparsevec import add_scaled
@@ -250,7 +250,7 @@ def test_tensor_context_parses_no_scalar(monkeypatch):
         calls += 1
         return parse_scalar(value)
 
-    for module in (algebras, complexes, fileio, linalg):
+    for module in (fileio, sparsevec):
         monkeypatch.setattr(module, "parse_scalar", counted)
     ctx = TensorContext(g, B, M)
     assert calls == 0
@@ -258,6 +258,9 @@ def test_tensor_context_parses_no_scalar(monkeypatch):
     tables = (ctx.lie.products, ctx.module.left, ctx.module.right)
     assert all(type(c) is Fraction and c
                for t in tables for vec in t.values() for c in vec.values())
+    # The spy sits where the entry rule parses: an int value reaches it.
+    regular(FiniteAlgebra("zinbiel", 1, ("a",), {(0, 0): {0: 1}}))
+    assert calls == 1
 
 
 # (leibniz, zinbiel, dl and psi degrees, ce degrees on the tensor module)
@@ -719,3 +722,46 @@ def test_trivial_product_coefficients():
 def test_dense_rank_agrees_with_sparse_on_psi():
     mat = psi_matrix(make_ctx("freeleibniz(2,2)"), 1)
     assert dense_rank(to_dense(mat)) == mat.rank() == 4
+
+
+@pytest.mark.parametrize("bad", [True, 2.0], ids=["bool", "float"])
+def test_degrees_and_trial_counts_must_be_ints(bad):
+    # True compares like degree 1 and 2.0 like degree 2, so only a type test stops them.
+    g, B = builtin("leibniz2"), builtin("B2")
+    M, lie = regular(B), regular(builtin("lie2"))
+    entry_points = [
+        lambda: cohomology_dims(M, "dl", bad),
+        lambda: cohomology_dims(lie, "ce", bad),
+        lambda: dl_delta_matrix(M, bad),
+        lambda: ce_delta_matrix(lie, bad),
+        lambda: psi_matrix(TensorContext(g, B, M), bad),
+        lambda: verify_chain_map(g, B, M, bad),
+        lambda: verify_chain_map(g, B, M, 2, trials=bad),
+        lambda: les_report(g, B, M, bad),
+        lambda: Cochain("dl", bad, 2, 2),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValueError, match="must be (an int|ints)"):
+            call()
+
+
+# rank psi_n of freeleibniz(k, c) (x) B on regular(B), measured: psi_n is injective
+# on these inputs exactly when c >= n + max(0, n - k).
+PSI_RANKS = [
+    ("B2", 1, 3, 3, 0), ("B2", 1, 4, 3, 4), ("B2", 2, 2, 3, 0), ("B2", 2, 3, 3, 8),
+    ("B2", 2, 4, 3, 16), ("B2", 2, 4, 4, 4), ("B2", 3, 3, 3, 16), ("B2", 3, 3, 4, 0),
+    ("B2", 2, 5, 4, 22), ("B2", 3, 4, 4, 22), ("B2", 2, 6, 4, 32),
+    ("B3", 2, 5, 4, 198), ("B3", 3, 4, 4, 198), ("B3", 2, 6, 4, 243),
+    ("polyzinbiel(2)", 2, 5, 4, 198), ("polyzinbiel(2)", 3, 4, 4, 198),
+    ("polyzinbiel(2)", 2, 6, 4, 243),
+]
+
+
+@pytest.mark.parametrize("b_name, k, c, n, rank", [
+    pytest.param(*case, id=f"fl({case[1]},{case[2]})-{case[0]}-n{case[3]}") for case in PSI_RANKS
+])
+def test_psi_injectivity_range(b_name, k, c, n, rank):
+    ctx = make_ctx(f"freeleibniz({k},{c})", b_name)
+    m = psi_matrix(ctx, n)
+    assert (m.rank(), m.ncols) == (rank, ctx.B.dim ** (n + 1))
+    assert (rank == m.ncols) == (c >= n + max(0, n - k))
