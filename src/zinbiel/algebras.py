@@ -3,11 +3,12 @@
 An algebra is a structure-constant table over the rationals: products maps a
 basis pair (i, j) to the sparse expansion of e_i * e_j. A bimodule carries two
 tables, left for a(m) and right for (m)a. The constructors check the basis
-(dim a positive int, dim distinct string names), that every key is a pair of
-ints in range, and each expansion through sparsevec.parse_vec, the package's
-one entry rule. Nothing here assumes which identities hold; check_axioms tests a
-named identity family and reports the first failing basis tuple, scanning
-tuples in lexicographic order so witnesses are stable.
+(dim a positive int, dim distinct string names, kept as a tuple), that every
+key is a pair of ints in range, and each expansion through
+sparsevec.parse_vec, the package's one entry rule. Nothing here assumes which
+identities hold; check_axioms tests a named identity family and reports the
+first failing basis tuple, scanning tuples in lexicographic order so
+witnesses are stable.
 
 Each identity is written once, in _IDENTITIES, as signed terms, and every
 term is one product applied to another. The same terms give both where an
@@ -40,12 +41,14 @@ def _clean_table(table: Table, left_dim: int, right_dim: int, out_dim: int, labe
     return clean
 
 
-def _check_basis(dim: int, names: Tuple[str, ...], what: str) -> None:
-    """dim must be a positive int, and names dim distinct strings."""
+def _check_basis(dim: int, names: Sequence[str], what: str) -> Tuple[str, ...]:
+    """names as a tuple, once dim is a positive int and names dim distinct strings, not a str."""
     if type(dim) is not int or dim < 1:
         raise ValueError(f"{what} dimension must be a positive int")
+    names = () if type(names) is str else tuple(names)
     if not (len(names) == dim and all(type(s) is str for s in names) and len(set(names)) == dim):
         raise ValueError(f"{what} basis names must be {dim} distinct strings")
+    return names
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class FiniteAlgebra:
     products: Table
 
     def __post_init__(self) -> None:
-        _check_basis(self.dim, self.basis_names, "algebra")
+        object.__setattr__(self, "basis_names", _check_basis(self.dim, self.basis_names, "algebra"))
         object.__setattr__(
             self, "products", _clean_table(self.products, self.dim, self.dim, self.dim, "product")
         )
@@ -75,7 +78,7 @@ class Bimodule:
     right: Table = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _check_basis(self.dim, self.basis_names, "module")
+        object.__setattr__(self, "basis_names", _check_basis(self.dim, self.basis_names, "module"))
         adim = self.algebra.dim
         object.__setattr__(
             self, "left", _clean_table(self.left, adim, self.dim, self.dim, "left action")

@@ -31,28 +31,28 @@ streaming a term's triples in one loop:
   (positional for "dl", combination order for "ce"); _THEORY holds each
   theory's tuples, rank and space size, with its start degree and cap.
 
-Every generator reads integer copies of the tables, each multiplied by the
-lcm D of their denominators, which its constructor computes once and stores
-as the map's scale. Each term reads one structure constant, so the terms are
-D times the map's, and so is _matrix's integer matrix, with the same rank,
-nullspace and column span. _apply and _exact (the public matrices) divide
-each output coefficient by the scale once, back to a Fraction.
+Every generator reads integer copies of the tables it uses, each multiplied
+by the lcm D of their denominators (sparsevec.integral), which its
+constructor computes once and stores as the map's scale. Each term reads one
+structure constant, so the terms are D times the map's, and so is _matrix's
+integer matrix, with the same rank, nullspace and column span. _apply and
+_exact (the public matrices) divide each output coefficient by the scale
+once, back to a Fraction (sparsevec.unscaled).
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iproduct
-from math import comb, lcm
+from math import comb
 from random import Random
-from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Set, Tuple
 
 from .algebras import Bimodule
 from .free_leibniz import leibniz_expansion
 from .linalg import Matrix
-from .sparsevec import Vec, parse_vec
+from .sparsevec import Vec, integral, parse_vec, unscaled
 
 Key = Tuple[int, ...]
 
@@ -222,12 +222,12 @@ def _apply(m: _Map, f: Cochain) -> Cochain:
 
     The input is cleared of denominators by their lcm L, so ints accumulate;
     a block's triple (k, j, v) adds to output coordinate j only where the
-    input has a nonzero at k. Each output drops its zeros once, at the end,
-    and is divided by L * m.scale.
+    input has a nonzero at k. The outputs are divided by L * m.scale at the
+    end, which drops their zeros.
     """
-    den = _scale(f.values)
+    den, (values,) = integral(f.values)
     out: Dict[Key, Vec] = {}
-    for X, fv in _integral(f.values, den).items():
+    for X, fv in values.items():
         get = fv.get
         for coeff, Y, block in m.terms(X):
             acc = out.setdefault(Y, {})
@@ -235,10 +235,7 @@ def _apply(m: _Map, f: Cochain) -> Cochain:
                 x = get(k)
                 if x:
                     acc[j] = acc.get(j, 0) + coeff * v * x
-    for Y, acc in out.items():
-        if 0 in acc.values():
-            out[Y] = {j: v for j, v in acc.items() if v}
-    return _trusted(m.target, _unscaled(out, den * m.scale))
+    return _trusted(m.target, unscaled(out, den * m.scale))
 
 
 def _trusted(space: Space, values: Dict[Key, Vec]) -> Cochain:
@@ -283,23 +280,7 @@ def _matrix(m: _Map) -> Matrix:
 def _exact(m: _Map) -> Matrix:
     """The matrix of m itself, in Fractions: each nonzero of _matrix divided by the scale."""
     ints = _matrix(m)
-    return Matrix._of(ints.nrows, ints.ncols, _unscaled(ints._cols, m.scale))
-
-
-def _scale(*tables: Dict[Key, Vec]) -> int:
-    """The lcm D of the denominators of every constant in the tables (or cochain values)."""
-    return lcm(*{c.denominator for t in tables for vec in t.values() for c in vec.values()})
-
-
-def _integral(table: Dict[Key, Vec], d: int) -> Dict[Key, Dict[int, int]]:
-    """d times the table, as ints; d must be a multiple of every denominator in it."""
-    return {key: {k: c.numerator * (d // c.denominator) for k, c in vec.items()}
-            for key, vec in table.items()}
-
-
-def _unscaled(vecs: Dict[Any, Vec], d: int) -> Dict[Any, Vec]:
-    """The nonempty integer vectors (columns, cochain values, table rows) over d, as Fractions."""
-    return {i: {j: Fraction(v, d) for j, v in vec.items()} for i, vec in vecs.items() if vec}
+    return Matrix._of(ints.nrows, ints.ncols, unscaled(ints._cols, m.scale))
 
 
 Preimages = Dict[int, List[Tuple[int, int, int]]]
@@ -386,14 +367,14 @@ def _delta_map(theory: str, module: Bimodule, n: int) -> _Map:
     coefficient c on e_p, the identity block, and the nonzero blocks
     {k: x m_k} and {k: m_k x} per basis element x, gathered from the nonzero
     entries of the two action tables, x ascending; each block is built once,
-    as its triples. Every constant is multiplied by D, the lcm of the
-    denominators of the algebra's products and the module's two actions
-    together, and held as an int.
+    as its triples. "ce" never reads the right action, so it has no right
+    blocks. Every constant is multiplied by D, the lcm of the denominators
+    of the tables the map reads (the algebra's products, the left action,
+    and for "dl" the right action), and held as an int.
     """
     _check_degree(theory, n)
-    tables = (module.algebra.products, module.left, module.right)
-    d = _scale(*tables)
-    products, left, right = (_integral(t, d) for t in tables)
+    right = module.right if theory == "dl" else {}
+    d, (products, left, right) = integral(module.algebra.products, module.left, right)
     pre: Preimages = {}
     for (u, w), vec in products.items():
         for p, c in vec.items():

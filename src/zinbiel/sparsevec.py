@@ -5,17 +5,25 @@ where the term generators read scaled integer tables. The helpers keep ints
 as ints. Every mutating helper keeps the no-zeros invariant, so two vectors
 are equal as maps iff their dicts are equal.
 
-Every table, cochain and matrix the package is given takes its entries
-through one rule, parse_vec: an index must be an int in range, so a bool or a
-float is refused even where it compares like one; a Fraction value is kept
-as the same object, any other value is parsed into one (parse_scalar); and
-zeros are dropped.
+Two number rules are written here once each.
+
+* Entry: every table, cochain and matrix the package is given takes its
+  entries through parse_vec: an index must be an int in range, so a bool or
+  a float is refused even where it compares like one; a Fraction value is
+  kept as the same object, any other value is parsed into one
+  (parse_scalar); and zeros are dropped.
+* Scaling: a kernel reads integer copies of the Fraction tables it is given,
+  each multiplied by D, the lcm of all their denominators (integral), and
+  accumulates ints; its output, D (or a multiple of D) times the true one,
+  goes back to Fractions once, through unscaled, which divides each entry
+  and drops the zeros the sums left and the vectors they emptied.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, Union
+from math import lcm
+from typing import Any, Dict, List, Tuple, Union
 
 Number = Union[int, Fraction]
 Vec = Dict[int, Number]
@@ -55,13 +63,24 @@ def parse_vec(vec: Mapping[int, Scalar], size: int, label: str) -> Dict[int, Fra
     return out
 
 
-def add_at(vec: Vec, key: int, val: Number) -> None:
-    """vec[key] += val, in place, dropping the key if the sum is zero."""
-    nv = vec.get(key, 0) + val
-    if nv:
-        vec[key] = nv
-    else:
-        vec.pop(key, None)
+def integral(*tables: Mapping[Any, Mapping[int, Fraction]]) -> Tuple[int, List[Dict[Any, Vec]]]:
+    """(D, [D times each table, as ints]), D the lcm of every denominator in the tables.
+
+    A table maps any key to a vector of Fractions: structure tables, cochain
+    values, matrix columns.
+    """
+    d = lcm(*{c.denominator for t in tables for vec in t.values() for c in vec.values()})
+    return d, [{key: {k: c.numerator * (d // c.denominator) for k, c in vec.items()}
+                for key, vec in t.items()} for t in tables]
+
+
+def unscaled(vecs: Mapping[Any, Vec], d: int) -> Dict[Any, Dict[int, Fraction]]:
+    """The integer vectors over d as Fractions, less their zeros and the vectors they empty."""
+    out: Dict[Any, Dict[int, Fraction]] = {}
+    for key, vec in vecs.items():
+        if frac := {k: Fraction(v, d) for k, v in vec.items() if v}:
+            out[key] = frac
+    return out
 
 
 def add_scaled(acc: Vec, src: Vec, scale: Number = 1) -> Vec:

@@ -46,19 +46,16 @@ from .complexes import (
     _check_degree,
     _check_input,
     _exact,
-    _integral,
     _Map,
     _matrix,
-    _scale,
     _sort_sign,
-    _unscaled,
     ce_delta,
     ce_space_dim,
     dl_delta,
     random_dl_cochain,
 )
 from .linalg import EMPTY_ROW, Matrix, _eliminate, _sparsest_labels
-from .sparsevec import Vec, add_at, add_scaled
+from .sparsevec import Vec, add_scaled, integral, unscaled
 
 BRACKET_BOUND_CAP = 16
 
@@ -83,22 +80,22 @@ def _tensor_table(g: FiniteAlgebra, S: Table, S_swap: Table, xd: int, yd: int) -
     one term from each table, added in that order, and keys come out in key
     order, less the ones that cancel to {}. The products accumulate as ints,
     from g's table scaled by D_g and the two S tables by D_S (the lcm of each
-    side's denominators), and each nonzero result becomes one Fraction,
-    divided by D_g * D_S.
+    side's denominators, sparsevec.integral), and each nonzero result becomes
+    one Fraction, divided by D_g * D_S (sparsevec.unscaled).
     """
-    dg, ds = _scale(g.products), _scale(S, S_swap)
-    gp = _integral(g.products, dg)
+    dg, (gp,) = integral(g.products)
+    ds, (s, s_swap) = integral(S, S_swap)
     acc: Dict[Tuple[int, int], Vec] = defaultdict(dict)
-    for sign, table, swap in ((1, S, False), (-1, S_swap, True)):
-        table = _integral(table, ds)
+    for sign, table, swap in ((1, s, False), (-1, s_swap, True)):
         for (i1, i2), gv in gp.items():
             for (x, y), sv in table.items():
                 key = (i2 * xd + y, i1 * yd + x) if swap else (i1 * xd + x, i2 * yd + y)
                 out = acc[key]
                 for ga, ca in gv.items():
                     for k, cb in sv.items():
-                        add_at(out, ga * yd + k, sign * ca * cb)
-    return _unscaled(dict(sorted(acc.items())), dg * ds)
+                        i = ga * yd + k
+                        out[i] = out.get(i, 0) + sign * ca * cb
+    return unscaled(dict(sorted(acc.items())), dg * ds)
 
 
 def tensor_lie(g: FiniteAlgebra, B: FiniteAlgebra, validate: bool = True) -> FiniteAlgebra:
@@ -186,9 +183,9 @@ def _psi_map(ctx: TensorContext, n: int) -> _Map:
     its value: the map's scale.
     """
     g, bd, md = ctx.g, ctx.B.dim, ctx.M.dim
-    d = _scale(g.products)
+    d, (products,) = integral(g.products)
     by_left: Dict[int, List[Tuple[int, Vec]]] = {}
-    for (i, j), vec in _integral(g.products, d).items():
+    for (i, j), vec in products.items():
         by_left.setdefault(i, []).append((j, vec))
     level: List[Tuple[Key, Vec]] = [((i,), {i: 1}) for i in range(g.dim)]
     for _ in range(n - 1):

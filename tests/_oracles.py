@@ -31,10 +31,8 @@ from zinbiel.complexes import (
     _ce_generator,
     _ce_rank,
     _dl_rank,
-    _integral,
     _Map,
     _net_terms,
-    _scale,
     _sort_sign,
     ce_delta_matrix,
     ce_space_dim,
@@ -44,12 +42,21 @@ from zinbiel.complexes import (
     dl_tuples,
 )
 from zinbiel.linalg import Matrix, _eliminate
-from zinbiel.sparsevec import Scalar, Vec, add_at, add_scaled
+from zinbiel.sparsevec import Scalar, Vec, add_scaled, integral
 from zinbiel.tensor_bridge import PsiNotInjectiveError, TensorContext, psi_matrix
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 _NEG = Fraction(-1)
+
+
+def add_at(vec: Vec, key: int, val: Fraction) -> None:
+    """vec[key] += val, in place, dropping the key if the sum is zero."""
+    nv = vec.get(key, 0) + val
+    if nv:
+        vec[key] = nv
+    else:
+        vec.pop(key, None)
 
 
 def entry(table: Table, i: int, j: int) -> Vec:
@@ -227,9 +234,8 @@ def _dl_generator_unmerged(n: int, pre, ident, left, right) -> Terms:
 def delta_map_probed(theory: str, module: Bimodule, n: int) -> _Map:
     """complexes._delta_map, with its action blocks probed at every (x, k) pair
     and, for "dl", the unmerged shuffle terms."""
-    tables = (module.algebra.products, module.left, module.right)
-    d = _scale(*tables)
-    products, left, right = (_integral(t, d) for t in tables)
+    right = module.right if theory == "dl" else {}
+    d, (products, left, right) = integral(module.algebra.products, module.left, right)
     pre: Dict[int, List[Tuple[int, int, int]]] = {}
     for (u, w), vec in products.items():
         for p, c in vec.items():
@@ -287,7 +293,7 @@ def left_normed_probed(g: FiniteAlgebra, n: int) -> Tuple[List[Tuple[Key, Vec]],
     (g's products times the lcm of their denominators), with the brackets, in
     lexicographic order; each prefix is tried against every right factor j.
     Also returns the number of (prefix, j) pairs so probed."""
-    products = _integral(g.products, _scale(g.products))
+    _, (products,) = integral(g.products)
     level: List[Tuple[Key, Vec]] = [((i,), {i: 1}) for i in range(g.dim)]
     probes = 0
     for _ in range(n - 1):
@@ -318,7 +324,7 @@ def psi_map_probed(ctx: TensorContext, n: int) -> _Map:
                 yield sign, T, block
 
     return _Map(("dl", n, bd, md), ("ce", n, ctx.lie.dim, ctx.module.dim), terms,
-                _scale(g.products) ** (n - 1))
+                integral(g.products)[0] ** (n - 1))
 
 
 def identity(n: int) -> List[List[Fraction]]:

@@ -139,6 +139,24 @@ def test_fraction_values_are_range_checked_and_kept():
         FiniteAlgebra("zinbiel", 2, ("a", "b"), {(0, 1): {2: half}})
 
 
+def test_basis_names_are_kept_as_a_tuple(tmp_path):
+    # A str is refused, though it has dim distinct one-letter names; any
+    # other sequence is stored as a tuple, so it survives a save and load.
+    with pytest.raises(ValueError, match="algebra basis names must be 2 distinct strings"):
+        FiniteAlgebra("zinbiel", 2, "ab", {})
+    alg = FiniteAlgebra("zinbiel", 2, ["a", "b"], {(0, 0): {1: 1}})
+    assert alg.basis_names == ("a", "b")
+    path = tmp_path / "alg.json"
+    save_algebra(alg, path)
+    assert load_algebra(path) == alg
+    mod = Bimodule(alg, 1, ["m"], left={(0, 0): {0: 1}})
+    assert mod.basis_names == ("m",)
+    with pytest.raises(ValueError, match="module basis names must be 1 distinct strings"):
+        Bimodule(alg, 1, "m")
+    save_bimodule(mod, path)
+    assert load_bimodule(path) == mod
+
+
 def test_algebra_roundtrip(tmp_path):
     for name in CATALOG_ZINBIEL + CATALOG_LEIBNIZ:
         alg = builtin(name)

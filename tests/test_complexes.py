@@ -32,6 +32,7 @@ from _oracles import (
 )
 from _strategies import basis_changes, fractional
 from zinbiel import (
+    Bimodule,
     Cochain,
     builtin,
     ce_delta,
@@ -56,6 +57,7 @@ from zinbiel.complexes import (
     ce_tuples,
     dl_tuples,
 )
+from zinbiel.sparsevec import integral, unscaled
 from zinbiel.tensor_bridge import TensorContext, _psi_map, psi_apply, psi_matrix, verify_chain_map
 
 CATALOG = ("B2", "B3", "polyzinbiel(2)", "leibniz2", "lie2", "freeleibniz(2,2)")
@@ -369,6 +371,32 @@ def test_integer_ce_assembly_matches_the_fraction_route(g, B):
     assume(_delta_map("ce", T, 0).scale > 1)
     for n in (0, 1, 2):
         _assert_integer_assembly_matches("ce", T, n, ce_delta_gather)
+
+
+def test_ce_map_scales_only_the_tables_it_reads():
+    # delta_CE never reads the right action, so a denominator of 7 there
+    # leaves its scale at 1; delta_DL reads it and is scaled by 7.
+    lie = builtin("lie2")
+    M = Bimodule(lie, 2, ("m1", "m2"), left=regular(lie).left, right={(0, 1): {0: Fraction(3, 7)}})
+    assert _delta_map("ce", M, 0).scale == 1
+    assert _delta_map("dl", M, 1).scale == 7
+    for n in (0, 1):
+        _assert_integer_assembly_matches("ce", M, n, ce_delta_gather)
+
+
+def test_scaling_rule_round_trips_and_drops_zeros():
+    a = {(0, 1): {0: Fraction(1, 3), 2: Fraction(2)}, (1, 1): {1: Fraction(-5, 4)}}
+    b = {(0,): {3: Fraction(7, 6)}}
+    d, (ai,) = integral(a)
+    assert (d, ai) == (12, {(0, 1): {0: 4, 2: 24}, (1, 1): {1: -15}})
+    assert unscaled(ai, d) == a
+    # One D for several tables: the lcm of 3, 4 and 6.
+    d, (ai, bi) = integral(a, b)
+    assert (d, bi) == (12, {(0,): {3: 14}})
+    assert unscaled(ai, d) == a and unscaled(bi, d) == b
+    assert integral() == (1, [])
+    # The zeros a sum leaves are dropped, and so are the vectors they empty.
+    assert unscaled({"x": {0: 0, 1: 6}, "y": {2: 0}, "z": {}}, 4) == {"x": {1: Fraction(3, 2)}}
 
 
 def _fractional_cochain(theory, degree, dim, md, rng):

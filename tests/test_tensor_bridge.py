@@ -107,6 +107,18 @@ def test_tensor_bracket_transcription(g_name, b_name):
                     assert entry(lie.products, i1 * bd + p1, i2 * bd + p2) == want
 
 
+def test_tensor_lie_validates_both_factors():
+    with pytest.raises(ValueError) as err:
+        tensor_lie(builtin("leibniz2"), perturbed_b2())
+    assert str(err.value) == (
+        "right factor failed the zinbiel check at ('e1', 'e1', 'e2'): lhs {'e1': '1'} != rhs {}")
+    g = FiniteAlgebra("leibniz", 2, ("a", "b"), {(1, 0): {0: 1}})
+    with pytest.raises(ValueError) as err:
+        tensor_lie(g, builtin("B2"))
+    assert str(err.value) == (
+        "left factor failed the leibniz check at ('b', 'b', 'a'): lhs {'a': '1'} != rhs {}")
+
+
 def test_tensor_names():
     lie = tensor_lie(builtin("leibniz2"), builtin("B2"))
     assert lie.basis_names == ("a⊗e1", "a⊗e2", "b⊗e1", "b⊗e2")
