@@ -55,6 +55,9 @@ def _check_basis(dim: int, names: Sequence[str], what: str) -> Tuple[str, ...]:
 class FiniteAlgebra:
     """Structure constants for one bilinear product on a finite basis."""
 
+    # Frozen, but its tables are dicts: unhashable, not a generated __hash__ that raises.
+    __hash__ = None  # type: ignore[assignment]
+
     kind: str
     dim: int
     basis_names: Tuple[str, ...]
@@ -70,6 +73,9 @@ class FiniteAlgebra:
 @dataclass(frozen=True)
 class Bimodule:
     """Left and right actions of an algebra on a finite module."""
+
+    # Frozen, but its tables are dicts: unhashable, not a generated __hash__ that raises.
+    __hash__ = None  # type: ignore[assignment]
 
     algebra: FiniteAlgebra
     dim: int

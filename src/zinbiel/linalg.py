@@ -14,19 +14,28 @@ EMPTY_ROW in every empty slot, is transposed from the columns only on
 request.
 
 Rank does not depend on the order of elimination, so rank eliminates the
-columns, with the rows renumbered sparsest first: a count of how many
-columns touch each row orders them, ties in the order the columns first
-touch them (_sparsest_labels). A row that one column alone touches gets one
-of the smallest labels, so that column leads there and becomes a pivot
-without arithmetic. This is a static fill-in heuristic (Markowitz,
-Management Sci. 3, 1957) that peels singletons as structured Gaussian
-elimination does (LaMacchia and Odlyzko, CRYPTO '90). Nullspace and
-constraint extraction transpose the columns once into rows and go through
-the fully reduced form, back-substituted from the rows' forward echelon,
-whose pivot columns do not depend on the order the rows are taken in
-(sparsest first). A forward echelon can be extended in place by more
-vectors without touching its pivot vectors, so under one row numbering the
-rank of [A | P] is A's column echelon extended by P's columns.
+columns, and first splits off the ones that need no arithmetic
+(_split_owners). A column owns a row when no other column touches it, nor
+any vector that will extend the echelon. Such a column is independent of
+all the others and a pivot as it stands, leading at that row, which no
+other vector ever holds: it adds one to the rank and is never relabelled,
+copied, reduced or stored (the singleton peel of structured Gaussian
+elimination: LaMacchia and Odlyzko, CRYPTO '90). The split is one round
+over the row counts: removing the owners leaves new single rows, but a
+second round, or a peel repeated until none is left, was no faster on the
+package's differentials. The other columns are eliminated with their rows
+renumbered sparsest first: the row counts (owners included) order them,
+ties in the order the columns first touch them. This is a static fill-in
+heuristic (Markowitz, Management Sci. 3, 1957); the single rows would take
+the smallest labels in it, so leaving them unlabelled and the owners out
+changes no other pivot.
+Nullspace and constraint extraction transpose the columns once into rows
+and go through the fully reduced form, back-substituted from the rows'
+forward echelon, whose pivot columns do not depend on the order the rows
+are taken in (sparsest first). A forward echelon can be extended in place
+by more vectors without touching its pivot vectors, so under one row
+numbering the rank of [A | P] is A's owners and column echelon, extended by
+P's columns.
 
 Rank is the count of that echelon's lead rows (_lead_rows), which are read
 for clearing too (Chen and Kerber, "Persistent homology computation with a
@@ -54,15 +63,15 @@ columns were stored in, so runs are deterministic.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, filterfalse
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
 # parse_scalar lives in sparsevec; code that imports it from linalg still finds it.
-from .sparsevec import Number, Vec, add_scaled, parse_scalar, parse_vec
+from .sparsevec import Number, Vec, parse_scalar, parse_vec
 
 _ONE = Fraction(1)
 
@@ -102,18 +111,35 @@ def _cancel(row: IntRow, piv: IntRow, col: int) -> IntRow:
     return _primitive(row) if row else row
 
 
-def _sparsest_labels(cols: Iterable[Row], then: Iterable[Iterable[int]] = ()) -> Dict[int, int]:
-    """{row: label} for every row the columns touch: 0, 1, ... from the fewest columns up.
+def _split_owners(
+    cols: Collection[Row], then: Iterable[Iterable[int]] = (),
+) -> Tuple[List[int], List[Row], Dict[int, int]]:
+    """(owner leads, the other columns, {row: label}) for a rank-only elimination of cols.
 
-    Rows touched by equally many columns keep the order the columns first
-    touch them in. The rows that only the vectors of then touch take the
-    next labels, in the order those vectors first touch them.
+    A row is single when exactly one column and no vector of then touch it,
+    and a column that touches a single row owns it. Each owner is a pivot as
+    it stands, leading at its first single row in its own order: no other
+    vector ever holds that row, so nothing reduces against it. The other
+    columns come back in order, for _eliminate. Every row but the single
+    ones gets a label, 0, 1, ... from the fewest columns up, rows touched
+    by equally many in the order the columns first touch them; the rows
+    that only then touches come next, in the order it first touches them.
     """
     count = Counter(chain.from_iterable(cols))
-    label = {i: p for p, i in enumerate(sorted(count, key=count.__getitem__))}
-    for i in chain.from_iterable(then):
+    by_then = dict.fromkeys(chain.from_iterable(then))
+    singles = {i for i, c in count.items() if c == 1 and i not in by_then}
+    leads: List[int] = []
+    rest: List[Row] = []
+    for col in cols:
+        if singles.isdisjoint(col):
+            rest.append(col)
+        else:
+            leads.append(next(filter(singles.__contains__, col)))
+    ranked = filterfalse(singles.__contains__, sorted(count, key=count.__getitem__))
+    label = {i: p for p, i in enumerate(ranked)}
+    for i in by_then:
         label.setdefault(i, len(label))
-    return label
+    return leads, rest, label
 
 
 def _eliminate(
@@ -243,26 +269,28 @@ class Matrix:
         for j, bcol in other._cols.items():
             acc: Vec = {}
             for c, v in bcol.items():
-                add_scaled(acc, self._cols.get(c, EMPTY_ROW), v)
-            if acc:
+                for i, w in self._cols.get(c, EMPTY_ROW).items():
+                    acc[i] = acc.get(i, 0) + v * w
+            if acc := {i: x for i, x in acc.items() if x}:
                 cols[j] = acc
         return Matrix._of(self.nrows, other.ncols, cols)
 
     def rank(self) -> int:
-        """The rank, from the columns, with the rows renumbered sparsest first."""
+        """The rank, from the columns: the owners, and the others' echelon."""
         return len(self._lead_rows())
 
     def _lead_rows(self) -> List[int]:
         """The row at which each pivot of rank's column echelon leads, as a row index.
 
-        Each pivot is zero at every row labelled before its lead, so the
-        pivots and the unit vectors at the other rows form a basis of the
-        space of all nrows coordinates.
+        The owners come first, each leading at its first single row, then
+        the other columns' pivots. An owner's lead is touched by no other
+        column, and each other pivot is zero at every row labelled before
+        its lead, so the pivots and the unit vectors at the other rows form
+        a basis of the space of all nrows coordinates.
         """
-        cols = self._cols.values()
-        label = _sparsest_labels(cols)
+        leads, rest, label = _split_owners(self._cols.values())
         row_of = list(label)
-        return [row_of[p] for p in _eliminate(cols, label)]
+        return leads + [row_of[p] for p in _eliminate(rest, label)]
 
     def reduced_rows(self) -> List[Tuple[int, Vec]]:
         """Reduced echelon form as (pivot column, row) pairs, pivots ascending.

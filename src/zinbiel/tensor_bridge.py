@@ -54,7 +54,7 @@ from .complexes import (
     dl_delta,
     random_dl_cochain,
 )
-from .linalg import EMPTY_ROW, Matrix, _eliminate, _sparsest_labels
+from .linalg import EMPTY_ROW, Matrix, _eliminate, _split_owners
 from .sparsevec import Vec, add_scaled, integral, unscaled
 
 BRACKET_BOUND_CAP = 16
@@ -350,14 +350,20 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
     numbered before every DL^(n+2) row and a pivot is zero before its lead,
     so the pivots that lead on a CE row count rank [delta_CE^n | psi_{n+1}],
     the quotient rank in degree n plus rank psi_{n+1}. Neither count needs
-    psi injective; the identity they feed does, hence the precheck. The CE
-    rows are delta_CE^n's, sparsest first by how many of its columns touch
-    them, then the others psi_{n+1} touches, in first-touch order
-    (_sparsest_labels); _eliminate relabels each column under that one
-    numbering as it reduces it, so the pivots stay valid as they are
-    extended. psi and both differentials are the integer matrices
-    of _matrix, nonzero multiples of the maps: scaling a block's rows and
-    columns changes no rank, nor which rows the pivots lead on.
+    psi injective; the identity they feed does, hence the precheck. A
+    delta_CE^n column that alone touches some CE row, which no psi_{n+1}
+    column touches either, owns it (_split_owners): no other vector of
+    S_n ever holds that row, so the column is a pivot leading there, on a
+    CE row, and is counted without being eliminated. The split is one
+    round: removing the owners leaves new single rows, but peeling those
+    too made the cones slower, not faster. The other CE rows are
+    delta_CE^n's, sparsest first by how many of its columns touch them,
+    then the others psi_{n+1} touches, in first-touch order; _eliminate
+    relabels each remaining column under that one numbering as it reduces
+    it, so the pivots stay valid as they are extended. psi and both
+    differentials are the integer matrices of _matrix, nonzero multiples of
+    the maps: scaling a block's rows and columns changes no rank, nor which
+    rows the pivots lead on.
     """
     if type(max_degree) is not int:
         raise ValueError(f"max_degree must be an int, got {max_degree!r}")
@@ -403,14 +409,16 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
         s = Matrix._of(nrows, ce.ncols, ce._cols).hstack(Matrix._of(nrows, psi.ncols, cone))._cols
         # CE rows are labelled below top, DL rows from top up in index order: a pivot leading
         # on a DL row before some CE row could be nonzero there, and rank_q would come out short.
-        label = _sparsest_labels(ce._cols.values(), then=(*psi._cols.values(), range(off, nrows)))
+        # Every owner leads on a CE row, so it counts as below top too.
+        leads, rest, label = _split_owners(
+            ce._cols.values(), then=(*psi._cols.values(), range(off, nrows)))
         top = len(label) - dl.nrows
-        pivots = _eliminate((col for j, col in s.items() if j < ce.ncols), label)
-        ce_rank[n] = len(pivots)
+        pivots = _eliminate(rest, label)
+        ce_rank[n] = len(leads) + len(pivots)
         h_lie[n] = ce_space_dim(tdim, tmd, n) - ce_rank[n] - ce_rank[n - 1]
         _eliminate((col for j, col in s.items() if j >= ce.ncols), label, pivots)
-        induced_rank[n + 1] = len(pivots) - ce_rank[n] - dl_rank[n + 1]
-        rank_q[n] = sum(p < top for p in pivots) - psi_rank[n + 1]
+        induced_rank[n + 1] = len(leads) + len(pivots) - ce_rank[n] - dl_rank[n + 1]
+        rank_q[n] = len(leads) + sum(p < top for p in pivots) - psi_rank[n + 1]
 
     rows = []
     for n in range(1, max_degree + 1):

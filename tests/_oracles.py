@@ -5,11 +5,12 @@ and literal transcriptions of the printed low-degree formulas.  The point
 is a second route to the same numbers, not speed.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import gcd, lcm
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from zinbiel import Cochain
 from zinbiel.algebras import (
@@ -41,7 +42,7 @@ from zinbiel.complexes import (
     dl_space_dim,
     dl_tuples,
 )
-from zinbiel.linalg import Matrix, _eliminate
+from zinbiel.linalg import Matrix, Row, _eliminate
 from zinbiel.sparsevec import Scalar, Vec, add_scaled, integral
 from zinbiel.tensor_bridge import PsiNotInjectiveError, TensorContext, psi_matrix
 
@@ -785,6 +786,31 @@ def tensor_module_grid(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule) -> Tuple
                         left[(a_idx, m_idx)] = acc
                         right[(m_idx, a_idx)] = {j: -c for j, c in acc.items()}
     return left, right
+
+
+# Matrix.rank's column route with no owners split off: every row a column
+# touches is labelled and every column eliminated, the reference for
+# linalg._split_owners.
+
+def sparsest_labels(cols: Iterable[Row], then: Iterable[Iterable[int]] = ()) -> Dict[int, int]:
+    """{row: label} for every row the columns touch: 0, 1, ... from the fewest columns up.
+
+    Rows touched by equally many columns keep the order the columns first
+    touch them in. The rows that only the vectors of then touch take the
+    next labels, in the order those vectors first touch them.
+    """
+    count = Counter(chain.from_iterable(cols))
+    label = {i: p for p, i in enumerate(sorted(count, key=count.__getitem__))}
+    for i in chain.from_iterable(then):
+        label.setdefault(i, len(label))
+    return label
+
+
+def whole_lead_rows(cols: Sequence[Row]) -> List[int]:
+    """The row at which each pivot leads when every column is relabelled and eliminated."""
+    label = sparsest_labels(cols)
+    row_of = list(label)
+    return [row_of[p] for p in _eliminate(cols, label)]
 
 
 # les_report by the row-wise route: every rank is a row elimination in the

@@ -1,6 +1,7 @@
 """Structure constants, axiom checking, bimodules, and the file format."""
 
 import json
+from collections.abc import Hashable
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,17 @@ def test_basis_names_are_kept_as_a_tuple(tmp_path):
         Bimodule(alg, 1, "m")
     save_bimodule(mod, path)
     assert load_bimodule(path) == mod
+
+
+def test_algebras_and_bimodules_say_they_are_unhashable():
+    # Frozen dataclasses holding dict tables: a generated __hash__ would
+    # only fail inside, on 'dict'.
+    B = builtin("B2")
+    for obj in (B, regular(B)):
+        assert not isinstance(obj, Hashable)
+        with pytest.raises(TypeError, match=f"unhashable type: '{type(obj).__name__}'"):
+            hash(obj)
+    assert B == builtin("B2") and regular(B) == regular(builtin("B2"))
 
 
 def test_algebra_roundtrip(tmp_path):

@@ -1,7 +1,9 @@
 """Exact rational matrices: rank, reduction, nullspace, products."""
 
 import copy
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -17,8 +19,10 @@ from _oracles import (
     from_rows,
     identity,
     mul_vec,
+    sparsest_labels,
     to_dense,
     transpose,
+    whole_lead_rows,
 )
 from zinbiel import (
     Bimodule,
@@ -32,7 +36,7 @@ from zinbiel import (
     regular,
 )
 from zinbiel.complexes import _assemble, _delta_map, _exact, _matrix
-from zinbiel.linalg import EMPTY_ROW, _eliminate, _sparsest_labels, parse_scalar
+from zinbiel.linalg import EMPTY_ROW, _eliminate, _split_owners, parse_scalar
 from zinbiel.tensor_bridge import _psi_map
 
 
@@ -475,14 +479,36 @@ def test_from_nonempty_rejects_indices_out_of_range():
 
 def test_rows_are_labelled_sparsest_first_then_by_first_touch():
     cols = [{5: 1, 2: 1}, {2: 1, 7: 1}, {7: 1, 9: 1, 5: 1}, {9: 1, 7: 1}]
-    # counts: 5 twice, 2 twice, 7 three times, 9 twice; first touched 5, 2, 7, 9
-    assert _sparsest_labels(cols) == {5: 0, 2: 1, 9: 2, 7: 3}
-    assert _sparsest_labels([]) == {}
+    # counts: 5 twice, 2 twice, 7 three times, 9 twice; first touched 5, 2, 7, 9.
+    # No row is single, so no column is an owner and every row is labelled.
+    assert _split_owners(cols) == ([], cols, {5: 0, 2: 1, 9: 2, 7: 3})
+    assert _split_owners([]) == ([], [], {})
     # The rows only then touches follow, first-touched first, after the others.
     then = [{9: 1, 4: 1}, {3: 1, 4: 1}, range(20, 22)]
-    assert _sparsest_labels(cols, then=then) == {5: 0, 2: 1, 9: 2, 7: 3, 4: 4, 3: 5,
-                                                 20: 6, 21: 7}
-    assert _sparsest_labels([], then=then) == {9: 0, 4: 1, 3: 2, 20: 3, 21: 4}
+    assert _split_owners(cols, then=then) == ([], cols, {5: 0, 2: 1, 9: 2, 7: 3, 4: 4, 3: 5,
+                                                         20: 6, 21: 7})
+    assert _split_owners([], then=then) == ([], [], {9: 0, 4: 1, 3: 2, 20: 3, 21: 4})
+    # Column {8, 5} alone touches 8, and {6, 1, 7} 6 and 1: both are owners, the
+    # second leading at 6, its first single row. Rows 8, 6 and 1 get no label,
+    # the others keep their order (5 is touched three times now).
+    owned = cols + [{8: 1, 5: 1}, {6: 1, 1: 1, 7: 1}]
+    assert _split_owners(owned) == ([8, 6], cols, {2: 0, 9: 1, 5: 2, 7: 3})
+    assert list(_split_owners(owned)[2]) == [i for i in sparsest_labels(owned)
+                                             if i not in (8, 6, 1)]
+
+
+def test_a_row_then_touches_makes_no_owner():
+    # Column 0 alone of the columns touches row 0, but so does the vector
+    # that extends the echelon. Taken as an owner, column 0 would never be
+    # stored as the pivot at row 0, and e_0 = (e_0 + e_1) - e_1 would come
+    # out independent: rank 3, not 2.
+    a, p = [{0: 1, 1: 1}, {1: 1}], [{0: 1}]
+    assert _split_owners(a)[0] == [0]
+    leads, rest, label = _split_owners(a, then=p)
+    assert leads == [] and rest == a
+    pivots = _eliminate(rest, label)
+    _eliminate(p, label, pivots)
+    assert len(pivots) == 2 == dense_rank([[1, 0, 1], [1, 1, 0]])
 
 
 @st.composite
@@ -524,14 +550,14 @@ def test_column_rank_of_tall_sparse_matrices(rows):
 def test_column_echelon_extends_under_a_shared_row_order(pair):
     # les_report labels rows sparsest first by A's column counts, then P's
     # other rows in first-touch order, eliminates A's columns and extends
-    # those pivots by P's columns.
+    # those pivots by P's columns; A's owners are counted, never eliminated.
     a_rows, p_rows = pair
     a, p = _int_matrix(a_rows), _int_matrix(p_rows)
-    label = _sparsest_labels(a._cols.values(), then=p._cols.values())
-    pivots = _eliminate(a._cols.values(), label)
-    assert len(pivots) == dense_rank(a_rows)
+    leads, rest, label = _split_owners(a._cols.values(), then=p._cols.values())
+    pivots = _eliminate(rest, label)
+    assert len(leads) + len(pivots) == dense_rank(a_rows)
     _eliminate(p._cols.values(), label, pivots)
-    assert len(pivots) == dense_rank([r + s for r, s in zip(a_rows, p_rows)])
+    assert len(leads) + len(pivots) == dense_rank([r + s for r, s in zip(a_rows, p_rows)])
 
 
 def test_column_rank_of_dl_degree_4_cancels_little(monkeypatch):
@@ -550,3 +576,104 @@ def test_column_rank_of_dl_degree_4_cancels_little(monkeypatch):
     m = _assemble("dl", regular(builtin("polyzinbiel(3)")), 4)
     assert m.rank() == 819
     assert calls <= 5000
+
+
+@contextmanager
+def _counted_cancels():
+    """A one-item list that counts the _cancel calls made inside the block."""
+    calls = [0]
+    cancel = linalg._cancel
+
+    def counted(*args):
+        calls[0] += 1
+        return cancel(*args)
+
+    linalg._cancel = counted
+    try:
+        yield calls
+    finally:
+        linalg._cancel = cancel
+
+
+def _assert_split_matches_whole(m):
+    """m's owners and other pivots against every column eliminated; returns the owner count.
+
+    Same rank, same lead rows, same cancellations, and the pivots with the
+    unit vectors at the other rows form a basis: ordered owner leads first,
+    then by label, every pivot is zero before its lead.
+    """
+    cols = list(m._cols.values())
+    with _counted_cancels() as calls:
+        whole = whole_lead_rows(cols)
+        whole_calls, calls[0] = calls[0], 0
+        leads, rest, label = _split_owners(cols)
+        pivots = _eliminate(rest, label)
+    assert calls[0] == whole_calls
+    row_of = list(label)
+    split = leads + [row_of[p] for p in pivots]
+    assert m._lead_rows() == split and m.rank() == len(whole)
+    lead_set = set(split)
+    assert len(lead_set) == len(split) and lead_set == set(whole)
+    kept = set(map(id, rest))
+    owners = [col for col in cols if id(col) not in kept]
+    pos = {i: p for p, i in enumerate(chain(leads, label))}
+    for lead, col in zip(leads, owners, strict=True):
+        assert min(pos.get(i, len(pos)) for i in col) == pos[lead]
+    assert all(min(piv) == p for p, piv in pivots.items())
+    if m.nrows <= 40:
+        basis = owners + [{row_of[k]: v for k, v in piv.items()} for piv in pivots.values()]
+        basis += [{i: 1} for i in range(m.nrows) if i not in lead_set]
+        assert dense_rank([dense_vec(v, m.nrows) for v in basis]) == m.nrows
+    return len(leads)
+
+
+def _ce1(g_name):
+    B = builtin("B2")
+    return _assemble("ce", TensorContext(builtin(g_name), B, regular(B)).module, 1)
+
+
+def _dl(n):
+    return _assemble("dl", regular(builtin("polyzinbiel(3)")), n)
+
+
+def _cleared_dl4():
+    # The columns of delta_DL^4 that cohomology_dims ranks: its certificate
+    # holds on polyzinbiel(3), so those at delta_DL^3's lead rows are cleared.
+    out, cleared = _dl(4), set(_dl(3)._lead_rows())
+    return Matrix._of(out.nrows, out.ncols,
+                      {j: col for j, col in out._cols.items() if j not in cleared})
+
+
+@pytest.mark.parametrize("build, owners, nonempty", [
+    (lambda: _ce1("freeleibniz(2,4)"), 1024, 2036),
+    (lambda: _ce1("freeleibniz(3,3)"), 1248, 3114),
+    (lambda: _dl(3), 61, 255),
+    (lambda: _dl(4), 187, 1023),
+    (_cleared_dl4, 337, 820),
+], ids=["ce1 fl(2,4)xB2", "ce1 fl(3,3)xB2", "dl3 pz(3)", "dl4 pz(3)", "cleared dl4 pz(3)"])
+def test_owners_split_off_like_the_whole_column_route(build, owners, nonempty):
+    m = build()
+    assert (_assert_split_matches_whole(m), len(m._cols)) == (owners, nonempty)
+
+
+@settings(deadline=None)
+@given(tall_sparse())
+def test_owners_split_off_like_the_whole_column_route_on_sparse_matrices(rows):
+    m = _int_matrix(rows)
+    _assert_split_matches_whole(m)
+    assert m.rank() == dense_rank(rows)
+
+
+def test_mul_drops_cancelled_entries_and_mixes_number_types():
+    # a's third column is twice its first. Column 0 of a*b cancels at row 0,
+    # column 1 at row 0 too, and column 2 everywhere, so it is not stored.
+    a_rows = [[1, 2, 2], [1, 3, 2], [0, 0, 0]]
+    b_rows = [[2, Fraction(1, 2), 1], [-1, Fraction(-1, 4), 0], [0, 0, Fraction(-1, 2)]]
+    ints, fracs = _int_matrix(a_rows), from_rows(b_rows)
+    before = copy.deepcopy((ints._cols, fracs._cols))
+    assert ints.mul(fracs)._cols == {0: {1: -1}, 1: {1: Fraction(-1, 4)}}
+    assert to_dense(ints.mul(fracs)) == _dense_mul(a_rows, b_rows)
+    assert to_dense(fracs.mul(ints)) == _dense_mul(b_rows, a_rows)
+    assert 0 not in _values(fracs.mul(ints))
+    assert all(type(v) is int for v in _values(ints.mul(ints)))
+    assert (ints._cols, fracs._cols) == before

@@ -101,3 +101,12 @@ def test_a_traced_smoke_pass_meets_its_pins_and_fills_every_layer():
     # run.py adds these two from the untraced passes.
     wanted = {m["name"] for m in spec["per_layer"]} - {"process.cpu_s", "trace.overhead_s"}
     assert wanted <= set(layers)
+
+
+def test_every_benchmarked_operation_meets_its_pin():
+    # One in-process run of each operation of the workloads BENCHMARK.json
+    # times, so a change that would fail one of them fails here first.
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for workload in spec["workloads"]:
+        for op in workloads.WORKLOADS[workload["name"]].ops:
+            assert op.run(zinbiel, 0) == op.pin, op.name
