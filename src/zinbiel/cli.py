@@ -9,12 +9,13 @@ import argparse
 import os
 import sys
 from dataclasses import asdict
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from .algebras import _MODULE_FAMILY, AxiomReport, Bimodule, FiniteAlgebra, check_axioms, regular
 from .catalog import builtin as catalog_builtin
 from .complexes import cohomology_dims
 from .fileio import (
+    _dump_json,
     _json_text,
     _load,
     algebra_from_dict,
@@ -22,8 +23,6 @@ from .fileio import (
     bimodule_from_dict,
     bimodule_to_dict,
     is_bimodule_data,
-    save_algebra,
-    save_bimodule,
 )
 from .free_leibniz import DEFAULT_DIM_CAP
 from .reproduce import reproduce_example_4_6
@@ -36,6 +35,8 @@ from .tensor_bridge import (
 
 DIM_CAP_ENV = "ZINBIEL_DIM_CAP"
 
+_Results = List[Tuple[str, AxiomReport]]
+
 
 class UsageError(Exception):
     pass
@@ -46,54 +47,55 @@ def _emit_json(data: dict) -> None:
 
 
 def _dim_cap(args: argparse.Namespace) -> int:
-    if args.dim_cap is not None:
-        cap, source = args.dim_cap, "--dim-cap"
-    else:
-        raw = os.environ.get(DIM_CAP_ENV)
+    cap, source = args.dim_cap, "--dim-cap"
+    if cap is None:
+        raw, source = os.environ.get(DIM_CAP_ENV), DIM_CAP_ENV
         if raw is None:
             return DEFAULT_DIM_CAP
         try:
             cap = int(raw)
         except ValueError:
             raise UsageError(f"{DIM_CAP_ENV} must be an integer, got {raw!r}")
-        source = DIM_CAP_ENV
     if cap < 1:
         raise UsageError(f"{source} must be at least 1, got {cap}")
     return cap
 
 
-def _load_operand(spec: str, dim_cap: int) -> Union[FiniteAlgebra, Bimodule]:
-    """Resolve 'builtin:NAME' against the catalog, anything else as a file."""
-    if spec.startswith("builtin:"):
+def _operands(args: argparse.Namespace, *flags: str) -> List[Union[FiniteAlgebra, Bimodule]]:
+    """The operands args holds under flags, in order, loaded under one dim cap.
+
+    Each is 'builtin:NAME' from the catalog, or else a file. A positional
+    (check's target, builtin's name) may be an algebra or a bimodule; --module
+    must be a bimodule over the algebra loaded just before it; every other
+    flag expects an algebra.
+    """
+    cap = _dim_cap(args)
+    loaded: List[Union[FiniteAlgebra, Bimodule]] = []
+    for flag in flags:
+        spec = getattr(args, flag.lstrip("-"))
         try:
-            return catalog_builtin(spec[len("builtin:"):], dim_cap=dim_cap)
+            if spec.startswith("builtin:"):
+                obj = catalog_builtin(spec[len("builtin:"):], dim_cap=cap)
+            elif os.path.exists(spec):
+                obj = _load(spec, lambda data: (
+                    bimodule_from_dict if is_bimodule_data(data) else algebra_from_dict)(data))
+            else:
+                raise UsageError(
+                    f"no such file: {spec} (catalog entries need the builtin: prefix)"
+                )
+        except OSError as exc:
+            raise UsageError(f"cannot read {spec}: {exc}")
         except ValueError as exc:
             raise UsageError(str(exc))
-    if not os.path.exists(spec):
-        raise UsageError(
-            f"no such file: {spec} (catalog entries need the builtin: prefix)"
-        )
-    try:
-        return _load(spec, lambda data: (
-            bimodule_from_dict if is_bimodule_data(data) else algebra_from_dict)(data))
-    except OSError as exc:
-        raise UsageError(f"cannot read {spec}: {exc}")
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def _load_algebra_operand(spec: str, dim_cap: int, flag: str) -> FiniteAlgebra:
-    obj = _load_operand(spec, dim_cap)
-    if isinstance(obj, Bimodule):
-        raise UsageError(f"{flag} expects an algebra, got a bimodule ({spec})")
-    return obj
-
-
-def _load_pair(args: argparse.Namespace) -> Tuple[FiniteAlgebra, FiniteAlgebra]:
-    """The --leibniz and --zinbiel algebras, in that order."""
-    cap = _dim_cap(args)
-    return (_load_algebra_operand(args.leibniz, cap, "--leibniz"),
-            _load_algebra_operand(args.zinbiel, cap, "--zinbiel"))
+        if flag == "--module":
+            if not isinstance(obj, Bimodule):
+                raise UsageError("--module expects a bimodule file")
+            if obj.algebra != loaded[-1]:
+                raise UsageError("--module was built over a different algebra")
+        elif flag.startswith("--") and isinstance(obj, Bimodule):
+            raise UsageError(f"{flag} expects an algebra, got a bimodule ({spec})")
+        loaded.append(obj)
+    return loaded
 
 
 def _witness_lines(witness: Optional[dict], indent: str = "  ") -> List[str]:
@@ -120,54 +122,64 @@ def _print_checks(results: Iterable[Tuple[str, AxiomReport]], prefix: str = "") 
                 print(line)
 
 
-def _input_gate(
-    checks: List[Tuple[str, FiniteAlgebra, Optional[Bimodule]]], fmt: str
-) -> Optional[int]:
-    """Run every (family, algebra, module) check; exit 1 with the failures
-    (every check in JSON) unless all pass."""
-    results = [(name, check_axioms(alg, name, module)) for name, alg, module in checks]
+def _checks(family: str, alg: FiniteAlgebra, module: Optional[Bimodule] = None) -> _Results:
+    """The family's axiom check on alg, then, given a module, its module family's."""
+    results = [(family, check_axioms(alg, family))]
+    if module is not None:
+        family = _MODULE_FAMILY[family]
+        results.append((family, check_axioms(alg, family, module=module)))
+    return results
+
+
+def _check_entries(results: _Results) -> List[dict]:
+    return [{"name": n, **asdict(r)} for n, r in results]
+
+
+def _inputs_fail(results: _Results, fmt: str) -> bool:
+    """Whether an input check failed; if so, the failures (every check in JSON) are printed."""
     bad = [(n, r) for n, r in results if not r.ok]
     if not bad:
-        return None
+        return False
     if fmt == "json":
-        _emit_json({"checks": [{"name": n, **asdict(r)} for n, r in results]})
+        _emit_json({"checks": _check_entries(results)})
     else:
         _print_checks(bad, "input axiom ")
-    return 1
+    return True
 
 
-def _save(save, obj, path: str) -> None:
-    """Write obj with save; a path that cannot be written is a usage error."""
+def _write(obj: Union[FiniteAlgebra, Bimodule], path: Optional[str]) -> None:
+    """obj's file form to path, or to stdout without one; a path that cannot
+    be written is a usage error."""
+    data = bimodule_to_dict(obj) if isinstance(obj, Bimodule) else algebra_to_dict(obj)
+    if not path:
+        _emit_json(data)
+        return
     try:
-        save(obj, path)
+        _dump_json(data, path)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    obj = _load_operand(args.target, _dim_cap(args))
-    alg = obj.algebra if isinstance(obj, Bimodule) else obj
+    obj, = _operands(args, "target")
+    module = obj if isinstance(obj, Bimodule) else None
+    alg = obj if module is None else module.algebra
     if alg.kind not in _MODULE_FAMILY:
         raise UsageError(
             f"no axiom family for algebra kind {alg.kind!r}; "
             f"known kinds: {', '.join(sorted(_MODULE_FAMILY))}"
         )
-    results: List[Tuple[str, AxiomReport]] = [
-        (alg.kind, check_axioms(alg, alg.kind))
-    ]
-    if isinstance(obj, Bimodule):
-        family = _MODULE_FAMILY[alg.kind]
-        results.append((family, check_axioms(alg, family, module=obj)))
+    results = _checks(alg.kind, alg, module)
     ok = all(r.ok for _, r in results)
     if args.format == "json":
         data = {
             "kind": alg.kind,
             "dim": alg.dim,
             "ok": ok,
-            "checks": [{"name": n, **asdict(r)} for n, r in results],
+            "checks": _check_entries(results),
         }
-        if isinstance(obj, Bimodule):
-            data["module_dim"] = obj.dim
+        if module is not None:
+            data["module_dim"] = module.dim
         _emit_json(data)
     else:
         _print_checks(results)
@@ -175,23 +187,15 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_cohomology(args: argparse.Namespace) -> int:
-    cap = _dim_cap(args)
-    alg = _load_algebra_operand(args.algebra, cap, "--algebra")
     if args.regular:
+        alg, = _operands(args, "--algebra")
         module = regular(alg)
     else:
-        obj = _load_operand(args.module, cap)
-        if not isinstance(obj, Bimodule):
-            raise UsageError("--module expects a bimodule file")
-        if obj.algebra != alg:
-            raise UsageError("--module was built over a different algebra")
-        module = obj
+        alg, module = _operands(args, "--algebra", "--module")
     # delta squares to zero only over an algebra and module of the complex's family
     family = "zinbiel" if args.complex == "dl" else "lie"
-    failed = _input_gate([(family, alg, None), (_MODULE_FAMILY[family], alg, module)],
-                         args.format)
-    if failed is not None:
-        return failed
+    if _inputs_fail(_checks(family, alg, module), args.format):
+        return 1
     try:
         dims = cohomology_dims(module, args.complex, args.degree)
     except ValueError as exc:
@@ -213,24 +217,20 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
 
 
 def cmd_tensor_lie(args: argparse.Namespace) -> int:
-    g, B = _load_pair(args)
-    failed = _input_gate([("leibniz", g, None), ("zinbiel", B, None)], args.format)
-    if failed is not None:
-        return failed
+    g, B = _operands(args, "--leibniz", "--zinbiel")
+    if _inputs_fail(_checks("leibniz", g) + _checks("zinbiel", B), args.format):
+        return 1
     lie = tensor_lie(g, B, validate=False)
-    if args.output:
-        _save(save_algebra, lie, args.output)
-        if args.format == "json":
-            _emit_json({"dim": lie.dim, "path": args.output})
-        else:
-            print(f"wrote lie algebra of dimension {lie.dim} to {args.output}")
-    else:
-        _emit_json(algebra_to_dict(lie))
+    _write(lie, args.output)
+    if args.output and args.format == "json":
+        _emit_json({"dim": lie.dim, "path": args.output})
+    elif args.output:
+        print(f"wrote lie algebra of dimension {lie.dim} to {args.output}")
     return 0
 
 
 def cmd_verify_chain_map(args: argparse.Namespace) -> int:
-    g, B = _load_pair(args)
+    g, B = _operands(args, "--leibniz", "--zinbiel")
     try:
         report = verify_chain_map(
             g, B, regular(B), args.degree, trials=args.trials, seed=args.seed
@@ -239,9 +239,7 @@ def cmd_verify_chain_map(args: argparse.Namespace) -> int:
         raise UsageError(str(exc))
     ok = report.passed and report.axioms_ok
     if args.format == "json":
-        data = report.to_dict()
-        data["ok"] = ok
-        _emit_json(data)
+        _emit_json({**report.to_dict(), "ok": ok})
     else:
         exact = report.trials - len(report.failed_trials)
         print(f"chain map at degree {report.degree}: {exact}/{report.trials} exact")
@@ -254,10 +252,9 @@ def cmd_verify_chain_map(args: argparse.Namespace) -> int:
 
 
 def cmd_les(args: argparse.Namespace) -> int:
-    g, B = _load_pair(args)
-    failed = _input_gate([("leibniz", g, None), ("zinbiel", B, None)], args.format)
-    if failed is not None:
-        return failed
+    g, B = _operands(args, "--leibniz", "--zinbiel")
+    if _inputs_fail(_checks("leibniz", g) + _checks("zinbiel", B), args.format):
+        return 1
     try:
         report = les_report(g, B, regular(B), args.max_degree)
     except PsiNotInjectiveError as exc:
@@ -297,12 +294,8 @@ def cmd_les(args: argparse.Namespace) -> int:
 
 
 def cmd_builtin(args: argparse.Namespace) -> int:
-    obj = _load_operand(f"builtin:{args.name}", _dim_cap(args))
-    if args.output:
-        _save(save_bimodule if isinstance(obj, Bimodule) else save_algebra, obj, args.output)
-    else:
-        data = bimodule_to_dict(obj) if isinstance(obj, Bimodule) else algebra_to_dict(obj)
-        _emit_json(data)
+    obj, = _operands(args, "name")
+    _write(obj, args.output)
     return 0
 
 
@@ -316,20 +309,28 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
+def _add_format(parser: argparse.ArgumentParser, func: Callable[[argparse.Namespace], int]) -> None:
+    """--format, and func to run the subcommand."""
+    parser.set_defaults(func=func)
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="report format (default text)",
     )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    _add_format(parser)
+def _add_common(parser: argparse.ArgumentParser, func: Callable[[argparse.Namespace], int]) -> None:
+    """--format, --dim-cap, and func to run the subcommand."""
+    _add_format(parser, func)
     parser.add_argument(
         "--dim-cap", type=int, default=None, metavar="N",
         help=f"dimension cap for catalog construction "
              f"(default {DEFAULT_DIM_CAP}, or the {DIM_CAP_ENV} variable)",
     )
+
+
+def _add_pair(parser: argparse.ArgumentParser) -> None:
+    for flag in ("--leibniz", "--zinbiel"):
+        parser.add_argument(flag, required=True, help="file path or builtin:<name>")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run axiom checks on an algebra or bimodule")
     p.add_argument("target", help="file path or builtin:<name>")
-    _add_common(p)
-    p.set_defaults(func=cmd_check)
+    _add_common(p, cmd_check)
 
     p = sub.add_parser("cohomology", help="exact cocycle/coboundary/cohomology dims")
     p.add_argument("--complex", choices=("dl", "ce"), required=True)
@@ -353,50 +353,42 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--regular", action="store_true",
                        help="use the algebra itself as coefficients")
     p.add_argument("--degree", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_cohomology)
+    _add_common(p, cmd_cohomology)
 
     p = sub.add_parser("tensor-lie", help="build the Lie algebra g⊗B")
-    p.add_argument("--leibniz", required=True, help="file path or builtin:<name>")
-    p.add_argument("--zinbiel", required=True, help="file path or builtin:<name>")
+    _add_pair(p)
     p.add_argument("-o", "--output", help="write the algebra file here")
-    _add_common(p)
-    p.set_defaults(func=cmd_tensor_lie)
+    _add_common(p, cmd_tensor_lie)
 
     p = sub.add_parser("verify-chain-map",
                        help="check delta(Ψf) = Ψ(delta f) on random cochains")
-    p.add_argument("--leibniz", required=True)
-    p.add_argument("--zinbiel", required=True)
+    _add_pair(p)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_chain_map)
+    _add_common(p, cmd_verify_chain_map)
 
     p = sub.add_parser("les", help="long-exact-sequence dimension table")
-    p.add_argument("--leibniz", required=True)
-    p.add_argument("--zinbiel", required=True)
+    _add_pair(p)
     p.add_argument("--max-degree", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_les)
+    _add_common(p, cmd_les)
 
     p = sub.add_parser("builtin", help="emit a catalog algebra or bimodule")
-    p.add_argument("name", help="catalog name, e.g. B2 or freeleibniz(2,3)")
+    # prefixed so that the name loads like any other operand
+    p.add_argument("name", type="builtin:{}".format,
+                   help="catalog name, e.g. B2 or freeleibniz(2,3)")
     p.add_argument("-o", "--output", help="write the file here instead of stdout")
-    _add_common(p)
-    p.set_defaults(func=cmd_builtin)
+    _add_common(p, cmd_builtin)
 
     p = sub.add_parser("reproduce", help="recompute a worked example end to end")
     p.add_argument("target", choices=("example-4-6",))
-    _add_format(p)
-    p.set_defaults(func=cmd_reproduce)
+    _add_format(p, cmd_reproduce)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -70,8 +70,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
-# parse_scalar lives in sparsevec; code that imports it from linalg still finds it.
-from .sparsevec import Number, Vec, parse_scalar, parse_vec
+from .sparsevec import Number, Vec, parse_vec
 
 _ONE = Fraction(1)
 

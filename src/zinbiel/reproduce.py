@@ -60,11 +60,11 @@ def reproduce_example_4_6() -> Tuple[List[str], dict]:
     M = regular(B)
     d1 = dl_delta_matrix(M, 1)
     d2 = dl_delta_matrix(M, 2)
+    reduced = d2.reduced_rows()
     dim_b = d1.rank()
-    dim_z = d2.ncols - d2.rank()
+    dim_z = d2.ncols - len(reduced)
     dim_h = dim_z - dim_b
 
-    reduced = d2.reduced_rows()
     computed_rows = {pivot: dict(row) for pivot, row in reduced}
     constraints = [_relation_text(p, r) for p, r in sorted(computed_rows.items())]
     free_cols = [c for c in range(d2.ncols) if c not in computed_rows]

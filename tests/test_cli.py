@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output wording, and file round-trips."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from zinbiel import perturbed_b2, save_algebra, save_bimodule, builtin, regular
-from zinbiel.cli import main
+from zinbiel.cli import build_parser, main
 
 VERIFY_PASS = """\
 chain map at degree 2: 10/10 exact
@@ -188,11 +189,40 @@ def test_cohomology_with_module_file(capsys, tmp_path):
 def test_cohomology_module_must_match_algebra(capsys, tmp_path):
     path = tmp_path / "reg3.json"
     save_bimodule(regular(builtin("B3")), path)
-    code, _, err = run(capsys, [
+    code, out, err = run(capsys, [
         "cohomology", "--complex", "dl", "--algebra", "builtin:B2",
         "--module", str(path), "--degree", "2",
     ])
-    assert code == 2 and err.startswith("error:")
+    assert (code, out, err) == (2, "", "error: --module was built over a different algebra\n")
+
+
+def test_cohomology_module_must_be_a_bimodule(capsys, tmp_path):
+    path = tmp_path / "b2.json"
+    save_algebra(builtin("B2"), path)
+    assert run(capsys, [
+        "cohomology", "--complex", "dl", "--algebra", "builtin:B2",
+        "--module", str(path), "--degree", "2",
+    ]) == (2, "", "error: --module expects a bimodule file\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["les", "--leibniz", "{mod}", "--zinbiel", "builtin:B2", "--max-degree", "1"],
+     "--leibniz"),
+    (["verify-chain-map", "--leibniz", "builtin:leibniz2", "--zinbiel", "{mod}",
+      "--degree", "2"], "--zinbiel"),
+    (["tensor-lie", "--leibniz", "builtin:leibniz2", "--zinbiel", "{mod}"], "--zinbiel"),
+    (["cohomology", "--complex", "dl", "--algebra", "{mod}", "--regular", "--degree", "2"],
+     "--algebra"),
+], ids=["les", "verify-chain-map", "tensor-lie", "cohomology"])
+@pytest.mark.parametrize("source", ["file", "builtin"])
+def test_an_algebra_operand_rejects_a_bimodule(capsys, tmp_path, argv, flag, source):
+    mod = "builtin:regular(B2)"
+    if source == "file":
+        mod = str(tmp_path / "reg.json")
+        save_bimodule(regular(builtin("B2")), mod)
+    argv = [a.format(mod=mod) for a in argv]
+    assert run(capsys, argv) == (
+        2, "", f"error: {flag} expects an algebra, got a bimodule ({mod})\n")
 
 
 def test_cohomology_rejects_degree_over_the_cap(capsys):
@@ -491,9 +521,9 @@ def test_missing_file(capsys):
     assert "no such file" in err and "builtin:" in err
 
 
-def _one_dim_algebra(dim="1", left="0", coeff="1") -> bytes:
+def _one_dim_algebra(dim="1", left="0", coeff="1", kind="zinbiel") -> bytes:
     return (
-        f'{{"kind": "zinbiel", "dim": {dim}, "basis": ["e"], "products": '
+        f'{{"kind": "{kind}", "dim": {dim}, "basis": ["e"], "products": '
         f'[{{"left": {left}, "right": 0, "result": [[0, {coeff}]]}}]}}'
     ).encode()
 
@@ -512,6 +542,14 @@ def test_malformed_file_names_its_path_once(capsys, tmp_path, content):
     code, _, err = run(capsys, ["check", str(path)])
     assert code == 2
     assert err.startswith("error: ") and err.count(str(path)) == 1
+
+
+def test_check_needs_a_kind_with_an_axiom_family(capsys, tmp_path):
+    path = tmp_path / "assoc.json"
+    path.write_bytes(_one_dim_algebra(kind="assoc"))
+    assert run(capsys, ["check", str(path)]) == (2, "", (
+        "error: no axiom family for algebra kind 'assoc'; "
+        "known kinds: leibniz, lie, zinbiel\n"))
 
 
 def test_reproduce_text(capsys):
@@ -546,6 +584,47 @@ def test_reproduce_json(capsys):
         "computed": 0, "reference": 1, "label": "differs from paper",
     }
     assert out == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+FORMAT = (("--format",), False, ("text", "json"))
+DIM_CAP = (("--dim-cap",), False, None)
+PAIR = [(("--leibniz",), True, None), (("--zinbiel",), True, None)]
+OUTPUT = (("-o", "--output"), False, None)
+
+# Each subcommand's arguments in order: (option strings, or the positional's
+# name; required; choices).
+SURFACE = {
+    "check": [(("target",), True, None), FORMAT, DIM_CAP],
+    "cohomology": [(("--complex",), True, ("dl", "ce")), (("--algebra",), True, None),
+                   (("--module",), False, None), (("--regular",), False, None),
+                   (("--degree",), True, None), FORMAT, DIM_CAP],
+    "tensor-lie": PAIR + [OUTPUT, FORMAT, DIM_CAP],
+    "verify-chain-map": PAIR + [(("--degree",), True, None), (("--trials",), False, None),
+                                (("--seed",), False, None), FORMAT, DIM_CAP],
+    "les": PAIR + [(("--max-degree",), True, None), FORMAT, DIM_CAP],
+    "builtin": [(("name",), True, None), OUTPUT, FORMAT, DIM_CAP],
+    "reproduce": [(("target",), True, ("example-4-6",)), FORMAT],
+}
+
+
+def test_cli_surface_is_pinned(capsys):
+    subparsers, = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(SURFACE)
+    for name, parser in subparsers.choices.items():
+        seen = [(tuple(a.option_strings) or (a.dest,), a.required,
+                 tuple(a.choices) if a.choices else None)
+                for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        assert seen == SURFACE[name], name
+        groups = [([a.option_strings for a in g._group_actions], g.required)
+                  for g in parser._mutually_exclusive_groups]
+        assert groups == ([([["--module"], ["--regular"]], True)]
+                          if name == "cohomology" else []), name
+        # every help string formats, so --help exits 0
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: zinbiel {name} ")
 
 
 def test_console_script():

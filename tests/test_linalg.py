@@ -36,7 +36,8 @@ from zinbiel import (
     regular,
 )
 from zinbiel.complexes import _assemble, _delta_map, _exact, _matrix
-from zinbiel.linalg import EMPTY_ROW, _eliminate, _split_owners, parse_scalar
+from zinbiel.linalg import EMPTY_ROW, _eliminate, _split_owners
+from zinbiel.sparsevec import parse_scalar
 from zinbiel.tensor_bridge import _psi_map
 
 

@@ -52,8 +52,8 @@ from zinbiel import (
 )
 from zinbiel import fileio, linalg, sparsevec
 from zinbiel.complexes import _apply, _matrix, ce_space_dim, ce_tuples, dl_tuples
-from zinbiel.linalg import Matrix, _eliminate, parse_scalar
-from zinbiel.sparsevec import add_scaled
+from zinbiel.linalg import Matrix, _eliminate
+from zinbiel.sparsevec import add_scaled, parse_scalar
 from zinbiel.tensor_bridge import (
     PsiNotInjectiveError,
     TensorContext,
