@@ -14,16 +14,7 @@ from typing import Callable, Iterable, List, Optional, Tuple, Union
 from .algebras import _MODULE_FAMILY, AxiomReport, Bimodule, FiniteAlgebra, check_axioms, regular
 from .catalog import builtin as catalog_builtin
 from .complexes import cohomology_dims
-from .fileio import (
-    _dump_json,
-    _json_text,
-    _load,
-    algebra_from_dict,
-    algebra_to_dict,
-    bimodule_from_dict,
-    bimodule_to_dict,
-    is_bimodule_data,
-)
+from .fileio import _dump_json, _from_dict, _json_text, _load, _to_dict
 from .free_leibniz import DEFAULT_DIM_CAP
 from .reproduce import reproduce_example_4_6
 from .tensor_bridge import (
@@ -42,8 +33,12 @@ class UsageError(Exception):
     pass
 
 
-def _emit_json(data: dict) -> None:
-    sys.stdout.write(_json_text(data))
+def _emit(args: argparse.Namespace, data: dict, lines: Iterable[str]) -> None:
+    """The one report writer: data as canonical JSON under --format json, else lines as text."""
+    if args.format == "json":
+        sys.stdout.write(_json_text(data))
+    else:
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
 
 
 def _dim_cap(args: argparse.Namespace) -> int:
@@ -67,7 +62,7 @@ def _operands(args: argparse.Namespace, *flags: str) -> List[Union[FiniteAlgebra
     Each is 'builtin:NAME' from the catalog, or else a file. A positional
     (check's target, builtin's name) may be an algebra or a bimodule; --module
     must be a bimodule over the algebra loaded just before it; every other
-    flag expects an algebra.
+    flag expects an algebra. A wrong kind is named with the operand.
     """
     cap = _dim_cap(args)
     loaded: List[Union[FiniteAlgebra, Bimodule]] = []
@@ -77,8 +72,7 @@ def _operands(args: argparse.Namespace, *flags: str) -> List[Union[FiniteAlgebra
             if spec.startswith("builtin:"):
                 obj = catalog_builtin(spec[len("builtin:"):], dim_cap=cap)
             elif os.path.exists(spec):
-                obj = _load(spec, lambda data: (
-                    bimodule_from_dict if is_bimodule_data(data) else algebra_from_dict)(data))
+                obj = _load(spec, _from_dict)
             else:
                 raise UsageError(
                     f"no such file: {spec} (catalog entries need the builtin: prefix)"
@@ -87,18 +81,17 @@ def _operands(args: argparse.Namespace, *flags: str) -> List[Union[FiniteAlgebra
             raise UsageError(f"cannot read {spec}: {exc}")
         except ValueError as exc:
             raise UsageError(str(exc))
-        if flag == "--module":
-            if not isinstance(obj, Bimodule):
-                raise UsageError("--module expects a bimodule file")
-            if obj.algebra != loaded[-1]:
-                raise UsageError("--module was built over a different algebra")
-        elif flag.startswith("--") and isinstance(obj, Bimodule):
-            raise UsageError(f"{flag} expects an algebra, got a bimodule ({spec})")
+        got = isinstance(obj, Bimodule)
+        if flag.startswith("--") and got != (flag == "--module"):
+            kinds = ("an algebra", "a bimodule")
+            raise UsageError(f"{flag} expects {kinds[not got]}, got {kinds[got]} ({spec})")
+        if flag == "--module" and obj.algebra != loaded[-1]:
+            raise UsageError("--module was built over a different algebra")
         loaded.append(obj)
     return loaded
 
 
-def _witness_lines(witness: Optional[dict], indent: str = "  ") -> List[str]:
+def _witness_lines(witness: Optional[dict]) -> List[str]:
     if not witness:
         return []
     lines = []
@@ -109,17 +102,18 @@ def _witness_lines(witness: Optional[dict], indent: str = "  ") -> List[str]:
             shown = ", ".join(str(v) for v in value)
         else:
             shown = str(value)
-        lines.append(f"{indent}{key}: {shown}")
+        lines.append(f"  {key}: {shown}")
     return lines
 
 
-def _print_checks(results: Iterable[Tuple[str, AxiomReport]], prefix: str = "") -> None:
+def _check_lines(results: Iterable[Tuple[str, AxiomReport]], prefix: str = "") -> List[str]:
     """One 'PREFIX NAME: PASS|FAIL' line per check, each failure followed by its witness."""
+    lines = []
     for name, rep in results:
-        print(f"{prefix}{name}: {'PASS' if rep.ok else 'FAIL'}")
+        lines.append(f"{prefix}{name}: {'PASS' if rep.ok else 'FAIL'}")
         if not rep.ok:
-            for line in _witness_lines(rep.witness):
-                print(line)
+            lines += _witness_lines(rep.witness)
+    return lines
 
 
 def _checks(family: str, alg: FiniteAlgebra, module: Optional[Bimodule] = None) -> _Results:
@@ -135,24 +129,20 @@ def _check_entries(results: _Results) -> List[dict]:
     return [{"name": n, **asdict(r)} for n, r in results]
 
 
-def _inputs_fail(results: _Results, fmt: str) -> bool:
-    """Whether an input check failed; if so, the failures (every check in JSON) are printed."""
+def _inputs_fail(args: argparse.Namespace, results: _Results) -> bool:
+    """Whether an input check failed; if so, the failures (every check in JSON) are reported."""
     bad = [(n, r) for n, r in results if not r.ok]
-    if not bad:
-        return False
-    if fmt == "json":
-        _emit_json({"checks": _check_entries(results)})
-    else:
-        _print_checks(bad, "input axiom ")
-    return True
+    if bad:
+        _emit(args, {"checks": _check_entries(results)}, _check_lines(bad, "input axiom "))
+    return bool(bad)
 
 
 def _write(obj: Union[FiniteAlgebra, Bimodule], path: Optional[str]) -> None:
     """obj's file form to path, or to stdout without one; a path that cannot
     be written is a usage error."""
-    data = bimodule_to_dict(obj) if isinstance(obj, Bimodule) else algebra_to_dict(obj)
+    data = _to_dict(obj)
     if not path:
-        _emit_json(data)
+        sys.stdout.write(_json_text(data))
         return
     try:
         _dump_json(data, path)
@@ -171,18 +161,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
     results = _checks(alg.kind, alg, module)
     ok = all(r.ok for _, r in results)
-    if args.format == "json":
-        data = {
-            "kind": alg.kind,
-            "dim": alg.dim,
-            "ok": ok,
-            "checks": _check_entries(results),
-        }
-        if module is not None:
-            data["module_dim"] = module.dim
-        _emit_json(data)
-    else:
-        _print_checks(results)
+    data = {"kind": alg.kind, "dim": alg.dim, "ok": ok, "checks": _check_entries(results)}
+    if module is not None:
+        data["module_dim"] = module.dim
+    _emit(args, data, _check_lines(results))
     return 0 if ok else 1
 
 
@@ -194,38 +176,30 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         alg, module = _operands(args, "--algebra", "--module")
     # delta squares to zero only over an algebra and module of the complex's family
     family = "zinbiel" if args.complex == "dl" else "lie"
-    if _inputs_fail(_checks(family, alg, module), args.format):
+    if _inputs_fail(args, _checks(family, alg, module)):
         return 1
     try:
         dims = cohomology_dims(module, args.complex, args.degree)
     except ValueError as exc:
         raise UsageError(str(exc))
-    if args.format == "json":
-        _emit_json({
-            "dim_Z": dims.dim_cocycles,
-            "dim_B": dims.dim_coboundaries,
-            "dim_H": dims.dim_cohomology,
-        })
-    else:
-        n = args.degree
-        print(f"complex {args.complex}, degree {n}, coefficient module dim {module.dim}")
-        print(f"dim C^{n} = {dims.dim_cochains}")
-        print(f"dim Z^{n} = {dims.dim_cocycles}")
-        print(f"dim B^{n} = {dims.dim_coboundaries}")
-        print(f"dim H^{n} = {dims.dim_cohomology}")
+    n = args.degree
+    values = (dims.dim_cochains, dims.dim_cocycles, dims.dim_coboundaries, dims.dim_cohomology)
+    _emit(args, dict(zip(("dim_Z", "dim_B", "dim_H"), values[1:])), [
+        f"complex {args.complex}, degree {n}, coefficient module dim {module.dim}",
+        *(f"dim {space}^{n} = {value}" for space, value in zip("CZBH", values)),
+    ])
     return 0
 
 
 def cmd_tensor_lie(args: argparse.Namespace) -> int:
     g, B = _operands(args, "--leibniz", "--zinbiel")
-    if _inputs_fail(_checks("leibniz", g) + _checks("zinbiel", B), args.format):
+    if _inputs_fail(args, _checks("leibniz", g) + _checks("zinbiel", B)):
         return 1
     lie = tensor_lie(g, B, validate=False)
     _write(lie, args.output)
-    if args.output and args.format == "json":
-        _emit_json({"dim": lie.dim, "path": args.output})
-    elif args.output:
-        print(f"wrote lie algebra of dimension {lie.dim} to {args.output}")
+    if args.output:
+        _emit(args, {"dim": lie.dim, "path": args.output},
+              [f"wrote lie algebra of dimension {lie.dim} to {args.output}"])
     return 0
 
 
@@ -238,59 +212,45 @@ def cmd_verify_chain_map(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     ok = report.passed and report.axioms_ok
-    if args.format == "json":
-        _emit_json({**report.to_dict(), "ok": ok})
-    else:
-        exact = report.trials - len(report.failed_trials)
-        print(f"chain map at degree {report.degree}: {exact}/{report.trials} exact")
-        _print_checks(report.axioms.items(), "axiom ")
-        if report.witness:
-            print("first equality failure:")
-            for line in _witness_lines(report.witness):
-                print(line)
+    exact = report.trials - len(report.failed_trials)
+    lines = [f"chain map at degree {report.degree}: {exact}/{report.trials} exact",
+             *_check_lines(report.axioms.items(), "axiom ")]
+    if report.witness:
+        lines += ["first equality failure:", *_witness_lines(report.witness)]
+    _emit(args, {**report.to_dict(), "ok": ok}, lines)
     return 0 if ok else 1
 
 
 def cmd_les(args: argparse.Namespace) -> int:
     g, B = _operands(args, "--leibniz", "--zinbiel")
-    if _inputs_fail(_checks("leibniz", g) + _checks("zinbiel", B), args.format):
+    if _inputs_fail(args, _checks("leibniz", g) + _checks("zinbiel", B)):
         return 1
     try:
         report = les_report(g, B, regular(B), args.max_degree)
     except PsiNotInjectiveError as exc:
-        if args.format == "json":
-            _emit_json({"error": str(exc), "failures": exc.failures})
-        else:
-            print(str(exc))
+        _emit(args, {"error": str(exc), "failures": exc.failures}, [str(exc)])
         return 1
     except ValueError as exc:
         raise UsageError(str(exc))
-    ok = all(row["identity_holds"] for row in report["rows"])
-    if args.format == "json":
-        _emit_json(report)
-    else:
-        print(
-            f"tensor algebra dim {report['tensor_dim']}, "
-            f"module dim {report['tensor_module_dim']}"
-        )
-        ranks = report["precheck"]["psi_ranks"]
-        shown = ", ".join(f"{k}: {v}" for k, v in sorted(ranks.items()))
-        print(f"embedding ranks by degree (all full): {shown}")
-        header = ("n", "h_dl", "h_dl_n+1", "h_lie", "dim_Q", "h_Q",
-                  "rank_n", "rank_n+1", "identity")
-        rows = [header]
-        for row in report["rows"]:
-            verdict = ("holds" if row["identity_holds"] else
-                       f"FAILS ({row['identity_lhs']} != {row['identity_rhs']})")
-            rows.append((
-                row["degree"], row["h_dl"], row["h_dl_next"], row["h_lie"],
-                row["dim_quotient"], row["h_quotient"], row["induced_rank"],
-                row["induced_rank_next"], verdict,
-            ))
-        widths = [max(len(str(r[i])) for r in rows) for i in range(len(header))]
-        for r in rows:
-            print("  ".join(str(v).ljust(w) for v, w in zip(r, widths)).rstrip())
-    return 0 if ok else 1
+    ranks = report["precheck"]["psi_ranks"]
+    table = [("n", "h_dl", "h_dl_n+1", "h_lie", "dim_Q", "h_Q",
+              "rank_n", "rank_n+1", "identity")]
+    for row in report["rows"]:
+        verdict = ("holds" if row["identity_holds"] else
+                   f"FAILS ({row['identity_lhs']} != {row['identity_rhs']})")
+        table.append((
+            row["degree"], row["h_dl"], row["h_dl_next"], row["h_lie"],
+            row["dim_quotient"], row["h_quotient"], row["induced_rank"],
+            row["induced_rank_next"], verdict,
+        ))
+    widths = [max(len(str(v)) for v in column) for column in zip(*table)]
+    _emit(args, report, [
+        f"tensor algebra dim {report['tensor_dim']}, module dim {report['tensor_module_dim']}",
+        "embedding ranks by degree (all full): "
+        + ", ".join(f"{k}: {v}" for k, v in sorted(ranks.items())),
+        *("  ".join(str(v).ljust(w) for v, w in zip(r, widths)).rstrip() for r in table),
+    ])
+    return 0 if all(row["identity_holds"] for row in report["rows"]) else 1
 
 
 def cmd_builtin(args: argparse.Namespace) -> int:
@@ -301,11 +261,7 @@ def cmd_builtin(args: argparse.Namespace) -> int:
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     lines, data = reproduce_example_4_6()
-    if args.format == "json":
-        _emit_json(data)
-    else:
-        for line in lines:
-            print(line)
+    _emit(args, data, lines)
     return 0
 
 
@@ -349,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex", choices=("dl", "ce"), required=True)
     p.add_argument("--algebra", required=True, help="file path or builtin:<name>")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--module", help="bimodule file for the coefficients")
+    group.add_argument("--module", help="coefficient bimodule: file path or builtin:<name>")
     group.add_argument("--regular", action="store_true",
                        help="use the algebra itself as coefficients")
     p.add_argument("--degree", type=int, required=True)

@@ -121,8 +121,14 @@ def bimodule_to_dict(mod: Bimodule) -> dict:
     }
 
 
-def is_bimodule_data(data: dict) -> bool:
-    return isinstance(data, dict) and "algebra" in data
+def _from_dict(data: Any) -> Union[FiniteAlgebra, Bimodule]:
+    """A bimodule if data embeds an algebra, else an algebra."""
+    bimodule = isinstance(data, dict) and "algebra" in data
+    return (bimodule_from_dict if bimodule else algebra_from_dict)(data)
+
+
+def _to_dict(obj: Union[FiniteAlgebra, Bimodule]) -> dict:
+    return bimodule_to_dict(obj) if isinstance(obj, Bimodule) else algebra_to_dict(obj)
 
 
 PathLike = Union[str, Path]

@@ -50,96 +50,80 @@ MATCH_LABEL = "matches paper"
 DIFFER_LABEL = "differs from paper"
 
 
+def _label(match: bool) -> str:
+    return MATCH_LABEL if match else DIFFER_LABEL
+
+
 def reproduce_example_4_6() -> Tuple[List[str], dict]:
     """Recompute the worked second-cohomology example and diff each claim.
 
-    Returns the text report lines and the machine-readable summary; every
-    deviation is an informational note, never an error.
+    Returns the text report lines, rendered from the machine-readable summary,
+    and that summary; every deviation is an informational note, never an error.
     """
-    B = catalog_builtin("B2")
-    M = regular(B)
+    M = regular(catalog_builtin("B2"))
+    dims = cohomology_dims(M, "dl", 2)
     d1 = dl_delta_matrix(M, 1)
     d2 = dl_delta_matrix(M, 2)
-    reduced = d2.reduced_rows()
-    dim_b = d1.rank()
-    dim_z = d2.ncols - len(reduced)
-    dim_h = dim_z - dim_b
 
-    computed_rows = {pivot: dict(row) for pivot, row in reduced}
-    constraints = [_relation_text(p, r) for p, r in sorted(computed_rows.items())]
-    free_cols = [c for c in range(d2.ncols) if c not in computed_rows]
-    free_names = [_alpha_name(c) for c in free_cols]
-    constraints_match = computed_rows == _REFERENCE_COCYCLE_ROWS
+    computed_rows = {pivot: dict(row) for pivot, row in d2.reduced_rows()}
     constraint_notes = []
-    if not constraints_match:
-        for pivot in sorted(set(computed_rows) | set(_REFERENCE_COCYCLE_ROWS)):
-            got = computed_rows.get(pivot)
-            want = _REFERENCE_COCYCLE_ROWS.get(pivot)
-            if got != want:
-                shown_want = _relation_text(pivot, want) if want else "(absent)"
-                shown_got = _relation_text(pivot, got) if got else "(absent)"
-                constraint_notes.append(
-                    f"computed {shown_got}; printed claim {shown_want}"
-                )
+    for pivot in sorted(set(computed_rows) | set(_REFERENCE_COCYCLE_ROWS)):
+        got = computed_rows.get(pivot)
+        want = _REFERENCE_COCYCLE_ROWS.get(pivot)
+        if got != want:
+            shown_want = _relation_text(pivot, want) if want else "(absent)"
+            shown_got = _relation_text(pivot, got) if got else "(absent)"
+            constraint_notes.append(f"computed {shown_got}; printed claim {shown_want}")
 
     # Coboundary side: columns of the degree-1 differential, indexed by the
     # 1-cochain parameters g^k_i (coefficient of e_k in g(e_i)).
     g11, g21, g12, g22 = (d1._cols.get(j, {}) for j in range(d1.ncols))
     dependent = {k: -Fraction(2) * v for k, v in g22.items()}
-    coboundary_match = (
-        dim_b == 2 and not g21 and g11 == dependent
-    )
+    coboundary_match = dims.dim_coboundaries == 2 and not g21 and g11 == dependent
 
-    lie_dims = cohomology_dims(regular(catalog_builtin("lie2")), "ce", 2)
-    lie_h2 = lie_dims.dim_cohomology
-    lie_match = lie_h2 == _REFERENCE_LIE2_H2
+    lie_h2 = cohomology_dims(regular(catalog_builtin("lie2")), "ce", 2).dim_cohomology
 
-    lines = [
-        "second cohomology of B2 (e1*e1 = e2) with regular coefficients:",
-        f"  dim C^2 = {d2.ncols}",
-        f"  dim Z^2 = {dim_z}",
-        f"  dim B^2 = {dim_b}",
-        f"  dim H^2 = {dim_h}",
-        "",
-        "cocycle constraints on f(e_i, e_j) = Σ_k α^k_ij e_k, computed:",
-    ]
-    lines += [f"  {c}" for c in constraints]
-    lines += [
-        f"free cocycle parameters ({len(free_names)}): {', '.join(free_names)}",
-        f"constraint list: {MATCH_LABEL if constraints_match else DIFFER_LABEL}",
-    ]
-    lines += [f"  note: {n}" for n in constraint_notes]
-    lines += [
-        "",
-        f"coboundaries: rank {dim_b}, determined by g¹₂ and 2·g¹₁ - g²₂ "
-        "(2 parameters)",
-        f"coboundary parameterization: "
-        f"{MATCH_LABEL if coboundary_match else DIFFER_LABEL}",
-        "",
-        "second Chevalley-Eilenberg cohomology of lie2 with adjoint "
-        "coefficients:",
-        f"  computed dim H^2 = {lie_h2}, printed claim {_REFERENCE_LIE2_H2}",
-        f"H^2(lie2, adjoint): {MATCH_LABEL if lie_match else DIFFER_LABEL}",
-    ]
     data = {
         "dl_b2_degree2": {
-            "dim_C": d2.ncols, "dim_Z": dim_z, "dim_B": dim_b, "dim_H": dim_h,
+            "dim_C": dims.dim_cochains, "dim_Z": dims.dim_cocycles,
+            "dim_B": dims.dim_coboundaries, "dim_H": dims.dim_cohomology,
         },
         "cocycle_constraints": {
-            "computed": constraints,
-            "free_parameters": free_names,
-            "label": MATCH_LABEL if constraints_match else DIFFER_LABEL,
+            "computed": [_relation_text(p, r) for p, r in sorted(computed_rows.items())],
+            "free_parameters": [_alpha_name(c) for c in range(d2.ncols) if c not in computed_rows],
+            "label": _label(not constraint_notes),
             "notes": constraint_notes,
         },
         "coboundary_parameterization": {
-            "rank": dim_b,
+            "rank": dims.dim_coboundaries,
             "parameters": ["g¹₂", "2·g¹₁ - g²₂"],
-            "label": MATCH_LABEL if coboundary_match else DIFFER_LABEL,
+            "label": _label(coboundary_match),
         },
         "lie2_adjoint_h2": {
             "computed": lie_h2,
             "reference": _REFERENCE_LIE2_H2,
-            "label": MATCH_LABEL if lie_match else DIFFER_LABEL,
+            "label": _label(lie_h2 == _REFERENCE_LIE2_H2),
         },
     }
+    dl, cocycles, coboundaries, lie = data.values()
+    free = cocycles["free_parameters"]
+    lines = [
+        "second cohomology of B2 (e1*e1 = e2) with regular coefficients:",
+        *(f"  dim {key[-1]}^2 = {value}" for key, value in dl.items()),
+        "",
+        "cocycle constraints on f(e_i, e_j) = Σ_k α^k_ij e_k, computed:",
+        *(f"  {c}" for c in cocycles["computed"]),
+        f"free cocycle parameters ({len(free)}): {', '.join(free)}",
+        f"constraint list: {cocycles['label']}",
+        *(f"  note: {n}" for n in cocycles["notes"]),
+        "",
+        f"coboundaries: rank {coboundaries['rank']}, determined by "
+        f"{' and '.join(coboundaries['parameters'])} "
+        f"({len(coboundaries['parameters'])} parameters)",
+        f"coboundary parameterization: {coboundaries['label']}",
+        "",
+        "second Chevalley-Eilenberg cohomology of lie2 with adjoint coefficients:",
+        f"  computed dim H^2 = {lie['computed']}, printed claim {lie['reference']}",
+        f"H^2(lie2, adjoint): {lie['label']}",
+    ]
     return lines, data

@@ -283,8 +283,9 @@ def verify_chain_map(
     while the axioms are not.
     """
     _check_degree("dl", degree)
-    if type(trials) is not int:
-        raise ValueError(f"trials must be an int, got {trials!r}")
+    for name, value in (("trials", trials), ("seed", seed)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
     ctx = TensorContext(g, B, M)

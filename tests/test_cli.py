@@ -22,6 +22,14 @@ axiom tensor_lie: PASS
 axiom tensor_lie_module: PASS
 """
 
+COHOMOLOGY_TEXT = """\
+complex dl, degree 2, coefficient module dim 2
+dim C^2 = 8
+dim Z^2 = 3
+dim B^2 = 2
+dim H^2 = 1
+"""
+
 COHOMOLOGY_JSON = """\
 {
   "dim_B": 2,
@@ -30,13 +38,36 @@ COHOMOLOGY_JSON = """\
 }
 """
 
-LES_RANKS_LINE = "embedding ranks by degree (all full): 1: 4, 2: 8"
-LES_ROW = "1  2     1         112    140    111  2       1         FAILS (111 != 110)"
+LES_TABLE = """\
+tensor algebra dim 12, module dim 12
+embedding ranks by degree (all full): 1: 4, 2: 8
+n  h_dl  h_dl_n+1  h_lie  dim_Q  h_Q  rank_n  rank_n+1  identity
+1  2     1         112    140    111  2       1         FAILS (111 != 110)
+"""
+
+ZINBIEL_WITNESS = """\
+  identity: (x . y) . z = x . (y . z) + x . (z . y)
+  inputs: e1, e1, e2
+  lhs: e1: 1
+  rhs: 0
+"""
+
+VERIFY_FAIL = f"""\
+chain map at degree 2: 10/10 exact
+axiom g_leibniz: PASS
+axiom b_zinbiel: FAIL
+{ZINBIEL_WITNESS}axiom tensor_lie: PASS
+axiom tensor_lie_module: PASS
+"""
 
 
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
+    if "--format" in argv and argv[argv.index("--format") + 1] == "json" and captured.out:
+        # a JSON report is exactly one document, in the canonical form
+        assert captured.out == json.dumps(json.loads(captured.out), indent=2,
+                                          sort_keys=True) + "\n"
     return code, captured.out, captured.err
 
 
@@ -167,13 +198,10 @@ def test_verify_chain_map_json_bytes_are_pinned(capsys, g, b, degree, digest, se
 
 
 def test_cohomology_text_output(capsys):
-    code, out, _ = run(capsys, [
+    assert run(capsys, [
         "cohomology", "--complex", "dl", "--algebra", "builtin:B2",
         "--regular", "--degree", "2",
-    ])
-    assert code == 0
-    assert "dim C^2 = 8" in out and "dim Z^2 = 3" in out
-    assert "dim B^2 = 2" in out and "dim H^2 = 1" in out
+    ]) == (0, COHOMOLOGY_TEXT, "")
 
 
 def test_cohomology_with_module_file(capsys, tmp_path):
@@ -197,12 +225,13 @@ def test_cohomology_module_must_match_algebra(capsys, tmp_path):
 
 
 def test_cohomology_module_must_be_a_bimodule(capsys, tmp_path):
-    path = tmp_path / "b2.json"
+    path = str(tmp_path / "b2.json")
     save_algebra(builtin("B2"), path)
-    assert run(capsys, [
-        "cohomology", "--complex", "dl", "--algebra", "builtin:B2",
-        "--module", str(path), "--degree", "2",
-    ]) == (2, "", "error: --module expects a bimodule file\n")
+    for alg in (path, "builtin:B2"):
+        assert run(capsys, [
+            "cohomology", "--complex", "dl", "--algebra", "builtin:B2",
+            "--module", alg, "--degree", "2",
+        ]) == (2, "", f"error: --module expects a bimodule, got an algebra ({alg})\n")
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -305,14 +334,23 @@ def test_verify_chain_map_json(capsys):
 
 
 def test_verify_chain_map_fails_on_broken_product(capsys, bad_zinbiel):
-    code, out, _ = run(capsys, [
+    assert run(capsys, [
         "verify-chain-map", "--leibniz", "builtin:leibniz2",
         "--zinbiel", bad_zinbiel, "--degree", "2",
-    ])
-    assert code == 1
-    assert "chain map at degree 2: 10/10 exact" in out
-    assert "axiom b_zinbiel: FAIL" in out
-    assert "  inputs: e1, e1, e2" in out
+    ]) == (1, VERIFY_FAIL, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["les", "--max-degree", "1"],
+    ["tensor-lie"],
+    ["tensor-lie", "-o", "{unused}"],
+], ids=["les", "tensor-lie", "tensor-lie-o"])
+def test_input_gate_text_lists_only_the_failures(capsys, tmp_path, bad_zinbiel, argv):
+    unused = tmp_path / "unused.json"
+    argv = [a.format(unused=unused) for a in argv]
+    assert run(capsys, argv + ["--leibniz", "builtin:leibniz2", "--zinbiel", bad_zinbiel]) == (
+        1, f"input axiom zinbiel: FAIL\n{ZINBIEL_WITNESS}", "")
+    assert not unused.exists()
 
 
 def _witness(identity):
@@ -383,11 +421,7 @@ def test_les_table_reports_the_failure(capsys):
         "les", "--leibniz", "builtin:freeleibniz(2,2)",
         "--zinbiel", "builtin:B2", "--max-degree", "1",
     ])
-    assert code == 1
-    lines = out.splitlines()
-    assert lines[0] == "tensor algebra dim 12, module dim 12"
-    assert lines[1] == LES_RANKS_LINE
-    assert lines[-1] == LES_ROW
+    assert (code, out) == (1, LES_TABLE)
 
 
 def test_les_json(capsys):
@@ -403,12 +437,15 @@ def test_les_json(capsys):
 
 
 def test_les_rejects_shallow_truncation(capsys):
-    code, out, _ = run(capsys, [
-        "les", "--leibniz", "builtin:freeleibniz(1,1)",
-        "--zinbiel", "builtin:B2", "--max-degree", "1",
-    ])
-    assert code == 1
-    assert out == "embedding not injective at degree 2; LES hypothesis not met\n"
+    argv = ["les", "--leibniz", "builtin:freeleibniz(1,1)",
+            "--zinbiel", "builtin:B2", "--max-degree", "1"]
+    message = "embedding not injective at degree 2; LES hypothesis not met"
+    assert run(capsys, argv) == (1, message + "\n", "")
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "error": message, "failures": [{"degree": 2, "expected": 8, "rank": 0}],
+    }
 
 
 def test_builtin_roundtrip(capsys, tmp_path):
@@ -440,6 +477,19 @@ def test_tensor_lie_roundtrip(capsys, tmp_path):
     assert out == f"wrote lie algebra of dimension 12 to {path}\n"
     code, out, _ = run(capsys, ["check", str(path)])
     assert (code, out) == (0, "lie: PASS\n")
+    # in JSON the report names the file, which holds the stdout form's bytes
+    written = path.read_text(encoding="utf-8")
+    path.unlink()
+    code, out, err = run(capsys, [
+        "tensor-lie", "--leibniz", "builtin:freeleibniz(2,2)",
+        "--zinbiel", "builtin:B2", "-o", str(path), "--format", "json",
+    ])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"dim": 12, "path": str(path)}
+    _, streamed, _ = run(capsys, [
+        "tensor-lie", "--leibniz", "builtin:freeleibniz(2,2)", "--zinbiel", "builtin:B2",
+    ])
+    assert streamed == written == path.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -552,17 +602,34 @@ def test_check_needs_a_kind_with_an_axiom_family(capsys, tmp_path):
         "known kinds: leibniz, lie, zinbiel\n"))
 
 
+REPRODUCE_TEXT = """\
+second cohomology of B2 (e1*e1 = e2) with regular coefficients:
+  dim C^2 = 8
+  dim Z^2 = 3
+  dim B^2 = 2
+  dim H^2 = 1
+
+cocycle constraints on f(e_i, e_j) = Σ_k α^k_ij e_k, computed:
+  α¹₁₁ = -2·α²₁₂ + α²₂₁
+  α¹₁₂ = 0
+  α¹₂₁ = 0
+  α¹₂₂ = 0
+  α²₂₂ = 0
+free cocycle parameters (3): α²₁₁, α²₁₂, α²₂₁
+constraint list: differs from paper
+  note: computed α¹₁₁ = -2·α²₁₂ + α²₂₁; printed claim α¹₁₁ = -α²₁₂ + α²₂₁
+
+coboundaries: rank 2, determined by g¹₂ and 2·g¹₁ - g²₂ (2 parameters)
+coboundary parameterization: matches paper
+
+second Chevalley-Eilenberg cohomology of lie2 with adjoint coefficients:
+  computed dim H^2 = 0, printed claim 1
+H^2(lie2, adjoint): differs from paper
+"""
+
+
 def test_reproduce_text(capsys):
-    code, out, _ = run(capsys, ["reproduce", "example-4-6"])
-    assert code == 0
-    assert "dim H^2 = 1" in out
-    assert "free cocycle parameters (3): α²₁₁, α²₁₂, α²₂₁" in out
-    assert "α¹₁₁ = -2·α²₁₂ + α²₂₁" in out
-    assert "constraint list: differs from paper" in out
-    assert "coboundaries: rank 2, determined by g¹₂ and 2·g¹₁ - g²₂ (2 parameters)" in out
-    assert "coboundary parameterization: matches paper" in out
-    assert "H^2(lie2, adjoint): differs from paper" in out
-    assert "computed dim H^2 = 0, printed claim 1" in out
+    assert run(capsys, ["reproduce", "example-4-6"]) == (0, REPRODUCE_TEXT, "")
 
 
 def test_reproduce_takes_no_dim_cap(capsys):

@@ -749,6 +749,7 @@ def test_degrees_and_trial_counts_must_be_ints(bad):
         lambda: psi_matrix(TensorContext(g, B, M), bad),
         lambda: verify_chain_map(g, B, M, bad),
         lambda: verify_chain_map(g, B, M, 2, trials=bad),
+        lambda: verify_chain_map(g, B, M, 2, seed=bad),
         lambda: les_report(g, B, M, bad),
         lambda: Cochain("dl", bad, 2, 2),
     ]
