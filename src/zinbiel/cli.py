@@ -9,6 +9,7 @@ import argparse
 import os
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from .algebras import _MODULE_FAMILY, AxiomReport, Bimodule, FiniteAlgebra, check_axioms, regular
@@ -289,7 +290,14 @@ def _add_pair(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, required=True, help="file path or builtin:<name>")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The `zinbiel` argument parser, built on the first call in a process and shared after.
+
+    It holds no per-call state: nothing in it depends on argv or the
+    environment (ZINBIEL_DIM_CAP is read on each call, in _dim_cap), and
+    parse_args returns a fresh Namespace each time.
+    """
     parser = argparse.ArgumentParser(
         prog="zinbiel",
         description="Exact cohomology for Zinbiel algebras, their tensor-product "
@@ -344,6 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one `zinbiel` invocation in this process; argv defaults to sys.argv[1:].
+
+    Returns the exit code: 0 on success, 1 when a check fails, 2 on a usage
+    error found after parsing, whose message goes to stderr. argparse's own
+    usage errors (exit 2) and --help (exit 0) leave through SystemExit, as
+    they do from the command line. Calls in one process share only the parser.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

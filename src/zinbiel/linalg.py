@@ -134,7 +134,7 @@ def _split_owners(
             rest.append(col)
         else:
             leads.append(next(filter(singles.__contains__, col)))
-    ranked = filterfalse(singles.__contains__, sorted(count, key=count.__getitem__))
+    ranked = sorted(filterfalse(singles.__contains__, count), key=count.__getitem__)
     label = {i: p for p, i in enumerate(ranked)}
     for i in by_then:
         label.setdefault(i, len(label))

@@ -694,6 +694,49 @@ def test_cli_surface_is_pinned(capsys):
         assert capsys.readouterr().out.startswith(f"usage: zinbiel {name} ")
 
 
+def test_the_shared_parser_carries_nothing_between_calls(capsys, monkeypatch):
+    # Each call in one process, after others, gives what it gives when it
+    # runs first: its stdout, stderr and exit code, whether main returns the
+    # code or argparse raises SystemExit with it.
+    les = ["les", "--leibniz", "builtin:freeleibniz(2,3)", "--zinbiel", "builtin:B2",
+           "--max-degree", "1", "--format", "json"]
+    check = ["check", "builtin:freeleibniz(2,2)"]
+    calls = [
+        (les, None),
+        (["cohomology", "--complex", "dl", "--algebra", "builtin:B2", "--regular",
+          "--degree", "2"], None),
+        (["cohomology", "--complex", "lie", "--algebra", "builtin:B2", "--regular",
+          "--degree", "2"], None),
+        (["verify-chain-map", "--help"], None),
+        (check, "3"),
+        (check, None),
+        (les, None),
+    ]
+
+    def outcome(argv, cap):
+        with monkeypatch.context() as patch:
+            if cap is None:
+                patch.delenv("ZINBIEL_DIM_CAP", raising=False)
+            else:
+                patch.setenv("ZINBIEL_DIM_CAP", cap)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = []
+    for argv, cap in calls:
+        build_parser.cache_clear()
+        first.append(outcome(argv, cap))
+    build_parser.cache_clear()
+    assert [outcome(argv, cap) for argv, cap in calls] == first
+    assert [code for code, _, _ in first] == [0, 0, 2, 0, 2, 0, 0]
+    assert build_parser.cache_info().misses == 1
+    assert build_parser() is build_parser()
+
+
 def test_console_script():
     # The installed script when it is on PATH, else the module it runs, from
     # this checkout's src.

@@ -449,6 +449,45 @@ def test_chain_map_with_both_sides_nonzero():
     assert len(lhs.values) == len(rhs.values) == 15
 
 
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("b_name", ZINBIEL_FACTORS)
+def test_chain_map_holds_for_every_leibniz_algebra(b_name, n):
+    """delta_CE(psi f) = psi(delta_DL f) for every Leibniz algebra g, at
+    degree n, with M = regular(B), shown on one free instance of g.
+
+    Let D(f) = delta_CE(psi f) - psi(delta_DL f), an alternating (n+1)-cochain
+    on g (x) B with values in g (x) M, at (x_0 (x) b_0, ..., x_n (x) b_n).
+    - D is linear in f, so it vanishes for every f once it vanishes on the
+      basis cochains e_X (x) m_k, which is what is checked here.
+    - D is linear in each argument, so it is enough to take each argument a
+      pure tensor x_i (x) b_i.
+    - Each term of D is a bracket word in x_0, ..., x_n that holds every x_i
+      exactly once, tensored with an element of M: psi f puts the
+      left-normed bracket of its n letters in front of f's value, and each
+      term of delta_CE either brackets two arguments into one or acts by the
+      left-out one on the other n; psi of the (n+1)-cochain delta_DL f
+      brackets all n+1 letters.
+    - psi and both differentials are natural in g: a Leibniz morphism
+      phi: g' -> g makes phi (x) id a morphism of the Lie algebras g' (x) B
+      -> g (x) B and of their modules g' (x) M -> g (x) M, so
+      D_g(phi y_0 (x) b_0, ...) = (phi (x) id)(D_g'(y_0 (x) b_0, ...)).
+    - Take g' = freeleibniz(n+1, n+1), free on y_0, ..., y_n with the words
+      longer than n+1 cut away. The cut leaves the words of length n+1 as
+      they are in the free Leibniz algebra, so the map y_i -> x_i, defined
+      on the free algebra for any x_i in any g, sends each word of D_g' to
+      the same word in x_0, ..., x_n, and D_g at (x_i (x) b_i) is the image
+      of D_g' at (y_i (x) b_i).
+    So D = 0 on g' implies D = 0 on every g, for this B, M and n.
+    """
+    B = builtin(b_name)
+    M = regular(B)
+    ctx = TensorContext(builtin(f"freeleibniz({n + 1},{n + 1})"), B, M)
+    for X in dl_tuples(B.dim, n):
+        for k in range(M.dim):
+            f = Cochain("dl", n, B.dim, M.dim, {X: {k: 1}})
+            assert ce_delta(psi_apply(ctx, f), ctx.module) == psi_apply(ctx, dl_delta(f, M)), (X, k)
+
+
 def test_verify_chain_map_flags_broken_input():
     # the identity is formal in the right factor, so equality still holds,
     # but the axiom gate must catch the broken product
