@@ -10,12 +10,25 @@ identities hold; check_axioms tests a named identity family and reports the
 first failing basis tuple, scanning tuples in lexicographic order so
 witnesses are stable.
 
+The tables are read-only once an object is built. Each object also carries
+the integer form of each of its tables, (D, D times the table as ints), D
+the lcm of the table's denominators, as sparsevec.integral gives it: worked
+out once, when the object is built, and read by every kernel (check_axioms,
+the differentials, psi and the tensor constructions) instead of the
+Fractions. Objects the package builds from tables it made itself, the tensor
+constructions and regular, take them over with their integer forms through
+_of, which checks the basis but parses no entry; regular's actions share
+the algebra's product table and its integer form.
+
 Each identity is written once, in _IDENTITIES, as signed terms, and every
 term is one product applied to another. The same terms give both where an
 identity can be nonzero (the triples reached from the nonzero entries of the
 two tables of some term) and its two sides at each such triple, read straight
 from the tables. Every skipped triple reads {} = {}, so the first witness is
-the one a scan over all triples would report.
+the one a scan over all triples would report. Both sides are read from the
+integer forms of the tables, brought to one D, so they are integer vectors,
+D^2 times the true ones on a triple, and D times on the one or two inputs of
+the antisymmetry cases; check_axioms builds Fractions only for a witness.
 """
 from __future__ import annotations
 
@@ -24,9 +37,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .sparsevec import Vec, add_scaled, parse_vec
+from .sparsevec import Scaled, Vec, add_scaled, common_scale, integral, parse_vec
 
 Table = Dict[Tuple[int, int], Dict[int, Fraction]]
+
+
+def _integral(table: Table) -> Scaled:
+    d, (ints,) = integral(table)
+    return d, ints
 
 
 def _clean_table(table: Table, left_dim: int, right_dim: int, out_dim: int, label: str) -> Table:
@@ -53,7 +71,10 @@ def _check_basis(dim: int, names: Sequence[str], what: str) -> Tuple[str, ...]:
 
 @dataclass(frozen=True)
 class FiniteAlgebra:
-    """Structure constants for one bilinear product on a finite basis."""
+    """Structure constants for one bilinear product on a finite basis.
+
+    _products_int is the integer form of products (see the module docstring).
+    """
 
     # Frozen, but its tables are dicts: unhashable, not a generated __hash__ that raises.
     __hash__ = None  # type: ignore[assignment]
@@ -65,14 +86,28 @@ class FiniteAlgebra:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "basis_names", _check_basis(self.dim, self.basis_names, "algebra"))
-        object.__setattr__(
-            self, "products", _clean_table(self.products, self.dim, self.dim, self.dim, "product")
-        )
+        products = _clean_table(self.products, self.dim, self.dim, self.dim, "product")
+        vars(self).update(products=products, _products_int=_integral(products))
+
+    @classmethod
+    def _of(cls, kind: str, dim: int, basis_names: Sequence[str], products: Table,
+            products_int: Scaled) -> "FiniteAlgebra":
+        """Take over a package-built table and its integer form, checking only the basis."""
+        alg = object.__new__(cls)
+        vars(alg).update(kind=kind, dim=dim, basis_names=_check_basis(dim, basis_names, "algebra"),
+                         products=products, _products_int=products_int)
+        return alg
 
 
 @dataclass(frozen=True)
 class Bimodule:
-    """Left and right actions of an algebra on a finite module."""
+    """Left and right actions of an algebra on a finite module.
+
+    _left_int and _right_int are the integer forms of the two actions (see
+    the module docstring). _maps holds the linear maps built over the
+    module, each made on first use and kept by key: complexes' differentials
+    by (theory, degree).
+    """
 
     # Frozen, but its tables are dicts: unhashable, not a generated __hash__ that raises.
     __hash__ = None  # type: ignore[assignment]
@@ -86,17 +121,26 @@ class Bimodule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "basis_names", _check_basis(self.dim, self.basis_names, "module"))
         adim = self.algebra.dim
-        object.__setattr__(
-            self, "left", _clean_table(self.left, adim, self.dim, self.dim, "left action")
-        )
-        object.__setattr__(
-            self, "right", _clean_table(self.right, self.dim, adim, self.dim, "right action")
-        )
+        left = _clean_table(self.left, adim, self.dim, self.dim, "left action")
+        right = _clean_table(self.right, self.dim, adim, self.dim, "right action")
+        vars(self).update(left=left, right=right, _left_int=_integral(left),
+                          _right_int=_integral(right), _maps={})
+
+    @classmethod
+    def _of(cls, algebra: FiniteAlgebra, dim: int, basis_names: Sequence[str], left: Table,
+            right: Table, left_int: Scaled, right_int: Scaled) -> "Bimodule":
+        """Take over package-built actions and their integer forms, checking only the basis."""
+        mod = object.__new__(cls)
+        vars(mod).update(algebra=algebra, dim=dim,
+                         basis_names=_check_basis(dim, basis_names, "module"), left=left,
+                         right=right, _left_int=left_int, _right_int=right_int, _maps={})
+        return mod
 
 
 def regular(alg: FiniteAlgebra) -> Bimodule:
-    """The algebra acting on itself by its own product on both sides."""
-    return Bimodule(alg, alg.dim, alg.basis_names, left=alg.products, right=alg.products)
+    """The algebra acting on itself by its own product on both sides, the table shared."""
+    return Bimodule._of(alg, alg.dim, alg.basis_names, alg.products, alg.products,
+                        alg._products_int, alg._products_int)
 
 
 @dataclass
@@ -106,11 +150,14 @@ class AxiomReport:
     witness: Optional[dict] = None
 
 
-def _vec_display(vec: Vec, names: Tuple[str, ...]) -> Dict[str, str]:
-    return {names[k]: str(v) for k, v in sorted(vec.items())}
+def _vec_display(vec: Vec, names: Tuple[str, ...], scale: int = 1) -> Dict[str, str]:
+    """The vector over scale, each value as a Fraction's str, keyed by basis name."""
+    return {names[k]: str(Fraction(v, scale)) for k, v in sorted(vec.items())}
 
 
-Case = Tuple[str, Tuple[str, ...], Vec, Vec]
+# (identity, inputs, lhs, rhs, scale): the two sides as int vectors, each
+# scale times the true one.
+Case = Tuple[str, Tuple[str, ...], Vec, Vec, int]
 
 # A term (coeff, outer, inner, a, b, inner_left) of an identity on a basis
 # triple (t0, t1, t2) is coeff * outer(inner(t_a, t_b), t_c), or
@@ -213,26 +260,33 @@ def _side(terms: Sequence[Term], tables: Dict[str, Table], t: Tuple[int, int, in
 
 def _cases(alg: FiniteAlgebra, which: str, module: Optional[Bimodule] = None) -> Iterator[Case]:
     """Every case of the family at which one side can be nonzero, in
-    lexicographic order of the inputs within each identity."""
-    P = alg.products
-    tables = {"P": P}
+    lexicographic order of the inputs within each identity.
+
+    The sides are read from the integer forms of the tables, brought to their
+    common D: a term on a triple reads two constants, so its sides are D^2
+    times the true ones; an antisymmetry case reads one, so D times.
+    """
+    forms = [alg._products_int]
     if module is not None:
-        tables.update(L=module.left, R=module.right)
+        forms += [module._left_int, module._right_int]
+    d, ints = common_scale(*forms)
+    tables = dict(zip("PLR", ints))
+    P = tables["P"]
     nm = alg.basis_names
     if which == "lie":
         for i in sorted(i for i, j in P if i == j):
-            yield "[x, x] = 0", (nm[i],), P[(i, i)], {}
+            yield "[x, x] = 0", (nm[i],), P[(i, i)], {}, d
         for i, j in sorted({(min(key), max(key)) for key in P if key[0] != key[1]}):
             lhs = dict(P.get((i, j), {}))
             add_scaled(lhs, P.get((j, i), {}))
-            yield "[x, y] + [y, x] = 0", (nm[i], nm[j]), lhs, {}
+            yield "[x, y] + [y, x] = 0", (nm[i], nm[j]), lhs, {}, d
     for identity, kinds, lhs, rhs in _IDENTITIES[which]:
         names = [nm if kind == "A" else module.basis_names for kind in kinds]
         for t in _support(lhs + rhs, tables):
             if which == "lie" and not t[0] < t[1] < t[2]:
                 continue
             inputs = (names[0][t[0]], names[1][t[1]], names[2][t[2]])
-            yield identity, inputs, _side(lhs, tables, t), _side(rhs, tables, t)
+            yield identity, inputs, _side(lhs, tables, t), _side(rhs, tables, t), d * d
 
 
 def check_axioms(
@@ -245,6 +299,8 @@ def check_axioms(
     Returns the first failing tuple as a witness, with both sides expanded in
     the relevant basis. Module families require the module argument, and the
     witness names mix algebra and module basis elements in identity order.
+    The sides are compared as the integer multiples _cases gives, and only a
+    witness's are made Fractions.
     """
     if which in _MODULE_FAMILIES:
         if module is None:
@@ -256,7 +312,7 @@ def check_axioms(
         value_names = alg.basis_names
     else:
         raise ValueError(f"unknown axiom family {which!r}; known: {', '.join(AXIOM_KINDS)}")
-    for identity, inputs, lhs, rhs in _cases(alg, which, module):
+    for identity, inputs, lhs, rhs, scale in _cases(alg, which, module):
         if lhs != rhs:
             return AxiomReport(
                 ok=False,
@@ -264,8 +320,8 @@ def check_axioms(
                 witness={
                     "identity": identity,
                     "inputs": list(inputs),
-                    "lhs": _vec_display(lhs, value_names),
-                    "rhs": _vec_display(rhs, value_names),
+                    "lhs": _vec_display(lhs, value_names, scale),
+                    "rhs": _vec_display(rhs, value_names, scale),
                 },
             )
     return AxiomReport(ok=True, checked=which)

@@ -196,7 +196,10 @@ def cmd_tensor_lie(args: argparse.Namespace) -> int:
     g, B = _operands(args, "--leibniz", "--zinbiel")
     if _inputs_fail(args, _checks("leibniz", g) + _checks("zinbiel", B)):
         return 1
-    lie = tensor_lie(g, B, validate=False)
+    try:
+        lie = tensor_lie(g, B, validate=False)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     _write(lie, args.output)
     if args.output:
         _emit(args, {"dim": lie.dim, "path": args.output},

@@ -31,18 +31,21 @@ streaming a term's triples in one loop:
   (positional for "dl", combination order for "ce"); _THEORY holds each
   theory's tuples, rank and space size, with its start degree and cap.
 
-Every generator reads integer copies of the tables it uses, each multiplied
-by the lcm D of their denominators (sparsevec.integral), which its
-constructor computes once and stores as the map's scale. Each term reads one
-structure constant, so the terms are D times the map's, and so is _matrix's
-integer matrix, with the same rank, nullspace and column span. _apply and
-_exact (the public matrices) divide each output coefficient by the scale
-once, back to a Fraction (sparsevec.unscaled).
+Every generator reads the integer forms that the algebra and the module
+hold of the tables it uses (see algebras), brought to the lcm D of their
+scales (sparsevec.common_scale), which is the map's scale: the lcm of every
+denominator in those tables. Each term reads one structure constant, so the
+terms are D times the map's, and so is _matrix's integer matrix, with the
+same rank, nullspace and column span. _apply and _exact (the public
+matrices) divide each output coefficient by the scale once, back to a
+Fraction (sparsevec.unscaled). A differential is built once per module,
+theory and degree, on first use, and kept by the module (Bimodule._maps).
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iproduct
 from math import comb
@@ -52,7 +55,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Set, Tu
 from .algebras import Bimodule
 from .free_leibniz import leibniz_expansion
 from .linalg import Matrix
-from .sparsevec import Vec, integral, parse_vec, unscaled
+from .sparsevec import Vec, common_scale, integral, parse_vec, unscaled
 
 Key = Tuple[int, ...]
 
@@ -77,6 +80,12 @@ def _check_degree(theory: str, degree: int) -> None:
         raise ValueError(f"{theory} degree {degree} is over the cap {cap}")
 
 
+def _check_space(theory: str, degree: int, algebra_dim: int, module_dim: int) -> None:
+    if any(type(x) is not int for x in (degree, algebra_dim, module_dim)):
+        raise ValueError("cochain degree and dims must be ints")
+    _check_start(theory, degree)
+
+
 @dataclass
 class Cochain:
     """One multilinear map, stored as {argument tuple: sparse module vector}.
@@ -91,9 +100,7 @@ class Cochain:
     values: Dict[Key, Vec] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if any(type(x) is not int for x in (self.degree, self.algebra_dim, self.module_dim)):
-            raise ValueError("cochain degree and dims must be ints")
-        _check_start(self.theory, self.degree)
+        _check_space(self.theory, self.degree, self.algebra_dim, self.module_dim)
         clean: Dict[Key, Vec] = {}
         for key, vec in self.values.items():
             if len(key) != self.degree:
@@ -166,11 +173,16 @@ def random_dl_cochain(
 
     Draw order is fixed: argument tuples in lexicographic order, and module
     coordinates ascending within each tuple, so a seeded Random reproduces the
-    same cochain everywhere.
+    same cochain everywhere. The draws are ints, so only the arguments are
+    checked; zero draws, and the vectors they empty, are dropped.
     """
-    values = {key: {k: rng.randint(-9, 9) for k in range(module_dim)}
-              for key in dl_tuples(algebra_dim, degree)}
-    return Cochain("dl", degree, algebra_dim, module_dim, values)
+    _check_space("dl", degree, algebra_dim, module_dim)
+    values: Dict[Key, Vec] = {}
+    for key in dl_tuples(algebra_dim, degree):
+        draws = [rng.randint(-9, 9) for _ in range(module_dim)]
+        if vec := {k: Fraction(c) for k, c in enumerate(draws) if c}:
+            values[key] = vec
+    return _trusted(("dl", degree, algebra_dim, module_dim), values)
 
 
 @lru_cache(maxsize=None)
@@ -363,6 +375,18 @@ def _ce_generator(n: int, pre: Preimages, ident: Block, left: Blocks, right: Blo
 def _delta_map(theory: str, module: Bimodule, n: int) -> _Map:
     """The degree n -> n+1 differential of a theory, with coefficients in module.
 
+    Built on first use (_new_delta_map) and kept by the module.
+    """
+    _check_degree(theory, n)
+    m = module._maps.get((theory, n))
+    if m is None:
+        m = module._maps[(theory, n)] = _new_delta_map(theory, module, n)
+    return m
+
+
+def _new_delta_map(theory: str, module: Bimodule, n: int) -> _Map:
+    """The degree n -> n+1 differential of a theory, built anew.
+
     Its generator reads the preimages p -> [(u, w, c)], e_u * e_w having
     coefficient c on e_p, the identity block, and the nonzero blocks
     {k: x m_k} and {k: m_k x} per basis element x, gathered from the nonzero
@@ -370,11 +394,12 @@ def _delta_map(theory: str, module: Bimodule, n: int) -> _Map:
     as its triples. "ce" never reads the right action, so it has no right
     blocks. Every constant is multiplied by D, the lcm of the denominators
     of the tables the map reads (the algebra's products, the left action,
-    and for "dl" the right action), and held as an int.
+    and for "dl" the right action), and held as an int: the integer forms
+    the objects hold, brought to one D.
     """
-    _check_degree(theory, n)
-    right = module.right if theory == "dl" else {}
-    d, (products, left, right) = integral(module.algebra.products, module.left, right)
+    right = module._right_int if theory == "dl" else (1, {})
+    d, (products, left, right) = common_scale(
+        module.algebra._products_int, module._left_int, right)
     pre: Preimages = {}
     for (u, w), vec in products.items():
         for p, c in vec.items():

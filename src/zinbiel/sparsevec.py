@@ -13,16 +13,23 @@ Two number rules are written here once each.
   kept as the same object, any other value is parsed into one
   (parse_scalar); and zeros are dropped.
 * Scaling: a kernel reads integer copies of the Fraction tables it is given,
-  each multiplied by D, the lcm of all their denominators (integral), and
-  accumulates ints; its output, D (or a multiple of D) times the true one,
-  goes back to Fractions once, through unscaled, which divides each entry
-  and drops the zeros the sums left and the vectors they emptied.
+  each multiplied by D, the lcm of all their denominators, and accumulates
+  ints; its output, D (or a multiple of D) times the true one, goes back to
+  Fractions once, through unscaled, which divides each entry and drops the
+  zeros the sums left and the vectors they emptied. A structure table is
+  scaled once per object: each algebra and bimodule holds the integer form
+  (D, D times the table) of each of its tables, as integral gives it, from
+  when it is built. A kernel that reads several tables brings their forms
+  to one D (common_scale), and a constructor that accumulated a table in
+  ints passes it on in lowest terms (lowest_terms), so nothing parses or
+  rescales a table the package built itself. Cochain values and matrix
+  columns are scaled where they are read (integral).
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Any, Dict, List, Tuple, Union
 
 Number = Union[int, Fraction]
@@ -74,11 +81,47 @@ def integral(*tables: Mapping[Any, Mapping[int, Fraction]]) -> Tuple[int, List[D
                 for key, vec in t.items()} for t in tables]
 
 
+Scaled = Tuple[int, Dict[Any, Vec]]
+
+
+def common_scale(*forms: Scaled) -> Tuple[int, List[Dict[Any, Vec]]]:
+    """(D, [each table times D // D_t]) from integer forms (D_t, table_t), D the lcm of the D_t.
+
+    A table already at D is passed on as it is, not copied. On the forms
+    integral gives, this is integral of all their tables at once.
+    """
+    d = lcm(*(s for s, _ in forms))
+    return d, [t if s == d else {key: {k: v * (d // s) for k, v in vec.items()}
+                                  for key, vec in t.items()} for s, t in forms]
+
+
+def lowest_terms(vecs: Mapping[Any, Vec], d: int) -> Scaled:
+    """The integer vectors over d as the integer form integral gives their values.
+
+    Zeros and the vectors they empty are dropped, and d and every entry are
+    divided by their gcd, which leaves D the lcm of the denominators.
+    """
+    table: Dict[Any, Vec] = {}
+    for key, vec in vecs.items():
+        if 0 in vec.values():
+            vec = {k: v for k, v in vec.items() if v}
+        if vec:
+            table[key] = vec
+    g = d if d == 1 else gcd(d, *(v for vec in table.values() for v in vec.values()))
+    if g == 1:
+        return d, table
+    return d // g, {key: {k: v // g for k, v in vec.items()} for key, vec in table.items()}
+
+
 def unscaled(vecs: Mapping[Any, Vec], d: int) -> Dict[Any, Dict[int, Fraction]]:
     """The integer vectors over d as Fractions, less their zeros and the vectors they empty."""
     out: Dict[Any, Dict[int, Fraction]] = {}
     for key, vec in vecs.items():
-        if frac := {k: Fraction(v, d) for k, v in vec.items() if v}:
+        if d == 1:  # Fraction(v) skips the gcd that Fraction(v, 1) takes
+            frac = {k: Fraction(v) for k, v in vec.items() if v}
+        else:
+            frac = {k: Fraction(v, d) for k, v in vec.items() if v}
+        if frac:
             out[key] = frac
     return out
 

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 from random import Random
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .algebras import AxiomReport, Bimodule, FiniteAlgebra, Table, check_axioms
+from .algebras import AxiomReport, Bimodule, FiniteAlgebra, check_axioms
 from .complexes import (
     DL_MAX_DEGREE,
     Cochain,
@@ -55,7 +55,7 @@ from .complexes import (
     random_dl_cochain,
 )
 from .linalg import EMPTY_ROW, Matrix, _eliminate, _split_owners
-from .sparsevec import Vec, add_scaled, integral, unscaled
+from .sparsevec import Scaled, Vec, add_scaled, common_scale, lowest_terms, unscaled
 
 BRACKET_BOUND_CAP = 16
 
@@ -72,19 +72,19 @@ def _validation_error(side: str, report: AxiomReport) -> ValueError:
     )
 
 
-def _tensor_table(g: FiniteAlgebra, S: Table, S_swap: Table, xd: int, yd: int) -> Table:
+def _tensor_table(g: FiniteAlgebra, S: Scaled, S_swap: Scaled, xd: int, yd: int) -> Scaled:
     """[a, a'] (x) S(x, y) - [a', a] (x) S_swap(y, x), keyed (a * xd + x, a' * yd + y).
 
     Walks only the nonzero entries of g's product against those of S and
     S_swap; a result index is g-index * yd + S-index. Every key gets at most
     one term from each table, added in that order, and keys come out in key
     order, less the ones that cancel to {}. The products accumulate as ints,
-    from g's table scaled by D_g and the two S tables by D_S (the lcm of each
-    side's denominators, sparsevec.integral), and each nonzero result becomes
-    one Fraction, divided by D_g * D_S (sparsevec.unscaled).
+    from the integer forms of g's table, at D_g, and of the two S tables,
+    brought to one D_S; the result is the integer form of the table, the
+    sums over D_g * D_S in lowest terms (sparsevec.lowest_terms).
     """
-    dg, (gp,) = integral(g.products)
-    ds, (s, s_swap) = integral(S, S_swap)
+    dg, gp = g._products_int
+    ds, (s, s_swap) = common_scale(S, S_swap)
     acc: Dict[Tuple[int, int], Vec] = defaultdict(dict)
     for sign, table, swap in ((1, s, False), (-1, s_swap, True)):
         for (i1, i2), gv in gp.items():
@@ -95,7 +95,7 @@ def _tensor_table(g: FiniteAlgebra, S: Table, S_swap: Table, xd: int, yd: int) -
                     for k, cb in sv.items():
                         i = ga * yd + k
                         out[i] = out.get(i, 0) + sign * ca * cb
-    return unscaled(dict(sorted(acc.items())), dg * ds)
+    return lowest_terms(dict(sorted(acc.items())), dg * ds)
 
 
 def tensor_lie(g: FiniteAlgebra, B: FiniteAlgebra, validate: bool = True) -> FiniteAlgebra:
@@ -104,6 +104,9 @@ def tensor_lie(g: FiniteAlgebra, B: FiniteAlgebra, validate: bool = True) -> Fin
     With validate, the inputs are first checked to be Leibniz and Zinbiel
     respectively; the output is then a Lie algebra. Without it the bracket is
     built regardless, which is how a deliberately broken input gets examined.
+    The algebra takes over the table built here with its integer form, and
+    only its basis names are checked: two can coincide, as "a" with "b⊗c"
+    and "a⊗b" with "c" do, and then ValueError is raised.
     """
     if validate:
         rep = check_axioms(g, "leibniz")
@@ -112,12 +115,9 @@ def tensor_lie(g: FiniteAlgebra, B: FiniteAlgebra, validate: bool = True) -> Fin
         rep = check_axioms(B, "zinbiel")
         if not rep.ok:
             raise _validation_error("right factor", rep)
-    return FiniteAlgebra(
-        kind="lie",
-        dim=g.dim * B.dim,
-        basis_names=_tensor_names(g.basis_names, B.basis_names),
-        products=_tensor_table(g, B.products, B.products, B.dim, B.dim),
-    )
+    d, products = _tensor_table(g, B._products_int, B._products_int, B.dim, B.dim)
+    return FiniteAlgebra._of("lie", g.dim * B.dim, _tensor_names(g.basis_names, B.basis_names),
+                             unscaled(products, d), (d, products))
 
 
 def tensor_module(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule) -> Bimodule:
@@ -129,18 +129,22 @@ def tensor_module(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule) -> Bimodule:
     """
     if M.algebra != B:
         raise ValueError("module must be over the Zinbiel factor")
-    left = _tensor_table(g, M.left, M.right, B.dim, M.dim)
-    return Bimodule(
-        algebra=tensor_lie(g, B, validate=False),
-        dim=g.dim * M.dim,
-        basis_names=_tensor_names(g.basis_names, M.basis_names),
-        left=left,
-        right={(m, a): {j: -c for j, c in vec.items()} for (a, m), vec in left.items()},
-    )
+    d, left = _tensor_table(g, M._left_int, M._right_int, B.dim, M.dim)
+    exact = unscaled(left, d)
+    return Bimodule._of(tensor_lie(g, B, validate=False), g.dim * M.dim,
+                        _tensor_names(g.basis_names, M.basis_names),
+                        exact, _negated_transpose(exact), (d, left), (d, _negated_transpose(left)))
+
+
+def _negated_transpose(table: Dict[Tuple[int, int], Vec]) -> Dict[Tuple[int, int], Vec]:
+    return {(m, a): {j: -c for j, c in vec.items()} for (a, m), vec in table.items()}
 
 
 class TensorContext:
-    """One tensor construction: g, B, M, the Lie algebra g (x) B and its module g (x) M."""
+    """One tensor construction: g, B, M, the Lie algebra g (x) B and its module g (x) M.
+
+    _psi_maps holds psi by degree, each map built on first use.
+    """
 
     def __init__(self, g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule):
         self.g = g
@@ -149,6 +153,7 @@ class TensorContext:
         self.module = tensor_module(g, B, M)
         self.lie = self.module.algebra
         self.bracket_bound = _bracket_length_bound(g)
+        self._psi_maps: Dict[int, _Map] = {}
 
 
 def _bracket_length_bound(g: FiniteAlgebra) -> int:
@@ -166,6 +171,14 @@ def _bracket_length_bound(g: FiniteAlgebra) -> int:
 
 
 def _psi_map(ctx: TensorContext, n: int) -> _Map:
+    """psi at degree n, built on first use (_new_psi_map) and kept by ctx."""
+    m = ctx._psi_maps.get(n)
+    if m is None:
+        m = ctx._psi_maps[n] = _new_psi_map(ctx, n)
+    return m
+
+
+def _new_psi_map(ctx: TensorContext, n: int) -> _Map:
     """psi at degree n, from dl cochains on B in M to ce cochains on g (x) B in g (x) M.
 
     Every n-tuple G of basis indices of g whose left-normed bracket
@@ -178,12 +191,12 @@ def _psi_map(ctx: TensorContext, n: int) -> _Map:
     tensor indices G_j * B.dim + X_j; sorted, they give the output tuple T and
     the sign of the sorting permutation, and m_k goes to sign * L (x) m_k. A
     repeated index drops the term, as the output is alternating. g's
-    constants are multiplied by D_g, the lcm of their denominators, and held
-    as ints, so each bracket, n - 1 constants to a term, is D_g^(n-1) times
-    its value: the map's scale.
+    constants are read from the integer form g holds, at D_g, the lcm of
+    their denominators, so each bracket, n - 1 constants to a term, is
+    D_g^(n-1) times its value: the map's scale.
     """
     g, bd, md = ctx.g, ctx.B.dim, ctx.M.dim
-    d, (products,) = integral(g.products)
+    d, products = g._products_int
     by_left: Dict[int, List[Tuple[int, Vec]]] = {}
     for (i, j), vec in products.items():
         by_left.setdefault(i, []).append((j, vec))

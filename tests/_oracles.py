@@ -16,7 +16,6 @@ from zinbiel import Cochain
 from zinbiel.algebras import (
     AxiomReport,
     Bimodule,
-    Case,
     FiniteAlgebra,
     Table,
     _vec_display,
@@ -595,7 +594,11 @@ def psi_gather(ctx: TensorContext, f: Cochain) -> Cochain:
 
 
 # Full-scan axiom checks: every basis triple, in lexicographic order, with no
-# support gating. check_axioms must return exactly the same report.
+# support gating, over the Fractions. check_axioms must return exactly the
+# same report, and algebras._cases the same cases once divided by its scales.
+
+# (identity, inputs, lhs, rhs), both sides in Fractions.
+Case = Tuple[str, Tuple[str, ...], Vec, Vec]
 
 def _units(dim: int) -> List[Vec]:
     return [{i: ONE} for i in range(dim)]

@@ -1,11 +1,15 @@
 """check_axioms visits only the basis triples that touch a nonzero product,
-and the tensor tables are built from the nonzero entries only.
+in ints, and the tensor tables are built from the nonzero entries only.
 
 The full scan over every triple lives in _oracles.check_axioms_full_scan; the
-reports, witness included, must be identical. The work counts pin the gain so
-that a regression to the full scan fails without timing anything. The tensor
-tables must equal, key order included, the ones built on the full grid.
+reports, witness included, must be identical, and so must the cases once
+_cases' integer sides are divided by their scales. The work counts pin the
+gain so that a regression to the full scan fails without timing anything.
+The tensor tables must equal, key order included, the ones built on the full
+grid, and every object's integer form must be integral of its Fraction table.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +23,8 @@ from _oracles import (
 )
 from _strategies import basis_changes, fractional
 from zinbiel import Bimodule, FiniteAlgebra, builtin, check_axioms, perturbed_b2, regular
-from zinbiel.algebras import AXIOM_KINDS, _cases
+from zinbiel.algebras import _MODULE_FAMILY, AXIOM_KINDS, _cases
+from zinbiel.sparsevec import integral
 from zinbiel.tensor_bridge import TensorContext, tensor_lie, tensor_module
 
 CATALOG = (
@@ -34,12 +39,19 @@ def _failures(cases):
     return [case for case in cases if case[2] != case[3]]
 
 
+def _unscaled_cases(cases):
+    """_cases' integer sides divided by their scales, as the full scan gives them."""
+    for identity, inputs, lhs, rhs, scale in cases:
+        yield (identity, inputs, {k: Fraction(v, scale) for k, v in lhs.items()},
+               {k: Fraction(v, scale) for k, v in rhs.items()})
+
+
 def _assert_same_reports(alg, mod):
     """Same report, and the same failing cases in the same order: a triple the
     support skips must hold in the full scan too."""
     for which in AXIOM_KINDS:
         assert check_axioms(alg, which, mod) == check_axioms_full_scan(alg, which, mod), which
-        cases = _cases(alg, which, mod)
+        cases = _unscaled_cases(_cases(alg, which, mod))
         assert _failures(cases) == _failures(full_scan_cases(alg, which, mod)), which
 
 
@@ -62,6 +74,63 @@ def test_tensor_reports_match_full_scan(g, b):
 
 def _names(prefix, n):
     return tuple(f"{prefix}{i}" for i in range(n))
+
+
+# lie2 with [e1, e2] = e1 / 7 but [e2, e1] = -e1: D = 7, and not antisymmetric.
+LIE2_SEVENTH = FiniteAlgebra("lie", 2, ("e1", "e2"),
+                             {(0, 1): {0: Fraction(1, 7)}, (1, 0): {0: -1}})
+
+
+@pytest.mark.parametrize("alg", [builtin("polyzinbiel(2)"), LIE2_SEVENTH], ids=["poly2", "lie2/7"])
+def test_scaled_sides_match_full_scan_when_d_exceeds_one(alg):
+    # Identity cases read two constants and are D^2 times the true sides,
+    # antisymmetry cases one, D times; both kinds fail on both inputs here.
+    mod = regular(alg)
+    d = alg._products_int[0]
+    assert d > 1
+    failing = {scale for which in AXIOM_KINDS
+               for *_, scale in _failures(_cases(alg, which, mod))}
+    assert failing == {d, d * d}
+    _assert_same_reports(alg, mod)
+
+
+def test_witness_strings_of_scaled_sides():
+    # Divided by D (the antisymmetry cases) and by D^2 (a triple), as read
+    # from the Fractions before the sides were compared in ints.
+    assert check_axioms(LIE2_SEVENTH, "lie").witness == {
+        "identity": "[x, y] + [y, x] = 0", "inputs": ["e1", "e2"],
+        "lhs": {"e1": "-6/7"}, "rhs": {}}
+    assert check_axioms(LIE2_SEVENTH, "lie-module", regular(LIE2_SEVENTH)).witness == {
+        "identity": "[x, y]v = x(yv) - y(xv)", "inputs": ["e1", "e2", "e2"],
+        "lhs": {"e1": "1/49"}, "rhs": {"e1": "1/7"}}
+    assert check_axioms(builtin("polyzinbiel(2)"), "leibniz").witness == {
+        "identity": "[x, [y, z]] = [[x, y], z] - [[x, z], y]", "inputs": ["p0", "p0", "p0"],
+        "lhs": {"p2": "1/2"}, "rhs": {}}
+
+
+def test_passing_checks_build_no_fraction(monkeypatch):
+    # The sides are compared as ints; Fractions are made only for a witness.
+    checks = []
+    for name in CATALOG:
+        alg = builtin(name)
+        checks += [(alg, alg.kind, None), (alg, _MODULE_FAMILY[alg.kind], regular(alg))]
+    ctx = TensorContext(builtin("freeleibniz(2,3)"), builtin("polyzinbiel(2)"),
+                        regular(builtin("polyzinbiel(2)")))
+    checks += [(ctx.lie, "lie", None), (ctx.lie, "lie-module", ctx.module)]
+    made = 0
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    reports = [check_axioms(*check) for check in checks]
+    monkeypatch.undo()
+    assert all(r.ok for r in reports)
+    assert made == 0
+    assert not check_axioms(LIE2_SEVENTH, "lie").ok  # the spy's complement: a witness is made
 
 
 @st.composite
@@ -124,7 +193,7 @@ def test_sparse_tables_match_full_scan(structure):
 @given(antisymmetric_algebras())
 def test_antisymmetric_tables_match_full_scan(alg):
     assert check_axioms(alg, "lie") == check_axioms_full_scan(alg, "lie")
-    assert _failures(_cases(alg, "lie")) == _failures(full_scan_cases(alg, "lie"))
+    assert _failures(_unscaled_cases(_cases(alg, "lie"))) == _failures(full_scan_cases(alg, "lie"))
 
 
 @settings(deadline=None, max_examples=100)
@@ -163,6 +232,20 @@ def _ordered(table):
     return [(key, list(vec.items())) for key, vec in table.items()]
 
 
+def _integral_form(table):
+    d, (ints,) = integral(table)
+    return d, ints
+
+
+def _assert_integer_forms(alg, mod):
+    """Each table's integer form is integral of its Fractions, which are all Fractions."""
+    tables = (alg.products, mod.left, mod.right)
+    assert all(type(c) is Fraction for t in tables for vec in t.values() for c in vec.values())
+    assert alg._products_int == _integral_form(alg.products)
+    assert mod._left_int == _integral_form(mod.left)
+    assert mod._right_int == _integral_form(mod.right)
+
+
 def _assert_tensor_tables_match_grid(g, B, M):
     lie = tensor_lie(g, B, validate=False)
     assert _ordered(lie.products) == _ordered(tensor_lie_grid(g, B))
@@ -170,6 +253,26 @@ def _assert_tensor_tables_match_grid(g, B, M):
     left, right = tensor_module_grid(g, B, M)
     assert _ordered(mod.left) == _ordered(left)
     assert _ordered(mod.right) == _ordered(right)
+    _assert_integer_forms(lie, mod)
+    _assert_integer_forms(g, regular(g))
+    _assert_integer_forms(B, M)
+
+
+@pytest.mark.parametrize("g", [n for n in CATALOG if builtin(n).kind != "zinbiel"])
+@pytest.mark.parametrize("b", [n for n in CATALOG if builtin(n).kind == "zinbiel"])
+def test_tensor_objects_equal_the_validated_ones(g, b):
+    # The tensor constructions hand their tables over unparsed; the
+    # validating constructors, given the same Fractions, build equal objects
+    # with equal integer forms.
+    B = builtin(b)
+    ctx = TensorContext(builtin(g), B, regular(B))
+    lie, mod = ctx.lie, ctx.module
+    checked_lie = FiniteAlgebra(lie.kind, lie.dim, lie.basis_names, lie.products)
+    checked = Bimodule(checked_lie, mod.dim, mod.basis_names, mod.left, mod.right)
+    assert (lie, mod) == (checked_lie, checked)
+    assert lie._products_int == checked_lie._products_int
+    assert (mod._left_int, mod._right_int) == (checked._left_int, checked._right_int)
+    _assert_integer_forms(lie, mod)
 
 
 @pytest.mark.parametrize("g, b", TENSORS + (

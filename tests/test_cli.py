@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from zinbiel import perturbed_b2, save_algebra, save_bimodule, builtin, regular
+from zinbiel import FiniteAlgebra, perturbed_b2, save_algebra, save_bimodule, builtin, regular
 from zinbiel.cli import build_parser, main
 
 VERIFY_PASS = """\
@@ -503,6 +503,18 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv, fmt):
                          (tmp_path, "Is a directory")):
         code, out, err = run(capsys, argv + ["-o", str(path), "--format", fmt])
         assert (code, out, err) == (2, "", f"error: cannot write {path}: {reason}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tensor-lie"], ["les", "--max-degree", "1"], ["verify-chain-map", "--degree", "1"],
+])
+def test_colliding_tensor_names_are_a_usage_error(capsys, tmp_path, argv):
+    # "a" (x) "b⊗c" and "a⊗b" (x) "c" are both named "a⊗b⊗c".
+    g, b = tmp_path / "g.json", tmp_path / "b.json"
+    save_algebra(FiniteAlgebra("leibniz", 2, ("a", "a⊗b"), {(0, 0): {1: 1}}), g)
+    save_algebra(FiniteAlgebra("zinbiel", 2, ("b⊗c", "c"), {(0, 0): {1: 1}}), b)
+    code, out, err = run(capsys, argv + ["--leibniz", str(g), "--zinbiel", str(b)])
+    assert (code, out, err) == (2, "", "error: algebra basis names must be 4 distinct strings\n")
 
 
 def test_tensor_lie_stdout(capsys):

@@ -57,7 +57,7 @@ from zinbiel.complexes import (
     ce_tuples,
     dl_tuples,
 )
-from zinbiel.sparsevec import integral, unscaled
+from zinbiel.sparsevec import common_scale, integral, lowest_terms, unscaled
 from zinbiel.tensor_bridge import TensorContext, _psi_map, psi_apply, psi_matrix, verify_chain_map
 
 CATALOG = ("B2", "B3", "polyzinbiel(2)", "leibniz2", "lie2", "freeleibniz(2,2)")
@@ -319,6 +319,24 @@ def test_random_cochain_is_seed_stable():
     assert all(-9 <= c <= 9 for c in flat)
 
 
+@pytest.mark.parametrize("md", [1, 2])
+def test_random_cochain_equals_the_validated_one(md):
+    # The draws skip the entry parse: given the same draws, the validating
+    # constructor builds an equal cochain. Seed 0 draws a zero, which is
+    # dropped, and with md = 1 it empties a vector, which is dropped too.
+    f = random_dl_cochain(3, md, 2, Random(0))
+    rng = Random(0)
+    draws = {key: {k: rng.randint(-9, 9) for k in range(md)} for key in dl_tuples(3, 2)}
+    assert f == Cochain("dl", 2, 3, md, draws)
+    assert sum(map(len, f.values.values())) < 9 * md
+    assert all(type(c) is Fraction and c for vec in f.values.values() for c in vec.values())
+    for args, message in (((3, md, 0), "dl cochains start at degree 1, got 0"),
+                          ((3, md, True), "cochain degree and dims must be ints"),
+                          ((3.0, md, 2), "cochain degree and dims must be ints")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_dl_cochain(*args, Random(0))
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.integers(0, 10_000))
 def test_delta_is_linear(seed):
@@ -395,6 +413,18 @@ def test_scaling_rule_round_trips_and_drops_zeros():
     assert (d, bi) == (12, {(0,): {3: 14}})
     assert unscaled(ai, d) == a and unscaled(bi, d) == b
     assert integral() == (1, [])
+    # Integer forms brought to one D: the same as integral of all the tables,
+    # and a table already at D is passed on, not copied.
+    forms = [(d0, t0) for d0, (t0,) in (integral(a), integral(b))]
+    d, (ai2, bi2) = common_scale(*forms)
+    assert (d, [ai2, bi2]) == integral(a, b) and ai2 is forms[0][1]
+    assert common_scale() == (1, []) and common_scale((1, {})) == (1, [{}])
+    # Sums over 12 in lowest terms are the form integral gives their values.
+    sums = {(0, 1): {0: 4, 1: 0, 2: 24}, (1, 1): {1: -18}, (2, 2): {0: 0}}
+    assert lowest_terms(sums, 12) == (6, {(0, 1): {0: 2, 2: 12}, (1, 1): {1: -9}})
+    d, (ints,) = integral(unscaled(sums, 12))
+    assert lowest_terms(sums, 12) == (d, ints)
+    assert lowest_terms({(0, 0): {0: 0}}, 5) == (1, {})
     # The zeros a sum leaves are dropped, and so are the vectors they empty.
     assert unscaled({"x": {0: 0, 1: 6}, "y": {2: 0}, "z": {}}, 4) == {"x": {1: Fraction(3, 2)}}
 

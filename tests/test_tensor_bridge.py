@@ -36,6 +36,7 @@ from _oracles import (
 )
 from _strategies import basis_changes, fractional
 from zinbiel import (
+    Bimodule,
     Cochain,
     FiniteAlgebra,
     builtin,
@@ -50,7 +51,7 @@ from zinbiel import (
     regular,
     tensor_bridge,
 )
-from zinbiel import fileio, linalg, sparsevec
+from zinbiel import complexes, fileio, linalg, sparsevec
 from zinbiel.complexes import _apply, _matrix, ce_space_dim, ce_tuples, dl_tuples
 from zinbiel.linalg import Matrix, _eliminate
 from zinbiel.sparsevec import add_scaled, parse_scalar
@@ -122,6 +123,20 @@ def test_tensor_lie_validates_both_factors():
 def test_tensor_names():
     lie = tensor_lie(builtin("leibniz2"), builtin("B2"))
     assert lie.basis_names == ("a⊗e1", "a⊗e2", "b⊗e1", "b⊗e2")
+
+
+def test_tensor_names_must_stay_distinct():
+    # The tensor objects skip the entry parse but keep the basis check:
+    # "a" (x) "b⊗c" and "a⊗b" (x) "c" are both named "a⊗b⊗c".
+    g = FiniteAlgebra("leibniz", 2, ("a", "a⊗b"), {(0, 0): {1: 1}})
+    B = FiniteAlgebra("zinbiel", 2, ("b⊗c", "c"), {(0, 0): {1: 1}})
+    for build in (tensor_lie, lambda g, B: TensorContext(g, B, regular(B))):
+        with pytest.raises(ValueError, match="^algebra basis names must be 4 distinct strings$"):
+            build(g, B)
+    B = FiniteAlgebra("zinbiel", 2, ("x", "y"), {(0, 0): {1: 1}})
+    M = Bimodule(B, 2, ("b⊗c", "c"), B.products, B.products)
+    with pytest.raises(ValueError, match="^module basis names must be 4 distinct strings$"):
+        TensorContext(g, B, M)
 
 
 def test_tensor_module_over_regular_coefficients_mirrors_bracket():
@@ -251,8 +266,8 @@ def test_psi_brackets_read_only_nonzero_products(monkeypatch):
 
 
 def test_tensor_context_parses_no_scalar(monkeypatch):
-    # The algebra and the module keep the Fractions _tensor_table just made
-    # as they are: their indices are range-checked, but nothing is parsed.
+    # The algebra and the module take over the tables _tensor_table just
+    # made, with their integer forms: nothing is parsed.
     g, B = builtin("freeleibniz(3,3)"), builtin("B2")
     M = regular(B)
     calls = 0
@@ -432,6 +447,28 @@ def test_verify_chain_map_passes(degree):
     assert report.passed and report.axioms_ok
     assert report.failed_trials == [] and report.witness is None
     assert set(report.axioms) == {"g_leibniz", "b_zinbiel", "tensor_lie", "tensor_lie_module"}
+
+
+def test_verify_chain_map_builds_each_map_once(monkeypatch):
+    # Ten trials at degree 2 read psi_2 and psi_3 of the context, delta_DL^2
+    # of M and delta_CE^2 of g (x) M: four maps, each built on first use.
+    builds = []
+    new_delta, new_psi = complexes._new_delta_map, tensor_bridge._new_psi_map
+
+    def delta(theory, module, n):
+        builds.append((theory, n))
+        return new_delta(theory, module, n)
+
+    def psi(ctx, n):
+        builds.append(("psi", n))
+        return new_psi(ctx, n)
+
+    monkeypatch.setattr(complexes, "_new_delta_map", delta)
+    monkeypatch.setattr(tensor_bridge, "_new_psi_map", psi)
+    B = builtin("B3")
+    report = verify_chain_map(builtin("freeleibniz(2,3)"), B, regular(B), 2, with_axioms=False)
+    assert report.passed and report.trials == 10
+    assert sorted(builds) == [("ce", 2), ("dl", 2), ("psi", 2), ("psi", 3)]
 
 
 def test_chain_map_with_both_sides_nonzero():
