@@ -36,16 +36,17 @@ hold of the tables it uses (see algebras), brought to the lcm D of their
 scales (sparsevec.common_scale), which is the map's scale: the lcm of every
 denominator in those tables. Each term reads one structure constant, so the
 terms are D times the map's, and so is _matrix's integer matrix, with the
-same rank, nullspace and column span. _apply and _exact (the public
-matrices) divide each output coefficient by the scale once, back to a
-Fraction (sparsevec.unscaled). A differential is built once per module,
-theory and degree, on first use, and kept by the module (Bimodule._maps).
+same rank, nullspace and column span. _exact (the public matrices) divides
+each entry by the scale (sparsevec.unscaled). _apply keeps its sums as the
+integer form of its output, over the input's scale times the map's, and the
+output's values are divided out only when read, so a chain of maps makes no
+Fraction. A differential is built once per module, theory and degree, on
+first use, and kept by the module (Bimodule._maps).
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iproduct
 from math import comb
@@ -55,9 +56,10 @@ from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Set, Tu
 from .algebras import Bimodule
 from .free_leibniz import leibniz_expansion
 from .linalg import Matrix
-from .sparsevec import Vec, common_scale, integral, parse_vec, unscaled
+from .sparsevec import Scaled, Vec, common_scale, integral, nonzero, parse_vec, unscaled
 
 Key = Tuple[int, ...]
+Space = Tuple[str, int, int, int]  # (theory, degree, algebra dim, module dim)
 
 DL_MAX_DEGREE = 4
 CE_MAX_DEGREE = 5
@@ -83,6 +85,8 @@ def _check_degree(theory: str, degree: int) -> None:
 def _check_space(theory: str, degree: int, algebra_dim: int, module_dim: int) -> None:
     if any(type(x) is not int for x in (degree, algebra_dim, module_dim)):
         raise ValueError("cochain degree and dims must be ints")
+    if algebra_dim < 0 or module_dim < 0:
+        raise ValueError(f"cochain dims must be nonnegative, got {algebra_dim} and {module_dim}")
     _check_start(theory, degree)
 
 
@@ -91,6 +95,7 @@ class Cochain:
     """One multilinear map, stored as {argument tuple: sparse module vector}.
 
     A validated container, without arithmetic, that the differentials and psi fill.
+    One they build holds an integer form instead, and its values are made from it on first read.
     """
 
     theory: str
@@ -112,6 +117,30 @@ class Cochain:
             if entry := parse_vec(vec, self.module_dim, "module"):
                 clean[key] = entry
         self.values = clean
+
+    @classmethod
+    def _of(cls, space: Space, d: int, ints: Dict[Key, Vec]) -> "Cochain":
+        """The cochain with values ints / d, ints zero-free and keyed in space; nothing is checked."""
+        f = object.__new__(cls)
+        f.theory, f.degree, f.algebra_dim, f.module_dim = space
+        f._form = (d, ints)
+        return f
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute not set: values, on a cochain built by _of.
+        form = vars(self).pop("_form", None) if name == "values" else None
+        if form is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.values = unscaled(form[1], form[0])
+        return self.values
+
+
+def _int_form(f: Cochain) -> Scaled:
+    """f's values as an integer form: the one it was built from while its values are unread."""
+    if "values" in vars(f):
+        d, (ints,) = integral(f.values)
+        return d, ints
+    return f._form
 
 
 def _sort_sign(args: Key) -> Tuple[int, Key]:
@@ -173,16 +202,16 @@ def random_dl_cochain(
 
     Draw order is fixed: argument tuples in lexicographic order, and module
     coordinates ascending within each tuple, so a seeded Random reproduces the
-    same cochain everywhere. The draws are ints, so only the arguments are
-    checked; zero draws, and the vectors they empty, are dropped.
+    same cochain everywhere. The draws are kept as ints, at scale 1, and only
+    the arguments are checked; zero draws, and the vectors they empty, are dropped.
     """
     _check_space("dl", degree, algebra_dim, module_dim)
     values: Dict[Key, Vec] = {}
     for key in dl_tuples(algebra_dim, degree):
         draws = [rng.randint(-9, 9) for _ in range(module_dim)]
-        if vec := {k: Fraction(c) for k, c in enumerate(draws) if c}:
+        if vec := {k: c for k, c in enumerate(draws) if c}:
             values[key] = vec
-    return _trusted(("dl", degree, algebra_dim, module_dim), values)
+    return Cochain._of(("dl", degree, algebra_dim, module_dim), 1, values)
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +237,6 @@ def _block(images: Dict[int, Vec]) -> Block:
 
 Term = Tuple[int, Key, Block]
 Terms = Callable[[Key], Iterable[Term]]
-Space = Tuple[str, int, int, int]  # (theory, degree, algebra dim, module dim)
 
 
 class _Map(NamedTuple):
@@ -232,12 +260,12 @@ def _check_input(name: str, f: Cochain, theory: str, module: Bimodule) -> None:
 def _apply(m: _Map, f: Cochain) -> Cochain:
     """The image of f, scattered from its nonzero support; f lies in m.source (see _check_input).
 
-    The input is cleared of denominators by their lcm L, so ints accumulate;
-    a block's triple (k, j, v) adds to output coordinate j only where the
-    input has a nonzero at k. The outputs are divided by L * m.scale at the
-    end, which drops their zeros.
+    f is read in its integer form, over some L, so ints accumulate; a
+    block's triple (k, j, v) adds to output coordinate j only where the
+    input has a nonzero at k. The sums, less their zeros, are the image
+    over L * m.scale.
     """
-    den, (values,) = integral(f.values)
+    den, values = _int_form(f)
     out: Dict[Key, Vec] = {}
     for X, fv in values.items():
         get = fv.get
@@ -247,15 +275,7 @@ def _apply(m: _Map, f: Cochain) -> Cochain:
                 x = get(k)
                 if x:
                     acc[j] = acc.get(j, 0) + coeff * v * x
-    return _trusted(m.target, unscaled(out, den * m.scale))
-
-
-def _trusted(space: Space, values: Dict[Key, Vec]) -> Cochain:
-    """A Cochain of values a map produced, nonzero Fractions at keys of space, not re-checked."""
-    f = object.__new__(Cochain)
-    f.theory, f.degree, f.algebra_dim, f.module_dim = space
-    f.values = values
-    return f
+    return Cochain._of(m.target, den * m.scale, nonzero(out))
 
 
 def _matrix(m: _Map) -> Matrix:

@@ -14,16 +14,17 @@ Two number rules are written here once each.
   (parse_scalar); and zeros are dropped.
 * Scaling: a kernel reads integer copies of the Fraction tables it is given,
   each multiplied by D, the lcm of all their denominators, and accumulates
-  ints; its output, D (or a multiple of D) times the true one, goes back to
-  Fractions once, through unscaled, which divides each entry and drops the
-  zeros the sums left and the vectors they emptied. A structure table is
+  ints; its output, D (or a multiple of D) times the true one, less the
+  zeros the sums left and the vectors they emptied (nonzero), stays in ints
+  until its Fractions are read (unscaled), and two such outputs compare in
+  ints, cross-multiplying their scales (same_values). A structure table is
   scaled once per object: each algebra and bimodule holds the integer form
   (D, D times the table) of each of its tables, as integral gives it, from
   when it is built. A kernel that reads several tables brings their forms
   to one D (common_scale), and a constructor that accumulated a table in
   ints passes it on in lowest terms (lowest_terms), so nothing parses or
-  rescales a table the package built itself. Cochain values and matrix
-  columns are scaled where they are read (integral).
+  rescales a table the package built itself. The Fraction values of a
+  cochain or matrix given by a user are scaled where they are read (integral).
 """
 from __future__ import annotations
 
@@ -95,22 +96,40 @@ def common_scale(*forms: Scaled) -> Tuple[int, List[Dict[Any, Vec]]]:
                                   for key, vec in t.items()} for s, t in forms]
 
 
+def nonzero(vecs: Mapping[Any, Vec]) -> Dict[Any, Vec]:
+    """vecs less their zero entries and the vectors they empty; a vector with no zero is kept."""
+    out: Dict[Any, Vec] = {}
+    for key, vec in vecs.items():
+        if 0 in vec.values():
+            vec = {k: v for k, v in vec.items() if v}
+        if vec:
+            out[key] = vec
+    return out
+
+
 def lowest_terms(vecs: Mapping[Any, Vec], d: int) -> Scaled:
     """The integer vectors over d as the integer form integral gives their values.
 
     Zeros and the vectors they empty are dropped, and d and every entry are
     divided by their gcd, which leaves D the lcm of the denominators.
     """
-    table: Dict[Any, Vec] = {}
-    for key, vec in vecs.items():
-        if 0 in vec.values():
-            vec = {k: v for k, v in vec.items() if v}
-        if vec:
-            table[key] = vec
+    table = nonzero(vecs)
     g = d if d == 1 else gcd(d, *(v for vec in table.values() for v in vec.values()))
     if g == 1:
         return d, table
     return d // g, {key: {k: v // g for k, v in vec.items()} for key, vec in table.items()}
+
+
+def same_values(a: Scaled, b: Scaled) -> bool:
+    """Whether two zero-free integer forms hold the same values: x * D_b == y * D_a, key by key."""
+    (da, ta), (db, tb) = a, b
+    if ta.keys() != tb.keys():
+        return False
+    for key, x in ta.items():
+        y = tb[key]
+        if x.keys() != y.keys() or any(v * db != y[k] * da for k, v in x.items()):
+            return False
+    return True
 
 
 def unscaled(vecs: Mapping[Any, Vec], d: int) -> Dict[Any, Dict[int, Fraction]]:

@@ -42,7 +42,7 @@ from zinbiel.complexes import (
     dl_tuples,
 )
 from zinbiel.linalg import Matrix, Row, _eliminate
-from zinbiel.sparsevec import Scalar, Vec, add_scaled, integral
+from zinbiel.sparsevec import Scalar, Vec, add_scaled, integral, unscaled
 from zinbiel.tensor_bridge import PsiNotInjectiveError, TensorContext, psi_matrix
 
 ZERO = Fraction(0)
@@ -325,6 +325,21 @@ def psi_map_probed(ctx: TensorContext, n: int) -> _Map:
 
     return _Map(("dl", n, bd, md), ("ce", n, ctx.lie.dim, ctx.module.dim), terms,
                 integral(g.products)[0] ** (n - 1))
+
+
+def apply_via_fractions(m: _Map, f: Cochain) -> Dict[Key, Dict[int, Fraction]]:
+    """The values of complexes._apply(m, f) by the Fraction route: f's values
+    cleared of denominators (integral), the terms summed in ints, and every
+    sum divided back to a Fraction at once (unscaled), which drops the zeros."""
+    den, (values,) = integral(f.values)
+    out: Dict[Key, Vec] = {}
+    for X, fv in values.items():
+        for coeff, Y, block in m.terms(X):
+            acc = out.setdefault(Y, {})
+            for k, j, v in block:
+                if k in fv:
+                    acc[j] = acc.get(j, 0) + coeff * v * fv[k]
+    return unscaled(out, den * m.scale)
 
 
 def identity(n: int) -> List[List[Fraction]]:

@@ -4,7 +4,9 @@ The dense routes in _oracles recompute everything the sparse machinery
 produces, from independent transcriptions of the printed formulas.
 """
 
-from dataclasses import astuple
+import copy
+import pickle
+from dataclasses import asdict, astuple
 from fractions import Fraction
 from random import Random
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import (
+    apply_via_fractions,
     ce_delta1_adjoint,
     ce_delta2_adjoint,
     change_module_basis,
@@ -53,11 +56,12 @@ from zinbiel.complexes import (
     _apply,
     _assemble,
     _delta_map,
+    _int_form,
     _matrix,
     ce_tuples,
     dl_tuples,
 )
-from zinbiel.sparsevec import common_scale, integral, lowest_terms, unscaled
+from zinbiel.sparsevec import common_scale, integral, lowest_terms, same_values, unscaled
 from zinbiel.tensor_bridge import TensorContext, _psi_map, psi_apply, psi_matrix, verify_chain_map
 
 CATALOG = ("B2", "B3", "polyzinbiel(2)", "leibniz2", "lie2", "freeleibniz(2,2)")
@@ -237,6 +241,11 @@ def test_cochain_indices_and_dims_must_be_ints():
     for args in ((1.0, 2, 2), (1, 2.0, 2), (1, 2, True)):
         with pytest.raises(ValueError, match="cochain degree and dims must be ints"):
             Cochain("dl", *args, {})
+    # As Matrix refuses negative sizes; a dim of 0 is an empty space.
+    for theory, args, dims in (("dl", (1, -3, -2), "-3 and -2"), ("ce", (0, 2, -1), "2 and -1")):
+        with pytest.raises(ValueError, match=f"^cochain dims must be nonnegative, got {dims}$"):
+            Cochain(theory, *args, {})
+    assert Cochain("dl", 1, 0, 0).values == random_dl_cochain(0, 0, 1, Random(0)).values == {}
 
 
 @pytest.mark.parametrize("theory, degree, build, message", [
@@ -332,7 +341,9 @@ def test_random_cochain_equals_the_validated_one(md):
     assert all(type(c) is Fraction and c for vec in f.values.values() for c in vec.values())
     for args, message in (((3, md, 0), "dl cochains start at degree 1, got 0"),
                           ((3, md, True), "cochain degree and dims must be ints"),
-                          ((3.0, md, 2), "cochain degree and dims must be ints")):
+                          ((3.0, md, 2), "cochain degree and dims must be ints"),
+                          ((-1, md, 1), f"cochain dims must be nonnegative, got -1 and {md}"),
+                          ((3, -md, 2), f"cochain dims must be nonnegative, got 3 and {-md}")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             random_dl_cochain(*args, Random(0))
 
@@ -435,6 +446,98 @@ def _fractional_cochain(theory, degree, dim, md, rng):
         key: {k: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for k in range(md)}
         for key in tuples(dim, degree)
     })
+
+
+def _fraction_route(apply, m, f):
+    """apply(f), checked against the Fraction route on copies, so f and the output stay unread."""
+    out = apply(f)
+    d, ints = _int_form(out)
+    assert type(d) is int
+    assert all(vec and all(type(v) is int and v for v in vec.values()) for vec in ints.values())
+    values = copy.copy(out).values
+    assert values == apply_via_fractions(m, copy.copy(f))
+    assert all(type(c) is Fraction for vec in values.values() for c in vec.values())
+    assert "values" not in vars(out)
+    return out
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.sampled_from(("leibniz2", "lie2")).flatmap(fractional), fractional("B2"),
+       st.booleans(), st.integers(0, 10_000))
+def test_applied_maps_keep_ints_and_match_the_fraction_route(g, B, draw_ints, seed):
+    # Each output is an integer form, zero-free, whose values are those of the
+    # Fraction route. The inputs: an int draw or a cochain with fractional
+    # coefficients, the outputs of maps (both sides of the chain-map identity),
+    # and coboundaries, whose images cancel to an empty cochain, read either
+    # from their integer form or from an equal Cochain built from Fractions.
+    ctx = TensorContext(g, B, regular(B))
+    M, T = ctx.M, ctx.module
+    rng = Random(seed)
+    for n in (1, 2):
+        f = (random_dl_cochain(B.dim, M.dim, n, rng) if draw_ints
+             else _fractional_cochain("dl", n, B.dim, M.dim, rng))
+        up = _fraction_route(lambda h: psi_apply(ctx, h), _psi_map(ctx, n), f)
+        dl = _fraction_route(lambda h: dl_delta(h, M), _delta_map("dl", M, n), f)
+        _fraction_route(lambda h: psi_apply(ctx, h), _psi_map(ctx, n + 1), dl)
+        ce = _fraction_route(lambda h: ce_delta(h, T), _delta_map("ce", T, n), up)
+        # Over leibniz2, psi f is a CE cocycle already; over lie2 it is not.
+        assert _int_form(dl)[1] and bool(_int_form(ce)[1]) == (g.kind == "lie")
+        for apply, m, h in ((lambda h: dl_delta(h, M), _delta_map("dl", M, n + 1), dl),
+                            (lambda h: ce_delta(h, T), _delta_map("ce", T, n + 1), ce)):
+            for x in (h, Cochain(h.theory, h.degree, h.algebra_dim, h.module_dim,
+                                 copy.copy(h).values)):
+                assert _int_form(_fraction_route(apply, m, x))[1] == {}
+        assert verify_chain_map(g, B, M, n, trials=2, seed=seed, with_axioms=False).passed
+
+
+_int_tables = st.dictionaries(
+    st.tuples(st.integers(0, 2)),
+    st.dictionaries(st.integers(0, 2), st.integers(-5, 5).filter(bool), min_size=1, max_size=3),
+    max_size=3)
+
+
+@given(_int_tables, _int_tables, st.integers(1, 12), st.integers(1, 12), st.integers(2, 6))
+def test_int_comparison_agrees_with_fraction_equality(a, b, da, db, t):
+    # Unequal pairs as drawn, the same values at a scale t times larger, and
+    # those values with one entry moved by 1 (nearly equal, same keys).
+    scaled = {key: {k: v * t for k, v in vec.items()} for key, vec in a.items()}
+    pairs = [((da, a), (db, b)), ((da, a), (da * t, scaled))]
+    if a:
+        key = next(iter(a))
+        k = next(iter(a[key]))
+        moved = {key: dict(vec) for key, vec in scaled.items()}
+        moved[key][k] += 1
+        pairs.append(((da, a), (da * t, moved)))
+    for x, y in pairs:
+        want = unscaled(x[1], x[0]) == unscaled(y[1], y[0])
+        assert same_values(x, y) == same_values(y, x) == want
+    assert same_values((da, a), (da * t, scaled))
+
+
+def test_a_lazily_held_cochain_behaves_like_any_cochain():
+    # dl_delta's output holds its integer form, over a scale above 1, until
+    # its values are read; every way of reading a dataclass reads them.
+    M = regular(builtin("B2"))
+    f = _fractional_cochain("dl", 1, 2, 2, Random(5))
+
+    def lazy():
+        out = dl_delta(f, M)
+        assert "values" not in vars(out) and _int_form(out)[0] > 1
+        return out
+
+    eager = Cochain("dl", 2, 2, 2, apply_via_fractions(_delta_map("dl", M, 1), f))
+    assert eager.values and lazy() == eager and eager == lazy()
+    assert repr(lazy()) == repr(eager)
+    assert asdict(lazy()) == asdict(eager) and astuple(lazy()) == astuple(eager)
+    assert copy.deepcopy(lazy()) == eager and copy.copy(lazy()) == eager
+    assert pickle.loads(pickle.dumps(lazy())) == eager
+    read = lazy()
+    assert read.values == eager.values and vars(read) == vars(eager)
+    for h in (lazy(), read, eager, object.__new__(Cochain)):
+        with pytest.raises(AttributeError, match="'Cochain' object has no attribute 'missing'"):
+            h.missing
+    with pytest.raises(AttributeError):
+        object.__new__(Cochain).values
 
 
 def _assert_terms_match_probed_unmerged(theory, module, degrees):

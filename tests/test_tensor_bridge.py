@@ -471,6 +471,52 @@ def test_verify_chain_map_builds_each_map_once(monkeypatch):
     assert sorted(builds) == [("ce", 2), ("dl", 2), ("psi", 2), ("psi", 3)]
 
 
+def test_passing_chain_map_check_makes_no_fraction_past_its_context(monkeypatch):
+    # Each side stays an integer form from the draw to the comparison: a
+    # passing check makes the Fractions of its tensor tables and no other,
+    # and never divides a cochain back (unscaled) or clears one (integral).
+    g, B = builtin("freeleibniz(2,3)"), builtin("B3")
+    M = regular(B)
+    made = 0
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return new(cls, *args, **kwargs)
+
+    def never(*args):
+        raise AssertionError("a cochain went through Fractions")
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    TensorContext(g, B, M)
+    context, made = made, 0
+    monkeypatch.setattr(complexes, "unscaled", never)
+    monkeypatch.setattr(complexes, "integral", never)
+    report = verify_chain_map(g, B, M, 3)
+    monkeypatch.undo()
+    assert report.passed and report.axioms_ok
+    assert made == context > 0
+
+
+_FRACTIONAL_B = FiniteAlgebra("zinbiel", 2, ("e1", "e2"), {
+    (0, 0): {1: Fraction(3, 5)}, (1, 1): {0: Fraction(1, 7)}, (0, 1): {1: Fraction(1, 4)}})
+
+
+@pytest.mark.parametrize("g, B, lhs, rhs", [
+    (perturbed_b2(), builtin("B2"), "0", "-6"),
+    (_FRACTIONAL_B, _FRACTIONAL_B, "-9/28", "-3567/4900"),
+])
+def test_failing_chain_map_check_keeps_its_witness(g, B, lhs, rhs):
+    # Neither g is Leibniz, so the identity fails at degree 2 on every trial;
+    # the witness, the one place the check makes Fractions, reads the same
+    # as when both sides were compared as Fraction cochains.
+    report = verify_chain_map(g, B, regular(B), 2)
+    assert not report.passed and report.failed_trials == list(range(10))
+    assert report.witness == {"trial": 0, "arguments": ["e1⊗e1", "e1⊗e2", "e2⊗e1"],
+                              "component": "e1⊗e1", "lhs": lhs, "rhs": rhs}
+
+
 def test_chain_map_with_both_sides_nonzero():
     # at the criterion-2 grid's top degree both sides are zero; here psi is
     # nonzero in degrees 3 and 4, so the identity compares real cochains
