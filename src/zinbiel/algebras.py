@@ -15,10 +15,14 @@ the integer form of each of its tables, (D, D times the table as ints), D
 the lcm of the table's denominators, as sparsevec.integral gives it: worked
 out once, when the object is built, and read by every kernel (check_axioms,
 the differentials, psi and the tensor constructions) instead of the
-Fractions. Objects the package builds from tables it made itself, the tensor
-constructions and regular, take them over with their integer forms through
-_of, which checks the basis but parses no entry; regular's actions share
-the algebra's product table and its integer form.
+Fractions. Objects the package builds from tables it made itself (the
+tensor constructions, the truncated free Leibniz algebras and regular) hold
+only their integer forms until read: _of takes the forms alone and checks
+the basis but parses no entry, and a table's Fractions are made from its
+form (sparsevec.unscaled) the first time it is read, then kept, the same
+Fractions in the same order as the validating constructor would hold.
+regular's actions share the algebra's integer form, and its product table
+once read.
 
 Each identity is written once, in _IDENTITIES, as signed terms, and every
 term is one product applied to another. The same terms give both where an
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .sparsevec import Scaled, Vec, add_scaled, common_scale, integral, parse_vec
+from .sparsevec import Scaled, Vec, add_scaled, common_scale, integral, parse_vec, unscaled
 
 Table = Dict[Tuple[int, int], Dict[int, Fraction]]
 
@@ -57,6 +61,30 @@ def _clean_table(table: Table, left_dim: int, right_dim: int, out_dim: int, labe
         if entry := parse_vec(tbl, out_dim, what):
             clean[(i, j)] = entry
     return clean
+
+
+# The integer form each table is held as, by attribute name.
+_FORMS = {"products": "_products_int", "left": "_left_int", "right": "_right_int"}
+
+
+def _read_table(obj, name: str) -> Table:
+    """The table name of an object built by _of, made from its integer form and kept.
+
+    Reached only for an attribute not set; anything but an unread table
+    raises AttributeError. A module whose form is its algebra's (regular)
+    takes the algebra's table.
+    """
+    state = vars(obj)
+    form = state.get(_FORMS.get(name))
+    if form is None:
+        raise AttributeError(f"{type(obj).__name__!r} object has no attribute {name!r}")
+    alg = state.get("algebra")
+    if alg is not None and form is vars(alg).get("_products_int"):
+        table = alg.products
+    else:
+        table = unscaled(form[1], form[0])
+    state[name] = table
+    return table
 
 
 def _check_basis(dim: int, names: Sequence[str], what: str) -> Tuple[str, ...]:
@@ -90,13 +118,16 @@ class FiniteAlgebra:
         vars(self).update(products=products, _products_int=_integral(products))
 
     @classmethod
-    def _of(cls, kind: str, dim: int, basis_names: Sequence[str], products: Table,
+    def _of(cls, kind: str, dim: int, basis_names: Sequence[str],
             products_int: Scaled) -> "FiniteAlgebra":
-        """Take over a package-built table and its integer form, checking only the basis."""
+        """Take over the integer form of a package-built table, checking only the basis."""
         alg = object.__new__(cls)
         vars(alg).update(kind=kind, dim=dim, basis_names=_check_basis(dim, basis_names, "algebra"),
-                         products=products, _products_int=products_int)
+                         _products_int=products_int)
         return alg
+
+    def __getattr__(self, name: str):
+        return _read_table(self, name)
 
 
 @dataclass(frozen=True)
@@ -106,7 +137,8 @@ class Bimodule:
     _left_int and _right_int are the integer forms of the two actions (see
     the module docstring). _maps holds the linear maps built over the
     module, each made on first use and kept by key: complexes' differentials
-    by (theory, degree).
+    by (theory, degree). It is left out of the pickled state and starts
+    empty in a copy.
     """
 
     # Frozen, but its tables are dicts: unhashable, not a generated __hash__ that raises.
@@ -127,20 +159,28 @@ class Bimodule:
                           _right_int=_integral(right), _maps={})
 
     @classmethod
-    def _of(cls, algebra: FiniteAlgebra, dim: int, basis_names: Sequence[str], left: Table,
-            right: Table, left_int: Scaled, right_int: Scaled) -> "Bimodule":
-        """Take over package-built actions and their integer forms, checking only the basis."""
+    def _of(cls, algebra: FiniteAlgebra, dim: int, basis_names: Sequence[str],
+            left_int: Scaled, right_int: Scaled) -> "Bimodule":
+        """Take over the integer forms of package-built actions, checking only the basis."""
         mod = object.__new__(cls)
         vars(mod).update(algebra=algebra, dim=dim,
-                         basis_names=_check_basis(dim, basis_names, "module"), left=left,
-                         right=right, _left_int=left_int, _right_int=right_int, _maps={})
+                         basis_names=_check_basis(dim, basis_names, "module"),
+                         _left_int=left_int, _right_int=right_int, _maps={})
         return mod
+
+    def __getattr__(self, name: str):
+        return _read_table(self, name)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != "_maps"}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state, _maps={})
 
 
 def regular(alg: FiniteAlgebra) -> Bimodule:
     """The algebra acting on itself by its own product on both sides, the table shared."""
-    return Bimodule._of(alg, alg.dim, alg.basis_names, alg.products, alg.products,
-                        alg._products_int, alg._products_int)
+    return Bimodule._of(alg, alg.dim, alg.basis_names, alg._products_int, alg._products_int)
 
 
 @dataclass

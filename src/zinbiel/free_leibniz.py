@@ -8,7 +8,6 @@ quotient a Leibniz algebra because the word length is a grading.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product as iproduct
 from typing import Dict, Iterator, List, Tuple
 
@@ -59,23 +58,24 @@ def leibniz_expansion(m: int) -> List[Tuple[int, Word]]:
     return out
 
 
-def word_bracket(u: Word, v: Word, max_length: int) -> Dict[Word, Fraction]:
+def word_bracket(u: Word, v: Word, max_length: int) -> Dict[Word, int]:
     """[u, v] expanded over basis words, dropping anything longer than max_length.
 
     The right argument v, itself a left-normed word, unfolds into 2^(len(v)-1)
     signed concatenations of u with a permuted copy of v's letters; repeated
-    letters can make terms collide, so coefficients are merged.
+    letters can make terms collide, so coefficients are merged: sums of
+    signs, kept as ints.
     """
     if not u or not v:
         raise ValueError("words must be nonempty")
-    out: Dict[Word, Fraction] = {}
+    out: Dict[Word, int] = {}
     if len(u) + len(v) > max_length:
         return out
     for sign, w in leibniz_expansion(len(v)):
         term = u + tuple(v[p - 1] for p in w)
         c = out.get(term, 0) + sign
         if c:
-            out[term] = Fraction(c)
+            out[term] = c
         else:
             del out[term]
     return out
@@ -84,7 +84,12 @@ def word_bracket(u: Word, v: Word, max_length: int) -> Dict[Word, Fraction]:
 def build_truncated(
     num_letters: int, max_length: int, dim_cap: int = DEFAULT_DIM_CAP
 ) -> FiniteAlgebra:
-    """The free Leibniz algebra on num_letters letters, cut at word length max_length."""
+    """The free Leibniz algebra on num_letters letters, cut at word length max_length.
+
+    Its table is built in ints, so the algebra takes it over as its integer
+    form at D = 1, with no entry parsed: every key is a pair of basis
+    indices and every value a nonzero int by construction.
+    """
     count = word_count(num_letters, max_length)
     if count > dim_cap:
         raise ValueError(
@@ -92,7 +97,7 @@ def build_truncated(
         )
     basis: List[Word] = list(words(num_letters, max_length))
     index = {w: i for i, w in enumerate(basis)}
-    products: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+    products: Dict[Tuple[int, int], Dict[int, int]] = {}
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):
             if len(u) + len(v) > max_length:
@@ -100,9 +105,5 @@ def build_truncated(
             expansion = word_bracket(u, v, max_length)
             if expansion:
                 products[(i, j)] = {index[w]: c for w, c in expansion.items()}
-    return FiniteAlgebra(
-        kind="leibniz",
-        dim=count,
-        basis_names=tuple(word_name(w, num_letters) for w in basis),
-        products=products,
-    )
+    return FiniteAlgebra._of("leibniz", count,
+                             tuple(word_name(w, num_letters) for w in basis), (1, products))

@@ -23,8 +23,10 @@ Two number rules are written here once each.
   when it is built. A kernel that reads several tables brings their forms
   to one D (common_scale), and a constructor that accumulated a table in
   ints passes it on in lowest terms (lowest_terms), so nothing parses or
-  rescales a table the package built itself. The Fraction values of a
-  cochain or matrix given by a user are scaled where they are read (integral).
+  rescales a table the package built itself; such a table, like a map's
+  output, is held as its integer form alone and made Fractions (unscaled)
+  only when it is read. The Fraction values of a cochain or matrix given
+  by a user are scaled where they are read (integral).
 """
 from __future__ import annotations
 

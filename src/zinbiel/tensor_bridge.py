@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import asdict, dataclass
+from itertools import groupby
 from random import Random
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -49,14 +50,13 @@ from .complexes import (
     _int_form,
     _Map,
     _matrix,
-    _sort_sign,
     ce_delta,
     ce_space_dim,
     dl_delta,
     random_dl_cochain,
 )
 from .linalg import EMPTY_ROW, Matrix, _eliminate, _split_owners
-from .sparsevec import Scaled, Vec, add_scaled, common_scale, lowest_terms, same_values, unscaled
+from .sparsevec import Scaled, Vec, add_scaled, common_scale, lowest_terms, same_values
 
 BRACKET_BOUND_CAP = 16
 
@@ -105,9 +105,10 @@ def tensor_lie(g: FiniteAlgebra, B: FiniteAlgebra, validate: bool = True) -> Fin
     With validate, the inputs are first checked to be Leibniz and Zinbiel
     respectively; the output is then a Lie algebra. Without it the bracket is
     built regardless, which is how a deliberately broken input gets examined.
-    The algebra takes over the table built here with its integer form, and
+    The algebra takes over the integer form of the table built here, and
     only its basis names are checked: two can coincide, as "a" with "b⊗c"
-    and "a⊗b" with "c" do, and then ValueError is raised.
+    and "a⊗b" with "c" do, and then ValueError is raised. Its Fractions are
+    made when its products are first read.
     """
     if validate:
         rep = check_axioms(g, "leibniz")
@@ -116,9 +117,8 @@ def tensor_lie(g: FiniteAlgebra, B: FiniteAlgebra, validate: bool = True) -> Fin
         rep = check_axioms(B, "zinbiel")
         if not rep.ok:
             raise _validation_error("right factor", rep)
-    d, products = _tensor_table(g, B._products_int, B._products_int, B.dim, B.dim)
     return FiniteAlgebra._of("lie", g.dim * B.dim, _tensor_names(g.basis_names, B.basis_names),
-                             unscaled(products, d), (d, products))
+                             _tensor_table(g, B._products_int, B._products_int, B.dim, B.dim))
 
 
 def tensor_module(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule) -> Bimodule:
@@ -126,15 +126,14 @@ def tensor_module(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule) -> Bimodule:
 
     Left action: (a (x) b) * (a' (x) m) = [a, a'] (x) (b m) - [a', a] (x) (m b).
     The right action is stored as its negative, matching the antisymmetry of
-    the bracket on the algebra side.
+    the bracket on the algebra side. Both are held as integer forms until read.
     """
     if M.algebra != B:
         raise ValueError("module must be over the Zinbiel factor")
     d, left = _tensor_table(g, M._left_int, M._right_int, B.dim, M.dim)
-    exact = unscaled(left, d)
     return Bimodule._of(tensor_lie(g, B, validate=False), g.dim * M.dim,
                         _tensor_names(g.basis_names, M.basis_names),
-                        exact, _negated_transpose(exact), (d, left), (d, _negated_transpose(left)))
+                        (d, left), (d, _negated_transpose(left)))
 
 
 def _negated_transpose(table: Dict[Tuple[int, int], Vec]) -> Dict[Tuple[int, int], Vec]:
@@ -144,7 +143,8 @@ def _negated_transpose(table: Dict[Tuple[int, int], Vec]) -> Dict[Tuple[int, int
 class TensorContext:
     """One tensor construction: g, B, M, the Lie algebra g (x) B and its module g (x) M.
 
-    _psi_maps holds psi by degree, each map built on first use.
+    _psi_maps holds psi by degree, each map built on first use. It is left
+    out of the pickled state and starts empty in a copy.
     """
 
     def __init__(self, g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule):
@@ -156,16 +156,24 @@ class TensorContext:
         self.bracket_bound = _bracket_length_bound(g)
         self._psi_maps: Dict[int, _Map] = {}
 
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != "_psi_maps"}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state, _psi_maps={})
+
 
 def _bracket_length_bound(g: FiniteAlgebra) -> int:
     """Length beyond which every left-normed bracket in g is certainly zero.
 
     Tracks only index support, so it is an upper bound on the true nilpotency
-    length, never an undercount; graded truncations make it exact.
+    length, never an undercount; graded truncations make it exact. It reads
+    g's integer form, which has the support of g's products.
     """
+    products = g._products_int[1]
     supp = set(range(g.dim))
     for k in range(1, BRACKET_BOUND_CAP):
-        supp = {p for (i, _), v in g.products.items() if i in supp for p in v}
+        supp = {p for (i, _), v in products.items() if i in supp for p in v}
         if not supp:
             return k
     return BRACKET_BOUND_CAP
@@ -191,10 +199,13 @@ def _new_psi_map(ctx: TensorContext, n: int) -> _Map:
     vanishes too. Read from an input B-tuple X, G pairs up with X into the
     tensor indices G_j * B.dim + X_j; sorted, they give the output tuple T and
     the sign of the sorting permutation, and m_k goes to sign * L (x) m_k. A
-    repeated index drops the term, as the output is alternating. g's
-    constants are read from the integer form g holds, at D_g, the lcm of
-    their denominators, so each bracket, n - 1 constants to a term, is
-    D_g^(n-1) times its value: the map's scale.
+    repeated index drops the term, as the output is alternating. The sort is
+    worked out once per bracket (_sorted_letters): G's letters in stable
+    sorted order, that permutation's sign and the runs of equal letters, so
+    a term adds X in that order to the sorted G_j * B.dim and sorts only
+    within the runs (_sort_runs). g's constants are read from the integer
+    form g holds, at D_g, the lcm of their denominators, so each bracket,
+    n - 1 constants to a term, is D_g^(n-1) times its value: the map's scale.
     """
     g, bd, md = ctx.g, ctx.B.dim, ctx.M.dim
     d, products = g._products_int
@@ -211,16 +222,59 @@ def _new_psi_map(ctx: TensorContext, n: int) -> _Map:
                     add_scaled(ext.setdefault(j, {}), vec, c)
             nxt.extend((G + (j,), ext[j]) for j in sorted(ext) if ext[j])
         level = nxt
-    brackets = [(G, _block({k: {ga * md + k: c for ga, c in L.items()} for k in range(md)}))
+    brackets = [(*_sorted_letters(G, bd),
+                 _block({k: {ga * md + k: c for ga, c in L.items()} for k in range(md)}))
                 for G, L in level]
 
     def terms(X: Key) -> Iterator[Term]:
-        for G, block in brackets:
-            sign, T = _sort_sign(tuple(a * bd + b for a, b in zip(G, X)))
-            if sign:
-                yield sign, T, block
+        for base, perm, sign, runs, block in brackets:
+            T = [b + X[p] for b, p in zip(base, perm)]
+            if runs:
+                sign *= _sort_runs(T, runs)
+                if not sign:
+                    continue
+            yield sign, tuple(T), block
 
     return _Map(("dl", n, bd, md), ("ce", n, ctx.lie.dim, ctx.module.dim), terms, d ** (n - 1))
+
+
+Runs = Tuple[Tuple[int, int], ...]
+
+
+def _sorted_letters(G: Key, bd: int) -> Tuple[Key, Key, int, Runs]:
+    """(G_j * bd in sorted order, the stable sorting permutation, its sign,
+    the runs [s, e) of two or more equal letters in sorted order).
+
+    Indices built on different letters order as the letters do, since every
+    X_j is below bd; only a run's order depends on X.
+    """
+    perm = tuple(sorted(range(len(G)), key=G.__getitem__))
+    inversions = sum(a > b for i, a in enumerate(G) for b in G[i + 1:])
+    letters = [G[p] for p in perm]
+    runs, s = [], 0
+    for _, same in groupby(letters):
+        e = s + len(list(same))
+        if e - s > 1:
+            runs.append((s, e))
+        s = e
+    return tuple(a * bd for a in letters), perm, -1 if inversions % 2 else 1, tuple(runs)
+
+
+def _sort_runs(t: List[int], runs: Runs) -> int:
+    """Insertion-sort t within each run, in place: the sign of the sort, or 0 at an equal pair."""
+    sign = 1
+    for s, e in runs:
+        for i in range(s + 1, e):
+            x = t[i]
+            j = i
+            while j > s and t[j - 1] > x:
+                t[j] = t[j - 1]
+                j -= 1
+                sign = -sign
+            if j > s and t[j - 1] == x:
+                return 0
+            t[j] = x
+    return sign
 
 
 def psi_apply(ctx: TensorContext, f: Cochain) -> Cochain:

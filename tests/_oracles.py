@@ -23,6 +23,7 @@ from zinbiel.algebras import (
 from zinbiel.complexes import (
     CE_MAX_DEGREE,
     DL_MAX_DEGREE,
+    Block,
     Key,
     Term,
     Terms,
@@ -316,6 +317,15 @@ def psi_map_probed(ctx: TensorContext, n: int) -> _Map:
     g, bd, md = ctx.g, ctx.B.dim, ctx.M.dim
     brackets = [(G, _block({k: {ga * md + k: c for ga, c in L.items()} for k in range(md)}))
                 for G, L in left_normed_probed(g, n)[0]]
+    return _Map(("dl", n, bd, md), ("ce", n, ctx.lie.dim, ctx.module.dim),
+                psi_terms_sorted_per_term(brackets, bd), integral(g.products)[0] ** (n - 1))
+
+
+def psi_terms_sorted_per_term(brackets: Sequence[Tuple[Key, Block]], bd: int) -> Terms:
+    """psi's term generator with every (bracket, input tuple) pair's tensor
+    indices sorted on their own (_sort_sign): the reference for
+    tensor_bridge's, which sorts each bracket's letters once and a term only
+    within their runs of equal letters."""
 
     def terms(X: Key) -> Iterator[Term]:
         for G, block in brackets:
@@ -323,8 +333,7 @@ def psi_map_probed(ctx: TensorContext, n: int) -> _Map:
             if sign:
                 yield sign, T, block
 
-    return _Map(("dl", n, bd, md), ("ce", n, ctx.lie.dim, ctx.module.dim), terms,
-                integral(g.products)[0] ** (n - 1))
+    return terms
 
 
 def apply_via_fractions(m: _Map, f: Cochain) -> Dict[Key, Dict[int, Fraction]]:

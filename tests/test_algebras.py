@@ -1,6 +1,9 @@
 """Structure constants, axiom checking, bimodules, and the file format."""
 
+import copy
+import dataclasses
 import json
+import pickle
 from collections.abc import Hashable
 from fractions import Fraction
 
@@ -25,6 +28,7 @@ from zinbiel.fileio import (
     bimodule_from_dict,
     bimodule_to_dict,
 )
+from zinbiel.tensor_bridge import TensorContext, tensor_lie
 
 CATALOG_ZINBIEL = ("B2", "B3", "polyzinbiel(2)", "polyzinbiel(3)")
 CATALOG_LEIBNIZ = ("leibniz2", "freeleibniz(2,2)", "freeleibniz(2,3)", "lie2")
@@ -265,6 +269,58 @@ def test_regular_actions_mirror_the_product():
         for k in range(alg.dim):
             assert entry(mod.left, i, k) == entry(alg.products, i, k)
             assert entry(mod.right, k, i) == entry(alg.products, k, i)
+
+
+def _eager(obj):
+    """obj rebuilt by the validating constructors from its tables."""
+    if isinstance(obj, FiniteAlgebra):
+        return FiniteAlgebra(obj.kind, obj.dim, obj.basis_names, obj.products)
+    return Bimodule(_eager(obj.algebra), obj.dim, obj.basis_names, obj.left, obj.right)
+
+
+_LAZY = {
+    "tensor_lie": lambda: tensor_lie(builtin("freeleibniz(2,2)"), builtin("polyzinbiel(2)")),
+    "tensor_module": lambda: TensorContext(
+        builtin("lie2"), builtin("polyzinbiel(2)"), regular(builtin("polyzinbiel(2)"))).module,
+    "build_truncated": lambda: builtin("freeleibniz(2,3)"),
+    "regular": lambda: regular(builtin("freeleibniz(2,2)")),
+}
+
+
+@pytest.mark.parametrize("name", _LAZY)
+def test_a_lazily_held_table_behaves_like_an_eager_one(name):
+    # An object the package builds holds its integer forms alone until a
+    # table is read; every way of reading a dataclass reads them.
+    tables = ("products",) if name in ("tensor_lie", "build_truncated") else ("left", "right")
+
+    def lazy():
+        obj = _LAZY[name]()
+        assert not set(tables) & vars(obj).keys()
+        return obj
+
+    eager = _eager(lazy())
+    assert lazy() == eager and eager == lazy()
+    assert repr(lazy()) == repr(eager)
+    assert copy.copy(lazy()) == eager and copy.deepcopy(lazy()) == eager
+    assert pickle.loads(pickle.dumps(lazy())) == eager
+    assert dataclasses.replace(lazy()) == eager
+    read = lazy()
+    for t in tables:
+        assert getattr(read, t) == getattr(eager, t) and getattr(read, t) is getattr(read, t)
+    assert vars(read) == vars(eager)
+    cls = type(eager)
+    for h in (lazy(), read, eager, object.__new__(cls)):
+        with pytest.raises(AttributeError, match=f"'{cls.__name__}' object has no attribute 'x'"):
+            h.x
+    for t in tables:
+        with pytest.raises(AttributeError):
+            getattr(object.__new__(cls), t)
+
+
+def test_regular_shares_a_lazily_held_table():
+    mod = regular(builtin("freeleibniz(2,2)"))
+    assert mod._left_int is mod._right_int is mod.algebra._products_int
+    assert mod.left is mod.right is mod.algebra.products
 
 
 def test_module_dims_and_names():

@@ -275,6 +275,30 @@ def test_tensor_objects_equal_the_validated_ones(g, b):
     _assert_integer_forms(lie, mod)
 
 
+@pytest.mark.parametrize("g", [n for n in CATALOG if builtin(n).kind != "zinbiel"])
+@pytest.mark.parametrize("b", [n for n in CATALOG if builtin(n).kind == "zinbiel"])
+def test_tensor_tables_are_made_on_first_read_as_the_validated_ones(g, b):
+    # The context holds g (x) B and g (x) M as integer forms alone and reads
+    # no Fraction of g; once read, each table is the one the validating
+    # constructors build from the full-grid tables, key and entry order
+    # included, and it is kept.
+    name, g, B = g, builtin(g), builtin(b)
+    M = regular(B)
+    ctx = TensorContext(g, B, M)
+    lie, mod = ctx.lie, ctx.module
+    assert "products" not in vars(lie) and not {"left", "right"} & vars(mod).keys()
+    # a truncated free Leibniz algebra is built in ints, the fixed ones validated
+    assert ("products" in vars(g)) != name.startswith("freeleibniz")
+    checked_lie = FiniteAlgebra("lie", lie.dim, lie.basis_names, tensor_lie_grid(g, B))
+    checked = Bimodule(checked_lie, mod.dim, mod.basis_names, *tensor_module_grid(g, B, M))
+    for table, name, want in ((lie.products, "products", checked_lie.products),
+                              (mod.left, "left", checked.left), (mod.right, "right", checked.right)):
+        assert _ordered(table) == _ordered(want)
+        assert getattr(lie if name == "products" else mod, name) is table
+    assert (lie, mod) == (checked_lie, checked)
+    _assert_integer_forms(lie, mod)
+
+
 @pytest.mark.parametrize("g, b", TENSORS + (
     ("freeleibniz(3,3)", "B2"), ("leibniz2", "perturbed_b2"),
     ("leibniz2", "polyzinbiel(3)"), ("freeleibniz(2,3)", "polyzinbiel(3)"),

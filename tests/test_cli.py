@@ -197,6 +197,20 @@ def test_verify_chain_map_json_bytes_are_pinned(capsys, g, b, degree, digest, se
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+# The files builtin and tensor-lie print for tables the package builds in
+# ints, whose Fractions are made only when the file is written.
+@pytest.mark.parametrize("argv, digest", [
+    (["builtin", "freeleibniz(2,3)"],
+     "99b6603c3083253f6a0c9826cb855450d6c830f7ae0a0bffabb3fef7615ae7f1"),
+    (["tensor-lie", "--leibniz", "builtin:freeleibniz(2,2)", "--zinbiel", "builtin:polyzinbiel(2)"],
+     "89fcfbef548b47780689a7298c7c51777a28f8638bbf3dfd6b4c7c8d61a47822"),
+])
+def test_built_table_file_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_cohomology_text_output(capsys):
     assert run(capsys, [
         "cohomology", "--complex", "dl", "--algebra", "builtin:B2",

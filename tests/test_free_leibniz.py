@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from zinbiel import check_axioms
+from zinbiel import FiniteAlgebra, builtin, check_axioms
 from zinbiel.free_leibniz import build_truncated, word_bracket, word_count, word_name, words
 
 
@@ -47,6 +47,7 @@ def test_bracket_matches_rewriting_oracle():
         got = word_bracket(u, v, cap)
         want = {w: Fraction(c) for w, c in rewrite_bracket(u, v, cap).items()}
         assert got == want, (u, v)
+        assert all(type(c) is int for c in got.values())
 
 
 def test_bracket_fixed_values():
@@ -84,6 +85,30 @@ def test_truncations_satisfy_the_leibniz_identity(m, cap):
     assert alg.dim == word_count(m, cap)
     report = check_axioms(alg, "leibniz")
     assert report.ok, report.witness
+
+
+@pytest.mark.parametrize("m,cap", [(1, 1), (2, 2), (2, 3), (3, 3), (2, 4)])
+def test_truncations_make_no_fraction_until_read(monkeypatch, m, cap):
+    # The table is built in ints and taken over as its integer form at D = 1;
+    # read, it is the validated constructor's, entry order included.
+    made = 0
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    alg = builtin(f"freeleibniz({m},{cap})")
+    monkeypatch.undo()
+    assert made == 0 and "products" not in vars(alg)
+    ints = alg._products_int
+    assert ints[0] == 1 and all(type(c) is int for v in ints[1].values() for c in v.values())
+    eager = FiniteAlgebra("leibniz", alg.dim, alg.basis_names, ints[1])
+    assert [(k, list(v.items())) for k, v in alg.products.items()] == [
+        (k, list(v.items())) for k, v in eager.products.items()]
+    assert alg == eager and alg._products_int == eager._products_int
 
 
 def test_truncation_grades_by_length():

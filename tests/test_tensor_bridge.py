@@ -6,7 +6,9 @@ scratch: reduce the embedded image out of each Chevalley-Eilenberg space,
 take honest ranks of what remains, and compare.
 """
 
+import pickle
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -247,6 +249,26 @@ def test_psi_matches_the_probed_route_in_any_basis(g, B, data):
     _assert_psi_matches_probed(TensorContext(g, B, M), (1, 2, 3))
 
 
+@pytest.mark.parametrize("g_name", (
+    "leibniz2", "freeleibniz(2,3)", "freeleibniz(3,3)", "freeleibniz(2,4)"))
+@pytest.mark.parametrize("b_name", ZINBIEL_FACTORS)
+def test_psi_terms_equal_the_per_term_sort(g_name, b_name):
+    # _psi_map sorts each bracket's letters once and a term only within
+    # their runs of equal letters; the oracle sorts each term's tensor
+    # indices on their own. The same (sign, T, block) sequence from every
+    # source tuple, so every row and every cancellation stays as it was.
+    ctx = make_ctx(g_name, b_name)
+    runs = set()
+    for n in (1, 2, 3, 4):
+        fast, slow = _psi_map(ctx, n), psi_map_probed(ctx, n)
+        for X in dl_tuples(ctx.B.dim, n):
+            assert list(fast.terms(X)) == list(slow.terms(X)), (n, X)
+        runs |= {max(Counter(G).values()) for G, _ in left_normed_probed(ctx.g, n)[0]}
+    # two-letter words repeat a letter two and three times in a bracket
+    if g_name in ("freeleibniz(2,3)", "freeleibniz(2,4)"):
+        assert {2, 3} <= runs
+
+
 def test_psi_brackets_read_only_nonzero_products(monkeypatch):
     # psi_3 of fl(3,3)(x)B2: growing the brackets from g's nonzero products
     # reads 81 of them (one add_scaled each), where trying every right
@@ -472,10 +494,11 @@ def test_verify_chain_map_builds_each_map_once(monkeypatch):
 
 
 def test_passing_chain_map_check_makes_no_fraction_past_its_context(monkeypatch):
-    # Each side stays an integer form from the draw to the comparison: a
-    # passing check makes the Fractions of its tensor tables and no other,
-    # and never divides a cochain back (unscaled) or clears one (integral).
-    g, B = builtin("freeleibniz(2,3)"), builtin("B3")
+    # Each side stays an integer form from the draw to the comparison, and
+    # the tables g (x) B and g (x) M stay integer forms too, their Fractions
+    # unread: g, the context and a passing check make no Fraction at all,
+    # and never divide a cochain back (unscaled) or clear one (integral).
+    B = builtin("B3")
     M = regular(B)
     made = 0
     new = Fraction.__new__
@@ -489,6 +512,8 @@ def test_passing_chain_map_check_makes_no_fraction_past_its_context(monkeypatch)
         raise AssertionError("a cochain went through Fractions")
 
     monkeypatch.setattr(Fraction, "__new__", counted)
+    g = builtin("freeleibniz(2,3)")
+    built, made = made, 0
     TensorContext(g, B, M)
     context, made = made, 0
     monkeypatch.setattr(complexes, "unscaled", never)
@@ -496,7 +521,27 @@ def test_passing_chain_map_check_makes_no_fraction_past_its_context(monkeypatch)
     report = verify_chain_map(g, B, M, 3)
     monkeypatch.undo()
     assert report.passed and report.axioms_ok
-    assert made == context > 0
+    assert built == context == made == 0
+
+
+def test_modules_and_contexts_pickle_before_and_after_their_maps_are_built():
+    # The maps a module or a context keeps are closures; they stay out of the
+    # pickled state and are built again, equal, on first use.
+    B = builtin("B2")
+    M = regular(B)
+    ctx = TensorContext(builtin("leibniz2"), B, M)
+    f = random_dl_cochain(2, 2, 2, Random(3))
+    for built in (False, True):
+        if built:
+            dl_delta(f, M), psi_apply(ctx, f)
+            assert M._maps and ctx._psi_maps
+        module, context = pickle.loads(pickle.dumps(M)), pickle.loads(pickle.dumps(ctx))
+        assert module == M and module._maps == {} and context._psi_maps == {}
+        assert {k: v for k, v in vars(context).items() if k != "_psi_maps"} == {
+            k: v for k, v in vars(ctx).items() if k != "_psi_maps"}
+        assert dl_delta(f, module) == dl_delta(f, M)
+        assert psi_apply(context, f) == psi_apply(ctx, f)
+        assert psi_apply(context, dl_delta(f, context.M)) == psi_apply(ctx, dl_delta(f, M))
 
 
 _FRACTIONAL_B = FiniteAlgebra("zinbiel", 2, ("e1", "e2"), {
