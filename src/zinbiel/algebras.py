@@ -46,11 +46,6 @@ from .sparsevec import Scaled, Vec, add_scaled, common_scale, integral, parse_ve
 Table = Dict[Tuple[int, int], Dict[int, Fraction]]
 
 
-def _integral(table: Table) -> Scaled:
-    d, (ints,) = integral(table)
-    return d, ints
-
-
 def _clean_table(table: Table, left_dim: int, right_dim: int, out_dim: int, label: str) -> Table:
     """The table, its keys checked to be int pairs in range, each vector through parse_vec."""
     clean: Table = {}
@@ -82,7 +77,7 @@ def _read_table(obj, name: str) -> Table:
     if alg is not None and form is vars(alg).get("_products_int"):
         table = alg.products
     else:
-        table = unscaled(form[1], form[0])
+        table = unscaled(form)
     state[name] = table
     return table
 
@@ -115,7 +110,7 @@ class FiniteAlgebra:
     def __post_init__(self) -> None:
         object.__setattr__(self, "basis_names", _check_basis(self.dim, self.basis_names, "algebra"))
         products = _clean_table(self.products, self.dim, self.dim, self.dim, "product")
-        vars(self).update(products=products, _products_int=_integral(products))
+        vars(self).update(products=products, _products_int=integral(products))
 
     @classmethod
     def _of(cls, kind: str, dim: int, basis_names: Sequence[str],
@@ -155,8 +150,8 @@ class Bimodule:
         adim = self.algebra.dim
         left = _clean_table(self.left, adim, self.dim, self.dim, "left action")
         right = _clean_table(self.right, self.dim, adim, self.dim, "right action")
-        vars(self).update(left=left, right=right, _left_int=_integral(left),
-                          _right_int=_integral(right), _maps={})
+        vars(self).update(left=left, right=right, _left_int=integral(left),
+                          _right_int=integral(right), _maps={})
 
     @classmethod
     def _of(cls, algebra: FiniteAlgebra, dim: int, basis_names: Sequence[str],

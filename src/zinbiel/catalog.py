@@ -59,10 +59,18 @@ def perturbed_b2() -> FiniteAlgebra:
     return _algebra("zinbiel", ("e1", "e2"), {(0, 0): {1: 1}, (1, 1): {0: 1}})
 
 
+# No catalog algebra with a larger argument can be built, and int() refuses
+# a long enough digit string with a message about Python's own limits.
+_MAX_DIGITS = 18
+
+
 def _int_args(arg: str, count: int, name: str) -> list:
     parts = [p.strip() for p in arg.split(",")]
     if len(parts) != count or not all(re.fullmatch(r"-?\d+", p) for p in parts):
         raise ValueError(f"{name} takes {count} integer argument(s), got {arg!r}")
+    digits = max(len(p.lstrip("-").lstrip("0")) for p in parts)
+    if digits > _MAX_DIGITS:
+        raise ValueError(f"{name} arguments have at most {_MAX_DIGITS} digits, got {digits}")
     return [int(p) for p in parts]
 
 

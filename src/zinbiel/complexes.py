@@ -35,13 +35,12 @@ Every generator reads the integer forms that the algebra and the module
 hold of the tables it uses (see algebras), brought to the lcm D of their
 scales (sparsevec.common_scale), which is the map's scale: the lcm of every
 denominator in those tables. Each term reads one structure constant, so the
-terms are D times the map's, and so is _matrix's integer matrix, with the
-same rank, nullspace and column span. _exact (the public matrices) divides
-each entry by the scale (sparsevec.unscaled). _apply keeps its sums as the
-integer form of its output, over the input's scale times the map's, and the
-output's values are divided out only when read, so a chain of maps makes no
-Fraction. A differential is built once per module, theory and degree, on
-first use, and kept by the module (Bimodule._maps).
+terms are D times the map's: _matrix's int columns, which it holds over D,
+and _apply's sums, the integer form of its output over the input's scale
+times the map's. Either is divided out only where its Fractions are read,
+so neither a chain of maps nor an elimination makes a Fraction. A
+differential is built once per module, theory and degree, on first use, and
+kept by the module (Bimodule._maps).
 """
 from __future__ import annotations
 
@@ -131,16 +130,13 @@ class Cochain:
         form = vars(self).pop("_form", None) if name == "values" else None
         if form is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.values = unscaled(form[1], form[0])
+        self.values = unscaled(form)
         return self.values
 
 
 def _int_form(f: Cochain) -> Scaled:
     """f's values as an integer form: the one it was built from while its values are unread."""
-    if "values" in vars(f):
-        d, (ints,) = integral(f.values)
-        return d, ints
-    return f._form
+    return integral(f.values) if "values" in vars(f) else f._form
 
 
 def _sort_sign(args: Key) -> Tuple[int, Key]:
@@ -279,7 +275,7 @@ def _apply(m: _Map, f: Cochain) -> Cochain:
 
 
 def _matrix(m: _Map) -> Matrix:
-    """The integer matrix of m, m.scale times the map's; column (X, k) is the image of e_X (x) m_k.
+    """The matrix of m, its int columns over m.scale; column (X, k) is the image of e_X (x) m_k.
 
     The md columns of each source tuple X are accumulated from the block
     triples of X's terms, and each drops its zeros once, when X is done;
@@ -306,13 +302,7 @@ def _matrix(m: _Map) -> Matrix:
             if col:
                 cols[col_base + k] = col
         col_base += md
-    return Matrix._of(size(out_dim, out_md, out_degree), col_base, cols)
-
-
-def _exact(m: _Map) -> Matrix:
-    """The matrix of m itself, in Fractions: each nonzero of _matrix divided by the scale."""
-    ints = _matrix(m)
-    return Matrix._of(ints.nrows, ints.ncols, unscaled(ints._cols, m.scale))
+    return Matrix._of(size(out_dim, out_md, out_degree), col_base, cols, m.scale)
 
 
 Preimages = Dict[int, List[Tuple[int, int, int]]]
@@ -455,22 +445,16 @@ def ce_delta(f: Cochain, module: Bimodule) -> Cochain:
 
 
 def _assemble(theory: str, module: Bimodule, degree: int) -> Matrix:
-    """D times the degree -> degree+1 map, as an integer matrix (D its _delta_map's scale).
-
-    Each term reads one structure constant, so scaling every table by D scales
-    the matrix by D: for the ranks and kernels that cohomology_dims and
-    les_report read, D drops out.
-    """
     return _matrix(_delta_map(theory, module, degree))
 
 
 def dl_delta_matrix(module: Bimodule, degree: int) -> Matrix:
-    """Matrix of the degree -> degree+1 map in the standard basis order, in Fractions."""
-    return _exact(_delta_map("dl", module, degree))
+    """Matrix of the degree -> degree+1 map in the standard basis order."""
+    return _assemble("dl", module, degree)
 
 
 def ce_delta_matrix(module: Bimodule, degree: int) -> Matrix:
-    return _exact(_delta_map("ce", module, degree))
+    return _assemble("ce", module, degree)
 
 
 @dataclass
@@ -514,7 +498,7 @@ def cohomology_dims(module: Bimodule, theory: str, degree: int) -> CohomologyDim
             cleared = set(leads)
     kept = {j: col for j, col in out._cols.items() if j not in cleared}
     dim_c = out.ncols
-    dim_z = dim_c - Matrix._of(out.nrows, dim_c, kept).rank()
+    dim_z = dim_c - Matrix._of(out.nrows, dim_c, kept, out._scale).rank()
     dim_b = len(leads)
     if dim_b > dim_z:
         raise ValueError(

@@ -20,18 +20,24 @@ DEFAULT_DIM_CAP = 512
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def words(num_letters: int, max_length: int) -> Iterator[Word]:
-    """All words, shortest first, lexicographic within a length."""
+def _check_sizes(num_letters: int, max_length: int) -> None:
     if num_letters < 1:
         raise ValueError("need at least one letter")
     if max_length < 1:
         raise ValueError("maximum word length must be at least 1")
+
+
+def words(num_letters: int, max_length: int) -> Iterator[Word]:
+    """All words, shortest first, lexicographic within a length."""
+    _check_sizes(num_letters, max_length)
     for length in range(1, max_length + 1):
         yield from iproduct(range(num_letters), repeat=length)
 
 
 def word_count(num_letters: int, max_length: int) -> int:
-    return sum(num_letters ** k for k in range(1, max_length + 1))
+    """m + m^2 + ... + m^N, in closed form."""
+    m, n = num_letters, max(max_length, 0)
+    return n if m == 1 else (m ** (n + 1) - m) // (m - 1)
 
 
 def word_name(word: Word, num_letters: int) -> str:
@@ -88,13 +94,18 @@ def build_truncated(
 
     Its table is built in ints, so the algebra takes it over as its integer
     form at D = 1, with no entry parsed: every key is a pair of basis
-    indices and every value a nonzero int by construction.
+    indices and every value a nonzero int by construction. An algebra over
+    dim_cap is refused before anything is built, as at least m^N when that
+    alone is over 2^64 times the cap: the count could have too many digits.
     """
+    _check_sizes(num_letters, max_length)
+    over = f"over the cap {dim_cap}"
+    if max_length * (num_letters.bit_length() - 1) > dim_cap.bit_length() + 64:
+        raise ValueError(
+            f"truncated free algebra needs dimension at least {num_letters}^{max_length}, {over}")
     count = word_count(num_letters, max_length)
     if count > dim_cap:
-        raise ValueError(
-            f"truncated free algebra needs dimension {count}, over the cap {dim_cap}"
-        )
+        raise ValueError(f"truncated free algebra needs dimension {count}, {over}")
     basis: List[Word] = list(words(num_letters, max_length))
     index = {w: i for i, w in enumerate(basis)}
     products: Dict[Tuple[int, int], Dict[int, int]] = {}

@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
-A Matrix stores only its nonempty columns, as {column index: {row: value}}
+A Matrix stores only its nonempty columns, as {column index: {row: int}}
 with no explicit zeros, so a tall matrix with few nonzeros costs a dict entry
-per nonzero and nothing per empty row or column. Values are Fractions; a
-matrix built inside the package whose rank or kernel is all that is read may
-hold ints instead, a nonzero multiple of the map it stands for. Columns are
+per nonzero and nothing per empty row or column. The ints are over one
+scale, the matrix's own: it is their integer form (sparsevec's Scaling
+rule), and its Fractions are made only where they are read. Columns are
 the orientation in which the package assembles a map (column X is the image
 of the basis vector e_X) and in which rank eliminates it. A Matrix is
 read-only: it is built once, by from_nonempty or the package's integer
@@ -51,14 +51,11 @@ Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968), and
 _eliminate is its one entry: it reads the caller's vectors, never writes
 them, and turns each into a fresh primitive integer vector, relabelled if
 asked, only as it comes to reduce it, so a copy outlives that step only as
-a pivot. Every column holds one number type (from_nonempty stores every
-public entry as a Fraction, through the package's one entry rule,
-sparsevec.parse_vec, and the integer assembly and mul of integer inputs
-keep ints), so the type of a vector's first value tells whether it has
-denominators to clear: an int vector is only divided by its gcd. Fractions
-are built only when a reduced row is returned, so every result is an exact
-Fraction. Pivot choice depends only on the matrix entries and the order its
-columns were stored in, so runs are deterministic.
+a pivot. A scale changes no rank, pivot or kernel, so nothing here reads
+it, and every column is ints, so each vector is only divided by its gcd.
+Fractions are built only when a row or a reduced row is returned, so every
+result is an exact Fraction. Pivot choice depends only on the matrix
+entries and the order its columns were stored in, so runs are deterministic.
 """
 from __future__ import annotations
 
@@ -66,11 +63,11 @@ from collections import Counter
 from collections.abc import Collection, Iterable, Mapping
 from fractions import Fraction
 from itertools import chain, filterfalse
-from math import gcd, lcm
+from math import gcd
 from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
-from .sparsevec import Number, Vec, parse_vec
+from .sparsevec import Number, Vec, common_scale, integral, parse_vec, unscaled
 
 _ONE = Fraction(1)
 
@@ -142,19 +139,17 @@ def _split_owners(
 
 
 def _eliminate(
-    vecs: Iterable[Row], label: Optional[Mapping[int, int]] = None,
+    vecs: Iterable[IntRow], label: Optional[Mapping[int, int]] = None,
     pivots: Optional[Dict[int, IntRow]] = None,
 ) -> Dict[int, IntRow]:
     """The forward echelon of vecs, as {pivot key: primitive integer vector}; vecs are only read.
 
     The vectors are taken sparsest first (a stable sort by length, so ties
     keep their order). Just before it is reduced, each nonempty one becomes
-    a fresh primitive integer vector: a vector of Fractions is multiplied by
-    the lcm of its denominators (its values are all of one type, so its
-    first value says which it is), every vector is divided by its gcd, and
-    its key k becomes label[k] when a label is given. It is reduced against
-    the pivots found so far, keyed by its current leading (smallest) key,
-    and kept as a new pivot if it survives. The pivots are an echelon basis
+    a fresh primitive integer vector: it is divided by the gcd of its ints,
+    and its key k becomes label[k] when a label is given. It is reduced
+    against the pivots found so far, keyed by its current leading (smallest)
+    key, and kept as a new pivot if it survives. The pivots are an echelon basis
     of the span, and the leading keys of every echelon basis are the pivot
     columns of the reduced echelon form, so the pivot keys do not depend on
     the order.
@@ -165,10 +160,7 @@ def _eliminate(
     """
     pivots = {} if pivots is None else pivots
     for vec in sorted(filter(None, vecs), key=len):
-        vals: Iterable[Number] = vec.values()
-        if isinstance(next(iter(vals)), Fraction):
-            den = lcm(*[v.denominator for v in vals])
-            vals = [v.numerator * (den // v.denominator) for v in vals]
+        vals = vec.values()
         g = gcd(*vals)
         keys = vec if label is None else map(label.__getitem__, vec)
         r = dict(zip(keys, vals)) if g == 1 else {k: v // g for k, v in zip(keys, vals)}
@@ -192,29 +184,32 @@ def _transposed(cols: Mapping[int, Row]) -> Dict[int, Vec]:
 
 
 class Matrix:
-    """Read-only column-sparse matrix of Fractions, or of ints inside the package.
+    """Read-only column-sparse matrix over the rationals: int columns over a scale.
 
-    Only the nonempty columns are stored, as {column index: {row: value}},
-    so no operation touches the empty rows or columns of a sparse matrix.
-    Every operation returns a new Matrix and writes into none of its
-    inputs' columns; hstack shares them. The rows property lists every row,
-    EMPTY_ROW in the empty slots, transposed afresh on each access.
+    Only the nonempty columns are stored, as {column index: {row: int}}, and
+    the matrix is those ints divided by _scale, so no operation touches the
+    empty rows or columns of a sparse matrix. Every operation returns a new
+    Matrix and writes into none of its inputs' columns; hstack shares them.
+    The rows property lists every row in Fractions, EMPTY_ROW in the empty
+    slots, transposed afresh on each access.
     """
 
-    __slots__ = ("nrows", "ncols", "_cols")
+    __slots__ = ("nrows", "ncols", "_cols", "_scale")
 
     def __init__(self, nrows: int, ncols: int):
         if type(nrows) is not int or type(ncols) is not int or nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative ints")
         self.nrows = nrows
         self.ncols = ncols
-        self._cols: Dict[int, Row] = {}
+        self._cols: Dict[int, IntRow] = {}
+        self._scale = 1
 
     @classmethod
-    def _of(cls, nrows: int, ncols: int, cols: Dict[int, Row]) -> "Matrix":
-        """Take over {column: nonempty column dict}, unchecked: indices in range, no zeros."""
+    def _of(cls, nrows: int, ncols: int, cols: Dict[int, IntRow], scale: int = 1) -> "Matrix":
+        """Take over {column: nonempty int column} over scale, unchecked: in range, no zeros."""
         m = cls(nrows, ncols)
         m._cols = cols
+        m._scale = scale
         return m
 
     @classmethod
@@ -223,21 +218,22 @@ class Matrix:
 
         Each row index must be an int in range, and each row goes through
         sparsevec.parse_vec: its column indices ints in range, its values
-        ints, strings or Fractions, stored as Fractions, zeros dropped. The
-        row dicts are only read.
+        ints, strings or Fractions, zeros dropped. The columns are stored as
+        their integer form (sparsevec.integral). The row dicts are only read.
         """
         rows: Dict[int, Vec] = {}
         for i, row in touched.items():
             if type(i) is not int or not 0 <= i < nrows:
                 raise ValueError(f"row index {i!r} out of range for {nrows} rows")
             rows[i] = parse_vec(row, ncols, f"row {i} column")
-        return cls._of(nrows, ncols, dict(sorted(_transposed(rows).items())))
+        scale, cols = integral(dict(sorted(_transposed(rows).items())))
+        return cls._of(nrows, ncols, cols, scale)
 
     @property
     def rows(self) -> List[Row]:
-        """All nrows rows as a new list of new dicts, EMPTY_ROW in every empty slot."""
+        """All nrows rows as a new list of new dicts of Fractions, EMPTY_ROW in every empty slot."""
         rows = [EMPTY_ROW] * self.nrows
-        for i, row in _transposed(self._cols).items():
+        for i, row in unscaled((self._scale, _transposed(self._cols))).items():
             rows[i] = row
         return rows
 
@@ -249,30 +245,31 @@ class Matrix:
         return not self._cols
 
     def hstack(self, other: "Matrix") -> "Matrix":
-        """[self | other], sharing both operands' column dicts."""
+        """[self | other] at the lcm of their scales, sharing the columns of an operand at it."""
         if self.nrows != other.nrows:
             raise ValueError("hstack needs equal row counts")
-        shift = self.ncols
-        cols = dict(self._cols)
-        for j, col in other._cols.items():
-            cols[j + shift] = col
-        return Matrix._of(self.nrows, self.ncols + other.ncols, cols)
+        scale, (left, right) = common_scale((self._scale, self._cols), (other._scale, other._cols))
+        cols = {**left, **{j + self.ncols: col for j, col in right.items()}}
+        return Matrix._of(self.nrows, self.ncols + other.ncols, cols, scale)
 
     def mul(self, other: "Matrix") -> "Matrix":
-        """self times other: column j is the sum over c of other[c, j] * self[:, c]."""
+        """self times other, over the product of their scales.
+
+        Column j is the sum over c of other[c, j] * self[:, c], in ints.
+        """
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: {self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}"
             )
-        cols: Dict[int, Row] = {}
+        cols: Dict[int, IntRow] = {}
         for j, bcol in other._cols.items():
-            acc: Vec = {}
+            acc: IntRow = {}
             for c, v in bcol.items():
                 for i, w in self._cols.get(c, EMPTY_ROW).items():
                     acc[i] = acc.get(i, 0) + v * w
             if acc := {i: x for i, x in acc.items() if x}:
                 cols[j] = acc
-        return Matrix._of(self.nrows, other.ncols, cols)
+        return Matrix._of(self.nrows, other.ncols, cols, self._scale * other._scale)
 
     def rank(self) -> int:
         """The rank, from the columns: the owners, and the others' echelon."""

@@ -10,6 +10,7 @@ from typing import Dict, List, Tuple
 from .algebras import regular
 from .catalog import builtin as catalog_builtin
 from .complexes import cohomology_dims, dl_delta_matrix
+from .sparsevec import unscaled
 
 _SUP = {0: "¹", 1: "²"}
 _SUB = {0: "₁", 1: "₂"}
@@ -77,7 +78,8 @@ def reproduce_example_4_6() -> Tuple[List[str], dict]:
 
     # Coboundary side: columns of the degree-1 differential, indexed by the
     # 1-cochain parameters g^k_i (coefficient of e_k in g(e_i)).
-    g11, g21, g12, g22 = (d1._cols.get(j, {}) for j in range(d1.ncols))
+    cols = unscaled((d1._scale, d1._cols))
+    g11, g21, g12, g22 = (cols.get(j, {}) for j in range(d1.ncols))
     dependent = {k: -Fraction(2) * v for k, v in g22.items()}
     coboundary_match = dims.dim_coboundaries == 2 and not g21 and g11 == dependent
 

@@ -25,8 +25,9 @@ Two number rules are written here once each.
   ints passes it on in lowest terms (lowest_terms), so nothing parses or
   rescales a table the package built itself; such a table, like a map's
   output, is held as its integer form alone and made Fractions (unscaled)
-  only when it is read. The Fraction values of a cochain or matrix given
-  by a user are scaled where they are read (integral).
+  only when it is read. Every matrix is held the same way, its int columns
+  over its scale (linalg.Matrix). The Fraction values of a cochain or matrix
+  given by a user are scaled where they are read (integral).
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from typing import Any, Dict, List, Tuple, Union
 Number = Union[int, Fraction]
 Vec = Dict[int, Number]
 Scalar = Union[int, str, Fraction]
+Scaled = Tuple[int, Dict[Any, Vec]]  # an integer form: (D, D times a table, in ints)
 
 
 def parse_scalar(value: Scalar) -> Fraction:
@@ -73,25 +75,22 @@ def parse_vec(vec: Mapping[int, Scalar], size: int, label: str) -> Dict[int, Fra
     return out
 
 
-def integral(*tables: Mapping[Any, Mapping[int, Fraction]]) -> Tuple[int, List[Dict[Any, Vec]]]:
-    """(D, [D times each table, as ints]), D the lcm of every denominator in the tables.
+def integral(table: Mapping[Any, Mapping[int, Fraction]]) -> Scaled:
+    """The integer form (D, D times the table, as ints), D the lcm of the table's denominators.
 
-    A table maps any key to a vector of Fractions: structure tables, cochain
-    values, matrix columns.
+    A table maps any key to a vector of Fractions: a structure table, the
+    values of a cochain, the columns of a matrix.
     """
-    d = lcm(*{c.denominator for t in tables for vec in t.values() for c in vec.values()})
-    return d, [{key: {k: c.numerator * (d // c.denominator) for k, c in vec.items()}
-                for key, vec in t.items()} for t in tables]
-
-
-Scaled = Tuple[int, Dict[Any, Vec]]
+    d = lcm(*{c.denominator for vec in table.values() for c in vec.values()})
+    return d, {key: {k: c.numerator * (d // c.denominator) for k, c in vec.items()}
+               for key, vec in table.items()}
 
 
 def common_scale(*forms: Scaled) -> Tuple[int, List[Dict[Any, Vec]]]:
     """(D, [each table times D // D_t]) from integer forms (D_t, table_t), D the lcm of the D_t.
 
-    A table already at D is passed on as it is, not copied. On the forms
-    integral gives, this is integral of all their tables at once.
+    A table already at D is passed on as it is, not copied. On forms that
+    integral gave, D is the lcm of every denominator in their tables.
     """
     d = lcm(*(s for s, _ in forms))
     return d, [t if s == d else {key: {k: v * (d // s) for k, v in vec.items()}
@@ -134,8 +133,9 @@ def same_values(a: Scaled, b: Scaled) -> bool:
     return True
 
 
-def unscaled(vecs: Mapping[Any, Vec], d: int) -> Dict[Any, Dict[int, Fraction]]:
-    """The integer vectors over d as Fractions, less their zeros and the vectors they empty."""
+def unscaled(form: Scaled) -> Dict[Any, Dict[int, Fraction]]:
+    """The values of a form (d, vecs) as Fractions, less zeros and the vectors they empty."""
+    d, vecs = form
     out: Dict[Any, Dict[int, Fraction]] = {}
     for key, vec in vecs.items():
         if d == 1:  # Fraction(v) skips the gcd that Fraction(v, 1) takes

@@ -46,7 +46,6 @@ from .complexes import (
     _block,
     _check_degree,
     _check_input,
-    _exact,
     _int_form,
     _Map,
     _matrix,
@@ -284,9 +283,9 @@ def psi_apply(ctx: TensorContext, f: Cochain) -> Cochain:
 
 
 def psi_matrix(ctx: TensorContext, degree: int) -> Matrix:
-    """Matrix of psi at one degree, in the standard basis orders of both sides, in Fractions."""
+    """Matrix of psi at one degree, in the standard basis orders of both sides."""
     _check_degree("dl", degree)
-    return _exact(_psi_map(ctx, degree))
+    return _matrix(_psi_map(ctx, degree))
 
 
 @dataclass
@@ -432,9 +431,9 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
     then the others psi_{n+1} touches, in first-touch order; _eliminate
     relabels each remaining column under that one numbering as it reduces
     it, so the pivots stay valid as they are extended. psi and both
-    differentials are the integer matrices of _matrix, nonzero multiples of
-    the maps: scaling a block's rows and columns changes no rank, nor which
-    rows the pivots lead on.
+    differentials are read in their int columns, each over its own scale:
+    scaling a block's rows and columns changes no rank, nor which rows the
+    pivots lead on.
     """
     if type(max_degree) is not int:
         raise ValueError(f"max_degree must be an int, got {max_degree!r}")
@@ -445,7 +444,7 @@ def les_report(g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule, max_degree: int)
     ctx = TensorContext(g, B, M)
     tdim, tmd = ctx.lie.dim, ctx.module.dim
 
-    psi_mats = {k: _matrix(_psi_map(ctx, k)) for k in range(1, max_degree + 2)}
+    psi_mats = {k: psi_matrix(ctx, k) for k in range(1, max_degree + 2)}
     psi_rank = {0: 0, **{k: m.rank() for k, m in psi_mats.items()}}
     expected = {k: m.ncols for k, m in psi_mats.items()}
     failures = [

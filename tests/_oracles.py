@@ -43,7 +43,7 @@ from zinbiel.complexes import (
     dl_tuples,
 )
 from zinbiel.linalg import Matrix, Row, _eliminate
-from zinbiel.sparsevec import Scalar, Vec, add_scaled, integral, unscaled
+from zinbiel.sparsevec import Scalar, Vec, add_scaled, common_scale, integral, unscaled
 from zinbiel.tensor_bridge import PsiNotInjectiveError, TensorContext, psi_matrix
 
 ZERO = Fraction(0)
@@ -236,7 +236,8 @@ def delta_map_probed(theory: str, module: Bimodule, n: int) -> _Map:
     """complexes._delta_map, with its action blocks probed at every (x, k) pair
     and, for "dl", the unmerged shuffle terms."""
     right = module.right if theory == "dl" else {}
-    d, (products, left, right) = integral(module.algebra.products, module.left, right)
+    d, (products, left, right) = common_scale(
+        integral(module.algebra.products), integral(module.left), integral(right))
     pre: Dict[int, List[Tuple[int, int, int]]] = {}
     for (u, w), vec in products.items():
         for p, c in vec.items():
@@ -286,7 +287,7 @@ def matrix_nested(m: _Map) -> Matrix:
             if col:
                 cols[col_base + k] = col
         col_base += md
-    return Matrix._of(size(out_dim, out_md, out_degree), col_base, cols)
+    return Matrix._of(size(out_dim, out_md, out_degree), col_base, cols, m.scale)
 
 
 def left_normed_probed(g: FiniteAlgebra, n: int) -> Tuple[List[Tuple[Key, Vec]], int]:
@@ -294,7 +295,7 @@ def left_normed_probed(g: FiniteAlgebra, n: int) -> Tuple[List[Tuple[Key, Vec]],
     (g's products times the lcm of their denominators), with the brackets, in
     lexicographic order; each prefix is tried against every right factor j.
     Also returns the number of (prefix, j) pairs so probed."""
-    _, (products,) = integral(g.products)
+    _, products = integral(g.products)
     level: List[Tuple[Key, Vec]] = [((i,), {i: 1}) for i in range(g.dim)]
     probes = 0
     for _ in range(n - 1):
@@ -340,7 +341,7 @@ def apply_via_fractions(m: _Map, f: Cochain) -> Dict[Key, Dict[int, Fraction]]:
     """The values of complexes._apply(m, f) by the Fraction route: f's values
     cleared of denominators (integral), the terms summed in ints, and every
     sum divided back to a Fraction at once (unscaled), which drops the zeros."""
-    den, (values,) = integral(f.values)
+    den, values = integral(f.values)
     out: Dict[Key, Vec] = {}
     for X, fv in values.items():
         for coeff, Y, block in m.terms(X):
@@ -348,7 +349,7 @@ def apply_via_fractions(m: _Map, f: Cochain) -> Dict[Key, Dict[int, Fraction]]:
             for k, j, v in block:
                 if k in fv:
                     acc[j] = acc.get(j, 0) + coeff * v * fv[k]
-    return unscaled(out, den * m.scale)
+    return unscaled((den * m.scale, out))
 
 
 def identity(n: int) -> List[List[Fraction]]:

@@ -232,18 +232,13 @@ def _ordered(table):
     return [(key, list(vec.items())) for key, vec in table.items()]
 
 
-def _integral_form(table):
-    d, (ints,) = integral(table)
-    return d, ints
-
-
 def _assert_integer_forms(alg, mod):
     """Each table's integer form is integral of its Fractions, which are all Fractions."""
     tables = (alg.products, mod.left, mod.right)
     assert all(type(c) is Fraction for t in tables for vec in t.values() for c in vec.values())
-    assert alg._products_int == _integral_form(alg.products)
-    assert mod._left_int == _integral_form(mod.left)
-    assert mod._right_int == _integral_form(mod.right)
+    assert alg._products_int == integral(alg.products)
+    assert mod._left_int == integral(mod.left)
+    assert mod._right_int == integral(mod.right)
 
 
 def _assert_tensor_tables_match_grid(g, B, M):

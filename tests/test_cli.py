@@ -558,6 +558,21 @@ def test_polyzinbiel_cap_is_checked_before_the_table(capsys, monkeypatch):
         2, "", "error: polyzinbiel(4800) has dimension 4801, over the cap 3\n")
 
 
+@pytest.mark.parametrize("name, message", [
+    # m^N alone is far over the cap: the count is not formed, nor printed.
+    ("freeleibniz(2,200000)", "truncated free algebra needs dimension at least 2^200000"),
+    ("freeleibniz(2,50000)", "truncated free algebra needs dimension at least 2^50000"),
+    # One letter: the count is N, formed in closed form, not summed.
+    ("freeleibniz(1,20000000)", "truncated free algebra needs dimension 20000000"),
+    ("freeleibniz(2,60)", "truncated free algebra needs dimension 2305843009213693950"),
+    ("polyzinbiel(" + "9" * 5000 + ")", "polyzinbiel arguments have at most 18 digits, got 5000"),
+    ("freeleibniz(2," + "9" * 4300 + ")", "freeleibniz arguments have at most 18 digits, got 4300"),
+])
+def test_oversized_builtins_are_refused_at_once(capsys, name, message):
+    cap = "" if "digits" in message else ", over the cap 512"
+    assert run(capsys, ["check", f"builtin:{name}"]) == (2, "", f"error: {message}{cap}\n")
+
+
 def test_dim_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("ZINBIEL_DIM_CAP", "3")
     code, _, err = run(capsys, ["check", "builtin:freeleibniz(2,2)"])

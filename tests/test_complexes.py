@@ -361,22 +361,22 @@ def test_delta_is_linear(seed):
 
 
 def _assert_integer_assembly_matches(theory, module, degree, oracle):
-    # _assemble is D times the map as ints, with the map's rank and nullspace;
-    # the public matrix and the applied form are the map itself, as Fractions.
-    # The oracle reads the Fraction tables.
+    # The public matrix is _assemble's: its int columns are D times the
+    # map's, held over D, the map's scale. Its rows, rank and nullspace are
+    # the map's, and so is the applied form. The oracle reads the Fraction
+    # tables.
     want = dense_delta_matrix(module, degree, oracle, theory)
     d = _delta_map(theory, module, degree).scale
-    scaled = _assemble(theory, module, degree)
-    assert all(type(v) is int for col in scaled._cols.values() for v in col.values())
-    assert to_dense(scaled) == [[d * x for x in row] for row in want]
+    m = (dl_delta_matrix if theory == "dl" else ce_delta_matrix)(module, degree)
+    internal = _assemble(theory, module, degree)
+    assert (m._scale, m._cols) == (internal._scale, internal._cols) and m._scale == d
+    ints = {(i, j): v for j, col in m._cols.items() for i, v in col.items()}
+    assert all(type(v) is int for v in ints.values())
+    assert ints == {(i, j): d * x for i, row in enumerate(want) for j, x in enumerate(row) if x}
+    assert to_dense(m) == want
     kernel = dense_nullspace(want)
-    assert scaled.rank() == len(want[0]) - len(kernel)
-    assert scaled.nullspace() == kernel
-    exact = (dl_delta_matrix if theory == "dl" else ce_delta_matrix)(module, degree)
-    assert all(type(v) is Fraction for col in exact._cols.values() for v in col.values())
-    assert to_dense(exact) == want
-    assert exact.rank() == scaled.rank() and exact._lead_rows() == scaled._lead_rows()
-    assert exact.nullspace() == kernel
+    assert m.rank() == len(want[0]) - len(kernel)
+    assert m.nullspace() == kernel
     applied = dl_delta if theory == "dl" else ce_delta
     assert dense_delta_matrix(module, degree, applied, theory) == want
 
@@ -416,28 +416,25 @@ def test_ce_map_scales_only_the_tables_it_reads():
 def test_scaling_rule_round_trips_and_drops_zeros():
     a = {(0, 1): {0: Fraction(1, 3), 2: Fraction(2)}, (1, 1): {1: Fraction(-5, 4)}}
     b = {(0,): {3: Fraction(7, 6)}}
-    d, (ai,) = integral(a)
-    assert (d, ai) == (12, {(0, 1): {0: 4, 2: 24}, (1, 1): {1: -15}})
-    assert unscaled(ai, d) == a
-    # One D for several tables: the lcm of 3, 4 and 6.
-    d, (ai, bi) = integral(a, b)
-    assert (d, bi) == (12, {(0,): {3: 14}})
-    assert unscaled(ai, d) == a and unscaled(bi, d) == b
-    assert integral() == (1, [])
-    # Integer forms brought to one D: the same as integral of all the tables,
-    # and a table already at D is passed on, not copied.
-    forms = [(d0, t0) for d0, (t0,) in (integral(a), integral(b))]
-    d, (ai2, bi2) = common_scale(*forms)
-    assert (d, [ai2, bi2]) == integral(a, b) and ai2 is forms[0][1]
+    form = integral(a)
+    assert form == (12, {(0, 1): {0: 4, 2: 24}, (1, 1): {1: -15}})
+    assert unscaled(form) == a
+    assert integral(b) == (6, {(0,): {3: 7}})
+    assert integral({}) == (1, {})
+    # Integer forms brought to one D, the lcm of 3, 4 and 6, and a table
+    # already at D is passed on, not copied.
+    forms = [integral(a), integral(b)]
+    d, (ai, bi) = common_scale(*forms)
+    assert (d, bi) == (12, {(0,): {3: 14}}) and ai is forms[0][1]
+    assert unscaled((d, ai)) == a and unscaled((d, bi)) == b
     assert common_scale() == (1, []) and common_scale((1, {})) == (1, [{}])
     # Sums over 12 in lowest terms are the form integral gives their values.
     sums = {(0, 1): {0: 4, 1: 0, 2: 24}, (1, 1): {1: -18}, (2, 2): {0: 0}}
     assert lowest_terms(sums, 12) == (6, {(0, 1): {0: 2, 2: 12}, (1, 1): {1: -9}})
-    d, (ints,) = integral(unscaled(sums, 12))
-    assert lowest_terms(sums, 12) == (d, ints)
+    assert lowest_terms(sums, 12) == integral(unscaled((12, sums)))
     assert lowest_terms({(0, 0): {0: 0}}, 5) == (1, {})
     # The zeros a sum leaves are dropped, and so are the vectors they empty.
-    assert unscaled({"x": {0: 0, 1: 6}, "y": {2: 0}, "z": {}}, 4) == {"x": {1: Fraction(3, 2)}}
+    assert unscaled((4, {"x": {0: 0, 1: 6}, "y": {2: 0}, "z": {}})) == {"x": {1: Fraction(3, 2)}}
 
 
 def _fractional_cochain(theory, degree, dim, md, rng):
@@ -509,7 +506,7 @@ def test_int_comparison_agrees_with_fraction_equality(a, b, da, db, t):
         moved[key][k] += 1
         pairs.append(((da, a), (da * t, moved)))
     for x, y in pairs:
-        want = unscaled(x[1], x[0]) == unscaled(y[1], y[0])
+        want = unscaled(x) == unscaled(y)
         assert same_values(x, y) == same_values(y, x) == want
     assert same_values((da, a), (da * t, scaled))
 

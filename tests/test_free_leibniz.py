@@ -68,6 +68,8 @@ def test_word_counts():
     assert word_count(2, 4) == 30
     assert word_count(3, 3) == 39
     assert word_count(1, 1) == 1
+    assert all(word_count(m, n) == sum(m ** k for k in range(1, n + 1))
+               for m in range(6) for n in range(-1, 7))
 
 
 def test_words_order_and_names():

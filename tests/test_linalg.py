@@ -33,11 +33,12 @@ from zinbiel import (
     builtin,
     dl_delta_matrix,
     linalg,
+    psi_matrix,
     regular,
 )
-from zinbiel.complexes import _assemble, _delta_map, _exact, _matrix
+from zinbiel.complexes import _assemble, _delta_map, _matrix
 from zinbiel.linalg import EMPTY_ROW, _eliminate, _split_owners
-from zinbiel.sparsevec import parse_scalar
+from zinbiel.sparsevec import integral, parse_scalar, unscaled
 from zinbiel.tensor_bridge import _psi_map
 
 
@@ -75,8 +76,8 @@ def rational_matrices(draw, max_dim=6):
 
 
 def _column_matrix(m):
-    """m's transpose: its stored columns, read as the rows of a new Matrix."""
-    return Matrix.from_nonempty(m.ncols, m.nrows, m._cols)
+    """m's transpose: its stored columns, in Fractions, read as the rows of a new Matrix."""
+    return Matrix.from_nonempty(m.ncols, m.nrows, unscaled((m._scale, m._cols)))
 
 
 def reduced_dense(m):
@@ -98,19 +99,24 @@ ENTRY_RULE_BUILDERS = {
     "FiniteAlgebra": lambda vec: FiniteAlgebra("zinbiel", 2, ("a", "b"), {(0, 1): vec}).products,
     "Bimodule": lambda vec: Bimodule(builtin("B2"), 2, ("m", "n"), left={(0, 1): vec}).left,
     "Cochain": lambda vec: Cochain("dl", 1, 2, 2, {(0,): vec}).values,
-    "Matrix.from_nonempty": lambda vec: Matrix.from_nonempty(1, 2, {0: vec})._cols,
+    "Matrix.from_nonempty": lambda vec: {
+        i: row for i, row in enumerate(Matrix.from_nonempty(1, 2, {0: vec}).rows) if row},
 }
 
 
-@pytest.mark.parametrize("build", ENTRY_RULE_BUILDERS.values(), ids=ENTRY_RULE_BUILDERS)
-def test_one_entry_rule(build):
+@pytest.mark.parametrize("name", ENTRY_RULE_BUILDERS)
+def test_one_entry_rule(name):
+    build = ENTRY_RULE_BUILDERS[name]
     # True and 1.0 compare like the index 1, so only a type test stops them.
     for index in (True, 1.0, 2, -1):
         with pytest.raises(ValueError, match=f"index {index} out of range"):
             build({index: 1})
     half = Fraction(1, 2)
     kept = [v for vec in build({1: half, 0: Fraction(0)}).values() for v in vec.values()]
-    assert len(kept) == 1 and kept[0] is half
+    assert kept == [half]
+    # A table or a cochain keeps the Fraction it is given; a matrix keeps
+    # the integer form, and its rows are made from it when read.
+    assert (kept[0] is half) == (name != "Matrix.from_nonempty")
     assert build({0: 0, 1: "0/3"}) == {}
 
 
@@ -179,7 +185,7 @@ def test_extending_an_echelon_keeps_its_pivot_rows(rows, data):
     # Rows split into A and P: extending A's forward echelon by P counts the
     # rank of both, and writes no pivot row that A's elimination made.
     split = data.draw(st.integers(0, len(rows)))
-    sparse = from_rows(rows).rows
+    sparse = _int_rows(rows)
     pivots = _eliminate(sparse[:split])
     before = copy.deepcopy(pivots)
     _eliminate(sparse[split:], pivots=pivots)
@@ -203,16 +209,21 @@ def test_results_do_not_depend_on_row_order(rows, rng, data):
 
     split = data.draw(st.integers(0, len(shuffled)))
     a, rest = shuffled[:split], shuffled[split:]
-    pivots = _eliminate(from_rows(a).rows)
-    _eliminate(from_rows(rest).rows, pivots=pivots)
+    pivots = _eliminate(_int_rows(a))
+    _eliminate(_int_rows(rest), pivots=pivots)
     assert len(pivots) == dense_rank(rows)
 
 
+def _int_rows(rows):
+    """The dense rows as sparse int vectors, all times one D (sparsevec.integral), in order."""
+    return list(integral(dict(enumerate(from_rows(rows).rows)))[1].values())
+
+
 def _int_matrix(rows):
-    """The matrix with its entries stored as given, ints as the integer assembly keeps them."""
-    cols = {j: col for j in range(len(rows[0]))
-            if (col := {i: row[j] for i, row in enumerate(rows) if row[j]})}
-    return Matrix._of(len(rows), len(rows[0]), cols)
+    """The matrix of dense int or Fraction rows, built by Matrix._of from its columns' integer form."""
+    scale, cols = integral({j: col for j in range(len(rows[0]))
+                            if (col := {i: row[j] for i, row in enumerate(rows) if row[j]})})
+    return Matrix._of(len(rows), len(rows[0]), cols, scale)
 
 
 @settings(deadline=None)
@@ -252,7 +263,8 @@ def test_fractional_complex_rank_and_reduced_form():
 
 def test_from_nonempty_parses_like_from_cols():
     m = Matrix.from_nonempty(2, 2, {0: {0: "1/2"}, 1: {1: 3, 0: " 0 "}})
-    assert m._cols == {0: {0: Fraction(1, 2)}, 1: {1: Fraction(3)}}
+    assert (m._scale, m._cols) == (2, {0: {0: 1}, 1: {1: 6}})
+    assert m.rows == [{0: Fraction(1, 2)}, {1: Fraction(3)}]
     assert m.rank() == 2
     for bad in (0.5, True, False):
         with pytest.raises(TypeError):
@@ -266,19 +278,18 @@ def _values(m):
 
 
 def test_columns_hold_one_number_type():
-    # _eliminate reads a column's first value for the type of all of them:
-    # public matrices hold Fractions only, and the integer assembly and its
-    # products ints only.
+    # Every Matrix holds int columns over its scale: the ones from_nonempty
+    # builds, their products and stacks, the public differentials and psi.
     a, b = from_rows([[1, 2], [0, 3]]), from_cols([[1, 0], [2, "1/3"]], 2)
-    public = (a, b, a.mul(b), a.hstack(b), Matrix.from_nonempty(2, 1, {1: {0: 4}}),
-              dl_delta_matrix(regular(builtin("B3")), 2))
-    for m in public:
-        assert _values(m) and all(type(v) is Fraction for v in _values(m))
     B = builtin("polyzinbiel(2)")
     ctx = TensorContext(builtin("lie2"), B, regular(B))
-    psi = _matrix(_psi_map(ctx, 2))
-    scaled = (_assemble("dl", ctx.M, 2), psi, psi.mul(_assemble("dl", ctx.M, 1)))
-    for m in scaled:
+    psi, d1 = psi_matrix(ctx, 2), dl_delta_matrix(ctx.M, 1)
+    built = [(a, 1), (b, 3), (a.mul(b), 3), (a.hstack(b), 3),
+             (Matrix.from_nonempty(2, 1, {1: {0: 4}}), 1),
+             (dl_delta_matrix(regular(builtin("B3")), 2), 1),
+             (dl_delta_matrix(ctx.M, 2), 2), (psi, 1), (psi.mul(d1), 2)]
+    for m, scale in built:
+        assert m._scale == scale
         assert _values(m) and all(type(v) is int for v in _values(m))
 
 
@@ -287,19 +298,18 @@ int_columns = st.lists(st.dictionaries(st.integers(0, 30), st.integers(-6, 6).fi
 
 
 @settings(deadline=None)
-@given(int_columns, st.builds(Fraction, st.integers(1, 6), st.integers(1, 6)),
-       st.one_of(st.none(), st.permutations(range(31))))
-def test_integer_columns_eliminate_like_their_fraction_multiples(cols, t, perm):
-    # An int column is only divided by its gcd; t times it, in Fractions, is
-    # cleared of denominators first. Both are reduced as the same fresh
-    # primitive int vectors, relabelled alike, so they give the same pivots,
-    # and neither input is written.
+@given(int_columns, st.integers(1, 6), st.one_of(st.none(), st.permutations(range(31))))
+def test_integer_columns_eliminate_like_their_multiples(cols, t, perm):
+    # A column is only divided by its gcd, so it and t times it, the same
+    # column at another scale, are reduced as the same fresh primitive int
+    # vectors, relabelled alike: they give the same pivots, and neither
+    # input is written.
     label = None if perm is None else dict(enumerate(perm))
-    fracs = [{k: t * v for k, v in col.items()} for col in cols]
-    before = copy.deepcopy((cols, fracs))
+    scaled = [{k: t * v for k, v in col.items()} for col in cols]
+    before = copy.deepcopy((cols, scaled))
     ints = _eliminate(cols, label)
-    assert ints == _eliminate(fracs, label)
-    assert (cols, fracs) == before
+    assert ints == _eliminate(scaled, label)
+    assert (cols, scaled) == before
     assert len(ints) == dense_rank([[col.get(k, 0) for k in range(31)] for col in cols])
     keys = {k if label is None else label[k] for col in cols for k in col}
     for lead, r in ints.items():
@@ -322,16 +332,27 @@ def _twin(kind, n):
 @pytest.mark.parametrize("kind, n", [
     ("dl", 1), ("dl", 2), ("dl", 3), ("ce", 0), ("ce", 1), ("psi", 2), ("psi", 3),
 ])
-def test_integer_matrix_eliminates_like_its_exact_twin(kind, n):
-    # _matrix is m.scale times _exact; _eliminate makes every column
-    # primitive before reducing it, so the two eliminations are the same.
+def test_a_scaled_matrix_eliminates_like_its_fraction_rows(kind, n):
+    # _matrix holds m.scale times the map's values, over m.scale; a matrix
+    # rebuilt from its Fraction rows holds them over the lcm of their
+    # denominators, and the same values times 7 over 7 * m.scale are the
+    # map too. _eliminate makes every column primitive before reducing it,
+    # so the three eliminations are the same; the owners' leads, read in
+    # each column's order, are the same where that order is kept.
     m = _twin(kind, n)
     assert m.scale > 1
-    ints, exact = _matrix(m), _exact(m)
-    assert ints.rank() == exact.rank()
-    assert ints._lead_rows() == exact._lead_rows()
-    assert ints.nullspace() == exact.nullspace()
-    assert ints.reduced_rows() == exact.reduced_rows()
+    ints = _matrix(m)
+    assert ints._scale == m.scale
+    rows = ints.rows
+    rebuilt = Matrix.from_nonempty(ints.nrows, ints.ncols, dict(enumerate(rows)))
+    sevens = Matrix._of(ints.nrows, ints.ncols, {j: {i: 7 * v for i, v in col.items()}
+                                                 for j, col in ints._cols.items()}, 7 * m.scale)
+    assert ints._lead_rows() == sevens._lead_rows()
+    for twin in (rebuilt, sevens):
+        assert twin.rows == rows
+        assert ints.rank() == twin.rank()
+        assert ints.nullspace() == twin.nullspace()
+        assert ints.reduced_rows() == twin.reduced_rows()
 
 
 def test_empty_rows_are_shared_and_never_written_through():
@@ -359,7 +380,7 @@ def test_empty_rows_are_shared_and_never_written_through():
     for out in outs:
         for c, col in out._cols.items():
             for r in range(out.nrows):
-                col[r] = Fraction(r * out.ncols + c + 1)
+                col[r] = r * out.ncols + c + 1
         for m in (a, b, eye, out):
             for r, row in enumerate(m.rows):
                 if row:
@@ -445,7 +466,8 @@ def test_rows_view_lists_the_stored_rows():
     for m in built:
         view = m.rows
         assert len(view) == m.nrows
-        entries = {(i, j): v for j, col in m._cols.items() for i, v in col.items()}
+        entries = {(i, j): Fraction(v, m._scale)
+                   for j, col in m._cols.items() for i, v in col.items()}
         assert {(i, j): v for i, row in enumerate(view) for j, v in row.items()} == entries
         assert all(col for col in m._cols.values())
         assert all(row is EMPTY_ROW for i, row in enumerate(view)
@@ -456,7 +478,7 @@ def test_rows_view_lists_the_stored_rows():
     rows = [{1: Fraction(2)}, EMPTY_ROW, {}, {0: Fraction(-1, 3)}]
     m = Matrix.from_nonempty(4, 2, dict(enumerate(rows)))
     assert m.rows == rows and m.rows[1] is EMPTY_ROW and m.rows[2] is EMPTY_ROW
-    assert m._cols == {0: {3: Fraction(-1, 3)}, 1: {0: Fraction(2)}}
+    assert (m._scale, m._cols) == (3, {0: {3: -1}, 1: {0: 6}})
 
 
 def test_from_nonempty_rejects_indices_out_of_range():
@@ -642,7 +664,7 @@ def _cleared_dl4():
     # holds on polyzinbiel(3), so those at delta_DL^3's lead rows are cleared.
     out, cleared = _dl(4), set(_dl(3)._lead_rows())
     return Matrix._of(out.nrows, out.ncols,
-                      {j: col for j, col in out._cols.items() if j not in cleared})
+                      {j: col for j, col in out._cols.items() if j not in cleared}, out._scale)
 
 
 @pytest.mark.parametrize("build, owners, nonempty", [
@@ -665,16 +687,47 @@ def test_owners_split_off_like_the_whole_column_route_on_sparse_matrices(rows):
     assert m.rank() == dense_rank(rows)
 
 
-def test_mul_drops_cancelled_entries_and_mixes_number_types():
+def test_mul_drops_cancelled_entries_and_multiplies_scales():
     # a's third column is twice its first. Column 0 of a*b cancels at row 0,
     # column 1 at row 0 too, and column 2 everywhere, so it is not stored.
+    # b holds 4 times its values, so a*b does too, over 1 * 4.
     a_rows = [[1, 2, 2], [1, 3, 2], [0, 0, 0]]
     b_rows = [[2, Fraction(1, 2), 1], [-1, Fraction(-1, 4), 0], [0, 0, Fraction(-1, 2)]]
-    ints, fracs = _int_matrix(a_rows), from_rows(b_rows)
-    before = copy.deepcopy((ints._cols, fracs._cols))
-    assert ints.mul(fracs)._cols == {0: {1: -1}, 1: {1: Fraction(-1, 4)}}
-    assert to_dense(ints.mul(fracs)) == _dense_mul(a_rows, b_rows)
-    assert to_dense(fracs.mul(ints)) == _dense_mul(b_rows, a_rows)
-    assert 0 not in _values(fracs.mul(ints))
-    assert all(type(v) is int for v in _values(ints.mul(ints)))
-    assert (ints._cols, fracs._cols) == before
+    a, b = _int_matrix(a_rows), from_rows(b_rows)
+    assert (a._scale, b._scale) == (1, 4)
+    before = copy.deepcopy((a._cols, b._cols))
+    ab = a.mul(b)
+    assert (ab._scale, ab._cols) == (4, {0: {1: -4}, 1: {1: -1}})
+    assert to_dense(ab) == _dense_mul(a_rows, b_rows)
+    assert to_dense(b.mul(a)) == _dense_mul(b_rows, a_rows)
+    assert 0 not in _values(b.mul(a))
+    assert (b.mul(b)._scale, a.mul(a)._scale) == (16, 1)
+    # hstack brings both to the lcm of their scales: a's columns are scaled
+    # into new dicts, and b's, already there, are shared.
+    h = a.hstack(b)
+    assert h._scale == 4 and h._cols[0] == {0: 4, 1: 4}
+    assert all(h._cols[j + a.ncols] is col for j, col in b._cols.items())
+    assert to_dense(h) == [r + s for r, s in zip(a_rows, b_rows)]
+    assert (a._cols, b._cols) == before
+
+
+def test_the_ranks_of_package_matrices_make_no_fraction(monkeypatch):
+    # The matrices hold ints over a scale, and elimination reads only the
+    # ints, so ranking psi and a differential with fractional constants
+    # builds no Fraction.
+    B = builtin("polyzinbiel(3)")
+    M = regular(B)
+    ctx = TensorContext(builtin("freeleibniz(2,3)"), B, M)
+    made = 0
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    ranks = [psi_matrix(ctx, 1).rank(), psi_matrix(ctx, 2).rank(), dl_delta_matrix(M, 2).rank()]
+    monkeypatch.undo()
+    assert made == 0
+    assert ranks == [16, 64, 51]

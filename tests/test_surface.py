@@ -94,13 +94,24 @@ def test_a_traced_smoke_pass_meets_its_pins_and_fills_every_layer():
         start = time.perf_counter()
         results = [op.run(zinbiel, 0) == op.pin for op in workloads.WORKLOADS["smoke"].ops]
         wall = time.perf_counter() - start
+        smoke_spans = len(t.spans)
+        B = zinbiel.builtin("B2")
+        zinbiel.dl_delta_matrix(zinbiel.regular(B), 1)
+        zinbiel.ce_delta_matrix(zinbiel.TensorContext(zinbiel.builtin("leibniz2"), B,
+                                                      zinbiel.regular(B)).module, 0)
     finally:
         t.uninstall()
     assert all(results)
-    layers = tracer.summarize(t.spans, wall)
+    layers = tracer.summarize(t.spans[:smoke_spans], wall)
     # run.py adds these two from the untraced passes.
     wanted = {m["name"] for m in spec["per_layer"]} - {"process.cpu_s", "trace.overhead_s"}
     assert wanted <= set(layers)
+    # les reads psi through psi_matrix: the les op's 784 + 10584 rows and
+    # the psi_rank op's 16 + 24.
+    assert layers["tensor_bridge.psi_matrix.rows"] == 11408
+    # A direct call of a public differential matrix opens its span.
+    direct = {s[tracer.NAME] for s in t.spans[smoke_spans:]}
+    assert {"complexes.dl_delta_matrix", "complexes.ce_delta_matrix"} <= direct
 
 
 def test_every_benchmarked_operation_meets_its_pin():
