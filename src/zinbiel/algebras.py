@@ -21,6 +21,9 @@ only their integer forms until read: _of takes the forms alone and checks
 the basis but parses no entry, and a table's Fractions are made from its
 form (sparsevec.unscaled) the first time it is read, then kept, the same
 Fractions in the same order as the validating constructor would hold.
+That view is made by one __getattr__, _read_table, which complexes.Cochain
+shares for its values: every object holds its integer forms from
+construction, and its Fractions are a kept view of them.
 regular's actions share the algebra's integer form, and its product table
 once read.
 
@@ -58,16 +61,18 @@ def _clean_table(table: Table, left_dim: int, right_dim: int, out_dim: int, labe
     return clean
 
 
-# The integer form each table is held as, by attribute name.
-_FORMS = {"products": "_products_int", "left": "_left_int", "right": "_right_int"}
+# The integer form each table, or a cochain's values, is held as, by attribute name.
+_FORMS = {"products": "_products_int", "left": "_left_int", "right": "_right_int",
+          "values": "_form"}
 
 
 def _read_table(obj, name: str) -> Table:
-    """The table name of an object built by _of, made from its integer form and kept.
+    """Table name of an object built by _of, as Fractions made from its integer form and kept.
 
-    Reached only for an attribute not set; anything but an unread table
-    raises AttributeError. A module whose form is its algebra's (regular)
-    takes the algebra's table.
+    The __getattr__ of algebras, bimodules and cochains (a cochain's table
+    is its values), so reached only for an attribute not set; anything but
+    an unread table raises AttributeError. A module whose form is its
+    algebra's (regular) takes the algebra's table.
     """
     state = vars(obj)
     form = state.get(_FORMS.get(name))
@@ -121,8 +126,7 @@ class FiniteAlgebra:
                          _products_int=products_int)
         return alg
 
-    def __getattr__(self, name: str):
-        return _read_table(self, name)
+    __getattr__ = _read_table
 
 
 @dataclass(frozen=True)
@@ -132,8 +136,9 @@ class Bimodule:
     _left_int and _right_int are the integer forms of the two actions (see
     the module docstring). _maps holds the linear maps built over the
     module, each made on first use and kept by key: complexes' differentials
-    by (theory, degree). It is left out of the pickled state and starts
-    empty in a copy.
+    by (theory, degree) and, on a tensor module, tensor_bridge's psi by
+    ("psi", degree). It is left out of the pickled state and starts empty
+    in a copy.
     """
 
     # Frozen, but its tables are dicts: unhashable, not a generated __hash__ that raises.
@@ -163,8 +168,7 @@ class Bimodule:
                          _left_int=left_int, _right_int=right_int, _maps={})
         return mod
 
-    def __getattr__(self, name: str):
-        return _read_table(self, name)
+    __getattr__ = _read_table
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in vars(self).items() if k != "_maps"}

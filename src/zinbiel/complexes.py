@@ -37,8 +37,11 @@ scales (sparsevec.common_scale), which is the map's scale: the lcm of every
 denominator in those tables. Each term reads one structure constant, so the
 terms are D times the map's: _matrix's int columns, which it holds over D,
 and _apply's sums, the integer form of its output over the input's scale
-times the map's. Either is divided out only where its Fractions are read,
-so neither a chain of maps nor an elimination makes a Fraction. A
+times the map's. Every Cochain holds its integer form from construction (a
+user's Fraction values are cleared once, when it is built) and is
+read-only; its values are a view of that form, made on first read and
+kept, so a map reads the form whether or not the values were read, and
+neither a chain of maps nor an elimination makes a Fraction. A
 differential is built once per module, theory and degree, on first use, and
 kept by the module (Bimodule._maps).
 """
@@ -52,10 +55,10 @@ from math import comb
 from random import Random
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Set, Tuple
 
-from .algebras import Bimodule
+from .algebras import Bimodule, _read_table
 from .free_leibniz import leibniz_expansion
 from .linalg import Matrix
-from .sparsevec import Scaled, Vec, common_scale, integral, nonzero, parse_vec, unscaled
+from .sparsevec import Vec, common_scale, integral, nonzero, parse_vec
 
 Key = Tuple[int, ...]
 Space = Tuple[str, int, int, int]  # (theory, degree, algebra dim, module dim)
@@ -89,13 +92,19 @@ def _check_space(theory: str, degree: int, algebra_dim: int, module_dim: int) ->
     _check_start(theory, degree)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cochain:
     """One multilinear map, stored as {argument tuple: sparse module vector}.
 
-    A validated container, without arithmetic, that the differentials and psi fill.
-    One they build holds an integer form instead, and its values are made from it on first read.
+    A validated container, without arithmetic, that the differentials and
+    psi fill. Like the tables of an algebra, a cochain holds the integer form
+    of its values, _form, from construction, and is read-only once built.
+    One the package builds (_of) holds _form alone, and its values are made
+    from it (algebras._read_table) the first time they are read, then kept.
     """
+
+    # Frozen, but its values are dicts: unhashable, not a generated __hash__ that raises.
+    __hash__ = None  # type: ignore[assignment]
 
     theory: str
     degree: int
@@ -115,28 +124,17 @@ class Cochain:
                 raise ValueError(f"ce keys must be strictly increasing, got {key!r}")
             if entry := parse_vec(vec, self.module_dim, "module"):
                 clean[key] = entry
-        self.values = clean
+        vars(self).update(values=clean, _form=integral(clean))
 
     @classmethod
     def _of(cls, space: Space, d: int, ints: Dict[Key, Vec]) -> "Cochain":
         """The cochain with values ints / d, ints zero-free and keyed in space; nothing is checked."""
         f = object.__new__(cls)
-        f.theory, f.degree, f.algebra_dim, f.module_dim = space
-        f._form = (d, ints)
+        vars(f).update(zip(("theory", "degree", "algebra_dim", "module_dim"), space),
+                       _form=(d, ints))
         return f
 
-    def __getattr__(self, name: str):
-        # Reached only for an attribute not set: values, on a cochain built by _of.
-        form = vars(self).pop("_form", None) if name == "values" else None
-        if form is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.values = unscaled(form)
-        return self.values
-
-
-def _int_form(f: Cochain) -> Scaled:
-    """f's values as an integer form: the one it was built from while its values are unread."""
-    return integral(f.values) if "values" in vars(f) else f._form
+    __getattr__ = _read_table
 
 
 def _sort_sign(args: Key) -> Tuple[int, Key]:
@@ -261,7 +259,7 @@ def _apply(m: _Map, f: Cochain) -> Cochain:
     input has a nonzero at k. The sums, less their zeros, are the image
     over L * m.scale.
     """
-    den, values = _int_form(f)
+    den, values = f._form
     out: Dict[Key, Vec] = {}
     for X, fv in values.items():
         get = fv.get

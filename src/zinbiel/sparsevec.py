@@ -12,22 +12,22 @@ Two number rules are written here once each.
   a float is refused even where it compares like one; a Fraction value is
   kept as the same object, any other value is parsed into one
   (parse_scalar); and zeros are dropped.
-* Scaling: a kernel reads integer copies of the Fraction tables it is given,
-  each multiplied by D, the lcm of all their denominators, and accumulates
-  ints; its output, D (or a multiple of D) times the true one, less the
-  zeros the sums left and the vectors they emptied (nonzero), stays in ints
-  until its Fractions are read (unscaled), and two such outputs compare in
-  ints, cross-multiplying their scales (same_values). A structure table is
-  scaled once per object: each algebra and bimodule holds the integer form
-  (D, D times the table) of each of its tables, as integral gives it, from
-  when it is built. A kernel that reads several tables brings their forms
-  to one D (common_scale), and a constructor that accumulated a table in
-  ints passes it on in lowest terms (lowest_terms), so nothing parses or
-  rescales a table the package built itself; such a table, like a map's
-  output, is held as its integer form alone and made Fractions (unscaled)
-  only when it is read. Every matrix is held the same way, its int columns
-  over its scale (linalg.Matrix). The Fraction values of a cochain or matrix
-  given by a user are scaled where they are read (integral).
+* Scaling: every object the package holds, an algebra's or a bimodule's
+  tables, a cochain's values and a matrix's columns, holds its integer
+  form (D, D times its values as ints) from construction and is read-only
+  once built. The Fractions a user gives are cleared once, when the object
+  is built (integral); a table or an output the package made in ints is
+  held as its form alone. The Fractions are a view, made from the form
+  (unscaled) when read: a table's or a cochain's values the first time,
+  then kept, a matrix's rows afresh on each read. A kernel reads the
+  forms and accumulates ints; its output, D (or a multiple of D) times the
+  true one, less the zeros the sums left and the vectors they emptied
+  (nonzero), is the next object's form, and two such forms compare in
+  ints, cross-multiplying their scales (same_values). A kernel that reads
+  several tables brings their forms to one D (common_scale), and a
+  constructor that accumulated a table in ints passes it on in lowest
+  terms (lowest_terms), so nothing parses or rescales a table the package
+  built itself.
 """
 from __future__ import annotations
 
@@ -149,8 +149,6 @@ def unscaled(form: Scaled) -> Dict[Any, Dict[int, Fraction]]:
 
 def add_scaled(acc: Vec, src: Vec, scale: Number = 1) -> Vec:
     """acc += scale * src, in place. Returns acc."""
-    if not scale:
-        return acc
     for k, v in src.items():
         nv = acc.get(k, 0) + scale * v
         if nv:

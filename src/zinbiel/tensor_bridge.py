@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from itertools import groupby
 from random import Random
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -46,7 +47,6 @@ from .complexes import (
     _block,
     _check_degree,
     _check_input,
-    _int_form,
     _Map,
     _matrix,
     ce_delta,
@@ -142,8 +142,8 @@ def _negated_transpose(table: Dict[Tuple[int, int], Vec]) -> Dict[Tuple[int, int
 class TensorContext:
     """One tensor construction: g, B, M, the Lie algebra g (x) B and its module g (x) M.
 
-    _psi_maps holds psi by degree, each map built on first use. It is left
-    out of the pickled state and starts empty in a copy.
+    psi is kept with the differentials of g (x) M, in module._maps, by
+    ("psi", degree).
     """
 
     def __init__(self, g: FiniteAlgebra, B: FiniteAlgebra, M: Bimodule):
@@ -153,13 +153,6 @@ class TensorContext:
         self.module = tensor_module(g, B, M)
         self.lie = self.module.algebra
         self.bracket_bound = _bracket_length_bound(g)
-        self._psi_maps: Dict[int, _Map] = {}
-
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in vars(self).items() if k != "_psi_maps"}
-
-    def __setstate__(self, state: dict) -> None:
-        vars(self).update(state, _psi_maps={})
 
 
 def _bracket_length_bound(g: FiniteAlgebra) -> int:
@@ -179,10 +172,10 @@ def _bracket_length_bound(g: FiniteAlgebra) -> int:
 
 
 def _psi_map(ctx: TensorContext, n: int) -> _Map:
-    """psi at degree n, built on first use (_new_psi_map) and kept by ctx."""
-    m = ctx._psi_maps.get(n)
+    """psi at degree n, built on first use (_new_psi_map) and kept by ctx.module."""
+    m = ctx.module._maps.get(("psi", n))
     if m is None:
-        m = ctx._psi_maps[n] = _new_psi_map(ctx, n)
+        m = ctx.module._maps[("psi", n)] = _new_psi_map(ctx, n)
     return m
 
 
@@ -312,23 +305,21 @@ class ChainMapReport:
 
 
 def _first_difference(ctx: TensorContext, lhs: Cochain, rhs: Cochain, trial: int) -> Optional[dict]:
+    """The first entry, in key order, where the sides differ in ints; only it is made Fractions."""
     names = ctx.lie.basis_names
     mnames = ctx.module.basis_names
-    for key in sorted(set(lhs.values) | set(rhs.values)):
-        va = lhs.values.get(key, {})
-        vb = rhs.values.get(key, {})
-        if va == vb:
-            continue
-        for k in sorted(set(va) | set(vb)):
-            a = va.get(k, 0)
-            b = vb.get(k, 0)
-            if a != b:
+    (da, ta), (db, tb) = lhs._form, rhs._form
+    for key in sorted(ta.keys() | tb.keys()):
+        va, vb = ta.get(key, {}), tb.get(key, {})
+        for k in sorted(va.keys() | vb.keys()):
+            a, b = va.get(k, 0), vb.get(k, 0)
+            if a * db != b * da:
                 return {
                     "trial": trial,
                     "arguments": [names[i] for i in key],
                     "component": mnames[k],
-                    "lhs": str(a),
-                    "rhs": str(b),
+                    "lhs": str(Fraction(a, da)),
+                    "rhs": str(Fraction(b, db)),
                 }
     return None
 
@@ -365,7 +356,7 @@ def verify_chain_map(
         f = random_dl_cochain(B.dim, M.dim, degree, rng)
         lhs = ce_delta(psi_apply(ctx, f), ctx.module)
         rhs = psi_apply(ctx, dl_delta(f, M))
-        if not same_values(_int_form(lhs), _int_form(rhs)):
+        if not same_values(lhs._form, rhs._form):
             failed.append(t)
             if witness is None:
                 witness = _first_difference(ctx, lhs, rhs, t)

@@ -105,6 +105,8 @@ def test_unknown_family():
         check_axioms(builtin("B2"), "jordan")
     with pytest.raises(ValueError):
         check_axioms(builtin("B2"), "zinbiel-bimodule")
+    with pytest.raises(ValueError, match="module was built over a different algebra"):
+        check_axioms(builtin("B2"), "zinbiel-bimodule", regular(builtin("B3")))
 
 
 def test_table_validation():

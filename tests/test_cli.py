@@ -60,6 +60,25 @@ axiom b_zinbiel: FAIL
 axiom tensor_lie_module: PASS
 """
 
+# perturbed_b2 as the Leibniz factor: the identity fails on every trial.
+CHAIN_MAP_FAIL = """\
+chain map at degree 2: 0/3 exact
+axiom g_leibniz: FAIL
+  identity: [x, [y, z]] = [[x, y], z] - [[x, z], y]
+  inputs: e1, e1, e2
+  lhs: 0
+  rhs: e1: 1
+axiom b_zinbiel: PASS
+axiom tensor_lie: PASS
+axiom tensor_lie_module: PASS
+first equality failure:
+  trial: 0
+  arguments: e1⊗e1, e1⊗e2, e2⊗e1
+  component: e1⊗e1
+  lhs: 0
+  rhs: -6
+"""
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -354,6 +373,13 @@ def test_verify_chain_map_fails_on_broken_product(capsys, bad_zinbiel):
     ]) == (1, VERIFY_FAIL, "")
 
 
+def test_failing_chain_map_prints_its_first_difference(capsys, bad_zinbiel):
+    assert run(capsys, [
+        "verify-chain-map", "--leibniz", bad_zinbiel,
+        "--zinbiel", "builtin:B2", "--degree", "2", "--trials", "3",
+    ]) == (1, CHAIN_MAP_FAIL, "")
+
+
 @pytest.mark.parametrize("argv", [
     ["les", "--max-degree", "1"],
     ["tensor-lie"],
@@ -399,11 +425,27 @@ BIMODULE_FAIL = {"checked": "zinbiel-bimodule", "ok": False,
         "chain_map_holds": True, "degree": 2, "failed_trials": [], "ok": False,
         "seed": 0, "trials": 10, "witness": None,
     }),
+    (["verify-chain-map", "--leibniz", "{alg}", "--zinbiel", "builtin:B2",
+      "--degree", "2", "--trials", "3"], {
+        "axioms": {
+            "b_zinbiel": {"checked": "zinbiel", "ok": True, "witness": None},
+            "g_leibniz": {"checked": "leibniz", "ok": False, "witness": {
+                "identity": "[x, [y, z]] = [[x, y], z] - [[x, z], y]",
+                "inputs": ["e1", "e1", "e2"], "lhs": {}, "rhs": {"e1": "1"}}},
+            "tensor_lie": {"checked": "lie", "ok": True, "witness": None},
+            "tensor_lie_module": {"checked": "lie-module", "ok": True, "witness": None},
+        },
+        "chain_map_holds": False, "degree": 2, "failed_trials": [0, 1, 2], "ok": False,
+        "seed": 0, "trials": 3, "witness": {
+            "arguments": ["e1⊗e1", "e1⊗e2", "e2⊗e1"], "component": "e1⊗e1",
+            "lhs": "0", "rhs": "-6", "trial": 0},
+    }),
     (["les", "--leibniz", "builtin:leibniz2", "--zinbiel", "{alg}", "--max-degree", "1"], {
         "checks": [{"name": "leibniz", "checked": "leibniz", "ok": True, "witness": None},
                    {"name": "zinbiel", **ZINBIEL_FAIL}],
     }),
-], ids=["check-algebra", "check-bimodule", "verify-chain-map", "les-input-gate"])
+], ids=["check-algebra", "check-bimodule", "verify-chain-map", "verify-chain-map-fails",
+        "les-input-gate"])
 def test_failing_report_json_is_pinned(capsys, tmp_path, bad_zinbiel, argv, expected):
     mod = tmp_path / "bad_regular.json"
     save_bimodule(regular(perturbed_b2()), mod)
@@ -604,6 +646,15 @@ def test_unknown_builtin(capsys):
     code, _, err = run(capsys, ["builtin", "nonsense"])
     assert code == 2
     assert err.startswith("error: unknown builtin 'nonsense'")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("polyzinbiel(-1)", "polyzinbiel needs d >= 0"),
+    ("freeleibniz(2)", "freeleibniz takes 2 integer argument(s), got '2'"),
+    ("regular(regular(B2))", "regular(...) needs an algebra, not a module"),
+])
+def test_malformed_builtin_names_are_refused(capsys, name, message):
+    assert run(capsys, ["builtin", name]) == (2, "", f"error: {message}\n")
 
 
 def test_missing_file(capsys):

@@ -6,7 +6,7 @@ produces, from independent transcriptions of the printed formulas.
 
 import copy
 import pickle
-from dataclasses import asdict, astuple
+from dataclasses import FrozenInstanceError, asdict, astuple, replace
 from fractions import Fraction
 from random import Random
 
@@ -56,7 +56,6 @@ from zinbiel.complexes import (
     _apply,
     _assemble,
     _delta_map,
-    _int_form,
     _matrix,
     ce_tuples,
     dl_tuples,
@@ -236,6 +235,8 @@ def test_cochain_indices_and_dims_must_be_ints():
         dl_delta(Cochain("dl", 1, 2, 2, {(0.5,): {0: 1}}), regular(builtin("B2")))
     with pytest.raises(ValueError, match=r"key \(True, 0\) out of range for dim 2"):
         Cochain("dl", 2, 2, 2, {(True, 0): {0: 1}})
+    with pytest.raises(ValueError, match=r"key \(0,\) has length 1, expected 2"):
+        Cochain("dl", 2, 2, 2, {(0,): {0: 1}})
     with pytest.raises(ValueError, match="module index False out of range"):
         Cochain("ce", 1, 2, 2, {(0,): {False: 1}})
     for args in ((1.0, 2, 2), (1, 2.0, 2), (1, 2, True)):
@@ -448,7 +449,7 @@ def _fractional_cochain(theory, degree, dim, md, rng):
 def _fraction_route(apply, m, f):
     """apply(f), checked against the Fraction route on copies, so f and the output stay unread."""
     out = apply(f)
-    d, ints = _int_form(out)
+    d, ints = out._form
     assert type(d) is int
     assert all(vec and all(type(v) is int and v for v in vec.values()) for vec in ints.values())
     values = copy.copy(out).values
@@ -478,12 +479,12 @@ def test_applied_maps_keep_ints_and_match_the_fraction_route(g, B, draw_ints, se
         _fraction_route(lambda h: psi_apply(ctx, h), _psi_map(ctx, n + 1), dl)
         ce = _fraction_route(lambda h: ce_delta(h, T), _delta_map("ce", T, n), up)
         # Over leibniz2, psi f is a CE cocycle already; over lie2 it is not.
-        assert _int_form(dl)[1] and bool(_int_form(ce)[1]) == (g.kind == "lie")
+        assert dl._form[1] and bool(ce._form[1]) == (g.kind == "lie")
         for apply, m, h in ((lambda h: dl_delta(h, M), _delta_map("dl", M, n + 1), dl),
                             (lambda h: ce_delta(h, T), _delta_map("ce", T, n + 1), ce)):
             for x in (h, Cochain(h.theory, h.degree, h.algebra_dim, h.module_dim,
                                  copy.copy(h).values)):
-                assert _int_form(_fraction_route(apply, m, x))[1] == {}
+                assert _fraction_route(apply, m, x)._form[1] == {}
         assert verify_chain_map(g, B, M, n, trials=2, seed=seed, with_axioms=False).passed
 
 
@@ -519,7 +520,7 @@ def test_a_lazily_held_cochain_behaves_like_any_cochain():
 
     def lazy():
         out = dl_delta(f, M)
-        assert "values" not in vars(out) and _int_form(out)[0] > 1
+        assert "values" not in vars(out) and out._form[0] > 1
         return out
 
     eager = Cochain("dl", 2, 2, 2, apply_via_fractions(_delta_map("dl", M, 1), f))
@@ -535,6 +536,20 @@ def test_a_lazily_held_cochain_behaves_like_any_cochain():
             h.missing
     with pytest.raises(AttributeError):
         object.__new__(Cochain).values
+
+
+def test_a_cochain_is_read_only_once_built():
+    # A cochain, built from Fractions or by a map, holds its integer form
+    # from construction; like the tables it is frozen, so the two stay in step.
+    M = regular(builtin("B2"))
+    built = Cochain("dl", 1, 2, 2, {(0,): {1: Fraction(1, 2)}, (1,): {}})
+    assert built._form == (2, {(0,): {1: 1}})
+    for f in (built, dl_delta(random_dl_cochain(2, 2, 1, Random(1)), M)):
+        with pytest.raises(FrozenInstanceError):
+            f.values = {}
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(f)
+        assert replace(f) == f and replace(f)._form == integral(f.values)
 
 
 def _assert_terms_match_probed_unmerged(theory, module, degrees):
@@ -670,3 +685,28 @@ def test_cleared_dims_cancel_little(monkeypatch):
     monkeypatch.setattr(linalg, "_cancel", counted)
     assert _dims(regular(builtin("polyzinbiel(3)")), "dl", 4) == (1024, 205, 204, 1)
     assert calls <= 1000
+
+
+def test_a_map_reads_the_integer_form_of_a_cochain_whose_values_were_read(monkeypatch):
+    # Reading an output's values keeps its integer form, so the next map
+    # reads that form and clears no denominators (integral) on the way.
+    B = builtin("B2")
+    ctx = TensorContext(builtin("freeleibniz(2,3)"), B, regular(B))
+    f = random_dl_cochain(2, 2, 1, Random(11))
+    cleared = 0
+    clear = complexes.integral
+
+    def counted(table):
+        nonlocal cleared
+        cleared += 1
+        return clear(table)
+
+    monkeypatch.setattr(complexes, "integral", counted)
+    dl = dl_delta(f, ctx.M)
+    assert dl.values
+    up = psi_apply(ctx, dl)
+    assert up.values
+    out = ce_delta(up, ctx.module)
+    monkeypatch.undo()
+    assert cleared == 0
+    assert out == ce_delta(psi_apply(ctx, dl_delta(f, ctx.M)), ctx.module)

@@ -161,6 +161,8 @@ def test_mul_and_hstack():
     assert to_dense(h)[0] == [Fraction(1), Fraction(2), Fraction(1), Fraction(0)]
     with pytest.raises(ValueError):
         a.mul(Matrix(3, 3))
+    with pytest.raises(ValueError, match="hstack needs equal row counts"):
+        a.hstack(Matrix(3, 3))
 
 
 @settings(deadline=None)

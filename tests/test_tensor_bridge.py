@@ -53,7 +53,7 @@ from zinbiel import (
     regular,
     tensor_bridge,
 )
-from zinbiel import complexes, fileio, linalg, sparsevec
+from zinbiel import algebras, complexes, fileio, linalg, sparsevec
 from zinbiel.complexes import _apply, _matrix, ce_space_dim, ce_tuples, dl_tuples
 from zinbiel.linalg import Matrix, _eliminate
 from zinbiel.sparsevec import add_scaled, parse_scalar
@@ -516,7 +516,7 @@ def test_passing_chain_map_check_makes_no_fraction_past_its_context(monkeypatch)
     built, made = made, 0
     TensorContext(g, B, M)
     context, made = made, 0
-    monkeypatch.setattr(complexes, "unscaled", never)
+    monkeypatch.setattr(algebras, "unscaled", never)
     monkeypatch.setattr(complexes, "integral", never)
     report = verify_chain_map(g, B, M, 3)
     monkeypatch.undo()
@@ -534,11 +534,10 @@ def test_modules_and_contexts_pickle_before_and_after_their_maps_are_built():
     for built in (False, True):
         if built:
             dl_delta(f, M), psi_apply(ctx, f)
-            assert M._maps and ctx._psi_maps
+            assert M._maps and ctx.module._maps
         module, context = pickle.loads(pickle.dumps(M)), pickle.loads(pickle.dumps(ctx))
-        assert module == M and module._maps == {} and context._psi_maps == {}
-        assert {k: v for k, v in vars(context).items() if k != "_psi_maps"} == {
-            k: v for k, v in vars(ctx).items() if k != "_psi_maps"}
+        assert module == M and module._maps == {} and context.module._maps == {}
+        assert vars(context) == vars(ctx)
         assert dl_delta(f, module) == dl_delta(f, M)
         assert psi_apply(context, f) == psi_apply(ctx, f)
         assert psi_apply(context, dl_delta(f, context.M)) == psi_apply(ctx, dl_delta(f, M))
@@ -923,6 +922,17 @@ def test_degrees_and_trial_counts_must_be_ints(bad):
     for call in entry_points:
         with pytest.raises(ValueError, match="must be (an int|ints)"):
             call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g, B, M: les_report(g, B, M, 0), "max_degree must be at least 1"),
+    (lambda g, B, M: les_report(g, B, M, 4), "max_degree can be at most 3"),
+    (lambda g, B, M: verify_chain_map(g, B, M, 2, trials=0), "need at least one trial"),
+], ids=["les-0", "les-4", "trials-0"])
+def test_counts_out_of_range_are_refused(call, message):
+    B = builtin("B2")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(builtin("leibniz2"), B, regular(B))
 
 
 # rank psi_n of freeleibniz(k, c) (x) B on regular(B), measured: psi_n is injective
